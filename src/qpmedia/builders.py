@@ -142,13 +142,6 @@ def parse_xyz(source: str | Path) -> GeometryFile:
     return GeometryFile(symbols=tuple(symbols), positions=np.array(positions).T)
 
 
-def write_xyz(geom: GeometryFile, comment: str = "") -> str:
-    rows = [str(geom.natoms), comment]
-    for sym, pos in zip(geom.symbols, geom.positions.T):
-        rows.append(f"{sym} {pos[0]!r} {pos[1]!r} {pos[2]!r}")
-    return "\n".join(rows) + "\n"
-
-
 def coulomb_kernel(coords_bohr: NDArray[np.float64], width: float):
     """Gaussian-damped charge-charge kernel.
 

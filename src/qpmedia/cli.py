@@ -2,7 +2,9 @@
 
 Frequencies are exchanged in eV at this boundary and converted to Hartree
 internally; every run prints one summary line with a checksum of the files
-it wrote, and identical inputs produce byte-identical outputs.
+it wrote.  At a fixed BLAS thread count, identical inputs produce
+byte-identical outputs.  Tables are streamed block by block, every float
+rendered as ``%.12g``.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import hashlib
 import json
 import sys
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +22,7 @@ import numpy as np
 from . import builders, openquantum, phasespace, response, spectral
 from .constants import HARTREE_TO_EV
 from .errors import QpmError
-from .medium import KickDrive, MediumSpec, spec_from_json, spec_to_json
+from .medium import KickDrive, MediumSpec, consistent_extended_ic, spec_from_json, spec_to_json
 
 _HEADER_COMMENT = f"# 1 Hartree = {HARTREE_TO_EV!r} eV"
 
@@ -54,13 +57,13 @@ class RunConfig:
     cov_out: str | None = None
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
-
-
 def _grid_ev(lo: float, hi: float, step: float) -> np.ndarray:
+    if not np.isfinite([lo, hi, step]).all():
+        raise ValueError("frequency window bounds and step must be finite")
     if step <= 0:
         raise ValueError("frequency step must be positive")
+    if hi < lo:
+        raise ValueError(f"empty frequency window: maximum {hi!r} is below minimum {lo!r}")
     count = int(np.floor((hi - lo) / step + 1e-9)) + 1
     return lo + step * np.arange(count)
 
@@ -69,11 +72,27 @@ def _checksum(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
-def _write_csv(path: Path, header: str, rows) -> int:
-    lines = [_HEADER_COMMENT, header]
-    lines.extend(",".join(cells) for cells in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return len(lines) - 2
+def _write_table(path: Path, head: Sequence[str], fmt: str, blocks: Iterable) -> None:
+    """Write the ``head`` lines, then ``fmt % row`` for every row of every block.
+
+    A block is a sequence of equal-length columns (lists from ``.tolist()``);
+    each block is formatted and written before the next one is taken, so a
+    table never sits in memory as strings.
+    """
+    with path.open("w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in head)
+        for columns in blocks:
+            fh.writelines(map(fmt.__mod__, zip(*columns)))
+
+
+def _fmt_row(count: int, cell: str = "%.12g", sep: str = ",") -> str:
+    """A row format of ``count`` equal cells."""
+    return sep.join([cell] * count) + "\n"
+
+
+def _interleaved(z: np.ndarray) -> list:
+    """Columns re, im, re, im, ... of the columns of a complex matrix."""
+    return np.ascontiguousarray(z, dtype=complex).view(np.float64).T.tolist()
 
 
 def _load_model(config: RunConfig) -> MediumSpec:
@@ -115,22 +134,17 @@ def _write_svg(path: Path, table: response.SpectrumTable) -> None:
     ymax = max(float(s.max()) for _, s, _ in series)
     if ymax == ymin:
         ymax = ymin + 1.0
-    xmin, xmax = float(x.min()), float(x.max()) if x.size > 1 else (0.0, 1.0)
+    xmin, xmax = float(x.min()), float(x.max())
     if xmax == xmin:
         xmax = xmin + 1.0
-
-    def sx(v):
-        return pad + (v - xmin) / (xmax - xmin) * (width - 2 * pad)
-
-    def sy(v):
-        return height - pad - (v - ymin) / (ymax - ymin) * (height - 2 * pad)
-
+    sx = (pad + (x - xmin) / (xmax - xmin) * (width - 2 * pad)).tolist()
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     for name, ys, color in series:
-        pts = " ".join(f"{_fmt(sx(a))},{_fmt(sy(b))}" for a, b in zip(x, ys))
+        sy = (height - pad - (ys - ymin) / (ymax - ymin) * (height - 2 * pad)).tolist()
+        pts = " ".join(map("%.12g,%.12g".__mod__, zip(sx, sy)))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1" points="{pts}"/>'
         )
@@ -169,12 +183,14 @@ def _run_spectrum(config: RunConfig) -> list[Path]:
     spec = _load_model(config)
     grid_ev, grid, ledger = _spectrum_pipeline(spec, config)
     table = response.reconstruct_spectrum(ledger, np.arange(ledger.n_modes), grid)
-    rows = [
-        (_fmt(w), _fmt(a), _fmt(b), _fmt(c))
-        for w, a, b, c in zip(grid_ev, table.im_alpha, table.absorptive, table.dispersive)
-    ]
+    columns = (grid_ev, table.im_alpha, table.absorptive, table.dispersive)
     out = Path(config.out)
-    _write_csv(out, "omega_eV,im_alpha,absorptive,dispersive", rows)
+    _write_table(
+        out,
+        (_HEADER_COMMENT, "omega_eV,im_alpha,absorptive,dispersive"),
+        _fmt_row(4),
+        [[c.tolist() for c in columns]],
+    )
     written = [out]
     if config.svg:
         svg = Path(config.svg)
@@ -186,20 +202,21 @@ def _run_spectrum(config: RunConfig) -> list[Path]:
 def _run_modes(config: RunConfig) -> list[Path]:
     spec = _load_model(config)
     _, eig = spectral.prepare(spec)
-    rows = [
-        (str(k), _fmt(mu.real * HARTREE_TO_EV), _fmt(mu.imag * HARTREE_TO_EV))
-        for k, mu in enumerate(eig.values)
-    ]
+    re_mu, im_mu = eig.values.real * HARTREE_TO_EV, eig.values.imag * HARTREE_TO_EV
     out = Path(config.out)
-    _write_csv(out, "k,re_mu,im_mu", rows)
+    _write_table(
+        out,
+        (_HEADER_COMMENT, "k,re_mu,im_mu"),
+        "%d,%.12g,%.12g\n",
+        [(range(re_mu.size), re_mu.tolist(), im_mu.tolist())],
+    )
     written = [out]
     if config.vectors:
+        # one line per eigenvector: "re im re im ..."
         vec_path = Path(config.vectors)
-        lines = []
-        for k in range(eig.values.size):
-            v = eig.right_vectors[:, k]
-            lines.append(" ".join(f"{_fmt(z.real)} {_fmt(z.imag)}" for z in v))
-        vec_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        vectors = eig.right_vectors.T
+        fmt = _fmt_row(vectors.shape[1], "%.12g %.12g", " ")
+        _write_table(vec_path, (), fmt, [_interleaved(vectors)])
         written.append(vec_path)
     return written
 
@@ -225,18 +242,21 @@ def _run_filter(config: RunConfig) -> list[Path]:
         )
     else:
         raise ValueError("--mode must be 'if' or 'ef'")
-    rows = [
-        (
-            str(k),
-            _fmt(ledger.mu[k].real * HARTREE_TO_EV),
-            _fmt(ledger.mu[k].imag * HARTREE_TO_EV),
-            _fmt(ledger.intercept[k].real),
-            "1" if k in selected else "0",
-        )
-        for k in range(ledger.n_modes)
-    ]
+    mu = ledger.mu
+    columns = (
+        range(ledger.n_modes),
+        (mu.real * HARTREE_TO_EV).tolist(),
+        (mu.imag * HARTREE_TO_EV).tolist(),
+        ledger.intercept.real.tolist(),
+        [int(k in selected) for k in range(ledger.n_modes)],
+    )
     out = Path(config.out)
-    _write_csv(out, "k,re_mu_eV,im_mu_eV,re_I,selected", rows)
+    _write_table(
+        out,
+        (_HEADER_COMMENT, "k,re_mu_eV,im_mu_eV,re_I,selected"),
+        "%d,%.12g,%.12g,%.12g,%d\n",
+        [columns],
+    )
     return [out]
 
 
@@ -255,8 +275,6 @@ def _run_propagate(config: RunConfig) -> list[Path]:
     u0 = parse_vec(config.u0)
     v0 = parse_vec(config.v0)
     drive = _kick_for(spec, config) if config.kick is not None else None
-    from qpmedia.medium import consistent_extended_ic
-
     x0, xdot0 = consistent_extended_ic(spec, u0, v0, drive)
     q0 = phasespace.consistent_mean(ext, x0, xdot0)
     steps = int(np.floor(config.t_max / config.t_step + 1e-9)) + 1
@@ -267,14 +285,13 @@ def _run_propagate(config: RunConfig) -> list[Path]:
     for name in ("u", "v"):
         for i in range(1, n + 1):
             header += [f"re_mean_{name}_{i}", f"im_mean_{name}_{i}"]
-    rows = []
-    for t, xrow in zip(t_grid, xs):
-        cells = [_fmt(t)]
-        for z in xrow:
-            cells += [_fmt(z.real), _fmt(z.imag)]
-        rows.append(tuple(cells))
     out = Path(config.out)
-    _write_csv(out, ",".join(header), rows)
+    _write_table(
+        out,
+        (_HEADER_COMMENT, ",".join(header)),
+        _fmt_row(len(header)),
+        [[t_grid.tolist(), *_interleaved(xs)]],
+    )
     written = [out]
     if config.cov_out:
         cov_dir = Path(config.cov_out)
@@ -283,14 +300,16 @@ def _run_propagate(config: RunConfig) -> list[Path]:
             mean=q0, cov=(config.hbar / 2.0) * np.eye(4 * n), hbar=config.hbar
         )
         jb = phasespace.decompose_generator(ext)
+        cov_fmt = _fmt_row(4 * n, "%.12g;%.12g")
         for idx, t in enumerate(t_grid):
             prop = phasespace.propagator_at(ext, float(t), drive=drive, jb_eig=jb)
             cov = phasespace.evolve_state(state0, prop).cov
-            lines = [_HEADER_COMMENT, f"# t = {_fmt(t)}"]
-            for row in cov:
-                lines.append(",".join(f"{_fmt(z.real)};{_fmt(z.imag)}" for z in row))
-            target = cov_dir / f"cov_{idx:06d}.csv"
-            target.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            _write_table(
+                cov_dir / f"cov_{idx:06d}.csv",
+                (_HEADER_COMMENT, "# t = %.12g" % t),
+                cov_fmt,
+                [_interleaved(cov)],
+            )
         written.append(cov_dir / f"cov_{len(t_grid) - 1:06d}.csv")
     return written
 
@@ -311,30 +330,21 @@ def _run_field(config: RunConfig) -> list[Path]:
         )
         waves.append(PlaneWave(k=np.asarray(w["k"], dtype=float), amplitude=amp))
     k_queries = np.asarray(doc["k_queries"], dtype=float)
+    if k_queries.ndim != 2 or k_queries.shape[1] != 3:
+        raise ValueError("k_queries must be a list of 3-vectors")
     field_set = FieldPlaneWaveSet(omega_grid=grid, waves=tuple(waves))
     ext, _ = spectral.prepare(spec)
     scattered, delta_terms = emitted_field_first_order(ext, spec, field_set, k_queries)
-    rows = []
-    for iw, w_ev in enumerate(grid_ev):
-        for ik, kq in enumerate(k_queries):
-            e = scattered[iw, ik]
-            rows.append(
-                (
-                    _fmt(w_ev),
-                    _fmt(kq[0]),
-                    _fmt(kq[1]),
-                    _fmt(kq[2]),
-                    _fmt(e[0].real),
-                    _fmt(e[0].imag),
-                    _fmt(e[1].real),
-                    _fmt(e[1].imag),
-                    _fmt(e[2].real),
-                    _fmt(e[2].imag),
-                )
-            )
+    k_columns = k_queries.T.tolist()
     out = Path(config.out)
-    _write_csv(
-        out, "omega_eV,kx,ky,kz,re_Ex,im_Ex,re_Ey,im_Ey,re_Ez,im_Ez", rows
+    _write_table(
+        out,
+        (_HEADER_COMMENT, "omega_eV,kx,ky,kz,re_Ex,im_Ex,re_Ey,im_Ey,re_Ez,im_Ez"),
+        _fmt_row(10),
+        (
+            [[w_ev] * len(k_queries), *k_columns, *_interleaved(scattered[iw])]
+            for iw, w_ev in enumerate(grid_ev.tolist())
+        ),
     )
     sidecar = out.with_suffix(out.suffix + ".deltas.json")
     sidecar.write_text(
@@ -371,24 +381,27 @@ def _run_bath(config: RunConfig) -> list[Path]:
     grid = grid_ev / HARTREE_TO_EV
     ext, _ = spectral.prepare(spec)
     corr = openquantum.thermal_correlation(ext, config.beta, config.hbar, grid, config.eta)
-    rows = []
     m = corr.gamma.shape[1]
-    for iw, w_ev in enumerate(grid_ev):
-        for a in range(m):
-            for b in range(m):
-                rows.append(
-                    (
-                        _fmt(w_ev),
-                        str(a + 1),
-                        str(b + 1),
-                        _fmt(corr.gamma[iw, a, b].real),
-                        _fmt(corr.gamma[iw, a, b].imag),
-                        _fmt(corr.s_ls[iw, a, b].real),
-                        _fmt(corr.s_ls[iw, a, b].imag),
-                    )
-                )
+    index = np.arange(1, m + 1)
+    alpha, beta = np.repeat(index, m).tolist(), np.tile(index, m).tolist()
     out = Path(config.out)
-    _write_csv(out, "omega_eV,alpha,beta,re_gamma,im_gamma,re_S,im_S", rows)
+    _write_table(
+        out,
+        (_HEADER_COMMENT, "omega_eV,alpha,beta,re_gamma,im_gamma,re_S,im_S"),
+        "%.12g,%d,%d,%.12g,%.12g,%.12g,%.12g\n",
+        (
+            [
+                [w_ev] * (m * m),
+                alpha,
+                beta,
+                corr.gamma[iw].real.ravel().tolist(),
+                corr.gamma[iw].imag.ravel().tolist(),
+                corr.s_ls[iw].real.ravel().tolist(),
+                corr.s_ls[iw].imag.ravel().tolist(),
+            ]
+            for iw, w_ev in enumerate(grid_ev.tolist())
+        ),
+    )
     return [out]
 
 

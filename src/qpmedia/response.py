@@ -124,14 +124,6 @@ def decompose_modes(eig: EigenSystem, spec: MediumSpec, drive: KickDrive) -> Mod
     )
 
 
-def lorentzian_amplitudes(ledger: ModeLedger, omega: float):
-    """Absorptive and dispersive Lorentzian factors of every eigenvalue."""
-    lam_re = ledger.lam.real
-    lam_im = ledger.lam.imag
-    denom = (omega**2 - lam_re) ** 2 + lam_im**2
-    return lam_im / denom, (omega**2 - lam_re) / denom
-
-
 def reconstruct_spectrum(
     ledger: ModeLedger, selected, omega_grid
 ) -> SpectrumTable:

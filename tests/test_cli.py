@@ -75,6 +75,30 @@ class TestSpectrum:
         )
         assert svg.read_text(encoding="utf-8").startswith("<svg")
 
+    def test_svg_of_one_point_grid(self, model_file, tmp_path):
+        out = tmp_path / "s.csv"
+        svg = tmp_path / "s.svg"
+        assert main(
+            [
+                "spectrum", "--model", str(model_file), "--omega-min", "1",
+                "--omega-max", "1", "--omega-step", "0.1", "--out", str(out),
+                "--svg", str(svg),
+            ]
+        ) == 0
+        _, rows = read_rows(out)
+        assert len(rows) == 1
+        text = svg.read_text(encoding="utf-8")
+        assert text.rstrip().endswith("</svg>")
+        points = [
+            line.split('points="')[1].split('"')[0]
+            for line in text.splitlines()
+            if line.startswith("<polyline")
+        ]
+        assert len(points) == 3
+        for pts in points:
+            x, y = (float(v) for v in pts.split(","))  # one point, inside the canvas
+            assert 0.0 <= x <= 720.0 and 0.0 <= y <= 360.0
+
 
 class TestModes:
     def test_ev_conversion_of_damped_scalar(self, tmp_path):
@@ -205,6 +229,28 @@ class TestField:
         assert len(doc["delta_terms"]) == 1
         assert "similarity_gauge" in doc
 
+    def test_flat_k_queries_rejected(self, model_file, tmp_path, capsys):
+        waves = tmp_path / "waves.json"
+        waves.write_text(
+            json.dumps(
+                {
+                    "omega_min_ev": 1.0,
+                    "omega_max_ev": 2.0,
+                    "omega_step_ev": 1.0,
+                    "plane_waves": [
+                        {"k": [0.01, 0.0, 0.0], "amplitude_re": [0.0, 1.0, 0.0]}
+                    ],
+                    "k_queries": [0.02, 0.0, 0.0],
+                }
+            ),
+            encoding="utf-8",
+        )
+        out = tmp_path / "field.csv"
+        code = main(["field", "--model", str(model_file), "--waves", str(waves), "--out", str(out)])
+        assert code == 1
+        assert "k_queries" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBuildRoundTrip:
     def test_build_then_spectrum(self, tmp_path):
@@ -304,6 +350,33 @@ class TestErrors:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "window",
+        [
+            ("2", "1", "0.1"),
+            ("1", "1", "0"),
+            ("1", "2", "-0.1"),
+            ("1", "nan", "0.1"),
+            ("-inf", "1", "0.1"),
+        ],
+    )
+    @pytest.mark.parametrize("subcommand", ["spectrum", "bath"])
+    def test_empty_or_inverted_grid_rejected(self, model_file, tmp_path, capsys, subcommand, window):
+        lo, hi, step = window
+        out = tmp_path / "out.csv"
+        extra = ["--beta", "1.0"] if subcommand == "bath" else []
+        code = main(
+            [
+                subcommand, "--model", str(model_file), f"--omega-min={lo}",
+                f"--omega-max={hi}", f"--omega-step={step}", "--out", str(out), *extra,
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: ")
+        assert "frequency" in err
+        assert not out.exists()
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
