@@ -12,7 +12,6 @@ from .medium import (
     MediumSpec,
     MonochromaticDrive,
     TabulatedDrive,
-    TrajectorySample,
     build_extended_force,
     integrate_reference_extended,
     integrate_reference_second_order,

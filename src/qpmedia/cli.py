@@ -14,7 +14,6 @@ import hashlib
 import json
 import sys
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,43 +26,18 @@ from .medium import KickDrive, MediumSpec, consistent_extended_ic, spec_from_jso
 _HEADER_COMMENT = f"# 1 Hartree = {HARTREE_TO_EV!r} eV"
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    model: str | None = None
-    out: str | None = None
-    omega_min: float | None = None
-    omega_max: float | None = None
-    omega_step: float | None = None
-    filter_mode: str | None = None
-    threshold: float | None = None
-    window_lo: float | None = None
-    window_hi: float | None = None
-    beta: float | None = None
-    hbar: float = 1.0
-    eta: float = 1e-4
-    seed: int = 0
-    kick: str | None = None
-    xyz: str | None = None
-    params: str | None = None
-    response_axis: str = "z"
-    t_max: float | None = None
-    t_step: float | None = None
-    u0: str | None = None
-    v0: str | None = None
-    waves: str | None = None
-    svg: str | None = None
-    vectors: str | None = None
-    cov_out: str | None = None
+def _grid(lo: float, hi: float, step: float, quantity: str) -> np.ndarray:
+    """The points lo, lo + step, ... up to hi of a ``quantity`` window.
 
-
-def _grid_ev(lo: float, hi: float, step: float) -> np.ndarray:
+    An inverted window, a non-positive step and non-finite values raise a
+    ValueError that names the quantity, before any compute or file write.
+    """
     if not np.isfinite([lo, hi, step]).all():
-        raise ValueError("frequency window bounds and step must be finite")
+        raise ValueError(f"{quantity} window bounds and step must be finite")
     if step <= 0:
-        raise ValueError("frequency step must be positive")
+        raise ValueError(f"{quantity} step must be positive")
     if hi < lo:
-        raise ValueError(f"empty frequency window: maximum {hi!r} is below minimum {lo!r}")
+        raise ValueError(f"empty {quantity} window: maximum {hi!r} is below minimum {lo!r}")
     count = int(np.floor((hi - lo) / step + 1e-9)) + 1
     return lo + step * np.arange(count)
 
@@ -95,13 +69,13 @@ def _interleaved(z: np.ndarray) -> list:
     return np.ascontiguousarray(z, dtype=complex).view(np.float64).T.tolist()
 
 
-def _load_model(config: RunConfig) -> MediumSpec:
+def _load_model(config: argparse.Namespace) -> MediumSpec:
     if not config.model:
         raise ValueError("--model is required")
     return spec_from_json(Path(config.model).read_text(encoding="utf-8"))
 
 
-def _kick_for(spec: MediumSpec, config: RunConfig) -> KickDrive:
+def _kick_for(spec: MediumSpec, config: argparse.Namespace) -> KickDrive:
     if config.kick is None:
         return KickDrive(np.ones(spec.n, dtype=complex))
     text = config.kick
@@ -157,7 +131,7 @@ def _write_svg(path: Path, table: response.SpectrumTable) -> None:
 # Subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _run_build(config: RunConfig) -> list[Path]:
+def _run_build(config: argparse.Namespace) -> list[Path]:
     if not (config.xyz and config.params and config.out):
         raise ValueError("build requires --xyz, --params and --out")
     geom = builders.parse_xyz(Path(config.xyz))
@@ -170,8 +144,8 @@ def _run_build(config: RunConfig) -> list[Path]:
     return [out]
 
 
-def _spectrum_pipeline(spec: MediumSpec, config: RunConfig):
-    grid_ev = _grid_ev(config.omega_min, config.omega_max, config.omega_step)
+def _spectrum_pipeline(spec: MediumSpec, config: argparse.Namespace):
+    grid_ev = _grid(config.omega_min, config.omega_max, config.omega_step, "frequency")
     grid = grid_ev / HARTREE_TO_EV
     _, eig = spectral.prepare(spec)
     drive = _kick_for(spec, config)
@@ -179,7 +153,7 @@ def _spectrum_pipeline(spec: MediumSpec, config: RunConfig):
     return grid_ev, grid, ledger
 
 
-def _run_spectrum(config: RunConfig) -> list[Path]:
+def _run_spectrum(config: argparse.Namespace) -> list[Path]:
     spec = _load_model(config)
     grid_ev, grid, ledger = _spectrum_pipeline(spec, config)
     table = response.reconstruct_spectrum(ledger, np.arange(ledger.n_modes), grid)
@@ -199,7 +173,7 @@ def _run_spectrum(config: RunConfig) -> list[Path]:
     return written
 
 
-def _run_modes(config: RunConfig) -> list[Path]:
+def _run_modes(config: argparse.Namespace) -> list[Path]:
     spec = _load_model(config)
     _, eig = spectral.prepare(spec)
     re_mu, im_mu = eig.values.real * HARTREE_TO_EV, eig.values.imag * HARTREE_TO_EV
@@ -221,7 +195,7 @@ def _run_modes(config: RunConfig) -> list[Path]:
     return written
 
 
-def _run_filter(config: RunConfig) -> list[Path]:
+def _run_filter(config: argparse.Namespace) -> list[Path]:
     spec = _load_model(config)
     _, eig = spectral.prepare(spec)
     drive = _kick_for(spec, config)
@@ -260,10 +234,9 @@ def _run_filter(config: RunConfig) -> list[Path]:
     return [out]
 
 
-def _run_propagate(config: RunConfig) -> list[Path]:
+def _run_propagate(config: argparse.Namespace) -> list[Path]:
     spec = _load_model(config)
-    if config.t_max is None or config.t_step is None or config.t_step <= 0:
-        raise ValueError("propagate requires positive --t-max and --t-step")
+    t_grid = _grid(0.0, config.t_max, config.t_step, "time")
     ext, _ = spectral.prepare(spec)
     n = spec.n
 
@@ -277,8 +250,6 @@ def _run_propagate(config: RunConfig) -> list[Path]:
     drive = _kick_for(spec, config) if config.kick is not None else None
     x0, xdot0 = consistent_extended_ic(spec, u0, v0, drive)
     q0 = phasespace.consistent_mean(ext, x0, xdot0)
-    steps = int(np.floor(config.t_max / config.t_step + 1e-9)) + 1
-    t_grid = config.t_step * np.arange(steps)
     means = phasespace.propagate_mean(ext, drive, q0, t_grid)
     xs = means[:, 2 * n :]
     header = ["t"]
@@ -302,7 +273,8 @@ def _run_propagate(config: RunConfig) -> list[Path]:
         jb = phasespace.decompose_generator(ext)
         cov_fmt = _fmt_row(4 * n, "%.12g;%.12g")
         for idx, t in enumerate(t_grid):
-            prop = phasespace.propagator_at(ext, float(t), drive=drive, jb_eig=jb)
+            # the covariance never reads Delta_t, so the drive is left out
+            prop = phasespace.propagator_at(ext, float(t), jb_eig=jb)
             cov = phasespace.evolve_state(state0, prop).cov
             _write_table(
                 cov_dir / f"cov_{idx:06d}.csv",
@@ -314,14 +286,14 @@ def _run_propagate(config: RunConfig) -> list[Path]:
     return written
 
 
-def _run_field(config: RunConfig) -> list[Path]:
+def _run_field(config: argparse.Namespace) -> list[Path]:
     from .selfconsistent import FieldPlaneWaveSet, PlaneWave, emitted_field_first_order
 
     spec = _load_model(config)
     if not config.waves:
         raise ValueError("field requires --waves")
     doc = json.loads(Path(config.waves).read_text(encoding="utf-8"))
-    grid_ev = _grid_ev(doc["omega_min_ev"], doc["omega_max_ev"], doc["omega_step_ev"])
+    grid_ev = _grid(doc["omega_min_ev"], doc["omega_max_ev"], doc["omega_step_ev"], "frequency")
     grid = grid_ev / HARTREE_TO_EV
     waves = []
     for w in doc["plane_waves"]:
@@ -373,11 +345,11 @@ def _run_field(config: RunConfig) -> list[Path]:
     return [out, sidecar]
 
 
-def _run_bath(config: RunConfig) -> list[Path]:
+def _run_bath(config: argparse.Namespace) -> list[Path]:
     spec = _load_model(config)
     if config.beta is None:
         raise ValueError("bath requires --beta")
-    grid_ev = _grid_ev(config.omega_min, config.omega_max, config.omega_step)
+    grid_ev = _grid(config.omega_min, config.omega_max, config.omega_step, "frequency")
     grid = grid_ev / HARTREE_TO_EV
     ext, _ = spectral.prepare(spec)
     corr = openquantum.thermal_correlation(ext, config.beta, config.hbar, grid, config.eta)
@@ -416,7 +388,7 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     """Dispatch one subcommand; returns the process exit status."""
     try:
         written = _RUNNERS[config.subcommand](config)
@@ -499,10 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    fields = {f: getattr(args, f) for f in vars(args)}
-    config = RunConfig(**fields)
-    return run(config)
+    return run(_build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -215,13 +215,13 @@ def drive_value(drive: DriveSignal, t: float):
     raise TypeError(f"unknown drive type {type(drive)!r}")
 
 
-def spectral_amplitude(drive: DriveSignal, omega) -> NDArray[np.complex128]:
+def spectral_amplitude(drive: DriveSignal) -> NDArray[np.complex128]:
     """Frequency-domain amplitude of a drive for linear-response sweeps.
 
     A kick has a constant amplitude across frequencies.  A monochromatic
-    drive is treated as a sweep: evaluating at omega gives the envelope
-    amplitude of the drive when tuned to that frequency.  Tabulated drives
-    carry no closed-form transform and are rejected.
+    drive is treated as a sweep: at every frequency the amplitude is the
+    envelope of the drive tuned to that frequency.  Tabulated drives carry
+    no closed-form transform and are rejected.
     """
     if isinstance(drive, (KickDrive, MonochromaticDrive)):
         return drive.amplitude
@@ -246,15 +246,8 @@ def build_extended_force(spec: MediumSpec, drive: DriveSignal, t: float):
 
 
 @dataclass(frozen=True)
-class TrajectorySample:
-    t: float
-    u: NDArray[np.complex128]
-    v: NDArray[np.complex128]
-
-
-@dataclass(frozen=True)
 class Trajectory:
-    """Time series of (u, v) samples; indexing yields TrajectorySample."""
+    """Time series of (u, v) samples."""
 
     t: NDArray[np.float64]
     u: NDArray[np.complex128]
@@ -262,9 +255,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.t.size
-
-    def __getitem__(self, i: int) -> TrajectorySample:
-        return TrajectorySample(float(self.t[i]), self.u[i], self.v[i])
 
 
 @dataclass(frozen=True)

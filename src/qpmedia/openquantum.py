@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import FrequencyNotCovered, ResonantFrequency, ThermalSingularity
+from .errors import FrequencyNotCovered, ThermalSingularity
 from .phasespace import GaussianState, decompose_generator
 from .selfconsistent import auxiliary_response
-from .spectral import ExtendedOperator, symplectic_form
+from .spectral import ExtendedOperator, _generator, _resolvent_solve, symplectic_form
 
 BOHR_GROUP_TOL = 1e-10
 
@@ -55,8 +55,6 @@ def correlation_time(ext: ExtendedOperator, state0: GaussianState, t: float):
     the shift term of the evolution vanishes; driven-bath correlations are
     out of scope.
     """
-    if ext.gen_JB is None:
-        raise ValueError("generator J_B not built; call spectral.prepare first")
     jb_eig = decompose_generator(ext)
     xi0 = _initial_moment_matrix(state0)
     if jb_eig.usable:
@@ -97,18 +95,9 @@ def correlation_frequency(
     """
     if eta < 0:
         raise ValueError("eta must be non-negative")
-    if ext.gen_JB is None:
-        raise ValueError("generator J_B not built; call spectral.prepare first")
     omega_grid = np.asarray(omega_grid, dtype=float)
     xi0 = _initial_moment_matrix(state0)
-    N2 = xi0.shape[0]
-    eye = np.eye(N2)
-    out = []
-    for w in omega_grid:
-        try:
-            out.append(1j * np.linalg.solve((w + 1j * eta) * eye + 1j * ext.gen_JB, xi0))
-        except np.linalg.LinAlgError:
-            raise ResonantFrequency(w) from None
+    out = [1j * _resolvent_solve(ext, w, xi0, eta) for w in omega_grid]
     return _assemble_set(omega_grid, out, eta)
 
 
@@ -135,17 +124,8 @@ def thermal_correlation(
         raise ValueError("beta must be positive")
     omega_grid = np.asarray(omega_grid, dtype=float)
     nbe = _bose_einstein_matrix(ext, beta, hbar)
-    N2 = ext.gen_JB.shape[0]
-    J = symplectic_form(N2 // 2)
-    eye = np.eye(N2)
-    rhs = nbe @ J
-    out = []
-    for w in omega_grid:
-        try:
-            sol = np.linalg.solve((w + 1j * eta) * eye + 1j * ext.gen_JB, rhs)
-        except np.linalg.LinAlgError:
-            raise ResonantFrequency(w) from None
-        out.append(-hbar * sol)
+    rhs = nbe @ symplectic_form(2 * ext.n)
+    out = [-hbar * _resolvent_solve(ext, w, rhs, eta) for w in omega_grid]
     return _assemble_set(omega_grid, out, eta)
 
 
@@ -154,17 +134,9 @@ def classical_correlation(
 ) -> CorrelationSet:
     """hbar -> 0 limit of the thermal correlations (scales as 1/beta)."""
     omega_grid = np.asarray(omega_grid, dtype=float)
-    N2 = ext.gen_JB.shape[0]
-    J = symplectic_form(N2 // 2)
-    eye = np.eye(N2)
-    prefactor = -np.linalg.inv(beta * 1j * ext.gen_JB)
-    out = []
-    for w in omega_grid:
-        try:
-            sol = np.linalg.solve((w + 1j * eta) * eye + 1j * ext.gen_JB, J)
-        except np.linalg.LinAlgError:
-            raise ResonantFrequency(w) from None
-        out.append(prefactor @ sol)
+    prefactor = -np.linalg.inv(beta * 1j * _generator(ext))
+    J = symplectic_form(2 * ext.n)
+    out = [prefactor @ _resolvent_solve(ext, w, J, eta) for w in omega_grid]
     return _assemble_set(omega_grid, out, eta)
 
 

@@ -14,9 +14,9 @@ import numpy as np
 import scipy.linalg
 from numpy.typing import NDArray
 
-from .errors import ResonantFrequency, ThermalSingularity
-from .medium import DriveSignal, spectral_amplitude
-from .spectral import ExtendedOperator, symplectic_form
+from .errors import ThermalSingularity
+from .medium import DriveSignal, drive_value, spectral_amplitude
+from .spectral import ExtendedOperator, _generator, _resolvent_solve, symplectic_form
 
 EXPM_FALLBACK_COND = 1e8
 
@@ -69,9 +69,7 @@ class GeneratorSpectral:
 
 
 def decompose_generator(ext: ExtendedOperator) -> GeneratorSpectral:
-    if ext.gen_JB is None:
-        raise ValueError("generator J_B not built; call spectral.prepare first")
-    values, vectors = np.linalg.eig(ext.gen_JB)
+    values, vectors = np.linalg.eig(_generator(ext))
     cond = float(np.linalg.cond(vectors))
     inverse = np.linalg.inv(vectors) if np.isfinite(cond) else np.full_like(vectors, np.nan)
     return GeneratorSpectral(values=values, vectors=vectors, inverse=inverse, cond=cond)
@@ -85,19 +83,32 @@ def _lambda_at(ext, jb_eig: GeneratorSpectral, t: float):
     return scipy.linalg.expm(ext.gen_JB * t), True
 
 
-def _drive_vector(ext: ExtendedOperator, drive, t: float, spec_damping):
+def _drive_vector(ext: ExtendedOperator, drive):
     """J C_t = [A^{-1} F_t; 0] for the phase-space equations of motion."""
     n = ext.n
     f, fdot = drive
-    force = np.concatenate([f, fdot - 2.0 * (spec_damping @ f)])
+    force = np.concatenate([f, fdot - 2.0 * (ext.damping @ f)])
     top = np.linalg.solve(ext.sim_A, force)
     return np.concatenate([top, np.zeros(2 * n, dtype=complex)])
 
 
-def _damping_block(ext: ExtendedOperator):
-    # kappa = [[K, 2 Gamma], [.., ..]] so the damping is recoverable in place
-    n = ext.n
-    return ext.kappa[:n, n:] / 2.0
+def _advance_delta(ext, jb_eig: GeneratorSpectral, drive, delta, t0, t1, quad_step: float):
+    """Delta at t1 from Delta at t0: fixed Simpson steps of Delta' = Lambda_s J C_s.
+
+    Each step takes Lambda_s and J C_s at its two ends and its midpoint, the
+    nodes of the RK4 step the reference integrators use.
+    """
+    steps = max(1, int(round(abs(t1 - t0) / quad_step)))
+    h = (t1 - t0) / steps
+    s = t0
+    for _ in range(steps):
+        k1, kmid, k4 = (
+            _lambda_at(ext, jb_eig, x)[0] @ _drive_vector(ext, drive_value(drive, x))
+            for x in (s, s + h / 2.0, s + h)
+        )
+        delta = delta + h / 6.0 * (k1 + 4.0 * kmid + k4)
+        s += h
+    return delta
 
 
 def propagator_at(
@@ -114,31 +125,12 @@ def propagator_at(
     Delta_t integrates Delta' = Lambda_s J C_s with the same fixed RK4 step
     the reference integrators use.
     """
-    if ext.gen_JB is None:
-        raise ValueError("generator J_B not built; call spectral.prepare first")
+    delta = np.zeros(_generator(ext).shape[0], dtype=complex)
     if jb_eig is None:
         jb_eig = decompose_generator(ext)
     lam, fallback = _lambda_at(ext, jb_eig, t)
-    N2 = ext.gen_JB.shape[0]
-    delta = np.zeros(N2, dtype=complex)
     if drive is not None and t != 0.0:
-        from .medium import drive_value
-
-        gamma = _damping_block(ext)
-
-        def rhs(s: float):
-            lam_s, _ = _lambda_at(ext, jb_eig, s)
-            return lam_s @ _drive_vector(ext, drive_value(drive, s), s, gamma)
-
-        steps = max(1, int(round(abs(t) / quad_step)))
-        h = t / steps
-        s = 0.0
-        for _ in range(steps):
-            k1 = rhs(s)
-            kmid = rhs(s + h / 2.0)
-            k4 = rhs(s + h)
-            delta = delta + h / 6.0 * (k1 + 4.0 * kmid + k4)
-            s += h
+        delta = _advance_delta(ext, jb_eig, drive, delta, 0.0, t, quad_step)
     return Propagator(lambda_t=lam, delta_t=delta, t=t, used_expm_fallback=fallback)
 
 
@@ -165,34 +157,18 @@ def propagate_mean(
     quad_step: float = 1e-3,
 ) -> NDArray[np.complex128]:
     """Mean trajectory over a time grid with a single forward Delta sweep."""
-    if ext.gen_JB is None:
-        raise ValueError("generator J_B not built; call spectral.prepare first")
     jb_eig = decompose_generator(ext)
     t_grid = np.asarray(t_grid, dtype=float)
     q0 = np.asarray(q0, dtype=complex)
-    N2 = ext.gen_JB.shape[0]
+    N2 = jb_eig.values.size
     out = np.empty((t_grid.size, N2), dtype=complex)
-    from .medium import drive_value
-
-    gamma = _damping_block(ext)
     delta = np.zeros(N2, dtype=complex)
     prev_t = 0.0
     if t_grid[0] != 0.0 and drive is not None:
         raise ValueError("driven mean propagation expects a grid starting at t=0")
     for i, t in enumerate(t_grid):
         if drive is not None and t > prev_t:
-            steps = max(1, int(round((t - prev_t) / quad_step)))
-            h = (t - prev_t) / steps
-            s = prev_t
-            for _ in range(steps):
-                lam_a, _ = _lambda_at(ext, jb_eig, s)
-                lam_b, _ = _lambda_at(ext, jb_eig, s + h / 2.0)
-                lam_c, _ = _lambda_at(ext, jb_eig, s + h)
-                k1 = lam_a @ _drive_vector(ext, drive_value(drive, s), s, gamma)
-                k2 = lam_b @ _drive_vector(ext, drive_value(drive, s + h / 2.0), s + h / 2.0, gamma)
-                k3 = lam_c @ _drive_vector(ext, drive_value(drive, s + h), s + h, gamma)
-                delta = delta + h / 6.0 * (k1 + 4.0 * k2 + k3)
-                s += h
+            delta = _advance_delta(ext, jb_eig, drive, delta, prev_t, t, quad_step)
             prev_t = t
         lam_t, _ = _lambda_at(ext, jb_eig, t)
         out[i] = symplectic_inverse(lam_t) @ (q0 - delta)
@@ -222,7 +198,7 @@ def thermal_state(ext: ExtendedOperator, beta: float, hbar: float) -> GaussianSt
             f"cot singular: hbar*beta*lambda/2 near a multiple of pi for lambda={worst!r}"
         )
     cot = np.cos(args) / sin
-    N = ext.gen_JB.shape[0] // 2
+    N = 2 * ext.n
     J = symplectic_form(N)
     M0 = -(hbar / 2.0) * (jb_eig.vectors * cot) @ jb_eig.inverse @ J.T
     M0 = (M0 + M0.T) / 2.0
@@ -237,22 +213,14 @@ def mean_in_frequency(
     Solves (omega E + i J_B) y = -i J C(omega) per grid point; the x block
     of the result carries the polarization sources.
     """
-    if ext.gen_JB is None:
-        raise ValueError("generator J_B not built; call spectral.prepare first")
     omega_grid = np.asarray(omega_grid, dtype=float)
     n = ext.n
-    N2 = ext.gen_JB.shape[0]
-    f = spectral_amplitude(drive, None)
-    out = np.empty((omega_grid.size, N2), dtype=complex)
-    eye = np.eye(N2)
-    gamma = _damping_block(ext)
+    out = np.empty((omega_grid.size, _generator(ext).shape[0]), dtype=complex)
+    f = spectral_amplitude(drive)
     for i, w in enumerate(omega_grid):
-        force = np.concatenate([f, (-1j * w) * f - 2.0 * (gamma @ f)])
+        force = np.concatenate([f, (-1j * w) * f - 2.0 * (ext.damping @ f)])
         jc = np.concatenate(
             [np.linalg.solve(ext.sim_A, force), np.zeros(2 * n, dtype=complex)]
         )
-        try:
-            out[i] = np.linalg.solve(w * eye + 1j * ext.gen_JB, -1j * jc)
-        except np.linalg.LinAlgError:
-            raise ResonantFrequency(w) from None
+        out[i] = _resolvent_solve(ext, w, -1j * jc)
     return out

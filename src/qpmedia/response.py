@@ -8,8 +8,6 @@ reconstruction from a filtered subset of modes.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,18 +23,13 @@ class ModeLedger:
     """Per-mode data for the rank-1 kick decomposition.
 
     ``intercept`` and ``angle`` are the constant and linear-in-omega parts
-    of the diagonal coefficient C_kk(omega) = intercept_k - i omega angle_k;
-    the cached weight vectors are the rank-1 factors they are built from.
+    of the diagonal coefficient C_kk(omega) = intercept_k - i omega angle_k.
     """
 
     mu: NDArray[np.complex128]
     lam: NDArray[np.complex128]
     intercept: NDArray[np.complex128]
     angle: NDArray[np.complex128]
-    left_weights: NDArray[np.complex128]
-    left_slope_weights: NDArray[np.complex128]
-    right_weights: NDArray[np.complex128]
-    trace_weight: complex
 
     @property
     def n_modes(self) -> int:
@@ -53,13 +46,6 @@ class SpectrumTable:
     dispersive: NDArray[np.float64] | None = None
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("QPM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def polarizability_direct(
     spec: MediumSpec, drive: DriveSignal, omega_grid
 ) -> SpectrumTable:
@@ -69,25 +55,18 @@ def polarizability_direct(
     reduced-order reconstruction is checked against.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
-    f = spectral_amplitude(drive, None)
+    f = spectral_amplitude(drive)
     r = spec.gen_coord_vector
     K, G = spec.kernel, spec.damping
     eye = np.eye(spec.n, dtype=complex)
-
-    def solve_one(w: float) -> float:
+    vals = []
+    for w in omega_grid:
         M = (w**2) * eye + 2j * w * G - K
         try:
             u = np.linalg.solve(M, f)
         except np.linalg.LinAlgError:
             raise SingularAtFrequency(w) from None
-        return float((r @ u).imag)
-
-    workers = _worker_count()
-    if workers > 1 and omega_grid.size > 8:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            vals = list(pool.map(solve_one, omega_grid))
-    else:
-        vals = [solve_one(w) for w in omega_grid]
+        vals.append(float((r @ u).imag))
     return SpectrumTable(omega_grid=omega_grid, im_alpha=np.asarray(vals))
 
 
@@ -112,16 +91,7 @@ def decompose_modes(eig: EigenSystem, spec: MediumSpec, drive: KickDrive) -> Mod
     left1 = eig.inverse_vectors @ w1
     right = eig.right_vectors.T @ r
     mu = eig.values
-    return ModeLedger(
-        mu=mu,
-        lam=mu**2,
-        intercept=left0 * right,
-        angle=left1 * right,
-        left_weights=left0,
-        left_slope_weights=left1,
-        right_weights=right,
-        trace_weight=complex(f @ spec.gen_coord_vector),
-    )
+    return ModeLedger(mu=mu, lam=mu**2, intercept=left0 * right, angle=left1 * right)
 
 
 def reconstruct_spectrum(

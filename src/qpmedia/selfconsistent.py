@@ -17,9 +17,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .constants import SPEED_OF_LIGHT_AU
-from .errors import LightConeSingularity, ResonantFrequency, SingularAuxiliary
+from .errors import LightConeSingularity, SingularAuxiliary
 from .medium import MediumSpec
-from .spectral import ExtendedOperator
+from .spectral import ExtendedOperator, _resolvent_solve
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
 
@@ -79,9 +79,7 @@ def auxiliary_response(ext: ExtendedOperator, omega: float) -> NDArray[np.comple
     gauge independent and is what the tests pin down.
     """
     A1, A2, A3 = ext.a_blocks()
-    n = ext.n
-    gamma = ext.kappa[:n, n:] / 2.0
-    shift = 1j * omega * np.eye(n) + 2.0 * gamma
+    shift = 1j * omega * np.eye(ext.n) + 2.0 * ext.damping
     lhs = A3 + shift @ A2
     rhs = A2.T + shift @ A1
     try:
@@ -115,17 +113,12 @@ def scattering_rows(ext: ExtendedOperator, spec: MediumSpec, omega: float):
     resolvent with the direct and auxiliary coupling channels; it is shared
     by every k evaluated at the same frequency.
     """
-    if ext.gen_JB is None:
-        raise ValueError("generator J_B not built; call spectral.prepare first")
     n = ext.n
     N = 2 * n
-    gen = omega * np.eye(2 * N) + 1j * ext.gen_JB
     selector = np.zeros((2 * N, n), dtype=complex)
     selector[N : N + n] = np.eye(n)
-    try:
-        rows = np.linalg.solve(gen.T, selector).T  # rows N+1..N+n of the inverse
-    except np.linalg.LinAlgError:
-        raise ResonantFrequency(omega) from None
+    # rows N+1..N+n of the inverse
+    rows = _resolvent_solve(ext, omega, selector, transpose=True).T
     L = auxiliary_response(ext, omega)
     return rows[:, :n] + rows[:, n : 2 * n] @ L
 

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import DefectiveMatrix, SingularSimilarity
+from .errors import DefectiveMatrix, ResonantFrequency, SingularSimilarity
 from .medium import MediumSpec, extended_kernel
 
 DEFECTIVE_COND_THRESHOLD = 1e8
@@ -29,12 +29,16 @@ SINGULAR_A_COND_THRESHOLD = 1e12
 class ExtendedOperator:
     """Extended-space operators of one medium.
 
-    ``sim_A`` and ``gen_JB`` are attached by :func:`build_similarity` /
-    :func:`build_JB`; instances are immutable and updated via ``replace``.
+    ``damping`` is the medium's Gamma, kept by :func:`build_sqrt_kappa` for
+    every consumer of the drive and auxiliary channels.  ``sim_A`` (with its
+    condition number) and ``gen_JB`` are attached by
+    :func:`attach_similarity` / :func:`attach_JB`; instances are immutable
+    and updated via ``replace``.
     """
 
     kappa: NDArray[np.complex128]
     sqrt_kappa: NDArray[np.complex128]
+    damping: NDArray[np.complex128]
     sim_A: NDArray[np.complex128] | None = None
     sim_A_cond: float | None = None
     gen_JB: NDArray[np.complex128] | None = None
@@ -83,7 +87,7 @@ def build_sqrt_kappa(spec: MediumSpec, check: bool = True) -> ExtendedOperator:
         resid = np.linalg.norm(sq @ sq - kappa)
         if scale > 0 and resid > 1e-12 * scale:
             raise AssertionError(f"square identity violated: {resid / scale:.3e}")
-    return ExtendedOperator(kappa=kappa, sqrt_kappa=sq)
+    return ExtendedOperator(kappa=kappa, sqrt_kappa=sq, damping=spec.damping)
 
 
 def _normalize_columns(vectors: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -152,6 +156,11 @@ def build_similarity(
     generalized eigenvector matrix.  A is symmetrized after the product to
     remove rounding-level asymmetry (symmetry holds analytically).
     """
+    return _similarity(eig, jordan_blocks)[0]
+
+
+def _similarity(eig: EigenSystem, jordan_blocks) -> tuple[NDArray[np.complex128], float]:
+    """A of :func:`build_similarity` and the cond(A) that vetted it."""
     P1 = eig.right_vectors
     m = P1.shape[0]
     if jordan_blocks is None:
@@ -171,14 +180,14 @@ def build_similarity(
     cond = float(np.linalg.cond(A))
     if not np.isfinite(cond) or cond > SINGULAR_A_COND_THRESHOLD:
         raise SingularSimilarity(f"cond(A) = {cond:.3e}")
-    return A
+    return A, cond
 
 
 def attach_similarity(
     ext: ExtendedOperator, eig: EigenSystem, jordan_blocks=None
 ) -> ExtendedOperator:
-    A = build_similarity(eig, jordan_blocks)
-    return replace(ext, sim_A=A, sim_A_cond=float(np.linalg.cond(A)))
+    A, cond = _similarity(eig, jordan_blocks)
+    return replace(ext, sim_A=A, sim_A_cond=cond)
 
 
 def build_JB(ext: ExtendedOperator) -> NDArray[np.complex128]:
@@ -199,6 +208,34 @@ def build_JB(ext: ExtendedOperator) -> NDArray[np.complex128]:
 
 def attach_JB(ext: ExtendedOperator) -> ExtendedOperator:
     return replace(ext, gen_JB=build_JB(ext))
+
+
+def _generator(ext: ExtendedOperator) -> NDArray[np.complex128]:
+    """J_B of ``ext``: the one check that every J_B consumer passes."""
+    if ext.gen_JB is None:
+        raise ValueError("generator J_B not built; call spectral.prepare first")
+    return ext.gen_JB
+
+
+def _resolvent_solve(
+    ext: ExtendedOperator,
+    omega: float,
+    rhs: NDArray[np.complex128],
+    eta: float | None = None,
+    transpose: bool = False,
+) -> NDArray[np.complex128]:
+    """Apply (z E + i J_B)^{-1}, or its transpose, to ``rhs`` by a dense LU.
+
+    z is ``omega``, or ``omega + i eta`` when an ``eta`` is given.  A
+    singular LU is a resonance and raises ResonantFrequency(omega).
+    """
+    JB = _generator(ext)
+    z = omega if eta is None else omega + 1j * eta
+    M = z * np.eye(JB.shape[0]) + 1j * JB
+    try:
+        return np.linalg.solve(M.T if transpose else M, rhs)
+    except np.linalg.LinAlgError:
+        raise ResonantFrequency(omega) from None
 
 
 def prepare(spec: MediumSpec, jordan_blocks=None) -> tuple[ExtendedOperator, EigenSystem]:

@@ -378,6 +378,24 @@ class TestErrors:
         assert "frequency" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "t_max,t_step", [("-1", "0.1"), ("inf", "0.1"), ("nan", "0.1"), ("1", "0"), ("1", "inf")]
+    )
+    def test_bad_time_grid_rejected(self, model_file, tmp_path, capsys, t_max, t_step):
+        out = tmp_path / "traj.csv"
+        cov_dir = tmp_path / "covs"
+        code = main(
+            [
+                "propagate", "--model", str(model_file), f"--t-max={t_max}",
+                f"--t-step={t_step}", "--out", str(out), "--cov-out", str(cov_dir),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: ")
+        assert "time" in err
+        assert not out.exists() and not cov_dir.exists()
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["spectrum"])  # missing required flags

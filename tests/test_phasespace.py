@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import scalar_spec, stable_spec
 from qpmedia.errors import ThermalSingularity
 from qpmedia.medium import (
     KickDrive,
+    MonochromaticDrive,
     consistent_extended_ic,
     integrate_reference_extended,
     simple_spec,
@@ -64,6 +67,33 @@ class TestPropagator:
         b = propagator_at(ext, 0.9, jb_eig=jb).lambda_t
         ab = propagator_at(ext, 2.2, jb_eig=jb).lambda_t
         assert np.abs(a @ b - ab).max() < 1e-9
+
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+        omega0=st.one_of(st.none(), st.floats(0.1, 3.0)),
+        stride=st.integers(1, 6),
+    )
+    def test_driven_delta_matches_mean_sweep(self, n, seed, omega0, stride):
+        # Lambda_t^{-1} (q0 - Delta_t) from one propagator is the driven mean
+        # that propagate_mean carries forward interval by interval
+        spec = stable_spec(seed=seed, n=n)
+        ext, _ = prepare(spec)
+        rng = np.random.default_rng(seed)
+        amp = rng.standard_normal(n)
+        drive = KickDrive(amp) if omega0 is None else MonochromaticDrive(amp, omega0)
+        q0 = rng.standard_normal(4 * n).astype(complex)
+        quad_step = 0.01
+        t_grid = stride * quad_step * np.arange(4)
+        means = propagate_mean(ext, drive, q0, t_grid, quad_step=quad_step)
+        jb = decompose_generator(ext)
+        for t, row in zip(t_grid, means):
+            prop = propagator_at(ext, t, drive=drive, quad_step=quad_step, jb_eig=jb)
+            assert t == 0.0 or np.abs(prop.delta_t).max() > 0.0
+            got = symplectic_inverse(prop.lambda_t) @ (q0 - prop.delta_t)
+            assert_allclose(got, row, rtol=1e-11, atol=1e-12 * np.abs(row).max())
 
 
 class TestEvolveState:

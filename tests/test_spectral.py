@@ -5,6 +5,8 @@ from numpy.testing import assert_allclose
 from conftest import assert_multiset_close, stable_spec
 from qpmedia.errors import DefectiveMatrix
 from qpmedia.medium import simple_spec
+from qpmedia import openquantum, phasespace, selfconsistent
+from qpmedia.medium import KickDrive
 from qpmedia.spectral import (
     EigenSystem,
     build_similarity,
@@ -140,6 +142,43 @@ class TestGenerator:
         ext, _ = prepare(spec)
         vals = np.linalg.eigvals(ext.gen_JB)
         assert np.abs(vals.real).max() < 1e-9
+
+
+def _vacuum(n):
+    return phasespace.GaussianState(mean=np.zeros(4 * n), cov=0.5 * np.eye(4 * n))
+
+
+JB_CONSUMERS = {
+    "decompose_generator": lambda ext, spec: phasespace.decompose_generator(ext),
+    "propagator_at": lambda ext, spec: phasespace.propagator_at(ext, 0.5),
+    "propagate_mean": lambda ext, spec: phasespace.propagate_mean(
+        ext, None, np.zeros(4 * spec.n), [0.0, 0.5]
+    ),
+    "thermal_state": lambda ext, spec: phasespace.thermal_state(ext, 1.0, 1.0),
+    "mean_in_frequency": lambda ext, spec: phasespace.mean_in_frequency(
+        ext, KickDrive(np.ones(spec.n)), [0.5]
+    ),
+    "correlation_time": lambda ext, spec: openquantum.correlation_time(
+        ext, _vacuum(spec.n), 0.5
+    ),
+    "correlation_frequency": lambda ext, spec: openquantum.correlation_frequency(
+        ext, _vacuum(spec.n), [0.5], 1e-3
+    ),
+    "thermal_correlation": lambda ext, spec: openquantum.thermal_correlation(
+        ext, 1.0, 1.0, [0.5], 1e-3
+    ),
+    "classical_correlation": lambda ext, spec: openquantum.classical_correlation(
+        ext, 1.0, [0.5], 1e-3
+    ),
+    "scattering_rows": lambda ext, spec: selfconsistent.scattering_rows(ext, spec, 0.5),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(JB_CONSUMERS))
+def test_every_generator_consumer_needs_JB(consumer):
+    spec = stable_spec(seed=43, n=2)
+    with pytest.raises(ValueError, match="generator J_B not built; call spectral.prepare first"):
+        JB_CONSUMERS[consumer](build_sqrt_kappa(spec), spec)
 
 
 class TestOnShell:
