@@ -106,11 +106,17 @@ class DrudeParams:
         )
 
 
+def _is_file(text: str) -> bool:
+    """Whether ``text`` names an existing file; a name too long to be one does not."""
+    try:
+        return Path(text).is_file()
+    except OSError:
+        return False
+
+
 def parse_xyz(source: str | Path) -> GeometryFile:
     """Parse standard XYZ text (count line, comment line, element rows)."""
-    if isinstance(source, Path) or (
-        "\n" not in str(source) and Path(str(source)).is_file()
-    ):
+    if isinstance(source, Path) or ("\n" not in str(source) and _is_file(str(source))):
         text = Path(source).read_text(encoding="utf-8")
     else:
         text = str(source)

@@ -75,18 +75,24 @@ def _load_model(config: argparse.Namespace) -> MediumSpec:
     return spec_from_json(Path(config.model).read_text(encoding="utf-8"))
 
 
+def _vector(text: str, n: int, what: str) -> np.ndarray:
+    """The length-``n`` vector of a comma list, or else of the JSON file ``text``."""
+    try:
+        values = [float(p) for p in text.split(",")]
+    except ValueError:
+        if not Path(text).is_file():
+            raise
+        values = json.loads(Path(text).read_text(encoding="utf-8"))
+    vec = np.asarray(values, dtype=complex)
+    if vec.shape != (n,):
+        raise ValueError(f"{what} must have length {n}")
+    return vec
+
+
 def _kick_for(spec: MediumSpec, config: argparse.Namespace) -> KickDrive:
     if config.kick is None:
         return KickDrive(np.ones(spec.n, dtype=complex))
-    text = config.kick
-    if Path(text).is_file():
-        values = json.loads(Path(text).read_text(encoding="utf-8"))
-    else:
-        values = [float(p) for p in text.split(",")]
-    amp = np.asarray(values, dtype=complex)
-    if amp.size != spec.n:
-        raise ValueError(f"kick amplitude must have length {spec.n}")
-    return KickDrive(amp)
+    return KickDrive(_vector(config.kick, spec.n, "kick amplitude"))
 
 
 def _axis_index(name: str) -> int:
@@ -144,19 +150,20 @@ def _run_build(config: argparse.Namespace) -> list[Path]:
     return [out]
 
 
-def _spectrum_pipeline(spec: MediumSpec, config: argparse.Namespace):
-    grid_ev = _grid(config.omega_min, config.omega_max, config.omega_step, "frequency")
-    grid = grid_ev / HARTREE_TO_EV
-    _, eig = spectral.prepare(spec)
+def _kick_ledger(spec: MediumSpec, config: argparse.Namespace) -> response.ModeLedger:
+    """The mode ledger of the ``--kick`` drive; the eigensystem is freed on return."""
     drive = _kick_for(spec, config)
-    ledger = response.decompose_modes(eig, spec, drive)
-    return grid_ev, grid, ledger
+    _, eig = spectral.prepare(spec)
+    return response.decompose_modes(eig, spec, drive)
 
 
 def _run_spectrum(config: argparse.Namespace) -> list[Path]:
     spec = _load_model(config)
-    grid_ev, grid, ledger = _spectrum_pipeline(spec, config)
-    table = response.reconstruct_spectrum(ledger, np.arange(ledger.n_modes), grid)
+    grid_ev = _grid(config.omega_min, config.omega_max, config.omega_step, "frequency")
+    ledger = _kick_ledger(spec, config)
+    table = response.reconstruct_spectrum(
+        ledger, np.arange(ledger.n_modes), grid_ev / HARTREE_TO_EV
+    )
     columns = (grid_ev, table.im_alpha, table.absorptive, table.dispersive)
     out = Path(config.out)
     _write_table(
@@ -196,10 +203,7 @@ def _run_modes(config: argparse.Namespace) -> list[Path]:
 
 
 def _run_filter(config: argparse.Namespace) -> list[Path]:
-    spec = _load_model(config)
-    _, eig = spectral.prepare(spec)
-    drive = _kick_for(spec, config)
-    ledger = response.decompose_modes(eig, spec, drive)
+    ledger = _kick_ledger(_load_model(config), config)
     if config.filter_mode == "if":
         if config.threshold is None:
             raise ValueError("--threshold is required for --mode if")
@@ -237,17 +241,11 @@ def _run_filter(config: argparse.Namespace) -> list[Path]:
 def _run_propagate(config: argparse.Namespace) -> list[Path]:
     spec = _load_model(config)
     t_grid = _grid(0.0, config.t_max, config.t_step, "time")
-    ext, _ = spectral.prepare(spec)
     n = spec.n
-
-    def parse_vec(text):
-        if text is None:
-            return np.zeros(n, dtype=complex)
-        return np.asarray([float(p) for p in text.split(",")], dtype=complex)
-
-    u0 = parse_vec(config.u0)
-    v0 = parse_vec(config.v0)
+    u0 = np.zeros(n, dtype=complex) if config.u0 is None else _vector(config.u0, n, "u0")
+    v0 = np.zeros(n, dtype=complex) if config.v0 is None else _vector(config.v0, n, "v0")
     drive = _kick_for(spec, config) if config.kick is not None else None
+    ext, _ = spectral.prepare(spec)
     x0, xdot0 = consistent_extended_ic(spec, u0, v0, drive)
     q0 = phasespace.consistent_mean(ext, x0, xdot0)
     means = phasespace.propagate_mean(ext, drive, q0, t_grid)
@@ -392,10 +390,7 @@ def run(config: argparse.Namespace) -> int:
     """Dispatch one subcommand; returns the process exit status."""
     try:
         written = _RUNNERS[config.subcommand](config)
-    except QpmError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (QpmError, ValueError, OSError, KeyError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     summary = " ".join(f"{p.name} sha256={_checksum(p)}" for p in written)
@@ -409,9 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, *, model=True):
-        if model:
-            p.add_argument("--model", required=True, help="model JSON file")
+    def add_common(p):
+        p.add_argument("--model", required=True, help="model JSON file")
         p.add_argument("--out", required=True, help="output file")
 
     p = sub.add_parser("build", help="build a model from geometry + parameters")

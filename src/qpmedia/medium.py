@@ -387,13 +387,12 @@ def integrate_reference_extended(
     x0,
     xdot0,
     t_grid,
-    ic_tol: float = 1e-8,
 ) -> ExtendedTrajectory:
     """RK4 integration of the velocity-independent extended equation.
 
     Raises InconsistentInitialConditions when xdot0 violates the constraint
-    tying it to x0; ignoring that constraint silently decouples the extended
-    equation from the second-order one.
+    tying it to x0 by more than 1e-8 of its scale; ignoring that constraint
+    silently decouples the extended equation from the second-order one.
     """
     n = spec.n
     x0 = np.asarray(x0, dtype=complex).reshape(2 * n)
@@ -406,7 +405,7 @@ def integrate_reference_extended(
     _, expected = consistent_extended_ic(spec, u0, v0, drive, t0=float(t_grid[0]))
     scale = max(np.abs(expected).max(), np.abs(x0).max(), 1.0)
     dev = np.abs(xdot0 - expected).max()
-    if dev > ic_tol * scale:
+    if dev > 1e-8 * scale:
         raise InconsistentInitialConditions(
             f"xdot0 deviates from the constraint by {dev:.3e} (scale {scale:.3e})"
         )

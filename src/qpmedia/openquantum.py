@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import FrequencyNotCovered, ThermalSingularity
-from .phasespace import GaussianState, decompose_generator
+from .phasespace import GaussianState, _lambda_at, _thermal_spectral, decompose_generator
 from .selfconsistent import auxiliary_response
 from .spectral import ExtendedOperator, _generator, _resolvent_solve, symplectic_form
 
@@ -34,7 +34,6 @@ class CorrelationSet:
     xi: NDArray[np.complex128]
     gamma: NDArray[np.complex128]
     s_ls: NDArray[np.complex128]
-    eta: float
 
 
 def _initial_moment_matrix(state0: GaussianState) -> NDArray[np.complex128]:
@@ -55,15 +54,8 @@ def correlation_time(ext: ExtendedOperator, state0: GaussianState, t: float):
     the shift term of the evolution vanishes; driven-bath correlations are
     out of scope.
     """
-    jb_eig = decompose_generator(ext)
-    xi0 = _initial_moment_matrix(state0)
-    if jb_eig.usable:
-        prop = (jb_eig.vectors * np.exp(-jb_eig.values * t)) @ jb_eig.inverse
-    else:
-        import scipy.linalg
-
-        prop = scipy.linalg.expm(-ext.gen_JB * t)
-    return prop @ xi0
+    prop, _ = _lambda_at(ext, decompose_generator(ext), -t)
+    return prop @ _initial_moment_matrix(state0)
 
 
 def x_block(matrix: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -72,17 +64,12 @@ def x_block(matrix: NDArray[np.complex128]) -> NDArray[np.complex128]:
     return matrix[N:, N:]
 
 
-def _assemble_set(omega_grid, xi_full, eta) -> CorrelationSet:
+def _assemble_set(omega_grid, xi_full) -> CorrelationSet:
     xi = np.array([x_block(m) for m in xi_full])
     gamma = xi + np.conj(np.transpose(xi, (0, 2, 1)))
     s_ls = (xi - np.conj(np.transpose(xi, (0, 2, 1)))) / 2j
-    return CorrelationSet(
-        omega_grid=np.asarray(omega_grid, dtype=float),
-        xi=xi,
-        gamma=gamma,
-        s_ls=s_ls,
-        eta=eta,
-    )
+    grid = np.asarray(omega_grid, dtype=float)
+    return CorrelationSet(omega_grid=grid, xi=xi, gamma=gamma, s_ls=s_ls)
 
 
 def correlation_frequency(
@@ -98,22 +85,17 @@ def correlation_frequency(
     omega_grid = np.asarray(omega_grid, dtype=float)
     xi0 = _initial_moment_matrix(state0)
     out = [1j * _resolvent_solve(ext, w, xi0, eta) for w in omega_grid]
-    return _assemble_set(omega_grid, out, eta)
+    return _assemble_set(omega_grid, out)
 
 
 def _bose_einstein_matrix(ext: ExtendedOperator, beta: float, hbar: float):
-    jb_eig = decompose_generator(ext)
-    if not jb_eig.usable:
-        raise ThermalSingularity(
-            "generator eigendecomposition too ill-conditioned "
-            "(free modes of a singular kernel have no thermal state)"
-        )
+    jb_eig = _thermal_spectral(ext)
     args = hbar * beta * 1j * jb_eig.values
     denom = np.expm1(args)
     if np.any(np.abs(denom) < 1e-12):
         worst = jb_eig.values[np.argmin(np.abs(denom))]
         raise ThermalSingularity(f"Bose factor singular at generator eigenvalue {worst!r}")
-    return (jb_eig.vectors * (1.0 / denom)) @ jb_eig.inverse
+    return jb_eig.function_of(1.0 / denom)
 
 
 def thermal_correlation(
@@ -126,7 +108,7 @@ def thermal_correlation(
     nbe = _bose_einstein_matrix(ext, beta, hbar)
     rhs = nbe @ symplectic_form(2 * ext.n)
     out = [-hbar * _resolvent_solve(ext, w, rhs, eta) for w in omega_grid]
-    return _assemble_set(omega_grid, out, eta)
+    return _assemble_set(omega_grid, out)
 
 
 def classical_correlation(
@@ -137,7 +119,7 @@ def classical_correlation(
     prefactor = -np.linalg.inv(beta * 1j * _generator(ext))
     J = symplectic_form(2 * ext.n)
     out = [prefactor @ _resolvent_solve(ext, w, J, eta) for w in omega_grid]
-    return _assemble_set(omega_grid, out, eta)
+    return _assemble_set(omega_grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +164,14 @@ class SystemCoupling:
 class BohrDecomposition:
     """Coupling operators resolved over the Bohr frequencies of the system."""
 
-    energies: NDArray[np.float64]
     frequencies: tuple[float, ...]
     ops: dict
 
 
-def bohr_decompose(coupling: SystemCoupling, tol: float = BOHR_GROUP_TOL) -> BohrDecomposition:
+def bohr_decompose(coupling: SystemCoupling) -> BohrDecomposition:
     """Split every site operator over the system's Bohr frequencies.
 
-    Frequencies closer than ``tol`` are merged into one cluster; the pieces
+    Frequencies closer than BOHR_GROUP_TOL are merged into one cluster; the pieces
     of each operator sum back to the operator exactly.
     """
     eps, U = np.linalg.eigh(coupling.h_system)
@@ -202,7 +183,7 @@ def bohr_decompose(coupling: SystemCoupling, tol: float = BOHR_GROUP_TOL) -> Boh
     raw.sort()
     clusters: list[list[float]] = []
     for x in raw:
-        if clusters and abs(x - clusters[-1][-1]) <= tol:
+        if clusters and abs(x - clusters[-1][-1]) <= BOHR_GROUP_TOL:
             clusters[-1].append(x)
         else:
             clusters.append([x])
@@ -228,7 +209,7 @@ def bohr_decompose(coupling: SystemCoupling, tol: float = BOHR_GROUP_TOL) -> Boh
         c for c in centers if any(np.linalg.norm(ops[c][a]) > 0 for a in range(coupling.n_sites))
     )
     ops = {c: ops[c] for c in present}
-    return BohrDecomposition(energies=eps, frequencies=present, ops=ops)
+    return BohrDecomposition(frequencies=present, ops=ops)
 
 
 def _interp_tensor(grid, tensor, x: float):
@@ -263,19 +244,21 @@ def coupling_operators(coupling: SystemCoupling, bohr: BohrDecomposition, freq_e
     return list(a_ops) + b_ops
 
 
-def lamb_shift(coupling: SystemCoupling, corr: CorrelationSet, bohr=None):
-    """Hermitian Lamb-shift operator; commutes with the system Hamiltonian."""
-    if bohr is None:
-        bohr = bohr_decompose(coupling)
-    hbar = coupling.hbar
-    d = coupling.dim
-    missing = [
-        w / hbar
-        for w in bohr.frequencies
-        if not (corr.omega_grid[0] <= w / hbar <= corr.omega_grid[-1])
-    ]
+def _covered_bohr(coupling: SystemCoupling, corr: CorrelationSet, bohr) -> BohrDecomposition:
+    """``bohr`` (decomposed if None) once every Bohr frequency lies on the grid."""
+    bohr = bohr_decompose(coupling) if bohr is None else bohr
+    grid, hbar = corr.omega_grid, coupling.hbar
+    missing = [w / hbar for w in bohr.frequencies if not grid[0] <= w / hbar <= grid[-1]]
     if missing:
         raise FrequencyNotCovered(missing)
+    return bohr
+
+
+def lamb_shift(coupling: SystemCoupling, corr: CorrelationSet, bohr=None):
+    """Hermitian Lamb-shift operator; commutes with the system Hamiltonian."""
+    bohr = _covered_bohr(coupling, corr, bohr)
+    hbar = coupling.hbar
+    d = coupling.dim
     h_ls = np.zeros((d, d), dtype=complex)
     for w in bohr.frequencies:
         ops = coupling_operators(coupling, bohr, w)
@@ -290,18 +273,10 @@ def lamb_shift(coupling: SystemCoupling, corr: CorrelationSet, bohr=None):
 
 def dissipator(coupling: SystemCoupling, corr: CorrelationSet, rho, bohr=None):
     """Decoherence superoperator applied to one density matrix."""
-    if bohr is None:
-        bohr = bohr_decompose(coupling)
+    bohr = _covered_bohr(coupling, corr, bohr)
     hbar = coupling.hbar
     rho = np.asarray(rho, dtype=complex)
     out = np.zeros_like(rho)
-    missing = [
-        w / hbar
-        for w in bohr.frequencies
-        if not (corr.omega_grid[0] <= w / hbar <= corr.omega_grid[-1])
-    ]
-    if missing:
-        raise FrequencyNotCovered(missing)
     for w in bohr.frequencies:
         ops = coupling_operators(coupling, bohr, w)
         g_mat = _interp_tensor(corr.omega_grid, corr.gamma, w / hbar)

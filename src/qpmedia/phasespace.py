@@ -50,7 +50,6 @@ class Propagator:
 
     lambda_t: NDArray[np.complex128]
     delta_t: NDArray[np.complex128]
-    t: float
     used_expm_fallback: bool = False
 
 
@@ -67,6 +66,10 @@ class GeneratorSpectral:
     def usable(self) -> bool:
         return np.isfinite(self.cond) and self.cond <= EXPM_FALLBACK_COND
 
+    def function_of(self, values) -> NDArray[np.complex128]:
+        """f(J B) = V diag(f(lambda)) V^{-1}, given ``values`` = f(lambda)."""
+        return (self.vectors * values) @ self.inverse
+
 
 def decompose_generator(ext: ExtendedOperator) -> GeneratorSpectral:
     values, vectors = np.linalg.eig(_generator(ext))
@@ -78,9 +81,19 @@ def decompose_generator(ext: ExtendedOperator) -> GeneratorSpectral:
 def _lambda_at(ext, jb_eig: GeneratorSpectral, t: float):
     """exp(J B t), by eigenmodes when well conditioned, else scaling/squaring."""
     if jb_eig.usable:
-        phases = np.exp(jb_eig.values * t)
-        return (jb_eig.vectors * phases) @ jb_eig.inverse, False
+        return jb_eig.function_of(np.exp(jb_eig.values * t)), False
     return scipy.linalg.expm(ext.gen_JB * t), True
+
+
+def _thermal_spectral(ext: ExtendedOperator) -> GeneratorSpectral:
+    """The J B eigensystem that a thermal matrix function is built on."""
+    jb_eig = decompose_generator(ext)
+    if not jb_eig.usable:
+        raise ThermalSingularity(
+            "generator eigendecomposition too ill-conditioned "
+            "(free modes of a singular kernel have no thermal state)"
+        )
+    return jb_eig
 
 
 def _drive_vector(ext: ExtendedOperator, drive):
@@ -131,7 +144,7 @@ def propagator_at(
     lam, fallback = _lambda_at(ext, jb_eig, t)
     if drive is not None and t != 0.0:
         delta = _advance_delta(ext, jb_eig, drive, delta, 0.0, t, quad_step)
-    return Propagator(lambda_t=lam, delta_t=delta, t=t, used_expm_fallback=fallback)
+    return Propagator(lambda_t=lam, delta_t=delta, used_expm_fallback=fallback)
 
 
 def symplectic_inverse(lam: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -187,9 +200,7 @@ def thermal_state(ext: ExtendedOperator, beta: float, hbar: float) -> GaussianSt
     """Thermal Gaussian state: zero mean, matrix-cotangent covariance."""
     if beta <= 0:
         raise ValueError("beta must be positive")
-    jb_eig = decompose_generator(ext)
-    if not jb_eig.usable:
-        raise ThermalSingularity("generator eigendecomposition too ill-conditioned")
+    jb_eig = _thermal_spectral(ext)
     args = hbar * beta * jb_eig.values / 2.0
     sin = np.sin(args)
     if np.any(np.abs(sin) < 1e-12 * np.maximum(1.0, np.abs(np.cos(args)))):
@@ -200,7 +211,7 @@ def thermal_state(ext: ExtendedOperator, beta: float, hbar: float) -> GaussianSt
     cot = np.cos(args) / sin
     N = 2 * ext.n
     J = symplectic_form(N)
-    M0 = -(hbar / 2.0) * (jb_eig.vectors * cot) @ jb_eig.inverse @ J.T
+    M0 = -(hbar / 2.0) * jb_eig.function_of(cot) @ J.T
     M0 = (M0 + M0.T) / 2.0
     return GaussianState(mean=np.zeros(2 * N, dtype=complex), cov=M0, hbar=hbar)
 
@@ -214,13 +225,8 @@ def mean_in_frequency(
     of the result carries the polarization sources.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
-    n = ext.n
     out = np.empty((omega_grid.size, _generator(ext).shape[0]), dtype=complex)
     f = spectral_amplitude(drive)
     for i, w in enumerate(omega_grid):
-        force = np.concatenate([f, (-1j * w) * f - 2.0 * (ext.damping @ f)])
-        jc = np.concatenate(
-            [np.linalg.solve(ext.sim_A, force), np.zeros(2 * n, dtype=complex)]
-        )
-        out[i] = _resolvent_solve(ext, w, -1j * jc)
+        out[i] = _resolvent_solve(ext, w, -1j * _drive_vector(ext, (f, (-1j * w) * f)))
     return out

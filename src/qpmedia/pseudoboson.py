@@ -114,9 +114,7 @@ def _paired_real_mode_matrix(eig: EigenSystem):
     return P1, sqrtJ
 
 
-def build_pseudoboson(
-    eig: EigenSystem, hbar: float = 1.0, zero_tol: float = 1e-12
-) -> PseudoBosonBasis:
+def build_pseudoboson(eig: EigenSystem, hbar: float = 1.0) -> PseudoBosonBasis:
     """Assemble the ladder-operator coefficient matrices.
 
     Requires a non-defective eigensystem with no zero mode (the inverse
@@ -126,7 +124,7 @@ def build_pseudoboson(
         raise ValueError("hbar must be positive")
     mu = eig.values
     scale = max(np.abs(mu).max(), 1.0)
-    if np.any(np.abs(mu) < zero_tol * scale):
+    if np.any(np.abs(mu) < 1e-12 * scale):
         raise ZeroMode("zero eigenvalue: inverse quarter root does not exist")
 
     paired = None

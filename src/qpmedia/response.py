@@ -27,7 +27,6 @@ class ModeLedger:
     """
 
     mu: NDArray[np.complex128]
-    lam: NDArray[np.complex128]
     intercept: NDArray[np.complex128]
     angle: NDArray[np.complex128]
 
@@ -90,8 +89,7 @@ def decompose_modes(eig: EigenSystem, spec: MediumSpec, drive: KickDrive) -> Mod
     left0 = eig.inverse_vectors @ w0
     left1 = eig.inverse_vectors @ w1
     right = eig.right_vectors.T @ r
-    mu = eig.values
-    return ModeLedger(mu=mu, lam=mu**2, intercept=left0 * right, angle=left1 * right)
+    return ModeLedger(mu=eig.values, intercept=left0 * right, angle=left1 * right)
 
 
 def reconstruct_spectrum(
@@ -109,7 +107,7 @@ def reconstruct_spectrum(
         zero = np.zeros(m)
         return SpectrumTable(omega_grid, zero, zero.copy(), zero.copy())
 
-    lam = ledger.lam[selected]
+    lam = ledger.mu[selected] ** 2
     intercept = ledger.intercept[selected]
     angle = ledger.angle[selected]
 

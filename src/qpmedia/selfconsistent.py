@@ -142,19 +142,46 @@ def scattering_T(
         rows = scattering_rows(ext, spec, omega)
     if weights is None:
         weights = _charge_weights(spec)
-    gtil = np.array(
-        [gaussian_ft(k, spec.coords[:, b], spec.covariances[b]) for b in range(spec.n)]
+    return (1j / TWO_PI_CUBED) * (rows * _gtilde(spec, k)[None, :]) @ weights.T
+
+
+def _gtilde(spec: MediumSpec, k) -> NDArray[np.complex128]:
+    """G~(k): the transform of every source's Gaussian density at k."""
+    return np.array(
+        [gaussian_ft(k, spec.coords[:, a], spec.covariances[a]) for a in range(spec.n)]
     )
-    return (1j / TWO_PI_CUBED) * (rows * gtil[None, :]) @ weights.T
 
 
-def green_tensor(k, omega: float, c: float = SPEED_OF_LIGHT_AU):
+def green_tensor(k, omega: float):
     """Transverse-wave Green factor 4 pi (delta omega^2 - c^2 k k^T) / (omega^2 - c^2 |k|^2)."""
     k = np.asarray(k, dtype=float).reshape(3)
+    c = SPEED_OF_LIGHT_AU
     denom = omega**2 - c**2 * float(k @ k)
     if denom == 0.0:
         raise LightConeSingularity(tuple(k), omega)
     return 4.0 * np.pi * (np.eye(3) * omega**2 - c**2 * np.outer(k, k)) / denom
+
+
+def _first_order_pass(
+    ext: ExtendedOperator, spec: MediumSpec, ext_field: FieldPlaneWaveSet, iw: int, k_points
+):
+    """The first-order field at ``k_points`` on frequency ``iw`` of the set's grid.
+
+    Returns the scattering rows, the per-point projectors G(k) R G~(k) and
+    the field the external waves scatter once, summed in wave order.
+    """
+    omega = ext_field.omega_grid[iw]
+    rows = scattering_rows(ext, spec, omega)
+    weights = _charge_weights(spec)
+    t_wave = [scattering_T(ext, spec, -w.k, omega, rows=rows) for w in ext_field.waves]
+    amps = [w.amplitude_on(ext_field.omega_grid)[iw] for w in ext_field.waves]
+    # sum_alpha G_ij R_{j alpha} Gtil_alpha T_{alpha l} A_l per wave
+    proj = [green_tensor(k, omega) @ (weights * _gtilde(spec, k)[None, :]) for k in k_points]
+    first = np.zeros((len(proj), 3), dtype=complex)
+    for i in range(len(proj)):
+        for t_mat, amp in zip(t_wave, amps):
+            first[i] += proj[i] @ (t_mat @ amp)
+    return rows, proj, first
 
 
 def emitted_field_first_order(
@@ -162,8 +189,6 @@ def emitted_field_first_order(
     spec: MediumSpec,
     ext_field: FieldPlaneWaveSet,
     k_queries,
-    omega_grid=None,
-    c: float = SPEED_OF_LIGHT_AU,
 ):
     """First-order scattered field at the query wavevectors.
 
@@ -172,37 +197,11 @@ def emitted_field_first_order(
     (2 pi)^-3-scaled convention; ``delta_terms`` lists the plane waves whose
     delta-supported contribution stays symbolic.
     """
-    if omega_grid is None:
-        omega_grid = ext_field.omega_grid
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    if omega_grid.shape != ext_field.omega_grid.shape or not np.allclose(
-        omega_grid, ext_field.omega_grid
-    ):
-        raise ValueError("requested grid must match the plane-wave set grid")
-
+    omega_grid = ext_field.omega_grid
     k_queries = np.atleast_2d(np.asarray(k_queries, dtype=float))
-    weights = _charge_weights(spec)
-    n_w, n_k = omega_grid.size, k_queries.shape[0]
-    scattered = np.zeros((n_w, n_k, 3), dtype=complex)
-
-    for iw, omega in enumerate(omega_grid):
-        rows = scattering_rows(ext, spec, omega)
-        t_at_wave = [
-            scattering_T(ext, spec, -wave.k, omega, rows=rows) for wave in ext_field.waves
-        ]
-        amps = [wave.amplitude_on(omega_grid)[iw] for wave in ext_field.waves]
-        for ik, kq in enumerate(k_queries):
-            g_fac = green_tensor(kq, omega, c)
-            gtil = np.array(
-                [
-                    gaussian_ft(kq, spec.coords[:, a], spec.covariances[a])
-                    for a in range(spec.n)
-                ]
-            )
-            # sum_alpha G_ij R_{j alpha} Gtil_alpha T_{alpha l} A_l per wave
-            proj = g_fac @ (weights * gtil[None, :])  # 3 x n
-            for t_mat, amp in zip(t_at_wave, amps):
-                scattered[iw, ik] += proj @ (t_mat @ amp)
+    scattered = np.zeros((omega_grid.size, k_queries.shape[0], 3), dtype=complex)
+    for iw in range(omega_grid.size):
+        scattered[iw] = _first_order_pass(ext, spec, ext_field, iw, k_queries)[2]
     delta_terms = [
         {"k": wave.k.copy(), "amplitude": wave.amplitude_on(omega_grid).copy()}
         for wave in ext_field.waves
@@ -217,7 +216,6 @@ def emitted_field_iterate(
     k_nodes,
     k_weights,
     orders: int = 1,
-    c: float = SPEED_OF_LIGHT_AU,
 ):
     """Optional fixed-point refinement of the scattered field (off by default).
 
@@ -234,31 +232,12 @@ def emitted_field_iterate(
     k_weights = np.asarray(k_weights, dtype=float)
     if k_weights.shape != (k_nodes.shape[0],):
         raise ValueError("one weight per quadrature node is required")
-    weights = _charge_weights(spec)
-    n_w, n_k = omega_grid.size, k_nodes.shape[0]
-    field = np.zeros((n_w, n_k, 3), dtype=complex)
+    n_k = k_nodes.shape[0]
+    field = np.zeros((omega_grid.size, n_k, 3), dtype=complex)
 
     for iw, omega in enumerate(omega_grid):
-        rows = scattering_rows(ext, spec, omega)
-        g_at = [green_tensor(kq, omega, c) for kq in k_nodes]
-        gt_at = [
-            np.array(
-                [
-                    gaussian_ft(kq, spec.coords[:, a], spec.covariances[a])
-                    for a in range(spec.n)
-                ]
-            )
-            for kq in k_nodes
-        ]
-        proj = [g_at[i] @ (weights * gt_at[i][None, :]) for i in range(n_k)]
-        # source term: the delta-supported external waves scattered once
-        amps = [wave.amplitude_on(omega_grid)[iw] for wave in ext_field.waves]
-        t_wave = [scattering_T(ext, spec, -w.k, omega, rows=rows) for w in ext_field.waves]
-        first = np.zeros((n_k, 3), dtype=complex)
-        for i in range(n_k):
-            for t_mat, amp in zip(t_wave, amps):
-                first[i] += proj[i] @ (t_mat @ amp)
-        cur = first.copy()
+        rows, proj, first = _first_order_pass(ext, spec, ext_field, iw, k_nodes)
+        cur = first
         if orders > 1:
             t_node = [scattering_T(ext, spec, -kq, omega, rows=rows) for kq in k_nodes]
             for _ in range(orders - 1):

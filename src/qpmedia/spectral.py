@@ -67,12 +67,12 @@ class EigenSystem:
     defective: bool
 
 
-def build_sqrt_kappa(spec: MediumSpec, check: bool = True) -> ExtendedOperator:
+def build_sqrt_kappa(spec: MediumSpec) -> ExtendedOperator:
     """Assemble kappa and its closed-form square root.
 
     The construction is total: K and Gamma may be complex, singular or
-    non-diagonalizable.  With ``check`` the square identity is verified to
-    a relative Frobenius residual of 1e-12.
+    non-diagonalizable.  The square identity is verified to a relative
+    Frobenius residual of 1e-12.
     """
     n = spec.n
     kappa = extended_kernel(spec)
@@ -82,11 +82,10 @@ def build_sqrt_kappa(spec: MediumSpec, check: bool = True) -> ExtendedOperator:
             [spec.kernel, 2.0 * spec.damping],
         ]
     )
-    if check:
-        scale = np.linalg.norm(kappa)
-        resid = np.linalg.norm(sq @ sq - kappa)
-        if scale > 0 and resid > 1e-12 * scale:
-            raise AssertionError(f"square identity violated: {resid / scale:.3e}")
+    scale = np.linalg.norm(kappa)
+    resid = np.linalg.norm(sq @ sq - kappa)
+    if scale > 0 and resid > 1e-12 * scale:
+        raise AssertionError(f"square identity violated: {resid / scale:.3e}")
     return ExtendedOperator(kappa=kappa, sqrt_kappa=sq, damping=spec.damping)
 
 
@@ -109,26 +108,23 @@ def _normalize_columns(vectors: NDArray[np.complex128]) -> NDArray[np.complex128
     return out
 
 
-def eigendecompose(
-    ext: ExtendedOperator, cond_threshold: float = DEFECTIVE_COND_THRESHOLD
-) -> EigenSystem:
+def eigendecompose(ext: ExtendedOperator) -> EigenSystem:
     """Complete eigendecomposition of sqrt_kappa.
 
     Eigenvalues are sorted lexicographically by (Re, Im) so repeated runs
     produce identical mode orderings.  Raises DefectiveMatrix when the
-    eigenvector condition number exceeds ``cond_threshold``, i.e. when the
-    diagonal treatment stops being trustworthy.
+    eigenvector condition number exceeds DEFECTIVE_COND_THRESHOLD, i.e. when
+    the diagonal treatment stops being trustworthy.
     """
     values, vectors = np.linalg.eig(ext.sqrt_kappa)
     order = np.lexsort((values.imag, values.real))
     values = values[order]
     vectors = _normalize_columns(vectors[:, order])
     cond = float(np.linalg.cond(vectors))
-    defective = not np.isfinite(cond) or cond > cond_threshold
-    if defective:
+    if not np.isfinite(cond) or cond > DEFECTIVE_COND_THRESHOLD:
         raise DefectiveMatrix(
-            f"eigenvector condition number {cond:.3e} exceeds {cond_threshold:.1e}; "
-            "supply an explicit Jordan structure instead"
+            f"eigenvector condition number {cond:.3e} exceeds "
+            f"{DEFECTIVE_COND_THRESHOLD:.1e}; supply an explicit Jordan structure instead"
         )
     inverse = np.linalg.inv(vectors)
     return EigenSystem(
@@ -183,10 +179,8 @@ def _similarity(eig: EigenSystem, jordan_blocks) -> tuple[NDArray[np.complex128]
     return A, cond
 
 
-def attach_similarity(
-    ext: ExtendedOperator, eig: EigenSystem, jordan_blocks=None
-) -> ExtendedOperator:
-    A, cond = _similarity(eig, jordan_blocks)
+def attach_similarity(ext: ExtendedOperator, eig: EigenSystem) -> ExtendedOperator:
+    A, cond = _similarity(eig, None)
     return replace(ext, sim_A=A, sim_A_cond=cond)
 
 
@@ -238,11 +232,11 @@ def _resolvent_solve(
         raise ResonantFrequency(omega) from None
 
 
-def prepare(spec: MediumSpec, jordan_blocks=None) -> tuple[ExtendedOperator, EigenSystem]:
+def prepare(spec: MediumSpec) -> tuple[ExtendedOperator, EigenSystem]:
     """Convenience chain: sqrt_kappa -> eigendecomposition -> A -> J_B."""
     ext = build_sqrt_kappa(spec)
     eig = eigendecompose(ext)
-    ext = attach_similarity(ext, eig, jordan_blocks)
+    ext = attach_similarity(ext, eig)
     ext = attach_JB(ext)
     return ext, eig
 

@@ -44,6 +44,12 @@ class TestParseXYZ:
         with pytest.raises(MalformedXYZ):
             parse_xyz("many\nc\nC 0 0 0\n")
 
+    def test_line_longer_than_a_file_name(self):
+        # no file can have this name, so it is parsed as XYZ text
+        with pytest.raises(MalformedXYZ) as err:
+            parse_xyz("H 0 0 0 " * 40)
+        assert err.value.line_number == 1
+
 
 def two_atom_geom(distance_angstrom):
     return GeometryFile(

@@ -337,6 +337,47 @@ class TestThreadCap:
         assert out_a.read_bytes() == out_b.read_bytes()
 
 
+class TestVectorArguments:
+    """--kick, --u0 and --v0 read a comma list first, else a JSON file."""
+
+    @pytest.fixture
+    def model19(self, tmp_path):
+        path = tmp_path / "model19.json"
+        path.write_text(spec_to_json(stable_spec(seed=19, n=19)) + "\n", encoding="utf-8")
+        return path
+
+    def test_kick_list_longer_than_a_file_name(self, model19, tmp_path):
+        values = [0.09999999999999998] * 19
+        as_list = ",".join(map(repr, values))
+        assert len(as_list) > 255
+        as_file = tmp_path / "kick.json"
+        as_file.write_text(json.dumps(values), encoding="utf-8")
+        written = []
+        for i, kick in enumerate((as_list, str(as_file))):
+            out = tmp_path / f"s{i}.csv"
+            assert main(
+                [
+                    "spectrum", "--model", str(model19), "--omega-min", "0.5",
+                    "--omega-max", "3", "--omega-step", "0.5", "--out", str(out),
+                    "--kick", kick,
+                ]
+            ) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
+    def test_u0_of_wrong_length_rejected(self, model19, tmp_path, capsys):
+        out = tmp_path / "traj.csv"
+        code = main(
+            [
+                "propagate", "--model", str(model19), "--t-max", "0.2", "--t-step",
+                "0.1", "--u0", "1,0,0,0,0", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: ValueError: u0 must have length 19\n"
+        assert not out.exists()
+
+
 class TestErrors:
     def test_structured_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

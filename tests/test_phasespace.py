@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -14,6 +15,7 @@ from qpmedia.medium import (
     simple_spec,
     zero_drive,
 )
+from qpmedia.openquantum import correlation_time
 from qpmedia.phasespace import (
     GaussianState,
     consistent_mean,
@@ -201,6 +203,29 @@ class TestThermal:
         beta = 2.0 * np.pi / abs(lam)
         with pytest.raises(ThermalSingularity):
             thermal_state(ext, beta, hbar=1.0)
+
+
+class TestExpmFallback:
+    """A free damped source: J_B is defective, so exp(J_B t) falls back to expm."""
+
+    def setup_method(self):
+        self.ext, _ = prepare(simple_spec([[0.0]], [[0.1]]))
+
+    def test_propagator_reports_fallback(self):
+        prop = propagator_at(self.ext, 0.7)
+        assert prop.used_expm_fallback
+        assert_allclose(prop.lambda_t, scipy.linalg.expm(self.ext.gen_JB * 0.7), rtol=1e-13)
+
+    def test_correlation_time_uses_expm(self):
+        state = GaussianState(mean=np.arange(4.0), cov=0.5 * np.eye(4))
+        xi0 = correlation_time(self.ext, state, 0.0)
+        got = correlation_time(self.ext, state, 0.7)
+        want = scipy.linalg.expm(-self.ext.gen_JB * 0.7) @ xi0
+        assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+    def test_thermal_state_refused(self):
+        with pytest.raises(ThermalSingularity, match="ill-conditioned"):
+            thermal_state(self.ext, beta=1.0, hbar=1.0)
 
 
 class TestMeanInFrequency:
