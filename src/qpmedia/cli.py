@@ -268,11 +268,10 @@ def _run_propagate(config: argparse.Namespace) -> list[Path]:
         state0 = phasespace.GaussianState(
             mean=q0, cov=(config.hbar / 2.0) * np.eye(4 * n), hbar=config.hbar
         )
-        jb = phasespace.decompose_generator(ext)
         cov_fmt = _fmt_row(4 * n, "%.12g;%.12g")
         for idx, t in enumerate(t_grid):
             # the covariance never reads Delta_t, so the drive is left out
-            prop = phasespace.propagator_at(ext, float(t), jb_eig=jb)
+            prop = phasespace.propagator_at(ext, float(t))
             cov = phasespace.evolve_state(state0, prop).cov
             _write_table(
                 cov_dir / f"cov_{idx:06d}.csv",

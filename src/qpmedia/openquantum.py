@@ -54,8 +54,7 @@ def correlation_time(ext: ExtendedOperator, state0: GaussianState, t: float):
     the shift term of the evolution vanishes; driven-bath correlations are
     out of scope.
     """
-    prop, _ = _lambda_at(ext, decompose_generator(ext), -t)
-    return prop @ _initial_moment_matrix(state0)
+    return _lambda_at(ext, decompose_generator(ext), -t) @ _initial_moment_matrix(state0)
 
 
 def x_block(matrix: NDArray[np.complex128]) -> NDArray[np.complex128]:

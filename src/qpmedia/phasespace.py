@@ -16,9 +16,14 @@ from numpy.typing import NDArray
 
 from .errors import ThermalSingularity
 from .medium import DriveSignal, drive_value, spectral_amplitude
-from .spectral import ExtendedOperator, _generator, _resolvent_solve, symplectic_form
-
-EXPM_FALLBACK_COND = 1e8
+from .spectral import (
+    EigenSystem,
+    ExtendedOperator,
+    _generator,
+    _resolvent_solve,
+    _similarity_matrix,
+    symplectic_form,
+)
 
 
 @dataclass(frozen=True)
@@ -53,42 +58,22 @@ class Propagator:
     used_expm_fallback: bool = False
 
 
-@dataclass(frozen=True)
-class GeneratorSpectral:
-    """Cached eigendecomposition of the symplectic generator J B."""
-
-    values: NDArray[np.complex128]
-    vectors: NDArray[np.complex128]
-    inverse: NDArray[np.complex128]
-    cond: float
-
-    @property
-    def usable(self) -> bool:
-        return np.isfinite(self.cond) and self.cond <= EXPM_FALLBACK_COND
-
-    def function_of(self, values) -> NDArray[np.complex128]:
-        """f(J B) = V diag(f(lambda)) V^{-1}, given ``values`` = f(lambda)."""
-        return (self.vectors * values) @ self.inverse
+def decompose_generator(ext: ExtendedOperator) -> EigenSystem:
+    """The eigensystem of J B, decomposed on the first call for ``ext``."""
+    return ext._generator_eigensystem
 
 
-def decompose_generator(ext: ExtendedOperator) -> GeneratorSpectral:
-    values, vectors = np.linalg.eig(_generator(ext))
-    cond = float(np.linalg.cond(vectors))
-    inverse = np.linalg.inv(vectors) if np.isfinite(cond) else np.full_like(vectors, np.nan)
-    return GeneratorSpectral(values=values, vectors=vectors, inverse=inverse, cond=cond)
-
-
-def _lambda_at(ext, jb_eig: GeneratorSpectral, t: float):
+def _lambda_at(ext, jb_eig: EigenSystem, t: float):
     """exp(J B t), by eigenmodes when well conditioned, else scaling/squaring."""
-    if jb_eig.usable:
-        return jb_eig.function_of(np.exp(jb_eig.values * t)), False
-    return scipy.linalg.expm(ext.gen_JB * t), True
+    if jb_eig.defective:
+        return scipy.linalg.expm(ext.gen_JB * t)
+    return jb_eig.function_of(np.exp(jb_eig.values * t))
 
 
-def _thermal_spectral(ext: ExtendedOperator) -> GeneratorSpectral:
+def _thermal_spectral(ext: ExtendedOperator) -> EigenSystem:
     """The J B eigensystem that a thermal matrix function is built on."""
     jb_eig = decompose_generator(ext)
-    if not jb_eig.usable:
+    if jb_eig.defective:
         raise ThermalSingularity(
             "generator eigendecomposition too ill-conditioned "
             "(free modes of a singular kernel have no thermal state)"
@@ -101,11 +86,11 @@ def _drive_vector(ext: ExtendedOperator, drive):
     n = ext.n
     f, fdot = drive
     force = np.concatenate([f, fdot - 2.0 * (ext.damping @ f)])
-    top = np.linalg.solve(ext.sim_A, force)
+    top = np.linalg.solve(_similarity_matrix(ext), force)
     return np.concatenate([top, np.zeros(2 * n, dtype=complex)])
 
 
-def _advance_delta(ext, jb_eig: GeneratorSpectral, drive, delta, t0, t1, quad_step: float):
+def _advance_delta(ext, jb_eig: EigenSystem, drive, delta, t0, t1, quad_step: float):
     """Delta at t1 from Delta at t0: fixed Simpson steps of Delta' = Lambda_s J C_s.
 
     Each step takes Lambda_s and J C_s at its two ends and its midpoint, the
@@ -116,7 +101,7 @@ def _advance_delta(ext, jb_eig: GeneratorSpectral, drive, delta, t0, t1, quad_st
     s = t0
     for _ in range(steps):
         k1, kmid, k4 = (
-            _lambda_at(ext, jb_eig, x)[0] @ _drive_vector(ext, drive_value(drive, x))
+            _lambda_at(ext, jb_eig, x) @ _drive_vector(ext, drive_value(drive, x))
             for x in (s, s + h / 2.0, s + h)
         )
         delta = delta + h / 6.0 * (k1 + 4.0 * kmid + k4)
@@ -129,7 +114,6 @@ def propagator_at(
     t: float,
     drive: DriveSignal | None = None,
     quad_step: float = 1e-3,
-    jb_eig: GeneratorSpectral | None = None,
 ) -> Propagator:
     """Propagator (Lambda_t, Delta_t) at a single time.
 
@@ -138,13 +122,12 @@ def propagator_at(
     Delta_t integrates Delta' = Lambda_s J C_s with the same fixed RK4 step
     the reference integrators use.
     """
-    delta = np.zeros(_generator(ext).shape[0], dtype=complex)
-    if jb_eig is None:
-        jb_eig = decompose_generator(ext)
-    lam, fallback = _lambda_at(ext, jb_eig, t)
+    jb_eig = decompose_generator(ext)
+    delta = np.zeros(jb_eig.values.size, dtype=complex)
+    lam = _lambda_at(ext, jb_eig, t)
     if drive is not None and t != 0.0:
         delta = _advance_delta(ext, jb_eig, drive, delta, 0.0, t, quad_step)
-    return Propagator(lambda_t=lam, delta_t=delta, used_expm_fallback=fallback)
+    return Propagator(lambda_t=lam, delta_t=delta, used_expm_fallback=jb_eig.defective)
 
 
 def symplectic_inverse(lam: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -183,8 +166,7 @@ def propagate_mean(
         if drive is not None and t > prev_t:
             delta = _advance_delta(ext, jb_eig, drive, delta, prev_t, t, quad_step)
             prev_t = t
-        lam_t, _ = _lambda_at(ext, jb_eig, t)
-        out[i] = symplectic_inverse(lam_t) @ (q0 - delta)
+        out[i] = symplectic_inverse(_lambda_at(ext, jb_eig, t)) @ (q0 - delta)
     return out
 
 
@@ -192,7 +174,7 @@ def consistent_mean(ext: ExtendedOperator, x0, xdot0) -> NDArray[np.complex128]:
     """Phase-space mean [pi; x] matching extended initial data (x0, x'0)."""
     x0 = np.asarray(x0, dtype=complex)
     xdot0 = np.asarray(xdot0, dtype=complex)
-    pi0 = np.linalg.solve(ext.sim_A, xdot0)
+    pi0 = np.linalg.solve(_similarity_matrix(ext), xdot0)
     return np.concatenate([pi0, x0])
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import SingularEffectiveSigma, ZeroMode
-from .spectral import EigenSystem, symplectic_form
+from .spectral import EigenSystem, _eigensystem, symplectic_form
 
 _REAL_SPECTRUM_RTOL = 1e-10
 _PAIR_RTOL = 1e-9
@@ -67,7 +67,7 @@ class BiCoherentParams:
     hbar: float
 
 
-def _paired_real_mode_matrix(eig: EigenSystem):
+def _paired_real_mode_matrix(eig: EigenSystem) -> EigenSystem | None:
     """Real paired mode basis for a real +/- spectrum, or None if impossible."""
     mu = eig.values
     m = mu.size
@@ -92,7 +92,7 @@ def _paired_real_mode_matrix(eig: EigenSystem):
 
     P1 = np.zeros((m, m), dtype=complex)
     sqrtJ = np.zeros(m, dtype=complex)
-    kappa_rec = (eig.right_vectors * mu**2) @ eig.inverse_vectors
+    kappa_rec = eig.function_of(mu**2)
     kscale = max(np.linalg.norm(kappa_rec), 1.0)
     for p, k in enumerate(pairs):
         v = eig.right_vectors[:, k]
@@ -109,9 +109,8 @@ def _paired_real_mode_matrix(eig: EigenSystem):
         P1[n:, 2 * p + 1] = w
         sqrtJ[2 * p] = mu[k].real
         sqrtJ[2 * p + 1] = mu[k].real
-    if np.linalg.cond(P1) > 1e8:
-        return None
-    return P1, sqrtJ
+    paired = _eigensystem(sqrtJ, P1)
+    return None if paired.defective else paired
 
 
 def build_pseudoboson(eig: EigenSystem, hbar: float = 1.0) -> PseudoBosonBasis:
@@ -130,16 +129,8 @@ def build_pseudoboson(eig: EigenSystem, hbar: float = 1.0) -> PseudoBosonBasis:
     paired = None
     if np.abs(mu.imag).max() <= _REAL_SPECTRUM_RTOL * scale:
         paired = _paired_real_mode_matrix(eig)
-
-    if paired is not None:
-        P1, sqrtJ = paired
-        P1inv = np.linalg.inv(P1)
-        paired_flag = True
-    else:
-        P1 = eig.right_vectors
-        P1inv = eig.inverse_vectors
-        sqrtJ = mu.copy()
-        paired_flag = False
+    modes = eig if paired is None else paired
+    P1, P1inv, sqrtJ = modes.right_vectors, modes.inverse_vectors, modes.values
 
     quarter = np.sqrt(sqrtJ.astype(complex))  # principal branch
     pref = 1.0 / np.sqrt(2.0 * hbar)
@@ -155,7 +146,7 @@ def build_pseudoboson(eig: EigenSystem, hbar: float = 1.0) -> PseudoBosonBasis:
         mode_matrix=P1,
         mode_matrix_inv=P1inv,
         hbar=hbar,
-        paired_real_gauge=paired_flag,
+        paired_real_gauge=paired is not None,
     )
 
 
@@ -171,12 +162,7 @@ def commutator_matrix(basis: PseudoBosonBasis) -> NDArray[np.complex128]:
     return -1j * basis.hbar * (w @ J @ wt.T)
 
 
-def coherent_params(
-    basis: PseudoBosonBasis,
-    eig: EigenSystem,
-    alpha,
-    hbar: float | None = None,
-) -> BiCoherentParams:
+def coherent_params(basis: PseudoBosonBasis, alpha) -> BiCoherentParams:
     """Gaussian parameters of the coherent pair at amplitude alpha.
 
     The means solve the ladder eigenvalue equations exactly, which fixes a
@@ -184,7 +170,7 @@ def coherent_params(
     the reciprocal of the (Fresnel-regularized) pairing integral and is
     well defined whenever that integral converges.
     """
-    hbar = basis.hbar if hbar is None else hbar
+    hbar = basis.hbar
     alpha = np.asarray(alpha, dtype=complex).ravel()
     m = basis.n_modes
     if alpha.size != m:
@@ -233,7 +219,7 @@ def coherent_params(
     )
 
 
-def evolve_alpha(alpha, basis_or_eig, t: float, hbar: float = 1.0):
+def evolve_alpha(alpha, basis_or_eig, t: float):
     """Coherent amplitude at time t plus the log of the global prefactor.
 
     The prefactor is returned in log form because its modulus grows like

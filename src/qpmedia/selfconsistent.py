@@ -106,7 +106,7 @@ def _charge_weights(spec: MediumSpec) -> NDArray[np.float64]:
     return spec.coords  # 3 x n dipole-density weights
 
 
-def scattering_rows(ext: ExtendedOperator, spec: MediumSpec, omega: float):
+def scattering_rows(ext: ExtendedOperator, omega: float):
     """Frequency-dependent prefactor of the scattering kernel.
 
     Returns the n x n matrix U(omega) combining the source rows of the
@@ -139,7 +139,7 @@ def scattering_T(
     default) and is linear in them.
     """
     if rows is None:
-        rows = scattering_rows(ext, spec, omega)
+        rows = scattering_rows(ext, omega)
     if weights is None:
         weights = _charge_weights(spec)
     return (1j / TWO_PI_CUBED) * (rows * _gtilde(spec, k)[None, :]) @ weights.T
@@ -171,7 +171,7 @@ def _first_order_pass(
     the field the external waves scatter once, summed in wave order.
     """
     omega = ext_field.omega_grid[iw]
-    rows = scattering_rows(ext, spec, omega)
+    rows = scattering_rows(ext, omega)
     weights = _charge_weights(spec)
     t_wave = [scattering_T(ext, spec, -w.k, omega, rows=rows) for w in ext_field.waves]
     amps = [w.amplitude_on(ext_field.omega_grid)[iw] for w in ext_field.waves]

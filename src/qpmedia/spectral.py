@@ -13,6 +13,7 @@ on-shell energy functional.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +34,9 @@ class ExtendedOperator:
     every consumer of the drive and auxiliary channels.  ``sim_A`` (with its
     condition number) and ``gen_JB`` are attached by
     :func:`attach_similarity` / :func:`attach_JB`; instances are immutable
-    and updated via ``replace``.
+    and updated via ``replace``.  The J_B eigensystem is decomposed on first
+    use and cached on the instance (a ``replace``d operator starts without
+    it); read it through :func:`phasespace.decompose_generator`.
     """
 
     kappa: NDArray[np.complex128]
@@ -49,22 +52,41 @@ class ExtendedOperator:
 
     def a_blocks(self):
         """The (A1, A2, A3) blocks of the similarity matrix."""
-        if self.sim_A is None:
-            raise ValueError("similarity matrix not built yet")
         n = self.n
-        A = self.sim_A
+        A = _similarity_matrix(self)
         return A[:n, :n], A[:n, n:], A[n:, n:]
+
+    @cached_property
+    def _generator_eigensystem(self) -> EigenSystem:
+        return _eigensystem(*np.linalg.eig(_generator(self)))
 
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigendecomposition of sqrt_kappa with deterministic ordering."""
+    """Eigenvalues and eigenvectors V of sqrt_kappa or of J_B.
+
+    ``defective`` is set when cond(V) is not finite or exceeds
+    DEFECTIVE_COND_THRESHOLD; V^{-1} (``inverse_vectors``) is then not
+    computed, as V f(Lambda) V^{-1} can no longer be trusted.
+    """
 
     values: NDArray[np.complex128]
     right_vectors: NDArray[np.complex128]
-    inverse_vectors: NDArray[np.complex128]
+    inverse_vectors: NDArray[np.complex128] | None
     cond: float
     defective: bool
+
+    def function_of(self, values) -> NDArray[np.complex128]:
+        """f(M) = V diag(f(lambda)) V^{-1}, given ``values`` = f(lambda)."""
+        return (self.right_vectors * values) @ self.inverse_vectors
+
+
+def _eigensystem(values, vectors) -> EigenSystem:
+    """The EigenSystem of (values, vectors); V is inverted only when trusted."""
+    cond = float(np.linalg.cond(vectors))
+    defective = not (np.isfinite(cond) and cond <= DEFECTIVE_COND_THRESHOLD)
+    inverse = None if defective else np.linalg.inv(vectors)
+    return EigenSystem(values, vectors, inverse, cond, defective)
 
 
 def build_sqrt_kappa(spec: MediumSpec) -> ExtendedOperator:
@@ -118,22 +140,13 @@ def eigendecompose(ext: ExtendedOperator) -> EigenSystem:
     """
     values, vectors = np.linalg.eig(ext.sqrt_kappa)
     order = np.lexsort((values.imag, values.real))
-    values = values[order]
-    vectors = _normalize_columns(vectors[:, order])
-    cond = float(np.linalg.cond(vectors))
-    if not np.isfinite(cond) or cond > DEFECTIVE_COND_THRESHOLD:
+    eig = _eigensystem(values[order], _normalize_columns(vectors[:, order]))
+    if eig.defective:
         raise DefectiveMatrix(
-            f"eigenvector condition number {cond:.3e} exceeds "
+            f"eigenvector condition number {eig.cond:.3e} exceeds "
             f"{DEFECTIVE_COND_THRESHOLD:.1e}; supply an explicit Jordan structure instead"
         )
-    inverse = np.linalg.inv(vectors)
-    return EigenSystem(
-        values=values,
-        right_vectors=vectors,
-        inverse_vectors=inverse,
-        cond=cond,
-        defective=False,
-    )
+    return eig
 
 
 def exchange_matrix(size: int) -> NDArray[np.float64]:
@@ -190,18 +203,23 @@ def build_JB(ext: ExtendedOperator) -> NDArray[np.complex128]:
     Its spectrum is the +/- i image of the sqrt_kappa spectrum, so the
     phase-space route adds no new resonances.
     """
-    if ext.sim_A is None:
-        raise ValueError("similarity matrix must be built before the generator")
+    A = _similarity_matrix(ext)
     N = 2 * ext.n
-    Ainv_kappa = np.linalg.solve(ext.sim_A, ext.kappa)
     JB = np.zeros((2 * N, 2 * N), dtype=complex)
-    JB[:N, N:] = Ainv_kappa
-    JB[N:, :N] = -ext.sim_A
+    JB[:N, N:] = np.linalg.solve(A, ext.kappa)
+    JB[N:, :N] = -A
     return JB
 
 
 def attach_JB(ext: ExtendedOperator) -> ExtendedOperator:
     return replace(ext, gen_JB=build_JB(ext))
+
+
+def _similarity_matrix(ext: ExtendedOperator) -> NDArray[np.complex128]:
+    """A of ``ext``: the one check that every consumer of A passes."""
+    if ext.sim_A is None:
+        raise ValueError("similarity matrix A not built; call spectral.prepare first")
+    return ext.sim_A
 
 
 def _generator(ext: ExtendedOperator) -> NDArray[np.complex128]:
@@ -248,12 +266,11 @@ def on_shell_energy(ext: ExtendedOperator, x) -> complex:
     0.5 pi^T A pi + 0.5 x^T A^{-1} kappa x vanishes identically; the return
     value is the numerical residual of that identity.
     """
-    if ext.sim_A is None:
-        raise ValueError("similarity matrix not built yet")
+    A = _similarity_matrix(ext)
     x = np.asarray(x, dtype=complex)
-    pi = 1j * np.linalg.solve(ext.sim_A, ext.sqrt_kappa @ x)
-    kinetic = 0.5 * pi @ (ext.sim_A @ pi)
-    potential = 0.5 * x @ np.linalg.solve(ext.sim_A, ext.kappa @ x)
+    pi = 1j * np.linalg.solve(A, ext.sqrt_kappa @ x)
+    kinetic = 0.5 * pi @ (A @ pi)
+    potential = 0.5 * x @ np.linalg.solve(A, ext.kappa @ x)
     return complex(kinetic + potential)
 
 

@@ -41,7 +41,6 @@ from qpmedia.openquantum import (
 from qpmedia.phasespace import (
     GaussianState,
     consistent_mean,
-    decompose_generator,
     propagate_mean,
     propagator_at,
     thermal_state,
@@ -198,9 +197,8 @@ def test_criterion_07_symplectic_and_ehrenfest():
         spec = stable_spec(seed=8001, n=3)
         ext, _ = prepare(spec)
         J = symplectic_form(6)
-        jb = decompose_generator(ext)
         for t in rng.uniform(0.0, 10.0, size=10):
-            lam = propagator_at(ext, t, jb_eig=jb).lambda_t
+            lam = propagator_at(ext, t).lambda_t
             assert np.linalg.norm(lam @ J @ lam.T - J) < 1e-10
         # phase-space mean vs the reference integrator
         u0, v0 = rng.standard_normal(3), rng.standard_normal(3)
@@ -238,7 +236,7 @@ def test_criterion_08_pseudoboson_algebra():
         for k, g in ((1.0, 0.0), (2.0, 0.3), (1.5, 0.45)):
             spec1 = scalar_spec(k, g)
             basis1 = build_pseudoboson(eigendecompose(build_sqrt_kappa(spec1)))
-            params = coherent_params(basis1, None, np.zeros(2))
+            params = coherent_params(basis1, np.zeros(2))
             assert abs(pairing_integral_numeric(params) - 1.0) < 1e-6
         # canonical-form spectrum against a truncated Fock diagonalization
         spec2 = scalar_spec(2.0, 0.0)

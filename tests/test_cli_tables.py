@@ -181,10 +181,9 @@ def test_propagate_and_covariance_dumps(spec, model, tmp_path):
     assert out.read_bytes() == render_csv(",".join(header), rows)
 
     state0 = phasespace.GaussianState(mean=q0, cov=0.5 * np.eye(4 * n), hbar=1.0)
-    jb = phasespace.decompose_generator(ext)
     assert len(list(cov_dir.iterdir())) == t_grid.size
     for idx, t in enumerate(t_grid):
-        prop = phasespace.propagator_at(ext, float(t), drive=drive, jb_eig=jb)
+        prop = phasespace.propagator_at(ext, float(t), drive=drive)
         cov = phasespace.evolve_state(state0, prop).cov
         lines = [HEADER, f"# t = {fmt(t)}"]
         for row in cov:

@@ -72,7 +72,7 @@ class TestCoherentParams:
         # so the closed form reduces to det(2 pi Sigma_eff)^{-1/2}
         spec = scalar_spec(2.0, 0.3)
         basis = build_pseudoboson(eig_for(spec))
-        params = coherent_params(basis, None, np.zeros(2))
+        params = coherent_params(basis, np.zeros(2))
         assert np.abs(params.mu_vec).max() == 0.0
         pair = params.sigma_inv - params.sigma_inv.conj()
         assert np.abs(pair - (-2.0 * params.sigma_inv.conj())).max() < 1e-12
@@ -82,7 +82,7 @@ class TestCoherentParams:
 
     def test_hermitian_ground_state_width(self, undamped_scalar):
         basis = build_pseudoboson(eig_for(undamped_scalar), hbar=1.0)
-        params = coherent_params(basis, None, np.zeros(2))
+        params = coherent_params(basis, np.zeros(2))
         assert_allclose(params.sigma_inv, -np.eye(2), atol=1e-12)
         assert_allclose(params.norm_product, 1.0 / np.pi, rtol=1e-12)
         assert params.eff_sigma is None  # ordinary-boson limit
@@ -90,8 +90,8 @@ class TestCoherentParams:
     def test_alpha_scaling_linear(self):
         spec = scalar_spec(2.0, 0.3)
         basis = build_pseudoboson(eig_for(spec))
-        a = coherent_params(basis, None, np.array([0.3 + 0.1j, -0.2j]))
-        b = coherent_params(basis, None, 2.0 * np.array([0.3 + 0.1j, -0.2j]))
+        a = coherent_params(basis, np.array([0.3 + 0.1j, -0.2j]))
+        b = coherent_params(basis, 2.0 * np.array([0.3 + 0.1j, -0.2j]))
         assert_allclose(b.mu_vec, 2.0 * a.mu_vec, rtol=1e-13)
 
     def test_ladder_eigenrelation_by_finite_differences(self):
@@ -100,7 +100,7 @@ class TestCoherentParams:
         hbar = 1.0
         basis = build_pseudoboson(eig_for(spec), hbar=hbar)
         alpha = np.array([0.37 - 0.21j, 0.11 + 0.42j])
-        params = coherent_params(basis, None, alpha)
+        params = coherent_params(basis, alpha)
         rng = np.random.default_rng(3)
         h = 1e-5
         for _ in range(3):
@@ -126,7 +126,7 @@ class TestCoherentParams:
         hbar = 1.0
         basis = build_pseudoboson(eig_for(spec), hbar=hbar)
         alpha = np.array([0.2 + 0.3j, -0.15j])
-        params = coherent_params(basis, None, alpha)
+        params = coherent_params(basis, alpha)
         rng = np.random.default_rng(4)
         h = 1e-5
         x = rng.uniform(-0.5, 0.5, size=2)
@@ -148,7 +148,7 @@ class TestCoherentParams:
 class TestBiorthogonality:
     def test_hermitian_quadrature(self, undamped_scalar):
         basis = build_pseudoboson(eig_for(undamped_scalar), hbar=1.0)
-        params = coherent_params(basis, None, np.zeros(2))
+        params = coherent_params(basis, np.zeros(2))
         val = pairing_integral_numeric(params)
         assert abs(val - 1.0) < 1e-6
 
@@ -156,13 +156,13 @@ class TestBiorthogonality:
     def test_damped_fresnel_quadrature(self, k, g):
         spec = scalar_spec(k, g)
         basis = build_pseudoboson(eig_for(spec), hbar=1.0)
-        params = coherent_params(basis, None, np.zeros(2))
+        params = coherent_params(basis, np.zeros(2))
         val = pairing_integral_numeric(params)
         assert abs(val - 1.0) < 1e-6
 
     def test_density_uses_norm_product(self, undamped_scalar):
         basis = build_pseudoboson(eig_for(undamped_scalar), hbar=1.0)
-        params = coherent_params(basis, None, np.zeros(2))
+        params = coherent_params(basis, np.zeros(2))
         x = np.array([0.3, -0.4])
         direct = (
             params.norm_product

@@ -159,7 +159,7 @@ class TestScatteringKernel:
     def test_rows_reused_across_k(self):
         spec = charge_spec(np.array([[0.1], [0.0], [0.7]]), np.eye(1) * 2.0, np.eye(1) * 0.2)
         ext, _ = prepare(spec)
-        rows = scattering_rows(ext, spec, 0.9)
+        rows = scattering_rows(ext, 0.9)
         a = scattering_T(ext, spec, [0.3, 0.0, 0.0], 0.9, rows=rows)
         b = scattering_T(ext, spec, [0.3, 0.0, 0.0], 0.9)
         assert_allclose(a, b, rtol=0, atol=0)

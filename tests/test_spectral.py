@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,6 +11,7 @@ from qpmedia import openquantum, phasespace, selfconsistent
 from qpmedia.medium import KickDrive
 from qpmedia.spectral import (
     EigenSystem,
+    build_JB,
     build_similarity,
     build_sqrt_kappa,
     characteristic_residual,
@@ -170,7 +173,7 @@ JB_CONSUMERS = {
     "classical_correlation": lambda ext, spec: openquantum.classical_correlation(
         ext, 1.0, [0.5], 1e-3
     ),
-    "scattering_rows": lambda ext, spec: selfconsistent.scattering_rows(ext, spec, 0.5),
+    "scattering_rows": lambda ext, spec: selfconsistent.scattering_rows(ext, 0.5),
 }
 
 
@@ -179,6 +182,50 @@ def test_every_generator_consumer_needs_JB(consumer):
     spec = stable_spec(seed=43, n=2)
     with pytest.raises(ValueError, match="generator J_B not built; call spectral.prepare first"):
         JB_CONSUMERS[consumer](build_sqrt_kappa(spec), spec)
+
+
+A_CONSUMERS = {
+    "a_blocks": lambda ext, spec: ext.a_blocks(),
+    "auxiliary_response": lambda ext, spec: selfconsistent.auxiliary_response(ext, 0.5),
+    "build_JB": lambda ext, spec: build_JB(ext),
+    "on_shell_energy": lambda ext, spec: on_shell_energy(ext, np.ones(2 * spec.n)),
+    "drive_vector": lambda ext, spec: phasespace._drive_vector(
+        ext, (np.ones(spec.n), np.zeros(spec.n))
+    ),
+    "consistent_mean": lambda ext, spec: phasespace.consistent_mean(
+        ext, np.ones(2 * spec.n), np.zeros(2 * spec.n)
+    ),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(A_CONSUMERS))
+def test_every_similarity_consumer_needs_A(consumer):
+    spec = stable_spec(seed=43, n=2)
+    with pytest.raises(ValueError, match="similarity matrix A not built; call spectral.prepare first"):
+        A_CONSUMERS[consumer](build_sqrt_kappa(spec), spec)
+
+
+def test_generator_is_decomposed_once_per_operator(monkeypatch):
+    spec = stable_spec(seed=44, n=2)
+    ext, _ = prepare(spec)
+    calls = []
+    eig = np.linalg.eig
+
+    def counting_eig(a):
+        calls.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    phasespace.thermal_state(ext, 1.0, 1.0)
+    openquantum.thermal_correlation(ext, 1.0, 1.0, [0.5], 1e-3)
+    openquantum.correlation_time(ext, _vacuum(spec.n), 0.3)
+    openquantum.correlation_time(ext, _vacuum(spec.n), 0.7)
+    prop = phasespace.propagator_at(ext, 0.5)
+    assert calls == [(8, 8)]
+    assert not prop.used_expm_fallback
+    # a replaced operator carries no cached eigensystem
+    phasespace.decompose_generator(replace(ext, gen_JB=ext.gen_JB.copy()))
+    assert calls == [(8, 8)] * 2
 
 
 class TestOnShell:
