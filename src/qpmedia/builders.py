@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import erf
 
 from .constants import BOHR_PER_ANGSTROM
 from .errors import CoincidentAtoms, CountMismatch, MalformedXYZ
@@ -155,6 +154,10 @@ def coulomb_kernel(coords_bohr: NDArray[np.float64], width: float):
     d -> 0 limit 2/(width sqrt(2 pi)), which bounds the interaction and
     removes the polarization catastrophe of the bare Coulomb kernel.
     """
+    # imported here, as only qpm build needs it, to keep scipy off every
+    # other command's start-up
+    from scipy.special import erf
+
     diff = coords_bohr[:, :, None] - coords_bohr[:, None, :]
     d = np.linalg.norm(diff, axis=0)
     n = d.shape[0]

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from numpy.typing import NDArray
 
 from .errors import ThermalSingularity
@@ -66,6 +65,9 @@ def decompose_generator(ext: ExtendedOperator) -> EigenSystem:
 def _lambda_at(ext, jb_eig: EigenSystem, t: float):
     """exp(J B t), by eigenmodes when well conditioned, else scaling/squaring."""
     if jb_eig.defective:
+        # imported on the fallback alone, to keep scipy off every qpm start-up
+        import scipy.linalg
+
         return scipy.linalg.expm(ext.gen_JB * t)
     return jb_eig.function_of(np.exp(jb_eig.values * t))
 

@@ -142,7 +142,12 @@ def scattering_T(
         rows = scattering_rows(ext, omega)
     if weights is None:
         weights = _charge_weights(spec)
-    return (1j / TWO_PI_CUBED) * (rows * _gtilde(spec, k)[None, :]) @ weights.T
+    return _t_kernel(rows, _gtilde(spec, k), weights)
+
+
+def _t_kernel(rows, gtilde, weights) -> NDArray[np.complex128]:
+    """T(k, omega) from the frequency's scattering rows and G~(k)."""
+    return (1j / TWO_PI_CUBED) * (rows * gtilde[None, :]) @ weights.T
 
 
 def _gtilde(spec: MediumSpec, k) -> NDArray[np.complex128]:
@@ -162,26 +167,30 @@ def green_tensor(k, omega: float):
     return 4.0 * np.pi * (np.eye(3) * omega**2 - c**2 * np.outer(k, k)) / denom
 
 
-def _first_order_pass(
-    ext: ExtendedOperator, spec: MediumSpec, ext_field: FieldPlaneWaveSet, iw: int, k_points
+def _first_order_passes(
+    ext: ExtendedOperator, spec: MediumSpec, ext_field: FieldPlaneWaveSet, k_points
 ):
-    """The first-order field at ``k_points`` on frequency ``iw`` of the set's grid.
+    """The first-order field at ``k_points``, one frequency of the set's grid at a time.
 
-    Returns the scattering rows, the per-point projectors G(k) R G~(k) and
-    the field the external waves scatter once, summed in wave order.
+    Yields per frequency the scattering rows, the per-point projectors
+    G(k) R G~(k) and the field the external waves scatter once, summed in
+    wave order.  G~ does not depend on omega, so it is taken once per point
+    and once per wave.
     """
-    omega = ext_field.omega_grid[iw]
-    rows = scattering_rows(ext, omega)
     weights = _charge_weights(spec)
-    t_wave = [scattering_T(ext, spec, -w.k, omega, rows=rows) for w in ext_field.waves]
-    amps = [w.amplitude_on(ext_field.omega_grid)[iw] for w in ext_field.waves]
-    # sum_alpha G_ij R_{j alpha} Gtil_alpha T_{alpha l} A_l per wave
-    proj = [green_tensor(k, omega) @ (weights * _gtilde(spec, k)[None, :]) for k in k_points]
-    first = np.zeros((len(proj), 3), dtype=complex)
-    for i in range(len(proj)):
-        for t_mat, amp in zip(t_wave, amps):
-            first[i] += proj[i] @ (t_mat @ amp)
-    return rows, proj, first
+    g_waves = [_gtilde(spec, -w.k) for w in ext_field.waves]
+    weighted = [weights * _gtilde(spec, k)[None, :] for k in k_points]
+    amps = [w.amplitude_on(ext_field.omega_grid) for w in ext_field.waves]
+    for iw, omega in enumerate(ext_field.omega_grid):
+        rows = scattering_rows(ext, omega)
+        t_wave = [_t_kernel(rows, g, weights) for g in g_waves]
+        # sum_alpha G_ij R_{j alpha} Gtil_alpha T_{alpha l} A_l per wave
+        proj = [green_tensor(k, omega) @ wg for k, wg in zip(k_points, weighted)]
+        first = np.zeros((len(proj), 3), dtype=complex)
+        for i in range(len(proj)):
+            for t_mat, amp in zip(t_wave, amps):
+                first[i] += proj[i] @ (t_mat @ amp[iw])
+        yield rows, proj, first
 
 
 def emitted_field_first_order(
@@ -200,8 +209,8 @@ def emitted_field_first_order(
     omega_grid = ext_field.omega_grid
     k_queries = np.atleast_2d(np.asarray(k_queries, dtype=float))
     scattered = np.zeros((omega_grid.size, k_queries.shape[0], 3), dtype=complex)
-    for iw in range(omega_grid.size):
-        scattered[iw] = _first_order_pass(ext, spec, ext_field, iw, k_queries)[2]
+    for iw, (_, _, first) in enumerate(_first_order_passes(ext, spec, ext_field, k_queries)):
+        scattered[iw] = first
     delta_terms = [
         {"k": wave.k.copy(), "amplitude": wave.amplitude_on(omega_grid).copy()}
         for wave in ext_field.waves
@@ -234,12 +243,13 @@ def emitted_field_iterate(
         raise ValueError("one weight per quadrature node is required")
     n_k = k_nodes.shape[0]
     field = np.zeros((omega_grid.size, n_k, 3), dtype=complex)
+    weights = _charge_weights(spec)
+    g_back = [_gtilde(spec, -kq) for kq in k_nodes] if orders > 1 else []
 
-    for iw, omega in enumerate(omega_grid):
-        rows, proj, first = _first_order_pass(ext, spec, ext_field, iw, k_nodes)
+    for iw, (rows, proj, first) in enumerate(_first_order_passes(ext, spec, ext_field, k_nodes)):
         cur = first
         if orders > 1:
-            t_node = [scattering_T(ext, spec, -kq, omega, rows=rows) for kq in k_nodes]
+            t_node = [_t_kernel(rows, g, weights) for g in g_back]
             for _ in range(orders - 1):
                 fold = np.zeros(spec.n, dtype=complex)
                 for j in range(n_k):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,6 +339,18 @@ class TestThreadCap:
         monkeypatch.setenv("QPM_THREADS", "4")
         assert main(args(out_b)) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+class TestStartup:
+    def test_cli_import_loads_no_scipy(self):
+        # scipy is imported only by qpm build and the expm fallback
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, qpmedia.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestVectorArguments:

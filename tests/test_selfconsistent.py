@@ -7,6 +7,7 @@ from conftest import stable_spec
 from qpmedia.constants import SPEED_OF_LIGHT_AU
 from qpmedia.errors import LightConeSingularity
 from qpmedia.medium import MediumSpec, simple_spec
+from qpmedia import selfconsistent
 from qpmedia.selfconsistent import (
     FieldPlaneWaveSet,
     PlaneWave,
@@ -293,6 +294,66 @@ class TestIteration:
         step2 = np.abs(o3 - o2).max()
         assert step1 > 0
         assert step2 < step1  # weak-coupling fixed point contracts
+
+
+class TestGtildeOncePerK:
+    """G~(k) does not depend on omega: one gaussian_ft per source, k and pass."""
+
+    def count_calls(self, monkeypatch):
+        calls = []
+        original = selfconsistent.gaussian_ft
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(selfconsistent, "gaussian_ft", counted)
+        return calls
+
+    def setup_method(self):
+        coords = np.array([[0.2, -0.4], [-0.1, 0.3], [0.8, 0.5]])
+        self.spec = charge_spec(coords, np.array([[2.0, 0.3], [0.3, 1.5]]), np.eye(2) * 0.25)
+        self.ext, _ = prepare(self.spec)
+        self.waves = FieldPlaneWaveSet(
+            np.linspace(0.5, 1.5, 7),
+            (
+                PlaneWave([0.05, 0.0, 0.0], [0.0, 1.0, 0.0]),
+                PlaneWave([0.0, 0.1, 0.02], [1.0, 0.0, 0.0]),
+            ),
+        )
+        self.points = np.array([[0.3, 0.1, 0.0], [0.1, -0.2, 0.4], [0.2, 0.2, 0.2]])
+
+    def test_first_order(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        emitted_field_first_order(self.ext, self.spec, self.waves, self.points)
+        assert len(calls) == self.spec.n * (len(self.points) + len(self.waves.waves))
+
+    @pytest.mark.parametrize("orders,per_point", [(1, 1), (3, 2)])
+    def test_iterate(self, monkeypatch, orders, per_point):
+        # orders > 1 adds G~(-k) of every node
+        calls = self.count_calls(monkeypatch)
+        weights = np.full(len(self.points), 0.01)
+        emitted_field_iterate(self.ext, self.spec, self.waves, self.points, weights, orders)
+        expected = per_point * len(self.points) + len(self.waves.waves)
+        assert len(calls) == self.spec.n * expected
+
+    def test_iterate_matches_per_frequency_kernels(self):
+        # the node feedback built from scattering_T at each frequency
+        weights = np.full(len(self.points), 0.01)
+        got = emitted_field_iterate(self.ext, self.spec, self.waves, self.points, weights, 2)
+        first, _ = emitted_field_first_order(self.ext, self.spec, self.waves, self.points)
+        w = self.spec.coords
+        for iw, omega in enumerate(self.waves.omega_grid):
+            fold = sum(
+                wj * scattering_T(self.ext, self.spec, -k, omega) @ first[iw, j]
+                for j, (k, wj) in enumerate(zip(self.points, weights))
+            )
+            for i, k in enumerate(self.points):
+                gt = np.array(
+                    [gaussian_ft(k, w[:, a], self.spec.covariances[a]) for a in range(self.spec.n)]
+                )
+                want = first[iw, i] + green_tensor(k, omega) @ (w * gt[None, :]) @ fold
+                assert_allclose(got[iw, i], want, rtol=1e-12)
 
 
 class TestRealSpaceMap:

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import assert_multiset_close, stable_spec
@@ -68,6 +70,44 @@ class TestEigendecompose:
         assert np.array_equal(order, np.arange(a.values.size))
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.right_vectors, b.right_vectors)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**16))
+    def test_real_medium_matches_complex_eig(self, n, seed):
+        # real K and Gamma take the real eigensolver; the complex one on
+        # sqrt_kappa itself is the oracle
+        spec = stable_spec(seed=seed, n=n)
+        assert not np.any(spec.kernel.imag) and not np.any(spec.damping.imag)
+        ext = build_sqrt_kappa(spec)
+        eig = eigendecompose(ext)
+        oracle = np.linalg.eigvals(ext.sqrt_kappa)
+        assert_multiset_close(eig.values, oracle, tol=1e-10 * np.abs(oracle).max())
+        V = eig.right_vectors
+        resid = np.linalg.norm(ext.sqrt_kappa @ V - V * eig.values)
+        assert resid < 1e-12 * np.linalg.norm(ext.sqrt_kappa)
+        # real arithmetic: conjugate pairs and Re mu = 0 are exact
+        mirror = -np.conj(eig.values)
+        assert np.array_equal(np.sort_complex(eig.values), np.sort_complex(mirror))
+
+    def test_overdamped_scalar_purely_imaginary(self):
+        # M = [[0, -1], [1, 4]] has the real roots 2 -/+ sqrt(3)
+        eig = eigendecompose(build_sqrt_kappa(simple_spec([[1.0]], [[2.0]])))
+        assert eig.values.dtype == complex and eig.right_vectors.dtype == complex
+        assert np.all(eig.values.real == 0.0)
+        assert_allclose(eig.values.imag, [2.0 - np.sqrt(3.0), 2.0 + np.sqrt(3.0)], rtol=1e-14)
+
+    @pytest.mark.parametrize("part", ["kernel", "damping"])
+    def test_complex_medium_decomposes(self, part):
+        spec = stable_spec(seed=12, n=4)
+        rng = np.random.default_rng(12)
+        spec = replace(spec, **{part: getattr(spec, part) + 0.05j * rng.standard_normal((4, 4))})
+        ext = build_sqrt_kappa(spec)
+        eig = eigendecompose(ext)
+        V = eig.right_vectors
+        resid = np.linalg.norm(ext.sqrt_kappa @ V - V * eig.values)
+        assert resid < 1e-12 * np.linalg.norm(ext.sqrt_kappa)
+        oracle = np.linalg.eigvals(ext.sqrt_kappa)
+        assert_multiset_close(eig.values, oracle, tol=1e-10 * np.abs(oracle).max())
 
     def test_defective_raises(self):
         # nilpotent kernel: all extended eigenvalues are a single Jordan chain
