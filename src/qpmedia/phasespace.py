@@ -62,14 +62,21 @@ def decompose_generator(ext: ExtendedOperator) -> EigenSystem:
     return ext._generator_eigensystem
 
 
-def _lambda_at(ext, jb_eig: EigenSystem, t: float):
-    """exp(J B t), by eigenmodes when well conditioned, else scaling/squaring."""
+def _lambda_at(ext, jb_eig: EigenSystem, t: float, rhs=None):
+    """exp(J B t), by eigenmodes when well conditioned, else scaling/squaring.
+
+    With a vector ``rhs`` it returns exp(J B t) @ rhs without forming the
+    matrix on the eigenmode route (O((4n)^2)); only the Delta_t quadrature
+    passes one.  Lambda_t of a grid point or of ``correlation_time`` is the
+    matrix.
+    """
     if jb_eig.defective:
         # imported on the fallback alone, to keep scipy off every qpm start-up
         import scipy.linalg
 
-        return scipy.linalg.expm(ext.gen_JB * t)
-    return jb_eig.function_of(np.exp(jb_eig.values * t))
+        lam = scipy.linalg.expm(ext.gen_JB * t)
+        return lam if rhs is None else lam @ rhs
+    return jb_eig.function_of(np.exp(jb_eig.values * t), rhs)
 
 
 def _thermal_spectral(ext: ExtendedOperator) -> EigenSystem:
@@ -95,15 +102,17 @@ def _drive_vector(ext: ExtendedOperator, drive):
 def _advance_delta(ext, jb_eig: EigenSystem, drive, delta, t0, t1, quad_step: float):
     """Delta at t1 from Delta at t0: fixed Simpson steps of Delta' = Lambda_s J C_s.
 
-    Each step takes Lambda_s and J C_s at its two ends and its midpoint, the
-    nodes of the RK4 step the reference integrators use.
+    Each step takes Lambda_s J C_s at its two ends and its midpoint, the
+    nodes of the RK4 step the reference integrators use.  Each node costs one
+    2n solve for J C_s and one action of exp(J B s) on that vector; no 4n x 4n
+    propagator is formed.  A step t1 < t0 integrates backward.
     """
     steps = max(1, int(round(abs(t1 - t0) / quad_step)))
     h = (t1 - t0) / steps
     s = t0
     for _ in range(steps):
         k1, kmid, k4 = (
-            _lambda_at(ext, jb_eig, x) @ _drive_vector(ext, drive_value(drive, x))
+            _lambda_at(ext, jb_eig, x, _drive_vector(ext, drive_value(drive, x)))
             for x in (s, s + h / 2.0, s + h)
         )
         delta = delta + h / 6.0 * (k1 + 4.0 * kmid + k4)
@@ -120,9 +129,10 @@ def propagator_at(
     """Propagator (Lambda_t, Delta_t) at a single time.
 
     Lambda_t comes from the generator eigendecomposition (with a silent
-    scaling-and-squaring fallback for ill-conditioned eigenvectors);
-    Delta_t integrates Delta' = Lambda_s J C_s with the same fixed RK4 step
-    the reference integrators use.
+    scaling-and-squaring fallback for ill-conditioned eigenvectors); it is
+    the one 4n x 4n matrix formed here.  Delta_t integrates
+    Delta' = Lambda_s J C_s with the same fixed RK4 step the reference
+    integrators use, applying exp(J B s) to the drive vector at each node.
     """
     jb_eig = decompose_generator(ext)
     delta = np.zeros(jb_eig.values.size, dtype=complex)
@@ -133,10 +143,15 @@ def propagator_at(
 
 
 def symplectic_inverse(lam: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Lambda^{-1} = J Lambda^T J^T, exact for any symplectic matrix."""
+    """Lambda^{-1} = J Lambda^T J^T, exact for any symplectic matrix.
+
+    With Lambda = [[A, B], [C, D]] that product is the signed block
+    transpose [[D^T, -B^T], [-C^T, A^T]], assembled here without a product.
+    """
     N = lam.shape[0] // 2
-    J = symplectic_form(N)
-    return J @ lam.T @ J.T
+    a, b = lam[:N, :N], lam[:N, N:]
+    c, d = lam[N:, :N], lam[N:, N:]
+    return np.block([[d.T, -b.T], [-c.T, a.T]])
 
 
 def evolve_state(state: GaussianState, prop: Propagator) -> GaussianState:
@@ -154,7 +169,11 @@ def propagate_mean(
     t_grid,
     quad_step: float = 1e-3,
 ) -> NDArray[np.complex128]:
-    """Mean trajectory over a time grid with a single forward Delta sweep."""
+    """Mean trajectory over a time grid with a single Delta sweep.
+
+    Delta is carried from one sample to the next, forward or backward, so
+    the grid need not be increasing; a driven grid must start at t=0.
+    """
     jb_eig = decompose_generator(ext)
     t_grid = np.asarray(t_grid, dtype=float)
     q0 = np.asarray(q0, dtype=complex)
@@ -165,7 +184,7 @@ def propagate_mean(
     if t_grid[0] != 0.0 and drive is not None:
         raise ValueError("driven mean propagation expects a grid starting at t=0")
     for i, t in enumerate(t_grid):
-        if drive is not None and t > prev_t:
+        if drive is not None and t != prev_t:
             delta = _advance_delta(ext, jb_eig, drive, delta, prev_t, t, quad_step)
             prev_t = t
         out[i] = symplectic_inverse(_lambda_at(ext, jb_eig, t)) @ (q0 - delta)

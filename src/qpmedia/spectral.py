@@ -78,9 +78,18 @@ class EigenSystem:
     cond: float
     defective: bool
 
-    def function_of(self, values) -> NDArray[np.complex128]:
-        """f(M) = V diag(f(lambda)) V^{-1}, given ``values`` = f(lambda)."""
-        return (self.right_vectors * values) @ self.inverse_vectors
+    def function_of(self, values, rhs=None) -> NDArray[np.complex128]:
+        """f(M) = V diag(f(lambda)) V^{-1}, given ``values`` = f(lambda).
+
+        With a vector ``rhs`` it returns the action f(M) @ rhs as
+        V (f(lambda) * (V^{-1} rhs)), two O(m^2) products instead of the
+        O(m^3) matrix; the Delta_t quadrature takes this route.  Every other
+        caller (Lambda_t, the thermal cotangent, the bath's Bose-Einstein
+        matrix, the rebuilt kappa) passes no ``rhs`` and gets the matrix.
+        """
+        if rhs is None:
+            return (self.right_vectors * values) @ self.inverse_vectors
+        return self.right_vectors @ (values * (self.inverse_vectors @ rhs))
 
 
 def _eigensystem(values, vectors) -> EigenSystem:

@@ -6,11 +6,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import scalar_spec, stable_spec
+from qpmedia.builders import build_synthetic
 from qpmedia.errors import ThermalSingularity
 from qpmedia.medium import (
     KickDrive,
     MonochromaticDrive,
+    TabulatedDrive,
     consistent_extended_ic,
+    drive_value,
     integrate_reference_extended,
     simple_spec,
     zero_drive,
@@ -18,6 +21,8 @@ from qpmedia.medium import (
 from qpmedia.openquantum import correlation_time
 from qpmedia.phasespace import (
     GaussianState,
+    _drive_vector,
+    _lambda_at,
     consistent_mean,
     decompose_generator,
     evolve_state,
@@ -27,7 +32,7 @@ from qpmedia.phasespace import (
     symplectic_inverse,
     thermal_state,
 )
-from qpmedia.spectral import prepare, symplectic_form
+from qpmedia.spectral import EigenSystem, prepare, symplectic_form
 
 
 def sym_spec(seed, n):
@@ -59,6 +64,21 @@ class TestPropagator:
             lam = prop.lambda_t
             assert np.linalg.norm(lam @ J @ lam.T - J) < 1e-10
             assert np.linalg.norm(np.linalg.inv(lam) - symplectic_inverse(lam)) < 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.integers(1, 6), seed=st.integers(0, 2**16))
+    def test_symplectic_inverse_is_signed_block_transpose(self, N, seed):
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal((2 * N, 2 * N)) + 1j * rng.standard_normal((2 * N, 2 * N))
+        J = symplectic_form(N)
+        assert np.array_equal(symplectic_inverse(M), J @ M.T @ J.T)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**16), t=st.floats(-1.0, 1.0))
+    def test_symplectic_inverse_of_propagator(self, n, seed, t):
+        ext, _ = prepare(stable_spec(seed=seed, n=n))
+        lam = propagator_at(ext, t).lambda_t
+        assert np.linalg.norm(symplectic_inverse(lam) @ lam - np.eye(4 * n)) < 1e-12
 
     def test_semigroup(self):
         spec = stable_spec(seed=72, n=2)
@@ -93,6 +113,71 @@ class TestPropagator:
             assert t == 0.0 or np.abs(prop.delta_t).max() > 0.0
             got = symplectic_inverse(prop.lambda_t) @ (q0 - prop.delta_t)
             assert_allclose(got, row, rtol=1e-11, atol=1e-12 * np.abs(row).max())
+
+    @pytest.mark.parametrize("omega0", [None, 1.7])
+    def test_grid_in_any_order_matches_per_sample_propagator(self, omega0):
+        # Delta is carried backward as well as forward between samples
+        spec = build_synthetic(3, 1)
+        ext, _ = prepare(spec)
+        amp = np.ones(3)
+        drive = KickDrive(amp) if omega0 is None else MonochromaticDrive(amp, omega0)
+        q0 = np.random.default_rng(3).standard_normal(12).astype(complex)
+        t_grid = [0.0, 0.2, 0.1, -0.1]
+        means = propagate_mean(ext, drive, q0, t_grid)
+        for t, row in zip(t_grid, means):
+            prop = propagator_at(ext, t, drive=drive)
+            want = symplectic_inverse(prop.lambda_t) @ (q0 - prop.delta_t)
+            assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestPropagatorAction:
+    """exp(J_B t) applied to a drive vector without forming the matrix."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+        kind=st.sampled_from(["kick", "monochromatic", "tabulated"]),
+        t=st.floats(-2.0, 2.0),
+    )
+    def test_action_equals_matrix_times_vector(self, n, seed, kind, t):
+        ext, _ = prepare(stable_spec(seed=seed, n=n))
+        jb_eig = decompose_generator(ext)
+        rng = np.random.default_rng(seed)
+        amp = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        if kind == "kick":
+            drive = KickDrive(amp)
+        elif kind == "monochromatic":
+            drive = MonochromaticDrive(amp, rng.uniform(0.1, 3.0))
+        else:
+            times = np.linspace(-2.0, 2.0, 9)
+            drive = TabulatedDrive(
+                times, rng.standard_normal((9, n)), rng.standard_normal((9, n))
+            )
+        v = _drive_vector(ext, drive_value(drive, t))
+        want = _lambda_at(ext, jb_eig, t) @ v
+        got = _lambda_at(ext, jb_eig, t, v)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_quadrature_forms_one_matrix_per_grid_point(self, monkeypatch):
+        spec = build_synthetic(40, 1)
+        ext, _ = prepare(spec)
+        decompose_generator(ext)
+        forms = []
+        original = EigenSystem.function_of
+
+        def counted(self, values, rhs=None):
+            if rhs is None:
+                forms.append(values.size)
+            return original(self, values, rhs)
+
+        monkeypatch.setattr(EigenSystem, "function_of", counted)
+        t_grid = [0.0, 0.02, 0.04]
+        q0 = np.zeros(160, dtype=complex)
+        q0[80] = 1.0
+        propagate_mean(ext, KickDrive(np.ones(40)), q0, t_grid)
+        # 40 quadrature steps of three nodes act on vectors only
+        assert forms == [160] * len(t_grid)
 
 
 class TestEvolveState:
@@ -218,6 +303,20 @@ class TestExpmFallback:
         got = correlation_time(self.ext, state, 0.7)
         want = scipy.linalg.expm(-self.ext.gen_JB * 0.7) @ xi0
         assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+    def test_kicked_mean_matches_oracle(self):
+        # the Delta_t quadrature applies expm(J_B s) to the drive vector
+        spec = simple_spec([[0.0]], [[0.1]])
+        drive = KickDrive([0.7])
+        x0, xdot0 = consistent_extended_ic(spec, [0.3], [-0.2], drive)
+        fine = np.arange(0.0, 4.0 + 1e-12, 1e-3)
+        oracle = integrate_reference_extended(spec, drive, x0, xdot0, fine)
+        stride = 250
+        q0 = consistent_mean(self.ext, x0, xdot0)
+        means = propagate_mean(self.ext, drive, q0, fine[::stride], quad_step=1e-3)
+        assert decompose_generator(self.ext).defective
+        assert np.abs(means[-1, 2:]).max() > 0.1
+        assert np.abs(means[:, 2:] - oracle.x[::stride]).max() < 1e-10
 
     def test_thermal_state_refused(self):
         with pytest.raises(ThermalSingularity, match="ill-conditioned"):
