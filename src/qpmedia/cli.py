@@ -248,6 +248,10 @@ def _run_propagate(config: argparse.Namespace) -> list[Path]:
     ext, _ = spectral.prepare(spec)
     x0, xdot0 = consistent_extended_ic(spec, u0, v0, drive)
     q0 = phasespace.consistent_mean(ext, x0, xdot0)
+    if config.cov_out:  # built first, so that a bad --hbar writes no file
+        state0 = phasespace.GaussianState(
+            mean=q0, cov=(config.hbar / 2.0) * np.eye(4 * n), hbar=config.hbar
+        )
     means = phasespace.propagate_mean(ext, drive, q0, t_grid)
     xs = means[:, 2 * n :]
     header = ["t"]
@@ -265,9 +269,6 @@ def _run_propagate(config: argparse.Namespace) -> list[Path]:
     if config.cov_out:
         cov_dir = Path(config.cov_out)
         cov_dir.mkdir(parents=True, exist_ok=True)
-        state0 = phasespace.GaussianState(
-            mean=q0, cov=(config.hbar / 2.0) * np.eye(4 * n), hbar=config.hbar
-        )
         cov_fmt = _fmt_row(4 * n, "%.12g;%.12g")
         for idx, t in enumerate(t_grid):
             # the covariance never reads Delta_t, so the drive is left out

@@ -34,9 +34,9 @@ class SingularSimilarity(QpmError):
 class SingularAtFrequency(QpmError):
     """The response solve is singular at a requested frequency."""
 
-    def __init__(self, omega: float, message: str | None = None):
+    def __init__(self, omega: float):
         self.omega = omega
-        super().__init__(message or f"response matrix singular at omega={omega!r}")
+        super().__init__(f"response matrix singular at omega={omega!r}")
 
 
 class ZeroMode(QpmError):
@@ -50,17 +50,17 @@ class SingularEffectiveSigma(QpmError):
 class ResonantFrequency(QpmError):
     """The frequency-domain generator solve hit an exact resonance."""
 
-    def __init__(self, omega: float, message: str | None = None):
+    def __init__(self, omega: float):
         self.omega = omega
-        super().__init__(message or f"generator solve singular at omega={omega!r}")
+        super().__init__(f"generator solve singular at omega={omega!r}")
 
 
 class SingularAuxiliary(QpmError):
     """The auxiliary-field response matrix is singular at this frequency."""
 
-    def __init__(self, omega: float, message: str | None = None):
+    def __init__(self, omega: float):
         self.omega = omega
-        super().__init__(message or f"auxiliary response singular at omega={omega!r}")
+        super().__init__(f"auxiliary response singular at omega={omega!r}")
 
 
 class ThermalSingularity(QpmError):
@@ -70,20 +70,18 @@ class ThermalSingularity(QpmError):
 class FrequencyNotCovered(QpmError):
     """Bohr frequencies fall outside the tabulated correlation grid."""
 
-    def __init__(self, missing, message: str | None = None):
+    def __init__(self, missing):
         self.missing = tuple(missing)
-        super().__init__(
-            message or f"correlation grid does not cover frequencies {self.missing!r}"
-        )
+        super().__init__(f"correlation grid does not cover frequencies {self.missing!r}")
 
 
 class LightConeSingularity(QpmError):
     """A field query point sits exactly on the light cone."""
 
-    def __init__(self, k, omega, message: str | None = None):
+    def __init__(self, k, omega):
         self.k = k
         self.omega = omega
-        super().__init__(message or f"light-cone singularity at k={k!r}, omega={omega!r}")
+        super().__init__(f"light-cone singularity at k={k!r}, omega={omega!r}")
 
 
 class MalformedXYZ(QpmError):

@@ -5,6 +5,9 @@ transforms of the two-time function <q(t) q(0)> resolve into a frequency-
 dependent decoherence matrix gamma and a Lamb-shift matrix S; combined with
 the Bohr decomposition of a small system's coupling operators they assemble
 the Markovian master equation.
+
+Parameter domains: eta >= 0, beta > 0 and hbar > 0, all finite.  Anything
+else raises a ValueError that names the parameter before any solve.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import FrequencyNotCovered, ThermalSingularity
-from .phasespace import GaussianState, _lambda_at, _thermal_spectral, decompose_generator
+from .phasespace import (
+    GaussianState, _lambda_at, _positive_finite, _thermal_spectral, decompose_generator
+)
 from .selfconsistent import auxiliary_response
 from .spectral import ExtendedOperator, _generator, _resolvent_solve, symplectic_form
 
@@ -63,12 +68,19 @@ def x_block(matrix: NDArray[np.complex128]) -> NDArray[np.complex128]:
     return matrix[N:, N:]
 
 
-def _assemble_set(omega_grid, xi_full) -> CorrelationSet:
-    xi = np.array([x_block(m) for m in xi_full])
-    gamma = xi + np.conj(np.transpose(xi, (0, 2, 1)))
-    s_ls = (xi - np.conj(np.transpose(xi, (0, 2, 1)))) / 2j
+def _x_sweep(ext: ExtendedOperator, omega_grid, eta: float, rhs_x, finish) -> CorrelationSet:
+    """Xi(omega) on the x-block, one resolvent solve per grid frequency.
+
+    A column of the solution depends only on the same column of the
+    right-hand side, so only the 2n x-columns ``rhs_x`` are solved for;
+    ``finish`` maps each solved 4n x 2n block to its 2n x 2n x-block.
+    """
+    if not 0 <= eta < np.inf:
+        raise ValueError("eta must be non-negative and finite")
     grid = np.asarray(omega_grid, dtype=float)
-    return CorrelationSet(omega_grid=grid, xi=xi, gamma=gamma, s_ls=s_ls)
+    xi = np.array([finish(_resolvent_solve(ext, w, rhs_x, eta)) for w in grid])
+    xi_dag = np.conj(np.transpose(xi, (0, 2, 1)))
+    return CorrelationSet(omega_grid=grid, xi=xi, gamma=xi + xi_dag, s_ls=(xi - xi_dag) / 2j)
 
 
 def correlation_frequency(
@@ -76,19 +88,16 @@ def correlation_frequency(
 ) -> CorrelationSet:
     """Half-domain transform of the correlation matrix, eta-regularized.
 
-    Xi(omega) = i ((omega + i eta) E + i J_B)^{-1} Xi(0); the limit
-    eta -> 0+ is studied by sweeping eta from the caller.
+    Xi(omega) = i ((omega + i eta) E + i J_B)^{-1} Xi(0), restricted to the
+    x-block; the limit eta -> 0+ is studied by sweeping eta from the caller.
     """
-    if eta < 0:
-        raise ValueError("eta must be non-negative")
-    omega_grid = np.asarray(omega_grid, dtype=float)
+    N = 2 * ext.n
     xi0 = _initial_moment_matrix(state0)
-    out = [1j * _resolvent_solve(ext, w, xi0, eta) for w in omega_grid]
-    return _assemble_set(omega_grid, out)
+    return _x_sweep(ext, omega_grid, eta, xi0[:, N:], lambda y: 1j * y[N:])
 
 
 def _bose_einstein_matrix(ext: ExtendedOperator, beta: float, hbar: float):
-    jb_eig = _thermal_spectral(ext)
+    jb_eig = _thermal_spectral(ext, beta, hbar)
     args = hbar * beta * 1j * jb_eig.values
     denom = np.expm1(args)
     if np.any(np.abs(denom) < 1e-12):
@@ -100,25 +109,24 @@ def _bose_einstein_matrix(ext: ExtendedOperator, beta: float, hbar: float):
 def thermal_correlation(
     ext: ExtendedOperator, beta: float, hbar: float, omega_grid, eta: float
 ) -> CorrelationSet:
-    """Thermal-state correlations through the matrix Bose-Einstein factor."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    omega_grid = np.asarray(omega_grid, dtype=float)
+    """Thermal-state correlations through the matrix Bose-Einstein factor.
+
+    Xi(omega) = -hbar (z E + i J_B)^{-1} n_BE J on the x-block; the
+    x-columns of n_BE J are the first 2n columns of n_BE.
+    """
+    N = 2 * ext.n
     nbe = _bose_einstein_matrix(ext, beta, hbar)
-    rhs = nbe @ symplectic_form(2 * ext.n)
-    out = [-hbar * _resolvent_solve(ext, w, rhs, eta) for w in omega_grid]
-    return _assemble_set(omega_grid, out)
+    return _x_sweep(ext, omega_grid, eta, nbe[:, :N], lambda y: -hbar * y[N:])
 
 
 def classical_correlation(
     ext: ExtendedOperator, beta: float, omega_grid, eta: float
 ) -> CorrelationSet:
     """hbar -> 0 limit of the thermal correlations (scales as 1/beta)."""
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    prefactor = -np.linalg.inv(beta * 1j * _generator(ext))
-    J = symplectic_form(2 * ext.n)
-    out = [prefactor @ _resolvent_solve(ext, w, J, eta) for w in omega_grid]
-    return _assemble_set(omega_grid, out)
+    _positive_finite("beta", beta)
+    N = 2 * ext.n
+    prefactor_x = -np.linalg.inv(beta * 1j * _generator(ext))[N:]
+    return _x_sweep(ext, omega_grid, eta, symplectic_form(N)[:, N:], lambda y: prefactor_x @ y)
 
 
 # ---------------------------------------------------------------------------
@@ -170,45 +178,23 @@ class BohrDecomposition:
 def bohr_decompose(coupling: SystemCoupling) -> BohrDecomposition:
     """Split every site operator over the system's Bohr frequencies.
 
-    Frequencies closer than BOHR_GROUP_TOL are merged into one cluster; the pieces
-    of each operator sum back to the operator exactly.
+    The transitions eps_j - eps_i are sorted and chained into one cluster
+    while consecutive gaps stay within BOHR_GROUP_TOL; a cluster's frequency
+    is the mean of its members.  Each transition is labelled with its
+    cluster once, and the pieces of each operator sum back to it exactly.
     """
     eps, U = np.linalg.eigh(coupling.h_system)
-    d = coupling.dim
-    raw = []
-    for i in range(d):
-        for j in range(d):
-            raw.append(eps[j] - eps[i])
-    raw.sort()
-    clusters: list[list[float]] = []
-    for x in raw:
-        if clusters and abs(x - clusters[-1][-1]) <= BOHR_GROUP_TOL:
-            clusters[-1].append(x)
-        else:
-            clusters.append([x])
-    centers = [float(np.mean(c)) for c in clusters]
-
-    def cluster_of(x: float) -> float:
-        k = int(np.argmin([abs(x - c) for c in centers]))
-        return centers[k]
-
-    ops: dict[float, list[NDArray[np.complex128]]] = {c: [] for c in centers}
-    for a_op in coupling.site_potentials:
-        a_eig = U.conj().T @ a_op @ U
-        pieces: dict[float, NDArray[np.complex128]] = {c: np.zeros((d, d), complex) for c in centers}
-        for i in range(d):
-            for j in range(d):
-                w = cluster_of(eps[j] - eps[i])
-                pieces[w][i, j] += a_eig[i, j]
-        for c in centers:
-            pieces[c] = U @ pieces[c] @ U.conj().T
-        for c in centers:
-            ops[c].append(pieces[c])
-    present = tuple(
-        c for c in centers if any(np.linalg.norm(ops[c][a]) > 0 for a in range(coupling.n_sites))
-    )
-    ops = {c: ops[c] for c in present}
-    return BohrDecomposition(frequencies=present, ops=ops)
+    gaps = eps[None, :] - eps[:, None]  # entry (i, j): eps_j - eps_i
+    ranked = np.sort(gaps, axis=None)
+    clusters = np.split(ranked, np.flatnonzero(np.diff(ranked) > BOHR_GROUP_TOL) + 1)
+    label = np.searchsorted([c[0] for c in clusters], gaps, side="right") - 1
+    a_eig = [U.conj().T @ a_op @ U for a_op in coupling.site_potentials]
+    ops: dict[float, list[NDArray[np.complex128]]] = {}
+    for k, cluster in enumerate(clusters):
+        pieces = [U @ np.where(label == k, a, 0) @ U.conj().T for a in a_eig]
+        if any(np.linalg.norm(p) > 0 for p in pieces):
+            ops[float(np.mean(cluster))] = pieces
+    return BohrDecomposition(frequencies=tuple(ops), ops=ops)
 
 
 def _interp_tensor(grid, tensor, x: float):
@@ -225,71 +211,52 @@ def _interp_tensor(grid, tensor, x: float):
 
 
 def coupling_operators(coupling: SystemCoupling, bohr: BohrDecomposition, freq_energy: float):
-    """Direct and auxiliary channel operators at one Bohr energy.
+    """Direct and auxiliary channel operators at one Bohr energy, stacked.
 
     The first n operators are the site pieces A_alpha(omega); the next n are
-    the auxiliary-channel combinations driven by the medium's response at
-    the matching oscillation frequency.
+    the auxiliary-channel combinations sum_nu L_alpha,nu A_nu(omega), with L
+    the medium's auxiliary response at the matching oscillation frequency.
     """
-    a_ops = bohr.ops[freq_energy]
+    a_ops = np.array(bohr.ops[freq_energy])
     L = auxiliary_response(coupling.medium, freq_energy / coupling.hbar)
-    n = coupling.n_sites
-    b_ops = []
-    for alpha in range(n):
-        acc = np.zeros_like(a_ops[0])
-        for nu in range(n):
-            acc = acc + L[alpha, nu] * a_ops[nu]
-        b_ops.append(acc)
-    return list(a_ops) + b_ops
+    return np.concatenate([a_ops, np.tensordot(L, a_ops, axes=1)])
 
 
-def _covered_bohr(coupling: SystemCoupling, corr: CorrelationSet, bohr) -> BohrDecomposition:
-    """``bohr`` (decomposed if None) once every Bohr frequency lies on the grid."""
+def _channels(coupling: SystemCoupling, corr: CorrelationSet, table, bohr):
+    """(O, K) per Bohr frequency: the stacked channel operators O and
+    K_b = sum_a M_ab O_a^dagger, with M the ``table`` (gamma or S)
+    interpolated there, so that sum_ab M_ab O_a^dagger X O_b = sum_b K_b X O_b.
+
+    ``bohr`` is decomposed if None; FrequencyNotCovered lists every Bohr
+    frequency off the grid.
+    """
     bohr = bohr_decompose(coupling) if bohr is None else bohr
     grid, hbar = corr.omega_grid, coupling.hbar
     missing = [w / hbar for w in bohr.frequencies if not grid[0] <= w / hbar <= grid[-1]]
     if missing:
         raise FrequencyNotCovered(missing)
-    return bohr
+    for w in bohr.frequencies:
+        ops = coupling_operators(coupling, bohr, w)
+        m = _interp_tensor(grid, table, w / hbar)
+        yield ops, np.tensordot(m, ops.conj().transpose(0, 2, 1), axes=(0, 0))
 
 
 def lamb_shift(coupling: SystemCoupling, corr: CorrelationSet, bohr=None):
     """Hermitian Lamb-shift operator; commutes with the system Hamiltonian."""
-    bohr = _covered_bohr(coupling, corr, bohr)
-    hbar = coupling.hbar
-    d = coupling.dim
-    h_ls = np.zeros((d, d), dtype=complex)
-    for w in bohr.frequencies:
-        ops = coupling_operators(coupling, bohr, w)
-        s_mat = _interp_tensor(corr.omega_grid, corr.s_ls, w / hbar)
-        for a in range(len(ops)):
-            for b in range(len(ops)):
-                if s_mat[a, b] == 0:
-                    continue
-                h_ls += s_mat[a, b] * (ops[a].conj().T @ ops[b])
-    return h_ls / hbar
+    h_ls = np.zeros((coupling.dim, coupling.dim), dtype=complex)
+    for ops, k in _channels(coupling, corr, corr.s_ls, bohr):
+        h_ls += (k @ ops).sum(axis=0)
+    return h_ls / coupling.hbar
 
 
 def dissipator(coupling: SystemCoupling, corr: CorrelationSet, rho, bohr=None):
     """Decoherence superoperator applied to one density matrix."""
-    bohr = _covered_bohr(coupling, corr, bohr)
-    hbar = coupling.hbar
     rho = np.asarray(rho, dtype=complex)
     out = np.zeros_like(rho)
-    for w in bohr.frequencies:
-        ops = coupling_operators(coupling, bohr, w)
-        g_mat = _interp_tensor(corr.omega_grid, corr.gamma, w / hbar)
-        for a in range(len(ops)):
-            oa_dag = ops[a].conj().T
-            for b in range(len(ops)):
-                g = g_mat[a, b]
-                if g == 0:
-                    continue
-                ob = ops[b]
-                sandwich = ob @ rho @ oa_dag
-                anticomm = oa_dag @ ob @ rho + rho @ oa_dag @ ob
-                out += g * (sandwich - 0.5 * anticomm)
-    return out / hbar**2
+    for ops, k in _channels(coupling, corr, corr.gamma, bohr):
+        k_ops = (k @ ops).sum(axis=0)
+        out += (ops @ rho @ k).sum(axis=0) - 0.5 * (k_ops @ rho + rho @ k_ops)
+    return out / coupling.hbar**2
 
 
 def assemble_master_equation(coupling: SystemCoupling, corr: CorrelationSet, rho):

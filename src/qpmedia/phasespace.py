@@ -25,6 +25,12 @@ from .spectral import (
 )
 
 
+def _positive_finite(name: str, value: float) -> None:
+    """Reject a physical scale (hbar, beta) that is not positive and finite."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """Mean vector and (complex, symmetric) covariance of a Gaussian state."""
@@ -38,8 +44,7 @@ class GaussianState:
         cov = np.asarray(self.cov, dtype=complex)
         if cov.shape != (mean.size, mean.size):
             raise ValueError("covariance shape does not match the mean")
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        _positive_finite("hbar", self.hbar)
         asym = np.linalg.norm(cov - cov.T)
         scale = max(np.linalg.norm(cov), 1.0)
         if asym > 1e-10 * scale:
@@ -79,8 +84,10 @@ def _lambda_at(ext, jb_eig: EigenSystem, t: float, rhs=None):
     return jb_eig.function_of(np.exp(jb_eig.values * t), rhs)
 
 
-def _thermal_spectral(ext: ExtendedOperator) -> EigenSystem:
-    """The J B eigensystem that a thermal matrix function is built on."""
+def _thermal_spectral(ext: ExtendedOperator, beta: float, hbar: float) -> EigenSystem:
+    """The J B eigensystem that a thermal matrix function of beta, hbar is built on."""
+    _positive_finite("beta", beta)
+    _positive_finite("hbar", hbar)
     jb_eig = decompose_generator(ext)
     if jb_eig.defective:
         raise ThermalSingularity(
@@ -201,9 +208,7 @@ def consistent_mean(ext: ExtendedOperator, x0, xdot0) -> NDArray[np.complex128]:
 
 def thermal_state(ext: ExtendedOperator, beta: float, hbar: float) -> GaussianState:
     """Thermal Gaussian state: zero mean, matrix-cotangent covariance."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    jb_eig = _thermal_spectral(ext)
+    jb_eig = _thermal_spectral(ext, beta, hbar)
     args = hbar * beta * jb_eig.values / 2.0
     sin = np.sin(args)
     if np.any(np.abs(sin) < 1e-12 * np.maximum(1.0, np.abs(np.cos(args)))):

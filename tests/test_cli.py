@@ -326,21 +326,6 @@ class TestCovDump:
         assert len(body) == 2 + 4  # 4x4 covariance
 
 
-class TestThreadCap:
-    def test_sweep_identical_under_threads(self, model_file, tmp_path, monkeypatch):
-        out_a = tmp_path / "a.csv"
-        out_b = tmp_path / "b.csv"
-        args = lambda out: [
-            "spectrum", "--model", str(model_file), "--omega-min", "0.5",
-            "--omega-max", "3.0", "--omega-step", "0.1", "--out", str(out),
-        ]
-        monkeypatch.delenv("QPM_THREADS", raising=False)
-        assert main(args(out_a)) == 0
-        monkeypatch.setenv("QPM_THREADS", "4")
-        assert main(args(out_b)) == 0
-        assert out_a.read_bytes() == out_b.read_bytes()
-
-
 class TestStartup:
     def test_cli_import_loads_no_scipy(self):
         # scipy is imported only by qpm build and the expm fallback
@@ -451,6 +436,32 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError: ")
         assert "time" in err
+        assert not out.exists() and not cov_dir.exists()
+
+    @pytest.mark.parametrize(
+        "subcommand,flags,name",
+        [
+            ("bath", ["--beta", "1", "--eta=-1e-4"], "eta"),
+            ("bath", ["--beta", "1", "--eta", "nan"], "eta"),
+            ("bath", ["--beta", "nan"], "beta"),
+            ("bath", ["--beta", "inf"], "beta"),
+            ("bath", ["--beta", "1", "--hbar", "nan"], "hbar"),
+            ("bath", ["--beta", "1", "--hbar=-1"], "hbar"),
+            ("propagate", ["--hbar", "nan"], "hbar"),
+        ],
+    )
+    def test_ill_posed_physical_parameter_rejected(
+        self, model_file, tmp_path, capsys, subcommand, flags, name
+    ):
+        out = tmp_path / "out.csv"
+        cov_dir = tmp_path / "covs"
+        window = {
+            "bath": ["--omega-min", "1", "--omega-max", "2", "--omega-step", "0.5"],
+            "propagate": ["--t-max", "0.2", "--t-step", "0.1", "--cov-out", str(cov_dir)],
+        }[subcommand]
+        code = main([subcommand, "--model", str(model_file), "--out", str(out), *window, *flags])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: ValueError: {name} must be")
         assert not out.exists() and not cov_dir.exists()
 
     def test_usage_error_exit_code(self):

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import fock_ladder, scalar_spec, stable_spec
 from qpmedia.errors import FrequencyNotCovered, ThermalSingularity
 from qpmedia.openquantum import (
     SystemCoupling,
+    _interp_tensor,
     assemble_master_equation,
     bohr_decompose,
     classical_correlation,
     correlation_frequency,
+    coupling_operators,
     correlation_time,
     dissipator,
     lamb_shift,
@@ -297,3 +301,78 @@ class TestMasterEquation:
         narrow = thermal_correlation(cpl.medium, 1.0, 1.0, np.linspace(0.0, 0.5, 11), 1e-3)
         with pytest.raises(FrequencyNotCovered):
             assemble_master_equation(cpl, narrow, np.eye(2, dtype=complex) / 2)
+
+
+def random_coupling(d, n, seed, degenerate):
+    """A d-level system with n Hermitian site operators on a random stable medium.
+
+    Degenerate systems draw their levels from {0, 1, 2}, so Bohr
+    frequencies repeat exactly; the rest draw them from a normal law.
+    """
+    rng = np.random.default_rng(seed)
+    ext, _ = prepare(stable_spec(seed=seed, n=n))
+    levels = rng.integers(0, 3, d).astype(float) if degenerate else rng.standard_normal(d)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    h = (q * levels) @ q.conj().T
+    sites = []
+    for _ in range(n):
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        sites.append(a + a.conj().T)
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = m @ m.conj().T
+    cpl = SystemCoupling(h_system=(h + h.conj().T) / 2, site_potentials=tuple(sites), medium=ext)
+    return cpl, rho / np.trace(rho)
+
+
+class TestMasterEquationValues:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        d=st.integers(1, 5),
+        n=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+        degenerate=st.booleans(),
+    )
+    def test_channel_contraction_matches_double_sum(self, d, n, seed, degenerate):
+        cpl, rho = random_coupling(d, n, seed, degenerate)
+        span = np.ptp(np.linalg.eigvalsh(cpl.h_system)) + 0.5
+        corr = thermal_correlation(cpl.medium, 1.0, 1.0, np.linspace(-span, span, 21), 1e-3)
+        bohr = bohr_decompose(cpl)
+        # the explicit sum over channel pairs (a, b) at every Bohr frequency
+        h_ls = np.zeros((d, d), complex)
+        dis = np.zeros((d, d), complex)
+        scale_ls = scale_dis = 0.0
+        for w in bohr.frequencies:
+            ops = coupling_operators(cpl, bohr, w)
+            g_mat = _interp_tensor(corr.omega_grid, corr.gamma, w)
+            s_mat = _interp_tensor(corr.omega_grid, corr.s_ls, w)
+            for a in range(len(ops)):
+                oa_dag = ops[a].conj().T
+                for b in range(len(ops)):
+                    ob = ops[b]
+                    h_ls += s_mat[a, b] * (oa_dag @ ob)
+                    anticomm = oa_dag @ ob @ rho + rho @ oa_dag @ ob
+                    dis += g_mat[a, b] * (ob @ rho @ oa_dag - 0.5 * anticomm)
+                    norms = np.linalg.norm(ops[a], 2) * np.linalg.norm(ob, 2)
+                    scale_ls += abs(s_mat[a, b]) * norms
+                    scale_dis += abs(g_mat[a, b]) * norms
+        assert np.abs(lamb_shift(cpl, corr, bohr) - h_ls).max() <= 1e-12 * scale_ls
+        assert np.abs(dissipator(cpl, corr, rho, bohr) - dis).max() <= 1e-12 * scale_dis
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(1, 5),
+        n=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+        degenerate=st.booleans(),
+    )
+    def test_pieces_are_eigenoperators_that_sum_to_the_operator(self, d, n, seed, degenerate):
+        cpl, _ = random_coupling(d, n, seed, degenerate)
+        h = cpl.h_system
+        bohr = bohr_decompose(cpl)
+        for alpha, a_op in enumerate(cpl.site_potentials):
+            scale = np.linalg.norm(a_op, 2) * max(1.0, np.linalg.norm(h, 2))
+            for w in bohr.frequencies:
+                piece = bohr.ops[w][alpha]
+                assert np.abs(h @ piece - piece @ h + w * piece).max() <= 1e-9 * scale
+            total = sum(bohr.ops[w][alpha] for w in bohr.frequencies)
+            assert np.abs(total - a_op).max() <= 1e-12 * np.linalg.norm(a_op, 2)

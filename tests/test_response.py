@@ -51,15 +51,6 @@ class TestDirect:
         b = polarizability_direct(damped_scalar, MonochromaticDrive([1.0], 0.5), grid)
         assert_allclose(a.im_alpha, b.im_alpha, rtol=0, atol=0)
 
-    def test_thread_pool_matches_serial(self, monkeypatch):
-        spec = stable_spec(seed=19, n=4)
-        grid = np.linspace(0.1, 4.0, 33)
-        monkeypatch.delenv("QPM_THREADS", raising=False)
-        serial = polarizability_direct(spec, unit_kick(4), grid)
-        monkeypatch.setenv("QPM_THREADS", "4")
-        pooled = polarizability_direct(spec, unit_kick(4), grid)
-        assert np.array_equal(serial.im_alpha, pooled.im_alpha)
-
 
 class TestDecompose:
     def test_rank1_matches_matrix_product(self):
