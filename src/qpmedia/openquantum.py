@@ -96,14 +96,15 @@ def correlation_frequency(
     return _x_sweep(ext, omega_grid, eta, xi0[:, N:], lambda y: 1j * y[N:])
 
 
-def _bose_einstein_matrix(ext: ExtendedOperator, beta: float, hbar: float):
+def _bose_einstein_x_columns(ext: ExtendedOperator, beta: float, hbar: float):
+    """The first 2n columns of n_BE = V diag(1 / (exp(i hbar beta lambda) - 1)) V^{-1}."""
     jb_eig = _thermal_spectral(ext, beta, hbar)
     args = hbar * beta * 1j * jb_eig.values
     denom = np.expm1(args)
     if np.any(np.abs(denom) < 1e-12):
         worst = jb_eig.values[np.argmin(np.abs(denom))]
         raise ThermalSingularity(f"Bose factor singular at generator eigenvalue {worst!r}")
-    return jb_eig.function_of(1.0 / denom)
+    return jb_eig.function_of(1.0 / denom, columns=slice(None, 2 * ext.n))
 
 
 def thermal_correlation(
@@ -112,11 +113,12 @@ def thermal_correlation(
     """Thermal-state correlations through the matrix Bose-Einstein factor.
 
     Xi(omega) = -hbar (z E + i J_B)^{-1} n_BE J on the x-block; the
-    x-columns of n_BE J are the first 2n columns of n_BE.
+    x-columns of n_BE J are the first 2n columns of n_BE, the only ones
+    formed.
     """
     N = 2 * ext.n
-    nbe = _bose_einstein_matrix(ext, beta, hbar)
-    return _x_sweep(ext, omega_grid, eta, nbe[:, :N], lambda y: -hbar * y[N:])
+    nbe_x = _bose_einstein_x_columns(ext, beta, hbar)
+    return _x_sweep(ext, omega_grid, eta, nbe_x, lambda y: -hbar * y[N:])
 
 
 def classical_correlation(

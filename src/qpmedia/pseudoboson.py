@@ -20,6 +20,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import SingularEffectiveSigma, ZeroMode
+from .phasespace import _positive_finite
 from .spectral import EigenSystem, _eigensystem, symplectic_form
 
 _REAL_SPECTRUM_RTOL = 1e-10
@@ -119,8 +120,7 @@ def build_pseudoboson(eig: EigenSystem, hbar: float = 1.0) -> PseudoBosonBasis:
     Requires a non-defective eigensystem with no zero mode (the inverse
     quarter root must exist).
     """
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
+    _positive_finite("hbar", hbar)
     mu = eig.values
     scale = max(np.abs(mu).max(), 1.0)
     if np.any(np.abs(mu) < 1e-12 * scale):

@@ -5,11 +5,17 @@ The dynamics of the medium is encoded in the closed-form square root
     sqrt_kappa = i [[0, -I], [K, 2 Gamma]]
 
 whose spectrum carries every resonance of the damped equation of motion.
-For real K and Gamma it is decomposed in real arithmetic, which makes the
-spectrum exactly symmetric under mu -> -conj(mu).  From its eigenvectors
-we build the symmetric similarity matrix A with kappa = A kappa^T A^{-1},
-the quadratic-Hamiltonian generator J_B, and the on-shell energy
-functional.
+From its eigenvectors we build the symmetric similarity matrix A with
+kappa = A kappa^T A^{-1}, the quadratic-Hamiltonian generator J_B, and the
+on-shell energy functional.
+
+For real K and Gamma (every medium the builders make) all of this runs in
+real arithmetic.  The eigensolver is the real one, so the spectrum is
+exactly symmetric under mu -> -conj(mu) and the eigenvectors come in exact
+conjugate pairs.  Then V = W U with W real and U block-unitary, so cond(V),
+V^{-1} and A = V V^T = W S W^T (S = +/-1) follow from the real W, and A,
+A^{-1} kappa and J_B are real.  Complex media take the same route with
+W = V and S = 1.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from .medium import MediumSpec, extended_kernel
 
 DEFECTIVE_COND_THRESHOLD = 1e8
 SINGULAR_A_COND_THRESHOLD = 1e12
+_SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -35,7 +42,8 @@ class ExtendedOperator:
     ``damping`` is the medium's Gamma, kept by :func:`build_sqrt_kappa` for
     every consumer of the drive and auxiliary channels.  ``sim_A`` (with its
     condition number) and ``gen_JB`` are attached by
-    :func:`attach_similarity` / :func:`attach_JB`; instances are immutable
+    :func:`attach_similarity` / :func:`attach_JB`; both are real (float64)
+    for real K and Gamma and complex otherwise.  Instances are immutable
     and updated via ``replace``.  The J_B eigensystem is decomposed on first
     use and cached on the instance (a ``replace``d operator starts without
     it); read it through :func:`phasespace.decompose_generator`.
@@ -44,9 +52,9 @@ class ExtendedOperator:
     kappa: NDArray[np.complex128]
     sqrt_kappa: NDArray[np.complex128]
     damping: NDArray[np.complex128]
-    sim_A: NDArray[np.complex128] | None = None
+    sim_A: NDArray[np.float64] | NDArray[np.complex128] | None = None
     sim_A_cond: float | None = None
-    gen_JB: NDArray[np.complex128] | None = None
+    gen_JB: NDArray[np.float64] | NDArray[np.complex128] | None = None
 
     @property
     def n(self) -> int:
@@ -60,12 +68,17 @@ class ExtendedOperator:
 
     @cached_property
     def _generator_eigensystem(self) -> EigenSystem:
-        return _eigensystem(*np.linalg.eig(_generator(self)))
+        return _eigensystem(*_eig(_generator(self)))
 
 
 @dataclass(frozen=True)
 class EigenSystem:
     """Eigenvalues and eigenvectors V of sqrt_kappa or of J_B.
+
+    ``basis`` W and ``signs`` S factor V = W U with U unitary and
+    U U^T = diag(S), so cond(V) = cond(W) and V V^T = W S W^T.  W is real
+    when the decomposed matrix is (see :func:`_eigensystem`); otherwise, and
+    when they are left out, W = V and S = 1.
 
     ``defective`` is set when cond(V) is not finite or exceeds
     DEFECTIVE_COND_THRESHOLD; V^{-1} (``inverse_vectors``) is then not
@@ -77,46 +90,95 @@ class EigenSystem:
     inverse_vectors: NDArray[np.complex128] | None
     cond: float
     defective: bool
+    basis: NDArray[np.float64] | NDArray[np.complex128] | None = None
+    signs: NDArray[np.float64] | None = None
 
-    def function_of(self, values, rhs=None) -> NDArray[np.complex128]:
+    def __post_init__(self):
+        if self.basis is None:
+            object.__setattr__(self, "basis", self.right_vectors)
+            object.__setattr__(self, "signs", np.ones(self.values.size))
+
+    def function_of(self, values, rhs=None, columns=slice(None)) -> NDArray[np.complex128]:
         """f(M) = V diag(f(lambda)) V^{-1}, given ``values`` = f(lambda).
 
         With a vector ``rhs`` it returns the action f(M) @ rhs as
         V (f(lambda) * (V^{-1} rhs)), two O(m^2) products instead of the
         O(m^3) matrix; the Delta_t quadrature takes this route.  Every other
         caller (Lambda_t, the thermal cotangent, the bath's Bose-Einstein
-        matrix, the rebuilt kappa) passes no ``rhs`` and gets the matrix.
+        matrix, the rebuilt kappa) passes no ``rhs`` and gets the matrix;
+        with a slice ``columns`` it forms only those columns of the matrix.
         """
         if rhs is None:
-            return (self.right_vectors * values) @ self.inverse_vectors
+            return (self.right_vectors * values) @ self.inverse_vectors[:, columns]
         return self.right_vectors @ (values * (self.inverse_vectors @ rhs))
 
 
-def _eigensystem(values, vectors) -> EigenSystem:
-    """The EigenSystem of (values, vectors); V is inverted only when trusted."""
-    cond = float(np.linalg.cond(vectors))
+def _eig(M):
+    """np.linalg.eig of M as complex arrays, with the conjugate pairs of a real M.
+
+    A real M goes to the real eigensolver, which returns each complex pair
+    as adjacent columns j, j+1, the positive imaginary part first, with
+    exactly conjugate vectors; ``pairs`` stacks those j and j+1.  A complex
+    M has no such pairing and gives ``pairs`` None.
+    """
+    lam, vectors = np.linalg.eig(M)
+    pairs = None
+    if np.isrealobj(M):
+        first = np.flatnonzero(lam.imag > 0)
+        pairs = np.stack([first, first + 1])
+    return lam.astype(complex, copy=False), vectors.astype(complex, copy=False), pairs
+
+
+def _eigensystem(values, vectors, pairs=None) -> EigenSystem:
+    """The EigenSystem of (values, vectors); V is inverted only when trusted.
+
+    ``pairs`` from :func:`_eig` marks a real decomposed matrix.  W then keeps
+    the real columns and takes sqrt(2) Re v, sqrt(2) Im v (S = +1, -1) for
+    each conjugate pair, so cond(V) and V^{-1} = U^H W^{-1} come from a real
+    SVD and a real inverse.
+    """
+    basis, signs = vectors, np.ones(values.size)
+    if pairs is not None:
+        first, second = pairs
+        basis = vectors.real.copy()
+        basis[:, first] *= _SQRT2
+        basis[:, second] = _SQRT2 * vectors.imag[:, first]
+        signs[second] = -1.0
+    cond = float(np.linalg.cond(basis))
     defective = not (np.isfinite(cond) and cond <= DEFECTIVE_COND_THRESHOLD)
-    inverse = None if defective else np.linalg.inv(vectors)
-    return EigenSystem(values, vectors, inverse, cond, defective)
+    inverse = None
+    if not defective:
+        inverse = np.linalg.inv(basis)
+        if pairs is not None:
+            # rows of a pair in U^H W^{-1}: (w_first -/+ i w_second) / sqrt(2)
+            rows = (inverse[first] - 1j * inverse[second]) / _SQRT2
+            inverse = inverse.astype(complex)
+            inverse[first] = rows
+            inverse[second] = rows.conj()
+    return EigenSystem(values, vectors, inverse, cond, defective, basis, signs)
 
 
 def build_sqrt_kappa(spec: MediumSpec) -> ExtendedOperator:
     """Assemble kappa and its closed-form square root.
 
     The construction is total: K and Gamma may be complex, singular or
-    non-diagonalizable.  The square identity is verified to a relative
-    Frobenius residual of 1e-12.
+    non-diagonalizable.  The square identity kappa = -M M, with
+    M = -i sqrt_kappa (real for real K and Gamma, and then multiplied in
+    real arithmetic), is verified to a relative Frobenius residual of 1e-12.
     """
     n = spec.n
     kappa = extended_kernel(spec)
-    sq = 1j * np.block(
+    M = np.block(
         [
             [np.zeros((n, n), dtype=complex), -np.eye(n, dtype=complex)],
             [spec.kernel, 2.0 * spec.damping],
         ]
     )
+    sq = 1j * M
+    if not np.any(M.imag):
+        M = M.real
     scale = np.linalg.norm(kappa)
-    resid = np.linalg.norm(sq @ sq - kappa)
+    resid = np.linalg.norm(M @ M + kappa)
     if scale > 0 and resid > 1e-12 * scale:
         raise AssertionError(f"square identity violated: {resid / scale:.3e}")
     return ExtendedOperator(kappa=kappa, sqrt_kappa=sq, damping=spec.damping)
@@ -150,8 +212,9 @@ def eigendecompose(ext: ExtendedOperator) -> EigenSystem:
     eigensolver, about three times cheaper than the complex one; its
     eigenvalues are then real or exact conjugate pairs, so the spectrum is
     exactly symmetric under mu -> -conj(mu) and purely imaginary mu (the
-    overdamped modes, a conserved-charge zero mode) have Re mu = 0 exactly.
-    Complex media take the complex eigensolver.
+    overdamped modes, a conserved-charge zero mode) have Re mu = 0 exactly;
+    the eigenvector pairing is carried through the sort to the real basis
+    W.  Complex media take the complex eigensolver.
 
     Eigenvalues are sorted lexicographically by (Re, Im) so repeated runs
     produce identical mode orderings.  Raises DefectiveMatrix when the
@@ -161,12 +224,13 @@ def eigendecompose(ext: ExtendedOperator) -> EigenSystem:
     M = -1j * ext.sqrt_kappa
     if not np.any(M.imag):
         M = M.real
-    lam, vectors = np.linalg.eig(M)
+    lam, vectors, pairs = _eig(M)
     values = 1j * lam
-    # an all-real spectrum of a real M comes with real eigenvectors
-    vectors = vectors.astype(complex, copy=False)
     order = np.lexsort((values.imag, values.real))
-    eig = _eigensystem(values[order], _normalize_columns(vectors[:, order]))
+    if pairs is not None:
+        # raw column j sits at np.argsort(order)[j] after the sort
+        pairs = np.argsort(order)[pairs]
+    eig = _eigensystem(values[order], _normalize_columns(vectors[:, order]), pairs)
     if eig.defective:
         raise DefectiveMatrix(
             f"eigenvector condition number {eig.cond:.3e} exceeds "
@@ -187,21 +251,24 @@ def build_similarity(
     """Symmetric similarity matrix A = P1 P2 P1^T.
 
     With no explicit Jordan structure all blocks are 1x1 and P2 is the
-    identity; ``jordan_blocks`` lists block sizes for a user-supplied
-    generalized eigenvector matrix.  A is symmetrized after the product to
-    remove rounding-level asymmetry (symmetry holds analytically).
+    identity, so A = P1 P1^T = W S W^T from the eigensystem's basis, which
+    is real for a real medium; ``jordan_blocks`` lists block sizes for a
+    user-supplied generalized eigenvector matrix.  A is symmetrized after the
+    product to remove rounding-level asymmetry (symmetry holds analytically).
     """
     return _similarity(eig, jordan_blocks)[0]
 
 
-def _similarity(eig: EigenSystem, jordan_blocks) -> tuple[NDArray[np.complex128], float]:
+def _similarity(eig: EigenSystem, jordan_blocks) -> tuple[NDArray, float]:
     """A of :func:`build_similarity` and the cond(A) that vetted it."""
     P1 = eig.right_vectors
     m = P1.shape[0]
     if jordan_blocks is None:
         if eig.defective:
             raise DefectiveMatrix("defective eigensystem needs explicit jordan_blocks")
-        A = P1 @ P1.T
+        # sum_k S_k w_k w_k^T as two symmetric rank-k products
+        plus, minus = eig.basis[:, eig.signs > 0], eig.basis[:, eig.signs < 0]
+        A = plus @ plus.T - minus @ minus.T
     else:
         if sum(jordan_blocks) != m:
             raise ValueError("jordan_blocks must partition the full dimension")
@@ -223,16 +290,18 @@ def attach_similarity(ext: ExtendedOperator, eig: EigenSystem) -> ExtendedOperat
     return replace(ext, sim_A=A, sim_A_cond=cond)
 
 
-def build_JB(ext: ExtendedOperator) -> NDArray[np.complex128]:
+def build_JB(ext: ExtendedOperator) -> NDArray:
     """First-order symplectic generator [[0, A^{-1} kappa], [-A, 0]].
 
     Its spectrum is the +/- i image of the sqrt_kappa spectrum, so the
-    phase-space route adds no new resonances.
+    phase-space route adds no new resonances.  For a real medium A and
+    kappa are real, and so are the solve and J_B.
     """
     A = _similarity_matrix(ext)
+    kappa = ext.kappa if np.any(ext.kappa.imag) else ext.kappa.real
     N = 2 * ext.n
-    JB = np.zeros((2 * N, 2 * N), dtype=complex)
-    JB[:N, N:] = np.linalg.solve(A, ext.kappa)
+    JB = np.zeros((2 * N, 2 * N), dtype=np.result_type(A, kappa))
+    JB[:N, N:] = np.linalg.solve(A, kappa)
     JB[N:, :N] = -A
     return JB
 

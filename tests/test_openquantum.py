@@ -20,7 +20,7 @@ from qpmedia.openquantum import (
     thermal_correlation,
     x_block,
 )
-from qpmedia.phasespace import GaussianState, thermal_state
+from qpmedia.phasespace import GaussianState, decompose_generator, thermal_state
 from qpmedia.spectral import prepare, symplectic_form
 
 
@@ -157,6 +157,23 @@ class TestThermalRoutes:
         via_state = correlation_frequency(ext, thermal_state(ext, beta, hbar), grid, eta)
         scale = np.abs(direct.xi).max()
         assert np.abs(direct.xi - via_state.xi).max() < 1e-9 * max(1.0, scale)
+
+    @pytest.mark.parametrize("seed,n", [(424, 2), (425, 6), (426, 12)])
+    def test_thermal_correlation_matches_full_bose_einstein_product(self, seed, n):
+        # oracle: the full 4n x 4n n_BE times J, through an explicit resolvent
+        spec = stable_spec(seed=seed, n=n)
+        ext, _ = prepare(spec)
+        beta, hbar, eta = 1.3, 0.8, 1e-3
+        grid = np.linspace(-1.5, 1.5, 7)
+        jb_eig = decompose_generator(ext)
+        nbe = jb_eig.function_of(1.0 / np.expm1(hbar * beta * 1j * jb_eig.values))
+        rhs = nbe @ symplectic_form(2 * n)
+        E = np.eye(4 * n)
+        want = np.array(
+            [x_block(-hbar * np.linalg.solve((w + 1j * eta) * E + 1j * ext.gen_JB, rhs)) for w in grid]
+        )
+        got = thermal_correlation(ext, beta, hbar, grid, eta).xi
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_classical_limit_linear_slope(self):
         spec = stable_spec(seed=422, n=2)

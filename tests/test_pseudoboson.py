@@ -55,6 +55,12 @@ class TestBasis:
         assert np.abs(basis.btilde_coeff - basis.b_coeff.conj()).max() < 1e-10
         assert np.abs(commutator_matrix(basis) - np.eye(6)).max() < 1e-10
 
+    @pytest.mark.parametrize("hbar", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_hbar_outside_domain_rejected(self, hbar):
+        eig = eig_for(stable_spec(seed=204, n=3))
+        with pytest.raises(ValueError, match="hbar must be positive and finite"):
+            build_pseudoboson(eig, hbar=hbar)
+
     def test_zero_mode_rejected(self):
         spec = scalar_spec(0.0, 0.3)
         with pytest.raises(ZeroMode):

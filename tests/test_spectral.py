@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,12 +8,16 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import assert_multiset_close, stable_spec
-from qpmedia.errors import DefectiveMatrix
+from qpmedia.errors import DefectiveMatrix, SingularSimilarity
 from qpmedia.medium import simple_spec
-from qpmedia import openquantum, phasespace, selfconsistent
+from qpmedia import builders, openquantum, phasespace, selfconsistent, spectral
 from qpmedia.medium import KickDrive
 from qpmedia.spectral import (
+    DEFECTIVE_COND_THRESHOLD,
+    SINGULAR_A_COND_THRESHOLD,
     EigenSystem,
+    attach_JB,
+    attach_similarity,
     build_JB,
     build_similarity,
     build_sqrt_kappa,
@@ -287,3 +292,187 @@ class TestOnShell:
     def test_unit_oscillator(self, undamped_scalar):
         ext, _ = prepare(undamped_scalar)
         assert abs(on_shell_energy(ext, np.array([1.0, 0.0]))) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Real basis of a real medium, against the complex route as the oracle
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _drude_disk(radius):
+    geom = builders.hexagonal_disk(radius, 2.434)
+    params = builders.DrudeParams(
+        drude_factor=0.008,
+        relaxation=0.004,
+        gaussian_width=2.4,
+        tunneling_enabled=True,
+        tunneling_d0=6.0,
+        tunneling_steepness=10.0,
+    )
+    return builders.build_drude_charge_model(geom, params, response_axis=0)
+
+
+def _random_real_medium(kind, seed, n):
+    """A real medium of one of four kinds; "duplicated" repeats every pair exactly."""
+    if kind == "drude":
+        # conserved charge: one zero mode and its 2 i gamma partner
+        return _drude_disk((4.0, 6.0, 8.0)[seed % 3])
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((n, n))
+    K = base @ base.T / n + rng.uniform(0.5, 3.0) * np.eye(n)
+    K = K + 0.3 * rng.standard_normal((n, n)) / n
+    G = np.diag(rng.uniform(0.0, 4.0 if kind == "overdamped" else 0.5, n))
+    if kind == "duplicated":
+        Z = np.zeros((n, n))
+        K, G = np.block([[K, Z], [Z, K]]), np.block([[G, Z], [Z, G]])
+    return simple_spec(K, G)
+
+
+def _spy_eigensystem(decompose, ext):
+    """Run ``decompose(ext)`` and return the (values, vectors, pairs) and the
+    EigenSystem of its one ``_eigensystem`` call (also when it raises)."""
+    seen = {}
+    constructor = spectral._eigensystem
+
+    def spy(values, vectors, pairs=None):
+        seen["args"] = (values, vectors, pairs)
+        seen["eig"] = constructor(values, vectors, pairs)
+        return seen["eig"]
+
+    with mock.patch.object(spectral, "_eigensystem", spy):
+        try:
+            decompose(ext)
+        except DefectiveMatrix:
+            pass
+    return seen["args"], seen["eig"]
+
+
+def _check_against_complex_oracle(args, eig):
+    """The real basis reproduces cond(V), V^{-1} and the pairing of V."""
+    _, V, pairs = args
+    m = V.shape[0]
+    partner = np.arange(m)
+    partner[pairs[0]], partner[pairs[1]] = pairs[1], pairs[0]
+    assert np.array_equal(V[:, partner], V.conj())
+    assert np.isrealobj(eig.basis)
+    cond = np.linalg.cond(V)
+    assert eig.defective == (not (np.isfinite(cond) and cond <= DEFECTIVE_COND_THRESHOLD))
+    if eig.defective:
+        return
+    assert abs(eig.cond - cond) <= 1e-10 * cond
+    # the two routes round differently, so each is held to the larger of the
+    # oracle's residual and the first-order bound m eps cond(V)
+    oracle = np.linalg.norm(np.linalg.inv(V) @ V - np.eye(m))
+    got = np.linalg.norm(eig.inverse_vectors @ V - np.eye(m))
+    assert got <= max(oracle, m * EPS * cond)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["plain", "overdamped", "drude", "duplicated"]),
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 8),
+)
+def test_real_basis_matches_complex_route(kind, seed, n):
+    spec = _random_real_medium(kind, seed, n)
+    ext = build_sqrt_kappa(spec)
+    args, eig = _spy_eigensystem(eigendecompose, ext)
+    _check_against_complex_oracle(args, eig)
+    if eig.defective:
+        return
+    V = eig.right_vectors
+    oracle_A = V @ V.T
+    oracle_A = (oracle_A + oracle_A.T) / 2.0
+    if np.linalg.cond(oracle_A) > SINGULAR_A_COND_THRESHOLD:
+        with pytest.raises(SingularSimilarity):
+            attach_similarity(ext, eig)
+        return
+    ext = attach_JB(attach_similarity(ext, eig))
+    assert ext.sim_A.dtype == np.float64 and ext.gen_JB.dtype == np.float64
+    A = ext.sim_A
+    assert np.linalg.norm(A - oracle_A) <= 1e-12 * np.linalg.norm(oracle_A)
+    oracle_X = np.linalg.solve(oracle_A, ext.kappa)
+    X = ext.gen_JB[: 2 * spec.n, 2 * spec.n :]
+    assert np.linalg.norm(X - oracle_X) <= 1e-12 * np.linalg.norm(oracle_X)
+    # J_B: the real eigensolver, paired from its raw column adjacency
+    _check_against_complex_oracle(*_spy_eigensystem(phasespace.decompose_generator, ext))
+
+
+def _parent_eigendecompose(ext):
+    """sqrt_kappa's eigenvalues and normalized V as sorted before the real basis."""
+    M = -1j * ext.sqrt_kappa
+    if not np.any(M.imag):
+        M = M.real
+    lam, vectors = np.linalg.eig(M)
+    values = 1j * lam
+    vectors = vectors.astype(complex, copy=False)
+    order = np.lexsort((values.imag, values.real))
+    return values[order], spectral._normalize_columns(vectors[:, order])
+
+
+@pytest.mark.parametrize("kind", ["plain", "overdamped", "drude", "duplicated"])
+def test_real_medium_eigensystem_is_unchanged(kind):
+    ext = build_sqrt_kappa(_random_real_medium(kind, 5, 6))
+    values, vectors = _parent_eigendecompose(ext)
+    eig = eigendecompose(ext)
+    assert np.array_equal(eig.values, values)
+    assert np.array_equal(eig.right_vectors, vectors)
+
+
+@pytest.mark.parametrize("part", ["kernel", "damping"])
+def test_complex_medium_takes_the_complex_route_bit_for_bit(part):
+    spec = stable_spec(seed=12, n=5)
+    rng = np.random.default_rng(12)
+    spec = replace(spec, **{part: getattr(spec, part) + 0.05j * rng.standard_normal((5, 5))})
+    ext, eig = prepare(spec)
+    values, V = _parent_eigendecompose(build_sqrt_kappa(spec))
+    assert np.array_equal(eig.values, values) and np.array_equal(eig.right_vectors, V)
+    assert np.array_equal(eig.basis, V)
+    assert np.array_equal(eig.signs, np.ones(V.shape[0]))
+    assert eig.cond == float(np.linalg.cond(V))
+    assert np.array_equal(eig.inverse_vectors, np.linalg.inv(V))
+    A = V @ V.T
+    A = (A + A.T) / 2.0
+    assert np.array_equal(ext.sim_A, A)
+    assert ext.sim_A_cond == float(np.linalg.cond(A))
+    assert ext.gen_JB.dtype == complex
+    assert np.array_equal(ext.gen_JB[:10, 10:], np.linalg.solve(A, ext.kappa))
+    assert np.array_equal(ext.gen_JB[10:, :10], -A)
+
+
+def _complex_route(ext):
+    """``ext`` with A and J_B built in complex arithmetic from the complex V."""
+    V = eigendecompose(ext).right_vectors
+    A = V @ V.T
+    A = (A + A.T) / 2.0
+    N = 2 * ext.n
+    JB = np.zeros((2 * N, 2 * N), dtype=complex)
+    JB[:N, N:] = np.linalg.solve(A, ext.kappa)
+    JB[N:, :N] = -A
+    return replace(ext, sim_A=A, gen_JB=JB)
+
+
+def _rel(got, want):
+    return np.linalg.norm(np.asarray(got) - want) / np.linalg.norm(want)
+
+
+def test_real_route_outputs_match_complex_route():
+    # bath, propagate and field outputs of a real medium, real A and J_B
+    # against the complex ones
+    spec = stable_spec(seed=91, n=5)
+    ext, _ = prepare(spec)
+    ref = _complex_route(build_sqrt_kappa(spec))
+    grid = np.linspace(0.2, 2.0, 7)
+    for route in (openquantum.thermal_correlation, openquantum.classical_correlation):
+        args = (1.0, 1.0) if route is openquantum.thermal_correlation else (1.0,)
+        assert _rel(route(ext, *args, grid, 1e-3).xi, route(ref, *args, grid, 1e-3).xi) < 1e-10
+    q0 = np.zeros(20, dtype=complex)
+    q0[12] = 1.0
+    kick = KickDrive(np.ones(5))
+    t_grid = [0.0, 0.05, 0.1]
+    want = phasespace.propagate_mean(ref, kick, q0, t_grid)
+    assert _rel(phasespace.propagate_mean(ext, kick, q0, t_grid), want) < 1e-10
+    assert _rel(selfconsistent.scattering_rows(ext, 0.7), selfconsistent.scattering_rows(ref, 0.7)) < 1e-10
+    assert _rel(selfconsistent.auxiliary_response(ext, 0.7), selfconsistent.auxiliary_response(ref, 0.7)) < 1e-10
