@@ -128,6 +128,9 @@ def reconstruct_spectrum(
 
 def filter_eigenvalue(ledger: ModeLedger, omega_lo: float, omega_hi: float):
     """Select modes whose |Re mu| lies inside [omega_lo, omega_hi]."""
+    for name, value in (("omega_lo", omega_lo), ("omega_hi", omega_hi)):
+        if np.isnan(value):
+            raise ValueError(f"{name} must not be nan")
     if omega_lo > omega_hi:
         raise ValueError("omega_lo must not exceed omega_hi")
     re = np.abs(ledger.mu.real)
@@ -135,9 +138,9 @@ def filter_eigenvalue(ledger: ModeLedger, omega_lo: float, omega_hi: float):
 
 
 def filter_intercept(ledger: ModeLedger, threshold: float):
-    """Select modes whose |Re intercept| exceeds the threshold."""
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
+    """Select modes whose |Re intercept| exceeds the threshold (inf selects none)."""
+    if not threshold >= 0:
+        raise ValueError(f"threshold must be non-negative, got {threshold}")
     return np.flatnonzero(np.abs(ledger.intercept.real) > threshold)
 
 

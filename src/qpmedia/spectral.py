@@ -16,6 +16,12 @@ conjugate pairs.  Then V = W U with W real and U block-unitary, so cond(V),
 V^{-1} and A = V V^T = W S W^T (S = +/-1) follow from the real W, and A,
 A^{-1} kappa and J_B are real.  Complex media take the same route with
 W = V and S = 1.
+
+When Gamma is exactly gamma I (the Drude builder's one relaxation rate) the
+equation of motion separates mode by mode, and the eigenpairs of
+sqrt_kappa come from the n x n real eig of K instead of the 2n one, with
+the same exact conjugate pairing.  The sort, the real basis, cond(W), W^{-1},
+the trust threshold, A and J_B are shared by both routes.
 """
 
 from __future__ import annotations
@@ -203,6 +209,77 @@ def _normalize_columns(vectors: NDArray[np.complex128]) -> NDArray[np.complex128
     return out
 
 
+def _scalar_damping(M) -> float | None:
+    """gamma when the real M = [[0, -I], [K, 2 Gamma]] has Gamma = gamma I exactly.
+
+    n = 1 is left out: a 1x1 Gamma is always scalar, and its 2x2 eig costs
+    nothing to save.
+    """
+    n = M.shape[0] // 2
+    if np.iscomplexobj(M) or n < 2:
+        return None
+    two_gamma = M[n, n]
+    if not np.array_equal(M[n:, n:], two_gamma * np.eye(n)):
+        return None
+    return float(two_gamma) / 2.0
+
+
+def _scalar_damping_eig(K, gamma):
+    """:func:`_eig` of M = [[0, -I], [K, 2 gamma I]] from the n x n eig of real K.
+
+    Each eigenpair K v = kappa v gives the roots of
+    lambda^2 - 2 gamma lambda + kappa = 0, with eigenvectors [v; -lambda v]
+    (Tisseur & Meerbergen, SIAM Rev. 43, 2001, the scalar case):
+
+    - a real underdamped kappa > gamma^2 gives one exact conjugate pair
+      gamma +/- i sqrt(kappa - gamma^2);
+    - a real kappa <= gamma^2 gives two real roots; the larger in modulus is
+      gamma + sign(gamma) sqrt(gamma^2 - kappa) and the smaller is kappa over
+      it, without cancellation, so a conserved-charge mode keeps
+      lambda at the rounding of kappa;
+    - a conjugate pair (kappa, conj kappa) of K gives two pairs, built from
+      the first member and conjugated for the second.
+
+    Every pair lists its positive-imaginary root first, as the real
+    eigensolver does; ``pairs`` indexes the columns like :func:`_eig`'s.
+    """
+    kappa, v, kpairs = _eig(K)
+    gamma2 = gamma * gamma
+    real = np.ones(kappa.size, dtype=bool)
+    real[kpairs.ravel()] = False
+    above = kappa.real > gamma2
+    under, over = np.flatnonzero(real & above), np.flatnonzero(real & ~above)
+
+    # first members of the pairs: underdamped roots, then both roots of
+    # each complex kappa, flipped to their positive-imaginary conjugate
+    kc = kappa[kpairs[0]]
+    s = np.sqrt(gamma2 - kc)
+    big = np.where(s.real * gamma >= 0.0, gamma + s, gamma - s)
+    small = np.divide(kc, big, out=np.zeros_like(kc), where=big != 0)
+    roots = np.concatenate([gamma + 1j * np.sqrt(kappa.real[under] - gamma2), big, small])
+    source = np.concatenate([under, kpairs[0], kpairs[0]])
+    flip = roots.imag < 0
+    roots[flip] = roots[flip].conj()
+
+    ko = kappa.real[over]
+    s = np.sqrt(gamma2 - ko)
+    big = gamma + np.copysign(s, gamma)
+    reals = np.concatenate([big, np.divide(ko, big, out=np.zeros_like(ko), where=big != 0)])
+
+    # columns: first members, their conjugates, then the real roots; the
+    # eigenvector of each root lam is [x; -lam x], so a conjugate root's
+    # vector is exactly the conjugate of its partner's
+    p, n = roots.size, kappa.size
+    lam = np.concatenate([roots, roots.conj(), reals])
+    vectors = np.empty((2 * n, 2 * n), dtype=complex)
+    vectors[:n] = v[:, np.concatenate([source, source, over, over])]
+    conj = np.concatenate([np.flatnonzero(flip), p + np.flatnonzero(~flip)])
+    vectors[:n, conj] = vectors[:n, conj].conj()
+    np.multiply(vectors[:n], -lam, out=vectors[n:])
+    pairs = np.stack([np.arange(p), p + np.arange(p)])
+    return lam, vectors, pairs
+
+
 def eigendecompose(ext: ExtendedOperator) -> EigenSystem:
     """Complete eigendecomposition of sqrt_kappa.
 
@@ -216,6 +293,13 @@ def eigendecompose(ext: ExtendedOperator) -> EigenSystem:
     the eigenvector pairing is carried through the sort to the real basis
     W.  Complex media take the complex eigensolver.
 
+    A real medium whose Gamma is exactly gamma I (the Drude builder's) and
+    whose n is at least 2 skips the 2n eig: the eigenpairs of M follow mode
+    by mode from the n x n real eig of K (:func:`_scalar_damping_eig`), in
+    O(n^2) after that eig, with the same exact pairing.  Inside
+    near-degenerate clusters its eigenvectors follow K's eigensolver, not
+    the 2n one.
+
     Eigenvalues are sorted lexicographically by (Re, Im) so repeated runs
     produce identical mode orderings.  Raises DefectiveMatrix when the
     eigenvector condition number exceeds DEFECTIVE_COND_THRESHOLD, i.e. when
@@ -224,7 +308,12 @@ def eigendecompose(ext: ExtendedOperator) -> EigenSystem:
     M = -1j * ext.sqrt_kappa
     if not np.any(M.imag):
         M = M.real
-    lam, vectors, pairs = _eig(M)
+    gamma = _scalar_damping(M)
+    if gamma is None:
+        lam, vectors, pairs = _eig(M)
+    else:
+        n = ext.n
+        lam, vectors, pairs = _scalar_damping_eig(M[n:, :n], gamma)
     values = 1j * lam
     order = np.lexsort((values.imag, values.real))
     if pairs is not None:

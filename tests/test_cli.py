@@ -155,6 +155,31 @@ class TestFilter:
         _, rows = read_rows(out)
         assert all(r[4] == "1" for r in rows)  # |Re mu| = sqrt7/2 in window
 
+    @pytest.mark.parametrize(
+        "flags,name",
+        [
+            (["--mode", "if", "--threshold=nan"], "threshold"),
+            (["--mode", "if", "--threshold=-1"], "threshold"),
+            (["--mode", "ef", "--omega-lo", "nan", "--omega-hi", "1"], "omega_lo"),
+            (["--mode", "ef", "--omega-lo", "0", "--omega-hi", "nan"], "omega_hi"),
+        ],
+    )
+    def test_nan_or_negative_selection_rejected(self, model_file, tmp_path, capsys, flags, name):
+        out = tmp_path / "filter.csv"
+        code = main(["filter", "--model", str(model_file), *flags, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: ValueError: {name} must")
+        assert not out.exists()
+
+    def test_infinite_threshold_selects_nothing(self, model_file, tmp_path):
+        out = tmp_path / "filter.csv"
+        code = main(
+            ["filter", "--model", str(model_file), "--mode", "if", "--threshold", "inf", "--out", str(out)]
+        )
+        assert code == 0
+        _, rows = read_rows(out)
+        assert rows and all(r[4] == "0" for r in rows)
+
 
 class TestPropagate:
     def test_matches_reference_integrator(self, tmp_path):

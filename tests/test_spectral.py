@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from conftest import assert_multiset_close, stable_spec
 from qpmedia.errors import DefectiveMatrix, SingularSimilarity
 from qpmedia.medium import simple_spec
-from qpmedia import builders, openquantum, phasespace, selfconsistent, spectral
+from qpmedia import builders, openquantum, phasespace, response, selfconsistent, spectral
 from qpmedia.medium import KickDrive
 from qpmedia.spectral import (
     DEFECTIVE_COND_THRESHOLD,
@@ -315,7 +315,9 @@ def _drude_disk(radius):
 
 
 def _random_real_medium(kind, seed, n):
-    """A real medium of one of four kinds; "duplicated" repeats every pair exactly."""
+    """A real medium of one of five kinds; "duplicated" repeats every pair
+    exactly, and "scalar" has Gamma = gamma I with gamma^2 inside K's
+    spectrum, so that under- and overdamped modes mix."""
     if kind == "drude":
         # conserved charge: one zero mode and its 2 i gamma partner
         return _drude_disk((4.0, 6.0, 8.0)[seed % 3])
@@ -323,6 +325,10 @@ def _random_real_medium(kind, seed, n):
     base = rng.standard_normal((n, n))
     K = base @ base.T / n + rng.uniform(0.5, 3.0) * np.eye(n)
     K = K + 0.3 * rng.standard_normal((n, n)) / n
+    if kind == "scalar":
+        kappa = np.linalg.eigvals(K).real
+        gamma = np.sqrt(rng.uniform(max(kappa.min(), 0.0), kappa.max()))
+        return simple_spec(K, gamma * np.eye(n))
     G = np.diag(rng.uniform(0.0, 4.0 if kind == "overdamped" else 0.5, n))
     if kind == "duplicated":
         Z = np.zeros((n, n))
@@ -371,7 +377,7 @@ def _check_against_complex_oracle(args, eig):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    kind=st.sampled_from(["plain", "overdamped", "drude", "duplicated"]),
+    kind=st.sampled_from(["plain", "overdamped", "drude", "duplicated", "scalar"]),
     seed=st.integers(0, 2**16),
     n=st.integers(1, 8),
 )
@@ -395,7 +401,11 @@ def test_real_basis_matches_complex_route(kind, seed, n):
     assert np.linalg.norm(A - oracle_A) <= 1e-12 * np.linalg.norm(oracle_A)
     oracle_X = np.linalg.solve(oracle_A, ext.kappa)
     X = ext.gen_JB[: 2 * spec.n, 2 * spec.n :]
-    assert np.linalg.norm(X - oracle_X) <= 1e-12 * np.linalg.norm(oracle_X)
+    # gamma^2 inside K's spectrum puts modes next to critical damping, where
+    # A is ill-conditioned; there the dense route's A^{-1} kappa misses 1e-12
+    # as well, and both stay within 0.75 eps cond(A) of the oracle
+    tol = max(1e-12, 2 * spec.n * EPS * ext.sim_A_cond) if kind == "scalar" else 1e-12
+    assert np.linalg.norm(X - oracle_X) <= tol * np.linalg.norm(oracle_X)
     # J_B: the real eigensolver, paired from its raw column adjacency
     _check_against_complex_oracle(*_spy_eigensystem(phasespace.decompose_generator, ext))
 
@@ -412,13 +422,114 @@ def _parent_eigendecompose(ext):
     return values[order], spectral._normalize_columns(vectors[:, order])
 
 
-@pytest.mark.parametrize("kind", ["plain", "overdamped", "drude", "duplicated"])
+@pytest.mark.parametrize("kind", ["plain", "overdamped", "duplicated"])
 def test_real_medium_eigensystem_is_unchanged(kind):
     ext = build_sqrt_kappa(_random_real_medium(kind, 5, 6))
     values, vectors = _parent_eigendecompose(ext)
     eig = eigendecompose(ext)
     assert np.array_equal(eig.values, values)
     assert np.array_equal(eig.right_vectors, vectors)
+
+
+def _eig_dims(monkeypatch):
+    """The sizes of the matrices np.linalg.eig is called on, from now on."""
+    dims = []
+    eig = np.linalg.eig
+
+    def counting_eig(a):
+        dims.append(a.shape[0])
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    return dims
+
+
+def _clusters(mu, tol):
+    """Labels of the connected components of the graph |mu_i - mu_j| < tol."""
+    near = np.abs(mu[:, None] - mu[None, :]) < tol
+    labels = np.arange(mu.size)
+    while True:
+        spread = np.min(np.where(near, labels[None, :], mu.size), axis=1)
+        if np.array_equal(spread, labels):
+            return labels
+        labels = spread
+
+
+def _check_scalar_route(spec, dims):
+    """Gamma = gamma I decomposes from the n x n eig of K; its bits differ
+    from the dense 2n route, so it is held to that route numerically."""
+    ext = build_sqrt_kappa(spec)
+    del dims[:]
+    _, eig = _spy_eigensystem(eigendecompose, ext)
+    assert dims == [spec.n]
+    values, V = _parent_eigendecompose(ext)
+    dense = spectral._eigensystem(values, V)
+    assert eig.defective == dense.defective
+    scale = np.abs(values).max()
+    assert_multiset_close(eig.values, values, tol=1e-12 * scale)
+    m = values.size
+    S, W = ext.sqrt_kappa, eig.right_vectors
+    resid = np.linalg.norm(S @ W - W * eig.values)
+    assert resid <= m * EPS * np.linalg.norm(S) * eig.cond
+    # per-mode intercepts follow the eigensolver inside near-degenerate
+    # clusters; their sums over each cluster do not
+    kick = KickDrive(spec.gen_coord_vector.astype(complex))
+    ours = response.decompose_modes(eig, spec, kick)
+    theirs = response.decompose_modes(dense, spec, kick)
+    labels = _clusters(np.concatenate([ours.mu, theirs.mu]), 1e-6 * scale)
+    total = np.abs(theirs.intercept).sum()
+    for label in np.unique(labels):
+        a, b = labels[:m] == label, labels[m:] == label
+        assert a.sum() == b.sum()
+        gap = abs(ours.intercept[a].sum() - theirs.intercept[b].sum())
+        assert gap <= 1e-10 * total
+    grid = np.linspace(0.05, 1.2, 120) * np.abs(values.real).max()
+    direct = response.polarizability_direct(spec, kick, grid).im_alpha
+    rebuilt = response.reconstruct_spectrum(ours, range(m), grid).im_alpha
+    assert np.abs(rebuilt - direct).max() <= 1e-8 * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("kind", ["drude", "scalar"])
+def test_scalar_damping_route_matches_dense_route(kind, monkeypatch):
+    dims = _eig_dims(monkeypatch)
+    for seed in range(3 if kind == "drude" else 12):
+        _check_scalar_route(_random_real_medium(kind, seed, 2 + seed % 7), dims)
+
+
+@pytest.mark.parametrize("kappa,gamma", [([1.0, 4.0], 1.0), ([4.0, 1.0, 0.5], 2.0)])
+def test_critical_damping_is_defective_on_both_routes(kappa, gamma, monkeypatch):
+    # kappa = gamma^2 is a 2x2 Jordan block of M
+    ext = build_sqrt_kappa(simple_spec(np.diag(kappa), gamma * np.eye(len(kappa))))
+    dims = _eig_dims(monkeypatch)
+    with pytest.raises(DefectiveMatrix):
+        eigendecompose(ext)
+    assert dims == [len(kappa)]
+    assert spectral._eigensystem(*_parent_eigendecompose(ext)).defective
+
+
+def _off_scalar(case):
+    spec = _random_real_medium("scalar", 3, 5)
+    G = spec.damping.copy()
+    if case == "one off-diagonal ulp":
+        G[0, 1] = np.nextafter(0.0, 1.0)
+    elif case == "one diagonal ulp":
+        G[1, 1] = np.nextafter(G[1, 1].real, np.inf)
+    elif case == "complex gamma":
+        G = G + 0.01j * np.eye(5)
+    else:  # a 1x1 Gamma is always scalar
+        return simple_spec([[2.0]], [[0.1]])
+    return replace(spec, damping=G)
+
+
+@pytest.mark.parametrize("case", ["one off-diagonal ulp", "one diagonal ulp", "complex gamma", "n = 1"])
+def test_non_scalar_damping_keeps_the_dense_route(case, monkeypatch):
+    ext = build_sqrt_kappa(_off_scalar(case))
+    dims = _eig_dims(monkeypatch)
+    eig = eigendecompose(ext)
+    assert dims == [2 * ext.n]
+    values, V = _parent_eigendecompose(ext)
+    assert np.array_equal(eig.values, values)
+    assert np.array_equal(eig.right_vectors, V)
 
 
 @pytest.mark.parametrize("part", ["kernel", "damping"])
