@@ -3,8 +3,17 @@
 Frequencies are exchanged in eV at this boundary and converted to Hartree
 internally; every run prints one summary line with a checksum of the files
 it wrote.  At a fixed BLAS thread count, identical inputs produce
-byte-identical outputs.  Tables are streamed block by block, every float
-rendered as ``%.12g``.
+byte-identical outputs.
+
+Every table goes through one writer, :func:`_write_table`, in chunks: each
+chunk is one ``template % values``, where the template holds the row
+formats of all of the chunk's rows and the cells that repeat (row indices,
+the bath's alpha,beta pair, the field's k queries, a block's frequency)
+already rendered in, and every other float is rendered as ``%.12g``.  A
+chunk is at most one frequency block of the field, one alpha row of a bath
+block, one matrix row of ``--vectors`` and ``--cov-out``, or the whole of
+the small ``spectrum``, ``modes``, ``filter`` and ``propagate`` tables, so
+no large table is held in memory as text.
 """
 
 from __future__ import annotations
@@ -46,17 +55,18 @@ def _checksum(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
-def _write_table(path: Path, head: Sequence[str], fmt: str, blocks: Iterable) -> None:
-    """Write the ``head`` lines, then ``fmt % row`` for every row of every block.
+def _write_table(path: Path, head: Sequence[str], chunks: Iterable) -> None:
+    """Write the ``head`` lines, then ``template % values`` for every chunk.
 
-    A block is a sequence of equal-length columns (lists from ``.tolist()``);
-    each block is formatted and written before the next one is taken, so a
-    table never sits in memory as strings.
+    A chunk is a ``(template, values)`` pair: the template holds the row
+    formats of all of its rows, cells that repeat already rendered in, and
+    ``values`` is a float array of the remaining cells in row order.  Each
+    chunk is rendered by one ``%`` and written before the next one is taken.
     """
     with path.open("w", encoding="utf-8") as fh:
         fh.writelines(line + "\n" for line in head)
-        for columns in blocks:
-            fh.writelines(map(fmt.__mod__, zip(*columns)))
+        for template, values in chunks:
+            fh.write(template % tuple(values.ravel().tolist()))
 
 
 def _fmt_row(count: int, cell: str = "%.12g", sep: str = ",") -> str:
@@ -64,9 +74,18 @@ def _fmt_row(count: int, cell: str = "%.12g", sep: str = ",") -> str:
     return sep.join([cell] * count) + "\n"
 
 
-def _interleaved(z: np.ndarray) -> list:
-    """Columns re, im, re, im, ... of the columns of a complex matrix."""
-    return np.ascontiguousarray(z, dtype=complex).view(np.float64).T.tolist()
+def _keyed_rows(lead: str, keys: Sequence[str], cells: str) -> str:
+    """The template of one row ``lead + key + cells`` per key, built by one join.
+
+    ``lead`` and the (at least one) keys are rendered cells; ``cells`` is
+    the row format of the rest of the row.
+    """
+    return lead + (cells + lead).join(keys) + cells
+
+
+def _interleaved(z: np.ndarray) -> np.ndarray:
+    """The float array re, im, re, im, ... along the last axis of a complex array."""
+    return np.ascontiguousarray(z, dtype=complex).view(np.float64)
 
 
 def _load_model(config: argparse.Namespace) -> MediumSpec:
@@ -164,13 +183,12 @@ def _run_spectrum(config: argparse.Namespace) -> list[Path]:
     table = response.reconstruct_spectrum(
         ledger, np.arange(ledger.n_modes), grid_ev / HARTREE_TO_EV
     )
-    columns = (grid_ev, table.im_alpha, table.absorptive, table.dispersive)
+    values = np.column_stack((grid_ev, table.im_alpha, table.absorptive, table.dispersive))
     out = Path(config.out)
     _write_table(
         out,
         (_HEADER_COMMENT, "omega_eV,im_alpha,absorptive,dispersive"),
-        _fmt_row(4),
-        [[c.tolist() for c in columns]],
+        [(_fmt_row(4) * grid_ev.size, values)],
     )
     written = [out]
     if config.svg:
@@ -184,57 +202,51 @@ def _run_modes(config: argparse.Namespace) -> list[Path]:
     spec = _load_model(config)
     _, eig = spectral.prepare(spec)
     re_mu, im_mu = eig.values.real * HARTREE_TO_EV, eig.values.imag * HARTREE_TO_EV
+    template = "".join(f"{k},%.12g,%.12g\n" for k in range(re_mu.size))
     out = Path(config.out)
     _write_table(
-        out,
-        (_HEADER_COMMENT, "k,re_mu,im_mu"),
-        "%d,%.12g,%.12g\n",
-        [(range(re_mu.size), re_mu.tolist(), im_mu.tolist())],
+        out, (_HEADER_COMMENT, "k,re_mu,im_mu"), [(template, np.column_stack((re_mu, im_mu)))]
     )
     written = [out]
     if config.vectors:
         # one line per eigenvector: "re im re im ..."
         vec_path = Path(config.vectors)
-        vectors = eig.right_vectors.T
-        fmt = _fmt_row(vectors.shape[1], "%.12g %.12g", " ")
-        _write_table(vec_path, (), fmt, [_interleaved(vectors)])
+        vectors = eig.right_vectors
+        fmt = _fmt_row(vectors.shape[0], "%.12g %.12g", " ")
+        _write_table(
+            vec_path, (), ((fmt, _interleaved(vectors[:, j])) for j in range(vectors.shape[1]))
+        )
         written.append(vec_path)
     return written
 
 
 def _run_filter(config: argparse.Namespace) -> list[Path]:
-    ledger = _kick_ledger(_load_model(config), config)
+    # the selection is checked before the decomposition it would be applied to
     if config.filter_mode == "if":
         if config.threshold is None:
             raise ValueError("--threshold is required for --mode if")
-        selected = set(response.filter_intercept(ledger, config.threshold).tolist())
+        response.check_threshold(config.threshold)
     elif config.filter_mode == "ef":
         if config.window_lo is None or config.window_hi is None:
             raise ValueError("--omega-lo/--omega-hi are required for --mode ef")
-        selected = set(
-            response.filter_eigenvalue(
-                ledger,
-                config.window_lo / HARTREE_TO_EV,
-                config.window_hi / HARTREE_TO_EV,
-            ).tolist()
-        )
+        window = (config.window_lo / HARTREE_TO_EV, config.window_hi / HARTREE_TO_EV)
+        response.check_window(*window)
     else:
         raise ValueError("--mode must be 'if' or 'ef'")
+    ledger = _kick_ledger(_load_model(config), config)
+    if config.filter_mode == "if":
+        selected = set(response.filter_intercept(ledger, config.threshold).tolist())
+    else:
+        selected = set(response.filter_eigenvalue(ledger, *window).tolist())
     mu = ledger.mu
-    columns = (
-        range(ledger.n_modes),
-        (mu.real * HARTREE_TO_EV).tolist(),
-        (mu.imag * HARTREE_TO_EV).tolist(),
-        ledger.intercept.real.tolist(),
-        [int(k in selected) for k in range(ledger.n_modes)],
+    template = "".join(
+        f"{k},%.12g,%.12g,%.12g,{int(k in selected)}\n" for k in range(ledger.n_modes)
+    )
+    values = np.column_stack(
+        (mu.real * HARTREE_TO_EV, mu.imag * HARTREE_TO_EV, ledger.intercept.real)
     )
     out = Path(config.out)
-    _write_table(
-        out,
-        (_HEADER_COMMENT, "k,re_mu_eV,im_mu_eV,re_I,selected"),
-        "%d,%.12g,%.12g,%.12g,%d\n",
-        [columns],
-    )
+    _write_table(out, (_HEADER_COMMENT, "k,re_mu_eV,im_mu_eV,re_I,selected"), [(template, values)])
     return [out]
 
 
@@ -262,8 +274,7 @@ def _run_propagate(config: argparse.Namespace) -> list[Path]:
     _write_table(
         out,
         (_HEADER_COMMENT, ",".join(header)),
-        _fmt_row(len(header)),
-        [[t_grid.tolist(), *_interleaved(xs)]],
+        [(_fmt_row(len(header)) * t_grid.size, np.column_stack((t_grid, _interleaved(xs))))],
     )
     written = [out]
     if config.cov_out:
@@ -277,8 +288,7 @@ def _run_propagate(config: argparse.Namespace) -> list[Path]:
             _write_table(
                 cov_dir / f"cov_{idx:06d}.csv",
                 (_HEADER_COMMENT, "# t = %.12g" % t),
-                cov_fmt,
-                [_interleaved(cov)],
+                ((cov_fmt, _interleaved(row)) for row in cov),
             )
         written.append(cov_dir / f"cov_{len(t_grid) - 1:06d}.csv")
     return written
@@ -305,14 +315,13 @@ def _run_field(config: argparse.Namespace) -> list[Path]:
     field_set = FieldPlaneWaveSet(omega_grid=grid, waves=tuple(waves))
     ext, _ = spectral.prepare(spec)
     scattered, delta_terms = emitted_field_first_order(ext, spec, field_set, k_queries)
-    k_columns = k_queries.T.tolist()
+    k_cells = [",%.12g,%.12g,%.12g," % tuple(k) for k in k_queries.tolist()]
     out = Path(config.out)
     _write_table(
         out,
         (_HEADER_COMMENT, "omega_eV,kx,ky,kz,re_Ex,im_Ex,re_Ey,im_Ey,re_Ez,im_Ez"),
-        _fmt_row(10),
         (
-            [[w_ev] * len(k_queries), *k_columns, *_interleaved(scattered[iw])]
+            (_keyed_rows("%.12g" % w_ev, k_cells, _fmt_row(6)), _interleaved(scattered[iw]))
             for iw, w_ev in enumerate(grid_ev.tolist())
         ),
     )
@@ -352,25 +361,21 @@ def _run_bath(config: argparse.Namespace) -> list[Path]:
     ext, _ = spectral.prepare(spec)
     corr = openquantum.thermal_correlation(ext, config.beta, config.hbar, grid, config.eta)
     m = corr.gamma.shape[1]
-    index = np.arange(1, m + 1)
-    alpha, beta = np.repeat(index, m).tolist(), np.tile(index, m).tolist()
+    alphas = [f",{a}" for a in range(1, m + 1)]
+    betas = [f",{b}," for b in range(1, m + 1)]
+    cells = _fmt_row(4)
+
+    def chunks():
+        # one alpha row of one frequency block per chunk: m rows
+        for iw, w_ev in enumerate(grid_ev.tolist()):
+            omega = "%.12g" % w_ev
+            block = _interleaved(np.stack((corr.gamma[iw], corr.s_ls[iw]), axis=-1))
+            for a in range(m):
+                yield _keyed_rows(omega + alphas[a], betas, cells), block[a]
+
     out = Path(config.out)
     _write_table(
-        out,
-        (_HEADER_COMMENT, "omega_eV,alpha,beta,re_gamma,im_gamma,re_S,im_S"),
-        "%.12g,%d,%d,%.12g,%.12g,%.12g,%.12g\n",
-        (
-            [
-                [w_ev] * (m * m),
-                alpha,
-                beta,
-                corr.gamma[iw].real.ravel().tolist(),
-                corr.gamma[iw].imag.ravel().tolist(),
-                corr.s_ls[iw].real.ravel().tolist(),
-                corr.s_ls[iw].imag.ravel().tolist(),
-            ]
-            for iw, w_ev in enumerate(grid_ev.tolist())
-        ),
+        out, (_HEADER_COMMENT, "omega_eV,alpha,beta,re_gamma,im_gamma,re_S,im_S"), chunks()
     )
     return [out]
 

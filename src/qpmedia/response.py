@@ -126,21 +126,31 @@ def reconstruct_spectrum(
     )
 
 
-def filter_eigenvalue(ledger: ModeLedger, omega_lo: float, omega_hi: float):
-    """Select modes whose |Re mu| lies inside [omega_lo, omega_hi]."""
+def check_window(omega_lo: float, omega_hi: float) -> None:
+    """Raise ValueError unless [omega_lo, omega_hi] has no nan edge and is not inverted."""
     for name, value in (("omega_lo", omega_lo), ("omega_hi", omega_hi)):
         if np.isnan(value):
             raise ValueError(f"{name} must not be nan")
     if omega_lo > omega_hi:
         raise ValueError("omega_lo must not exceed omega_hi")
+
+
+def check_threshold(threshold: float) -> None:
+    """Raise ValueError unless the threshold is non-negative (inf is allowed)."""
+    if not threshold >= 0:
+        raise ValueError(f"threshold must be non-negative, got {threshold}")
+
+
+def filter_eigenvalue(ledger: ModeLedger, omega_lo: float, omega_hi: float):
+    """Select modes whose |Re mu| lies inside [omega_lo, omega_hi]."""
+    check_window(omega_lo, omega_hi)
     re = np.abs(ledger.mu.real)
     return np.flatnonzero((re >= omega_lo) & (re <= omega_hi))
 
 
 def filter_intercept(ledger: ModeLedger, threshold: float):
     """Select modes whose |Re intercept| exceeds the threshold (inf selects none)."""
-    if not threshold >= 0:
-        raise ValueError(f"threshold must be non-negative, got {threshold}")
+    check_threshold(threshold)
     return np.flatnonzero(np.abs(ledger.intercept.real) > threshold)
 
 

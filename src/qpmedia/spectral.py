@@ -305,9 +305,10 @@ def eigendecompose(ext: ExtendedOperator) -> EigenSystem:
     eigenvector condition number exceeds DEFECTIVE_COND_THRESHOLD, i.e. when
     the diagonal treatment stops being trustworthy.
     """
-    M = -1j * ext.sqrt_kappa
-    if not np.any(M.imag):
-        M = M.real
+    sq = ext.sqrt_kappa
+    # M = -i sqrt_kappa is real exactly when sqrt_kappa's real part is zero,
+    # and it is then sqrt_kappa's imaginary part: no 2n x 2n complex product
+    M = -1j * sq if np.any(sq.real) else sq.imag
     gamma = _scalar_damping(M)
     if gamma is None:
         lam, vectors, pairs = _eig(M)

@@ -171,6 +171,34 @@ class TestFilter:
         assert capsys.readouterr().err.startswith(f"error: ValueError: {name} must")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--mode", "if", "--threshold", "nan"], "threshold must be non-negative, got nan"),
+            (["--mode", "if", "--threshold", "-1"], "threshold must be non-negative, got -1.0"),
+            (["--mode", "ef", "--omega-lo", "nan", "--omega-hi", "1"], "omega_lo must not be nan"),
+            (["--mode", "if"], "--threshold is required for --mode if"),
+            (
+                ["--mode", "ef", "--omega-lo", "0"],
+                "--omega-lo/--omega-hi are required for --mode ef",
+            ),
+        ],
+    )
+    def test_selection_checked_before_decomposition(
+        self, model_file, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        from qpmedia import spectral
+
+        def no_decomposition(spec):
+            raise AssertionError("spectral.prepare ran before the selection was checked")
+
+        monkeypatch.setattr(spectral, "prepare", no_decomposition)
+        out = tmp_path / "filter.csv"
+        code = main(["filter", "--model", str(model_file), *flags, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert not out.exists()
+
     def test_infinite_threshold_selects_nothing(self, model_file, tmp_path):
         out = tmp_path / "filter.csv"
         code = main(

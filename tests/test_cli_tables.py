@@ -274,14 +274,26 @@ def table_path(tmp_path_factory):
 
 
 @settings(max_examples=300, deadline=None)
-@given(rows=st.lists(st.tuples(cells, st.integers(-(2**70), 2**70), cells), max_size=20))
-@example(rows=[(-0.0, 0, 0.0), (math.nan, -1, math.inf), (-math.inf, 2**70, 5e-324)])
-@example(rows=[(2.2250738585072009e-308, 7, 1.7976931348623157e308)])
-@example(rows=[])
-def test_row_formatter_matches_per_cell_format(table_path, rows):
-    columns = [list(c) for c in zip(*rows)] or [[], [], []]
+@given(
+    rows=st.lists(st.tuples(cells, st.integers(-(2**70), 2**70), cells), max_size=20),
+    lead=cells,
+)
+@example(rows=[(-0.0, 0, 0.0), (math.nan, -1, math.inf), (-math.inf, 2**70, 5e-324)], lead=-0.0)
+@example(rows=[(2.2250738585072009e-308, 7, 1.7976931348623157e308)], lead=math.nan)
+@example(rows=[], lead=1.0)
+def test_row_formatter_matches_per_cell_format(table_path, rows, lead):
+    # Like the bath's: each half is a block whose leading cell ``lead`` is
+    # rendered once into its templates; a and k are rendered into the row
+    # keys as constant cells, b is the value cell.  Chunks of at most three
+    # rows put chunk boundaries inside each block.
     half = len(rows) // 2
-    blocks = [[c[:half] for c in columns], [c[half:] for c in columns]]
-    cli._write_table(table_path, (HEADER, "a,k,b"), "%.12g,%d,%.12g\n", blocks)
-    want = render_csv("a,k,b", [(fmt(a), str(k), fmt(b)) for a, k, b in rows])
+    chunks = []
+    for block in (rows[:half], rows[half:]):
+        for start in range(0, len(block), 3):
+            part = block[start : start + 3]
+            keys = [",%.12g,%d," % (a, k) for a, k, _ in part]
+            values = np.array([b for _, _, b in part], dtype=float)
+            chunks.append((cli._keyed_rows("%.12g" % lead, keys, "%.12g\n"), values))
+    cli._write_table(table_path, (HEADER, "w,a,k,b"), chunks)
+    want = render_csv("w,a,k,b", [(fmt(lead), fmt(a), str(k), fmt(b)) for a, k, b in rows])
     assert table_path.read_bytes() == want
