@@ -226,13 +226,11 @@ def _run_filter(config: argparse.Namespace) -> list[Path]:
         if config.threshold is None:
             raise ValueError("--threshold is required for --mode if")
         response.check_threshold(config.threshold)
-    elif config.filter_mode == "ef":
+    else:
         if config.window_lo is None or config.window_hi is None:
             raise ValueError("--omega-lo/--omega-hi are required for --mode ef")
         window = (config.window_lo / HARTREE_TO_EV, config.window_hi / HARTREE_TO_EV)
         response.check_window(*window)
-    else:
-        raise ValueError("--mode must be 'if' or 'ef'")
     ledger = _kick_ledger(_load_model(config), config)
     if config.filter_mode == "if":
         selected = set(response.filter_intercept(ledger, config.threshold).tolist())
@@ -265,6 +263,14 @@ def _run_propagate(config: argparse.Namespace) -> list[Path]:
             mean=q0, cov=(config.hbar / 2.0) * np.eye(4 * n), hbar=config.hbar
         )
     means = phasespace.propagate_mean(ext, drive, q0, t_grid)
+    jb_eig = phasespace.decompose_generator(ext)  # cached by propagate_mean
+    if jb_eig.defective:
+        print(
+            f"warning: J_B eigenvector condition number {jb_eig.cond:.3e} exceeds "
+            f"{spectral.DEFECTIVE_COND_THRESHOLD:.1e}; exp(J_B t) falls back to "
+            "scipy.linalg.expm",
+            file=sys.stderr,
+        )
     xs = means[:, 2 * n :]
     header = ["t"]
     for name in ("u", "v"):
@@ -354,8 +360,6 @@ def _run_field(config: argparse.Namespace) -> list[Path]:
 
 def _run_bath(config: argparse.Namespace) -> list[Path]:
     spec = _load_model(config)
-    if config.beta is None:
-        raise ValueError("bath requires --beta")
     grid_ev = _grid(config.omega_min, config.omega_max, config.omega_step, "frequency")
     grid = grid_ev / HARTREE_TO_EV
     ext, _ = spectral.prepare(spec)

@@ -69,6 +69,8 @@ class MediumSpec:
 
     def _validate(self):
         n = self.n
+        if n < 1:
+            raise ValueError(f"medium size n must be at least 1, got {n}")
         if self.coords.shape != (3, n):
             raise ValueError(f"coords must be 3 x n, got {self.coords.shape}")
         for name in ("kernel", "damping"):
@@ -410,7 +412,7 @@ def integrate_reference_extended(
             f"xdot0 deviates from the constraint by {dev:.3e} (scale {scale:.3e})"
         )
 
-    kappa = extended_kernel(spec)
+    kappa = extended_kernel(spec.kernel, spec.damping)
     mat = np.zeros((4 * n, 4 * n), dtype=complex)
     mat[: 2 * n, 2 * n :] = np.eye(2 * n)
     mat[2 * n :, : 2 * n] = -kappa
@@ -431,9 +433,8 @@ def integrate_reference_extended(
     return ExtendedTrajectory(t=t_grid, x=ys[:, : 2 * n])
 
 
-def extended_kernel(spec: MediumSpec) -> NDArray[np.complex128]:
-    """The 2n x 2n block kernel of the velocity-independent equation."""
-    K, G = spec.kernel, spec.damping
+def extended_kernel(K, G) -> NDArray:
+    """kappa = -M M, M = [[0, -I], [K, 2 G]]: the velocity-independent kernel."""
     return np.block([[K, 2.0 * G], [-2.0 * G @ K, K - 4.0 * G @ G]])
 
 
@@ -459,7 +460,9 @@ def spec_to_json(spec: MediumSpec) -> str:
 
 def spec_from_json(text: str) -> MediumSpec:
     doc = json.loads(text)
-    n = int(doc["n"])
+    n = doc["n"]
+    if type(n) is not int or n < 1:
+        raise ValueError(f"model n must be an integer of at least 1, got {n!r}")
     coords = np.asarray(doc["coords"], dtype=float).reshape(3, n)
     cov = np.asarray(doc["covariances"], dtype=float).reshape(n, 3, 3)
     kernel = (

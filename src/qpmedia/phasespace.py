@@ -135,11 +135,12 @@ def propagator_at(
 ) -> Propagator:
     """Propagator (Lambda_t, Delta_t) at a single time.
 
-    Lambda_t comes from the generator eigendecomposition (with a silent
-    scaling-and-squaring fallback for ill-conditioned eigenvectors); it is
-    the one 4n x 4n matrix formed here.  Delta_t integrates
-    Delta' = Lambda_s J C_s with the same fixed RK4 step the reference
-    integrators use, applying exp(J B s) to the drive vector at each node.
+    Lambda_t comes from the generator eigendecomposition (with a
+    scaling-and-squaring fallback for ill-conditioned eigenvectors, flagged
+    in ``used_expm_fallback``); it is the one 4n x 4n matrix formed here.
+    Delta_t integrates Delta' = Lambda_s J C_s with the same fixed RK4 step
+    the reference integrators use, applying exp(J B s) to the drive vector
+    at each node.
     """
     jb_eig = decompose_generator(ext)
     delta = np.zeros(jb_eig.values.size, dtype=complex)

@@ -2,20 +2,21 @@
 
 The dynamics of the medium is encoded in the closed-form square root
 
-    sqrt_kappa = i [[0, -I], [K, 2 Gamma]]
+    sqrt_kappa = i M,    M = [[0, -I], [K, 2 Gamma]],    kappa = -M M,
 
 whose spectrum carries every resonance of the damped equation of motion.
-From its eigenvectors we build the symmetric similarity matrix A with
+An :class:`ExtendedOperator` stores only M, float64 for real K and Gamma
+(every medium the builders make), and derives sqrt_kappa and kappa on read.
+From the eigenvectors we build the symmetric similarity matrix A with
 kappa = A kappa^T A^{-1}, the quadratic-Hamiltonian generator J_B, and the
 on-shell energy functional.
 
-For real K and Gamma (every medium the builders make) all of this runs in
-real arithmetic.  The eigensolver is the real one, so the spectrum is
-exactly symmetric under mu -> -conj(mu) and the eigenvectors come in exact
-conjugate pairs.  Then V = W U with W real and U block-unitary, so cond(V),
-V^{-1} and A = V V^T = W S W^T (S = +/-1) follow from the real W, and A,
-A^{-1} kappa and J_B are real.  Complex media take the same route with
-W = V and S = 1.
+For a real M all of this runs in real arithmetic: the real eigensolver
+gives a spectrum exactly symmetric under mu -> -conj(mu) and exact
+conjugate eigenvector pairs, so V = W U with W real and U block-unitary,
+and cond(V), V^{-1}, A = V V^T = W S W^T (S = +/-1), A^{-1} kappa and J_B
+follow from the real W.  Complex media take the same route with W = V and
+S = 1.
 
 When Gamma is exactly gamma I (the Drude builder's one relaxation rate) the
 equation of motion separates mode by mode, and the eigenpairs of
@@ -45,18 +46,18 @@ _SQRT2 = np.sqrt(2.0)
 class ExtendedOperator:
     """Extended-space operators of one medium.
 
-    ``damping`` is the medium's Gamma, kept by :func:`build_sqrt_kappa` for
-    every consumer of the drive and auxiliary channels.  ``sim_A`` (with its
-    condition number) and ``gen_JB`` are attached by
-    :func:`attach_similarity` / :func:`attach_JB`; both are real (float64)
-    for real K and Gamma and complex otherwise.  Instances are immutable
-    and updated via ``replace``.  The J_B eigensystem is decomposed on first
-    use and cached on the instance (a ``replace``d operator starts without
-    it); read it through :func:`phasespace.decompose_generator`.
+    Stored: ``root`` M = [[0, -I], [K, 2 Gamma]] (float64 for real K and
+    Gamma, complex otherwise) and ``damping``, the medium's Gamma, for the
+    drive and auxiliary channels.  Derived on read: ``n``, ``sqrt_kappa`` =
+    i M and ``kappa`` = -M M (:func:`medium.extended_kernel`).  ``sim_A``
+    (with its cond) and ``gen_JB`` are attached by :func:`attach_similarity`
+    / :func:`attach_JB`, real for a real M.  Instances are immutable and
+    updated via ``replace``.  The J_B eigensystem is decomposed on first use
+    and cached on the instance (a ``replace``d operator starts without it);
+    read it through :func:`phasespace.decompose_generator`.
     """
 
-    kappa: NDArray[np.complex128]
-    sqrt_kappa: NDArray[np.complex128]
+    root: NDArray[np.float64] | NDArray[np.complex128]
     damping: NDArray[np.complex128]
     sim_A: NDArray[np.float64] | NDArray[np.complex128] | None = None
     sim_A_cond: float | None = None
@@ -64,7 +65,16 @@ class ExtendedOperator:
 
     @property
     def n(self) -> int:
-        return self.kappa.shape[0] // 2
+        return self.root.shape[0] // 2
+
+    @property
+    def sqrt_kappa(self) -> NDArray[np.complex128]:
+        return 1j * self.root
+
+    @property
+    def kappa(self) -> NDArray:
+        n = self.n
+        return extended_kernel(self.root[n:, :n], 0.5 * self.root[n:, n:])
 
     def a_blocks(self):
         """The (A1, A2, A3) blocks of the similarity matrix."""
@@ -165,29 +175,23 @@ def _eigensystem(values, vectors, pairs=None) -> EigenSystem:
 
 
 def build_sqrt_kappa(spec: MediumSpec) -> ExtendedOperator:
-    """Assemble kappa and its closed-form square root.
+    """Assemble M = -i sqrt_kappa, real when K and Gamma are.
 
     The construction is total: K and Gamma may be complex, singular or
-    non-diagonalizable.  The square identity kappa = -M M, with
-    M = -i sqrt_kappa (real for real K and Gamma, and then multiplied in
-    real arithmetic), is verified to a relative Frobenius residual of 1e-12.
+    non-diagonalizable.  The square identity kappa = -M M is verified to a
+    relative Frobenius residual of 1e-12.
     """
-    n = spec.n
-    kappa = extended_kernel(spec)
-    M = np.block(
-        [
-            [np.zeros((n, n), dtype=complex), -np.eye(n, dtype=complex)],
-            [spec.kernel, 2.0 * spec.damping],
-        ]
-    )
-    sq = 1j * M
-    if not np.any(M.imag):
-        M = M.real
+    n, K, G = spec.n, spec.kernel, spec.damping
+    if not (np.any(K.imag) or np.any(G.imag)):
+        K, G = K.real, G.real
+    M = np.block([[np.zeros((n, n), K.dtype), -np.eye(n, dtype=K.dtype)], [K, 2.0 * G]])
+    ext = ExtendedOperator(root=M, damping=spec.damping)
+    kappa = ext.kappa
     scale = np.linalg.norm(kappa)
     resid = np.linalg.norm(M @ M + kappa)
     if scale > 0 and resid > 1e-12 * scale:
         raise AssertionError(f"square identity violated: {resid / scale:.3e}")
-    return ExtendedOperator(kappa=kappa, sqrt_kappa=sq, damping=spec.damping)
+    return ext
 
 
 def _normalize_columns(vectors: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -283,12 +287,11 @@ def _scalar_damping_eig(K, gamma):
 def eigendecompose(ext: ExtendedOperator) -> EigenSystem:
     """Complete eigendecomposition of sqrt_kappa.
 
-    The matrix decomposed is M = -i sqrt_kappa = [[0, -I], [K, 2 Gamma]],
-    with mu = i lambda(M) and the same eigenvectors.  When K and Gamma are
-    real, M has no nonzero imaginary entry and goes to the real
-    eigensolver, about three times cheaper than the complex one; its
-    eigenvalues are then real or exact conjugate pairs, so the spectrum is
-    exactly symmetric under mu -> -conj(mu) and purely imaginary mu (the
+    The matrix decomposed is the stored M = -i sqrt_kappa, with
+    mu = i lambda(M) and the same eigenvectors.  A real (float64) M goes to
+    the real eigensolver, about three times cheaper than the complex one;
+    its eigenvalues are then real or exact conjugate pairs, so the spectrum
+    is exactly symmetric under mu -> -conj(mu) and purely imaginary mu (the
     overdamped modes, a conserved-charge zero mode) have Re mu = 0 exactly;
     the eigenvector pairing is carried through the sort to the real basis
     W.  Complex media take the complex eigensolver.
@@ -305,16 +308,12 @@ def eigendecompose(ext: ExtendedOperator) -> EigenSystem:
     eigenvector condition number exceeds DEFECTIVE_COND_THRESHOLD, i.e. when
     the diagonal treatment stops being trustworthy.
     """
-    sq = ext.sqrt_kappa
-    # M = -i sqrt_kappa is real exactly when sqrt_kappa's real part is zero,
-    # and it is then sqrt_kappa's imaginary part: no 2n x 2n complex product
-    M = -1j * sq if np.any(sq.real) else sq.imag
-    gamma = _scalar_damping(M)
+    gamma = _scalar_damping(ext.root)
     if gamma is None:
-        lam, vectors, pairs = _eig(M)
+        lam, vectors, pairs = _eig(ext.root)
     else:
         n = ext.n
-        lam, vectors, pairs = _scalar_damping_eig(M[n:, :n], gamma)
+        lam, vectors, pairs = _scalar_damping_eig(ext.root[n:, :n], gamma)
     values = 1j * lam
     order = np.lexsort((values.imag, values.real))
     if pairs is not None:
@@ -388,7 +387,7 @@ def build_JB(ext: ExtendedOperator) -> NDArray:
     kappa are real, and so are the solve and J_B.
     """
     A = _similarity_matrix(ext)
-    kappa = ext.kappa if np.any(ext.kappa.imag) else ext.kappa.real
+    kappa = ext.kappa
     N = 2 * ext.n
     JB = np.zeros((2 * N, 2 * N), dtype=np.result_type(A, kappa))
     JB[:N, N:] = np.linalg.solve(A, kappa)

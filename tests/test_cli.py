@@ -432,6 +432,45 @@ class TestVectorArguments:
         assert not out.exists()
 
 
+class TestPropagateFallback:
+    """qpm propagate names the expm fallback of a defective J_B on stderr."""
+
+    @staticmethod
+    def _propagate(model, tmp_path):
+        out = tmp_path / "traj.csv"
+        argv = ["propagate", "--model", str(model), "--t-max", "0.2", "--t-step", "0.1"]
+        code = main([*argv, "--kick", ",".join(["1"] * 7), "--out", str(out)])
+        return code, out
+
+    def test_zero_mode_medium_warns_once(self, tmp_path, capsys):
+        from qpmedia import builders
+
+        params = builders.DrudeParams(
+            drude_factor=0.008, relaxation=0.004, gaussian_width=2.4,
+            tunneling_enabled=True, tunneling_d0=6.0, tunneling_steepness=10.0,
+        )
+        spec = builders.build_drude_charge_model(
+            builders.hexagonal_disk(4.0, 2.434), params, response_axis=0
+        )
+        assert spec.n == 7
+        model = tmp_path / "disk.json"
+        model.write_text(spec_to_json(spec) + "\n", encoding="utf-8")
+        code, out = self._propagate(model, tmp_path)
+        assert code == 0 and out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: ")
+        assert "scipy.linalg.expm" in err[0]
+
+    def test_synthetic_medium_is_silent(self, tmp_path, capsys):
+        from qpmedia import builders
+
+        model = tmp_path / "synthetic.json"
+        model.write_text(spec_to_json(builders.build_synthetic(7, 1)) + "\n", encoding="utf-8")
+        code, out = self._propagate(model, tmp_path)
+        assert code == 0 and out.exists()
+        assert capsys.readouterr().err == ""
+
+
 class TestErrors:
     def test_structured_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -516,6 +555,24 @@ class TestErrors:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: ValueError: {name} must be")
         assert not out.exists() and not cov_dir.exists()
+
+    @pytest.mark.parametrize("n", [0, 2.5, -1, True, "2"])
+    def test_malformed_medium_size_rejected(self, tmp_path, capsys, n):
+        doc = json.loads(spec_to_json(stable_spec(seed=3, n=2)))
+        doc["n"] = n
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "s.csv"
+        code = main(
+            [
+                "spectrum", "--model", str(model), "--omega-min", "0",
+                "--omega-max", "1", "--omega-step", "0.1", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: model n must be an integer")
+        assert not out.exists()
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:

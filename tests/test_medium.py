@@ -192,6 +192,17 @@ class TestSpecValidation:
                 gen_coord_vector=[9.0],
             )
 
+    def test_empty_medium_rejected(self):
+        with pytest.raises(ValueError, match="n must be at least 1, got 0"):
+            MediumSpec(
+                coords=np.zeros((3, 0)),
+                covariances=np.zeros((0, 3, 3)),
+                kernel=np.zeros((0, 0)),
+                damping=np.zeros((0, 0)),
+                source_kind=(),
+                gen_coord_vector=np.zeros(0),
+            )
+
     def test_simple_spec_shape(self):
         spec = simple_spec([[2.0, 0.1], [0.0, 3.0]], np.zeros((2, 2)))
         assert spec.n == 2

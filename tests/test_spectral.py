@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from conftest import assert_multiset_close, stable_spec
 from qpmedia.errors import DefectiveMatrix, SingularSimilarity
-from qpmedia.medium import simple_spec
+from qpmedia.medium import extended_kernel, simple_spec
 from qpmedia import builders, openquantum, phasespace, response, selfconsistent, spectral
 from qpmedia.medium import KickDrive
 from qpmedia.spectral import (
@@ -587,3 +587,39 @@ def test_real_route_outputs_match_complex_route():
     assert _rel(phasespace.propagate_mean(ext, kick, q0, t_grid), want) < 1e-10
     assert _rel(selfconsistent.scattering_rows(ext, 0.7), selfconsistent.scattering_rows(ref, 0.7)) < 1e-10
     assert _rel(selfconsistent.auxiliary_response(ext, 0.7), selfconsistent.auxiliary_response(ref, 0.7)) < 1e-10
+
+
+def test_real_medium_stores_one_real_root():
+    spec = builders.build_synthetic(8, 1)
+    ext, _ = prepare(spec)
+    N = 2 * spec.n
+    assert ext.root.dtype == np.float64 and ext.root.shape == (N, N)
+    stored = [v for v in vars(ext).values() if isinstance(v, np.ndarray)]
+    assert not any(np.iscomplexobj(a) and a.shape == (N, N) for a in stored)
+    kappa = extended_kernel(spec.kernel.real, spec.damping.real)
+    assert ext.kappa.dtype == np.float64 and np.array_equal(ext.kappa, kappa)
+    assert np.array_equal(ext.sqrt_kappa, 1j * ext.root)
+    assert ext.n == spec.n
+
+
+def test_complex_medium_keeps_a_complex_root():
+    spec = stable_spec(seed=12, n=4)
+    spec = replace(spec, damping=spec.damping + 0.01j * np.eye(4))
+    ext = build_sqrt_kappa(spec)
+    assert ext.root.dtype == np.complex128
+    assert np.array_equal(ext.kappa, extended_kernel(spec.kernel, spec.damping))
+    assert np.array_equal(ext.sqrt_kappa, 1j * ext.root)
+
+
+def test_square_identity_check_catches_a_wrong_kappa(monkeypatch):
+    spec = builders.build_synthetic(6, 2)
+    build_sqrt_kappa(spec)
+
+    def perturbed(K, G):
+        kappa = extended_kernel(K, G)
+        kappa[0, 0] += 1e-6 * np.linalg.norm(kappa)
+        return kappa
+
+    monkeypatch.setattr(spectral, "extended_kernel", perturbed)
+    with pytest.raises(AssertionError, match="square identity"):
+        build_sqrt_kappa(spec)
