@@ -85,25 +85,6 @@ class DrudeParams:
             tunneling_steepness=float(tun.get("steepness", 1.0)),
         )
 
-    def to_json(self) -> str:
-        factor = self.drude_factor
-        if isinstance(factor, np.ndarray):
-            factor = [float(x) for x in factor]
-        return json.dumps(
-            {
-                "drude_factor": factor,
-                "relaxation": self.relaxation,
-                "gaussian_width": self.gaussian_width,
-                "tunneling": {
-                    "enabled": self.tunneling_enabled,
-                    "d0": self.tunneling_d0,
-                    "steepness": self.tunneling_steepness,
-                },
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
 
 def _is_file(text: str) -> bool:
     """Whether ``text`` names an existing file; a name too long to be one does not."""

@@ -105,6 +105,8 @@ def _vector(text: str, n: int, what: str) -> np.ndarray:
     vec = np.asarray(values, dtype=complex)
     if vec.shape != (n,):
         raise ValueError(f"{what} must have length {n}")
+    if not np.isfinite(vec).all():
+        raise ValueError(f"{what} entries must be finite")
     return vec
 
 
@@ -318,6 +320,8 @@ def _run_field(config: argparse.Namespace) -> list[Path]:
     k_queries = np.asarray(doc["k_queries"], dtype=float)
     if k_queries.ndim != 2 or k_queries.shape[1] != 3:
         raise ValueError("k_queries must be a list of 3-vectors")
+    if not np.isfinite(k_queries).all():
+        raise ValueError("k_queries must be finite")
     field_set = FieldPlaneWaveSet(omega_grid=grid, waves=tuple(waves))
     ext, _ = spectral.prepare(spec)
     scattered, delta_terms = emitted_field_first_order(ext, spec, field_set, k_queries)
@@ -399,7 +403,7 @@ def run(config: argparse.Namespace) -> int:
     """Dispatch one subcommand; returns the process exit status."""
     try:
         written = _RUNNERS[config.subcommand](config)
-    except (QpmError, ValueError, OSError, KeyError) as exc:
+    except (QpmError, ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     summary = " ".join(f"{p.name} sha256={_checksum(p)}" for p in written)

@@ -42,6 +42,8 @@ class PlaneWave:
             amp = amp.reshape(1, 3)
         if amp.ndim != 2 or amp.shape[1] != 3:
             raise ValueError("amplitude must be a 3-vector or an (m, 3) table")
+        if not np.all(np.isfinite(amp)):
+            raise ValueError("plane-wave amplitude must be finite")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "amplitude", amp)
 
@@ -257,38 +259,3 @@ def emitted_field_iterate(
                 cur = np.stack([first[i] + proj[i] @ fold for i in range(n_k)])
         field[iw] = cur
     return field
-
-
-def inverse_fourier_map(k_samples, values, positions, window: str = "hann"):
-    """Windowed discrete inverse transform of tabulated field values.
-
-    A post-processing convenience, not a core contract: the k samples are
-    assumed to cover a regular grid cell of volume ``dk3`` each, and a Hann
-    window tapers the hard grid boundary to reduce ringing.
-
-    Parameters
-    ----------
-    k_samples : (m, 3) wavevectors with uniform spacing.
-    values : (m, 3) field values at the samples.
-    positions : (p, 3) real-space evaluation points.
-    """
-    k_samples = np.atleast_2d(np.asarray(k_samples, dtype=float))
-    values = np.asarray(values, dtype=complex)
-    positions = np.atleast_2d(np.asarray(positions, dtype=float))
-    m = k_samples.shape[0]
-    if m > 1:
-        diffs = np.linalg.norm(k_samples[1:] - k_samples[:-1], axis=1)
-        dk = diffs[diffs > 0].min()
-    else:
-        dk = 1.0
-    radius = np.linalg.norm(k_samples, axis=1)
-    if window == "hann":
-        kmax = radius.max() + dk
-        taper = 0.5 * (1.0 + np.cos(np.pi * radius / kmax))
-    elif window == "none":
-        taper = np.ones(m)
-    else:
-        raise ValueError("window must be 'hann' or 'none'")
-    cell = dk**3 / (2.0 * np.pi) ** 3
-    phases = np.exp(1j * positions @ k_samples.T)  # (p, m)
-    return cell * (phases * taper[None, :]) @ values

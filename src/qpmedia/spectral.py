@@ -7,9 +7,12 @@ The dynamics of the medium is encoded in the closed-form square root
 whose spectrum carries every resonance of the damped equation of motion.
 An :class:`ExtendedOperator` stores only M, float64 for real K and Gamma
 (every medium the builders make), and derives sqrt_kappa and kappa on read.
-From the eigenvectors we build the symmetric similarity matrix A with
-kappa = A kappa^T A^{-1}, the quadratic-Hamiltonian generator J_B, and the
-on-shell energy functional.
+From the eigenvectors V we build the symmetric similarity matrix
+A = V V^T, with kappa = A kappa^T A^{-1}, the quadratic-Hamiltonian
+generator J_B, and the on-shell energy functional.  Every eigensystem comes
+from :func:`_eigensystem`, and A has this one construction: a medium whose
+V is not trusted (cond(V) above DEFECTIVE_COND_THRESHOLD) raises
+DefectiveMatrix.
 
 For a real M all of this runs in real arithmetic: the real eigensolver
 gives a spectrum exactly symmetric under mu -> -conj(mu) and exact
@@ -29,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -93,8 +95,8 @@ class EigenSystem:
 
     ``basis`` W and ``signs`` S factor V = W U with U unitary and
     U U^T = diag(S), so cond(V) = cond(W) and V V^T = W S W^T.  W is real
-    when the decomposed matrix is (see :func:`_eigensystem`); otherwise, and
-    when they are left out, W = V and S = 1.
+    when the decomposed matrix is (see :func:`_eigensystem`); otherwise
+    W = V and S = 1.
 
     ``defective`` is set when cond(V) is not finite or exceeds
     DEFECTIVE_COND_THRESHOLD; V^{-1} (``inverse_vectors``) is then not
@@ -106,13 +108,8 @@ class EigenSystem:
     inverse_vectors: NDArray[np.complex128] | None
     cond: float
     defective: bool
-    basis: NDArray[np.float64] | NDArray[np.complex128] | None = None
-    signs: NDArray[np.float64] | None = None
-
-    def __post_init__(self):
-        if self.basis is None:
-            object.__setattr__(self, "basis", self.right_vectors)
-            object.__setattr__(self, "signs", np.ones(self.values.size))
+    basis: NDArray[np.float64] | NDArray[np.complex128]
+    signs: NDArray[np.float64]
 
     def function_of(self, values, rhs=None, columns=slice(None)) -> NDArray[np.complex128]:
         """f(M) = V diag(f(lambda)) V^{-1}, given ``values`` = f(lambda).
@@ -322,52 +319,33 @@ def eigendecompose(ext: ExtendedOperator) -> EigenSystem:
     eig = _eigensystem(values[order], _normalize_columns(vectors[:, order]), pairs)
     if eig.defective:
         raise DefectiveMatrix(
-            f"eigenvector condition number {eig.cond:.3e} exceeds "
-            f"{DEFECTIVE_COND_THRESHOLD:.1e}; supply an explicit Jordan structure instead"
+            f"eigenvector condition number cond(V) = {eig.cond:.3e} exceeds "
+            f"{DEFECTIVE_COND_THRESHOLD:.1e}: the medium is too close to a "
+            "non-diagonalizable point for its eigenvectors to be trusted"
         )
     return eig
 
 
-def exchange_matrix(size: int) -> NDArray[np.float64]:
-    """Anti-diagonal exchange matrix of the given size."""
-    return np.eye(size)[::-1].copy()
+def build_similarity(eig: EigenSystem) -> NDArray:
+    """Symmetric similarity matrix A = V V^T with kappa = A kappa^T A^{-1}.
 
-
-def build_similarity(
-    eig: EigenSystem,
-    jordan_blocks: Sequence[int] | None = None,
-) -> NDArray[np.complex128]:
-    """Symmetric similarity matrix A = P1 P2 P1^T.
-
-    With no explicit Jordan structure all blocks are 1x1 and P2 is the
-    identity, so A = P1 P1^T = W S W^T from the eigensystem's basis, which
-    is real for a real medium; ``jordan_blocks`` lists block sizes for a
-    user-supplied generalized eigenvector matrix.  A is symmetrized after the
-    product to remove rounding-level asymmetry (symmetry holds analytically).
+    A = V V^T = W S W^T is formed from the eigensystem's basis, so it is
+    real for a real medium.  It is the difference of two symmetric rank-k
+    products and so exactly symmetric.
     """
-    return _similarity(eig, jordan_blocks)[0]
+    return _similarity(eig)[0]
 
 
-def _similarity(eig: EigenSystem, jordan_blocks) -> tuple[NDArray, float]:
+def _similarity(eig: EigenSystem) -> tuple[NDArray, float]:
     """A of :func:`build_similarity` and the cond(A) that vetted it."""
-    P1 = eig.right_vectors
-    m = P1.shape[0]
-    if jordan_blocks is None:
-        if eig.defective:
-            raise DefectiveMatrix("defective eigensystem needs explicit jordan_blocks")
-        # sum_k S_k w_k w_k^T as two symmetric rank-k products
-        plus, minus = eig.basis[:, eig.signs > 0], eig.basis[:, eig.signs < 0]
-        A = plus @ plus.T - minus @ minus.T
-    else:
-        if sum(jordan_blocks) != m:
-            raise ValueError("jordan_blocks must partition the full dimension")
-        P2 = np.zeros((m, m))
-        pos = 0
-        for size in jordan_blocks:
-            P2[pos : pos + size, pos : pos + size] = exchange_matrix(size)
-            pos += size
-        A = P1 @ P2 @ P1.T
-    A = (A + A.T) / 2.0
+    if eig.defective:
+        raise DefectiveMatrix(
+            f"cond(V) = {eig.cond:.3e} exceeds {DEFECTIVE_COND_THRESHOLD:.1e}: "
+            "A = V V^T needs a trusted eigenvector matrix"
+        )
+    # sum_k S_k w_k w_k^T as two symmetric rank-k products
+    plus, minus = eig.basis[:, eig.signs > 0], eig.basis[:, eig.signs < 0]
+    A = plus @ plus.T - minus @ minus.T
     cond = float(np.linalg.cond(A))
     if not np.isfinite(cond) or cond > SINGULAR_A_COND_THRESHOLD:
         raise SingularSimilarity(f"cond(A) = {cond:.3e}")
@@ -375,7 +353,7 @@ def _similarity(eig: EigenSystem, jordan_blocks) -> tuple[NDArray, float]:
 
 
 def attach_similarity(ext: ExtendedOperator, eig: EigenSystem) -> ExtendedOperator:
-    A, cond = _similarity(eig, None)
+    A, cond = _similarity(eig)
     return replace(ext, sim_A=A, sim_A_cond=cond)
 
 

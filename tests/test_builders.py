@@ -184,16 +184,21 @@ class TestSynthetic:
 
 class TestDrudeParamsIO:
     def test_json_round_trip(self):
-        params = DrudeParams(
-            drude_factor=0.01,
+        # the README's drude.json
+        text = """{
+          "drude_factor": 0.008,
+          "relaxation": 0.004,
+          "gaussian_width": 2.4,
+          "tunneling": {"enabled": true, "d0": 6.0, "steepness": 10.0}
+        }"""
+        assert DrudeParams.from_json(text) == DrudeParams(
+            drude_factor=0.008,
             relaxation=0.004,
             gaussian_width=2.4,
             tunneling_enabled=True,
             tunneling_d0=6.0,
             tunneling_steepness=10.0,
         )
-        again = DrudeParams.from_json(params.to_json())
-        assert again == params
 
     def test_invalid_width_rejected(self):
         with pytest.raises(ValueError, match="gaussian_width"):

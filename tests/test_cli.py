@@ -308,6 +308,33 @@ class TestField:
         assert "k_queries" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("amplitude_re", [float("nan"), 1.0, 0.0], "plane-wave amplitude must be finite"),
+            ("amplitude_im", [0.0, float("nan"), 0.0], "plane-wave amplitude must be finite"),
+            ("k_queries", [[0.02, 0.0, 0.0], [float("nan"), 0.0, 0.0]], "k_queries must be finite"),
+        ],
+    )
+    def test_non_finite_field_input_rejected(self, model_file, tmp_path, capsys, key, value, message):
+        wave = {"k": [0.01, 0.0, 0.0], "amplitude_re": [0.0, 1.0, 0.0]}
+        doc = {
+            "omega_min_ev": 1.0,
+            "omega_max_ev": 2.0,
+            "omega_step_ev": 1.0,
+            "plane_waves": [wave],
+            "k_queries": [[0.02, 0.0, 0.0]],
+        }
+        (doc if key == "k_queries" else wave)[key] = value
+        waves = tmp_path / "waves.json"
+        waves.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "field.csv"
+        code = main(["field", "--model", str(model_file), "--waves", str(waves), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+        assert not out.exists()
+        assert not out.with_suffix(out.suffix + ".deltas.json").exists()
+
 
 class TestBuildRoundTrip:
     def test_build_then_spectrum(self, tmp_path):
@@ -429,6 +456,36 @@ class TestVectorArguments:
         )
         assert code == 1
         assert capsys.readouterr().err == "error: ValueError: u0 must have length 19\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "subcommand,flag,value,name",
+        [
+            ("spectrum", "--kick", "nan,1,1,1", "kick amplitude"),
+            ("spectrum", "--kick", [1, None, 1, 1], "kick amplitude"),
+            ("filter", "--kick", "1,1,inf,1", "kick amplitude"),
+            ("propagate", "--u0", "inf,0,0,0", "u0"),
+            ("propagate", "--v0", [0, 0, float("-inf"), 0], "v0"),
+        ],
+    )
+    def test_non_finite_vector_rejected(self, tmp_path, capsys, subcommand, flag, value, name):
+        from qpmedia import builders
+
+        model = tmp_path / "model.json"
+        model.write_text(spec_to_json(builders.build_synthetic(4, 1)) + "\n", encoding="utf-8")
+        if isinstance(value, list):
+            vector_file = tmp_path / "vector.json"
+            vector_file.write_text(json.dumps(value), encoding="utf-8")
+            value = str(vector_file)
+        out = tmp_path / "out.csv"
+        rest = {
+            "spectrum": ["--omega-min", "0.5", "--omega-max", "1", "--omega-step", "0.5"],
+            "filter": ["--mode", "if", "--threshold", "0.05"],
+            "propagate": ["--t-max", "0.2", "--t-step", "0.1"],
+        }[subcommand]
+        code = main([subcommand, "--model", str(model), "--out", str(out), *rest, flag, value])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: ValueError: {name} entries must be finite\n"
         assert not out.exists()
 
 
@@ -572,6 +629,49 @@ class TestErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError: model n must be an integer")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "target,edit",
+        [
+            ("model", {"kernel_re": {"a": 1}}),
+            ("model", {"source_kind": 5}),
+            ("model", None),
+            ("waves", {"plane_waves": 5}),
+            ("waves", {"omega_min_ev": "1"}),
+            ("kick", None),
+        ],
+    )
+    def test_wrongly_typed_json_rejected(self, tmp_path, capsys, target, edit):
+        model_doc = json.loads(spec_to_json(stable_spec(seed=3, n=2)))
+        waves_doc = {
+            "omega_min_ev": 1.0,
+            "omega_max_ev": 2.0,
+            "omega_step_ev": 1.0,
+            "plane_waves": [{"k": [0.01, 0.0, 0.0], "amplitude_re": [0.0, 1.0, 0.0]}],
+            "k_queries": [[0.02, 0.0, 0.0]],
+        }
+        if target == "model":
+            model_doc = [model_doc] if edit is None else {**model_doc, **edit}
+        elif target == "waves":
+            waves_doc.update(edit)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(model_doc), encoding="utf-8")
+        out = tmp_path / "out.csv"
+        if target == "waves":
+            waves = tmp_path / "waves.json"
+            waves.write_text(json.dumps(waves_doc), encoding="utf-8")
+            argv = ["field", "--waves", str(waves)]
+        else:
+            argv = ["spectrum", "--omega-min", "0", "--omega-max", "1", "--omega-step", "0.5"]
+            if target == "kick":
+                kick = tmp_path / "kick.json"
+                kick.write_text(json.dumps({"a": 1}), encoding="utf-8")
+                argv += ["--kick", str(kick)]
+        code = main([*argv, "--model", str(model), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_usage_error_exit_code(self):

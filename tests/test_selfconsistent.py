@@ -355,14 +355,3 @@ class TestGtildeOncePerK:
                 want = first[iw, i] + green_tensor(k, omega) @ (w * gt[None, :]) @ fold
                 assert_allclose(got[iw, i], want, rtol=1e-12)
 
-
-class TestRealSpaceMap:
-    def test_single_plane_wave_phase(self):
-        from qpmedia.selfconsistent import inverse_fourier_map
-
-        k = np.array([[0.4, 0.0, 0.0]])
-        val = np.array([[1.0 + 0.0j, 0.0, 0.0]])
-        pos = np.array([[0.0, 0.0, 0.0], [np.pi / 0.4, 0.0, 0.0]])
-        out = inverse_fourier_map(k, val, pos, window="none")
-        # e^{ik.r} phase flips sign across half a wavelength
-        assert_allclose(out[1, 0] / out[0, 0], -1.0, atol=1e-12)

@@ -15,7 +15,6 @@ from qpmedia.medium import KickDrive
 from qpmedia.spectral import (
     DEFECTIVE_COND_THRESHOLD,
     SINGULAR_A_COND_THRESHOLD,
-    EigenSystem,
     attach_JB,
     attach_similarity,
     build_JB,
@@ -23,7 +22,6 @@ from qpmedia.spectral import (
     build_sqrt_kappa,
     characteristic_residual,
     eigendecompose,
-    exchange_matrix,
     on_shell_energy,
     prepare,
 )
@@ -117,7 +115,7 @@ class TestEigendecompose:
     def test_defective_raises(self):
         # nilpotent kernel: all extended eigenvalues are a single Jordan chain
         spec = simple_spec([[0.0, 1.0], [0.0, 0.0]], np.zeros((2, 2)))
-        with pytest.raises(DefectiveMatrix):
+        with pytest.raises(DefectiveMatrix, match=r"cond\(V\) = .* exceeds 1\.0e\+08"):
             eigendecompose(build_sqrt_kappa(spec))
 
 
@@ -135,27 +133,13 @@ class TestSimilarity:
         assert resid < 1e-10 * np.linalg.norm(ext.kappa)
         assert np.array_equal(A, A.T)
 
-    def test_exchange_matrix_block(self):
-        assert_allclose(exchange_matrix(2), [[0.0, 1.0], [1.0, 0.0]])
-        assert_allclose(exchange_matrix(3), np.eye(3)[::-1])
-
-    def test_explicit_jordan_structure(self):
-        # user-supplied generalized eigenvectors for a true 2x2 Jordan block
-        lam = 0.7 + 0.2j
-        J = np.array([[lam, 1.0], [0.0, lam]])
-        rng = np.random.default_rng(9)
-        P1 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        M = P1 @ J @ np.linalg.inv(P1)
-        eig = EigenSystem(
-            values=np.array([lam, lam]),
-            right_vectors=P1,
-            inverse_vectors=np.linalg.inv(P1),
-            cond=float(np.linalg.cond(P1)),
-            defective=True,
-        )
-        A = build_similarity(eig, jordan_blocks=[2])
-        resid = np.linalg.norm(A @ M.T @ np.linalg.inv(A) - M)
-        assert resid < 1e-10 * np.linalg.norm(M)
+    def test_defective_eigensystem_rejected(self):
+        # two nearly parallel eigenvectors: cond(V) ~ 4e10, past the threshold
+        V = np.array([[1.0, 1.0], [0.0, 1e-10]], dtype=complex)
+        eig = spectral._eigensystem(np.array([1.0, 2.0], dtype=complex), V)
+        assert eig.defective and eig.inverse_vectors is None
+        with pytest.raises(DefectiveMatrix, match=r"cond\(V\) = .* exceeds 1\.0e\+08"):
+            build_similarity(eig)
 
     @pytest.mark.parametrize("seed", [31, 32, 33])
     def test_random_similarity_residual(self, seed):
