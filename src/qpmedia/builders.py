@@ -128,8 +128,14 @@ def parse_xyz(source: str | Path) -> GeometryFile:
     return GeometryFile(symbols=tuple(symbols), positions=np.array(positions).T)
 
 
+def _distances(coords_bohr: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The n x n matrix of distances between the columns of ``coords_bohr``."""
+    diff = coords_bohr[:, :, None] - coords_bohr[:, None, :]
+    return np.linalg.norm(diff, axis=0)
+
+
 def coulomb_kernel(coords_bohr: NDArray[np.float64], width: float):
-    """Gaussian-damped charge-charge kernel.
+    """Gaussian-damped charge-charge kernel and the distance matrix.
 
     Off-diagonal elements are erf(d/(width sqrt2))/d; the diagonal is the
     d -> 0 limit 2/(width sqrt(2 pi)), which bounds the interaction and
@@ -139,8 +145,7 @@ def coulomb_kernel(coords_bohr: NDArray[np.float64], width: float):
     # other command's start-up
     from scipy.special import erf
 
-    diff = coords_bohr[:, :, None] - coords_bohr[:, None, :]
-    d = np.linalg.norm(diff, axis=0)
+    d = _distances(coords_bohr)
     n = d.shape[0]
     off = ~np.eye(n, dtype=bool)
     if np.any(d[off] == 0.0):
@@ -159,13 +164,14 @@ def tunneling_gate(d: NDArray[np.float64], params: DrudeParams):
     return 1.0 / (1.0 + np.exp(x))
 
 
-def _link_weights(d: NDArray[np.float64], params: DrudeParams):
+def _conduction(d: NDArray[np.float64], params: DrudeParams):
+    """The conduction matrix of the links between sources at distances ``d``."""
     n = d.shape[0]
     factor = np.broadcast_to(np.asarray(params.drude_factor, dtype=float), (n,))
     strength = np.sqrt(np.outer(factor, factor))
     w = strength * tunneling_gate(d, params)
     np.fill_diagonal(w, 0.0)
-    return w
+    return -(np.diag(w.sum(axis=1)) - w)
 
 
 def drude_conduction_matrix(geom: GeometryFile, params: DrudeParams):
@@ -174,10 +180,7 @@ def drude_conduction_matrix(geom: GeometryFile, params: DrudeParams):
     Built as minus the weighted graph Laplacian of the gated links, so a
     uniform charge shift is exactly conserved.
     """
-    coords_bohr = geom.positions * BOHR_PER_ANGSTROM
-    _, d = coulomb_kernel(coords_bohr, params.gaussian_width)
-    w = _link_weights(d, params)
-    return -(np.diag(w.sum(axis=1)) - w)
+    return _conduction(_distances(geom.positions * BOHR_PER_ANGSTROM), params)
 
 
 def build_drude_charge_model(
@@ -191,16 +194,15 @@ def build_drude_charge_model(
     """
     coords_bohr = geom.positions * BOHR_PER_ANGSTROM
     T, d = coulomb_kernel(coords_bohr, params.gaussian_width)
-    k_cond = drude_conduction_matrix(geom, params)
-    K = -k_cond @ T
+    K = -_conduction(d, params) @ T
     n = geom.natoms
     gamma = 0.5 * params.relaxation * np.eye(n)
     sigma = (params.gaussian_width**2 / 2.0) * np.eye(3)
     return MediumSpec(
         coords=coords_bohr,
         covariances=np.broadcast_to(sigma, (n, 3, 3)).copy(),
-        kernel=K.astype(complex),
-        damping=gamma.astype(complex),
+        kernel=K,
+        damping=gamma,
         source_kind=("charge",) * n,
         gen_coord_vector=coords_bohr[response_axis].copy(),
     )
@@ -262,8 +264,8 @@ def build_synthetic(n: int, seed: int, stability: str = "stable") -> MediumSpec:
     return MediumSpec(
         coords=coords,
         covariances=np.broadcast_to(np.eye(3), (n, 3, 3)).copy(),
-        kernel=K.astype(complex),
-        damping=np.diag(gamma_diag).astype(complex),
+        kernel=K,
+        damping=np.diag(gamma_diag),
         source_kind=("charge",) * n,
         gen_coord_vector=coords[2].copy(),
     )

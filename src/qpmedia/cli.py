@@ -30,7 +30,9 @@ import numpy as np
 from . import builders, openquantum, phasespace, response, spectral
 from .constants import HARTREE_TO_EV
 from .errors import QpmError
-from .medium import KickDrive, MediumSpec, consistent_extended_ic, spec_from_json, spec_to_json
+from .medium import (
+    KickDrive, MediumSpec, _json_floats, consistent_extended_ic, spec_from_json, spec_to_json
+)
 
 _HEADER_COMMENT = f"# 1 Hartree = {HARTREE_TO_EV!r} eV"
 
@@ -102,7 +104,10 @@ def _vector(text: str, n: int, what: str) -> np.ndarray:
         if not Path(text).is_file():
             raise
         values = json.loads(Path(text).read_text(encoding="utf-8"))
-    vec = np.asarray(values, dtype=complex)
+    try:
+        vec = np.asarray(values, dtype=complex)
+    except TypeError:  # a JSON object or a nested list of them
+        raise ValueError(f"{what} must be a list of numbers") from None
     if vec.shape != (n,):
         raise ValueError(f"{what} must have length {n}")
     if not np.isfinite(vec).all():
@@ -309,15 +314,20 @@ def _run_field(config: argparse.Namespace) -> list[Path]:
     if not config.waves:
         raise ValueError("field requires --waves")
     doc = json.loads(Path(config.waves).read_text(encoding="utf-8"))
-    grid_ev = _grid(doc["omega_min_ev"], doc["omega_max_ev"], doc["omega_step_ev"], "frequency")
+    keys = ("omega_min_ev", "omega_max_ev", "omega_step_ev")
+    grid_ev = _grid(*(float(_json_floats(doc, key, ())) for key in keys), "frequency")
     grid = grid_ev / HARTREE_TO_EV
+    if not isinstance(doc["plane_waves"], list):
+        raise ValueError("plane_waves must be a list of plane waves")
     waves = []
     for w in doc["plane_waves"]:
-        amp = np.asarray(w["amplitude_re"], dtype=float) + 1j * np.asarray(
-            w.get("amplitude_im", np.zeros(3)), dtype=float
-        )
-        waves.append(PlaneWave(k=np.asarray(w["k"], dtype=float), amplitude=amp))
-    k_queries = np.asarray(doc["k_queries"], dtype=float)
+        re = _json_floats(w, "amplitude_re")
+        im = _json_floats(w, "amplitude_im") if "amplitude_im" in w else 0.0
+        # a non-finite part is rejected by PlaneWave; inf * 1j would first warn
+        with np.errstate(invalid="ignore"):
+            amp = re + 1j * im
+        waves.append(PlaneWave(k=_json_floats(w, "k", (3,)), amplitude=amp))
+    k_queries = _json_floats(doc, "k_queries")
     if k_queries.ndim != 2 or k_queries.shape[1] != 3:
         raise ValueError("k_queries must be a list of 3-vectors")
     if not np.isfinite(k_queries).all():

@@ -12,6 +12,7 @@ route in the package is validated.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -34,7 +35,8 @@ class MediumSpec:
     covariances:
         n symmetric PSD 3x3 spatial-dispersion matrices.
     kernel, damping:
-        The n x n interaction kernel K and damping matrix Gamma.
+        The n x n interaction kernel K and damping matrix Gamma, each float64
+        unless its input has a nonzero imaginary entry (then complex128).
     source_kind:
         Per-source tag, ``"charge"`` or ``"dipole-component"``.
     gen_coord_vector:
@@ -44,8 +46,8 @@ class MediumSpec:
 
     coords: NDArray[np.float64]
     covariances: NDArray[np.float64]
-    kernel: NDArray[np.complex128]
-    damping: NDArray[np.complex128]
+    kernel: NDArray[np.float64] | NDArray[np.complex128]
+    damping: NDArray[np.float64] | NDArray[np.complex128]
     source_kind: tuple[str, ...]
     gen_coord_vector: NDArray[np.float64]
 
@@ -56,8 +58,12 @@ class MediumSpec:
         object.__setattr__(
             self, "covariances", np.asarray(self.covariances, dtype=float).reshape(n, 3, 3)
         )
-        object.__setattr__(self, "kernel", np.asarray(self.kernel, dtype=complex))
-        object.__setattr__(self, "damping", np.asarray(self.damping, dtype=complex))
+        for name in ("kernel", "damping"):
+            m = np.asarray(getattr(self, name))
+            if np.iscomplexobj(m) and np.any(m.imag):
+                object.__setattr__(self, name, m.astype(complex, copy=False))
+            else:  # a copy, so that no complex buffer stays behind a real view
+                object.__setattr__(self, name, m.real.astype(float))
         object.__setattr__(
             self, "gen_coord_vector", np.asarray(self.gen_coord_vector, dtype=float)
         )
@@ -111,8 +117,9 @@ def simple_spec(kernel, damping, coords=None, gen_axis: int = 2) -> MediumSpec:
 
     Sources are placed on the z axis with unit spacing and unit-variance
     covariances; the generalized coordinate is the ``gen_axis`` component.
+    K and Gamma are stored as :class:`MediumSpec` decides, float64 when real.
     """
-    kernel = np.atleast_2d(np.asarray(kernel, dtype=complex))
+    kernel = np.atleast_2d(kernel)
     n = kernel.shape[0]
     if coords is None:
         coords = np.zeros((3, n))
@@ -122,7 +129,7 @@ def simple_spec(kernel, damping, coords=None, gen_axis: int = 2) -> MediumSpec:
         coords=coords,
         covariances=np.broadcast_to(np.eye(3), (n, 3, 3)).copy(),
         kernel=kernel,
-        damping=np.atleast_2d(np.asarray(damping, dtype=complex)),
+        damping=np.atleast_2d(damping),
         source_kind=("charge",) * n,
         gen_coord_vector=coords[gen_axis].copy(),
     )
@@ -446,38 +453,56 @@ def spec_to_json(spec: MediumSpec) -> str:
     """Serialize a MediumSpec to the documented JSON layout (row-major)."""
     doc = {
         "n": spec.n,
-        "coords": [float(x) for x in spec.coords.ravel(order="C")],
-        "covariances": [float(x) for x in spec.covariances.ravel(order="C")],
-        "kernel_re": [float(x) for x in spec.kernel.real.ravel(order="C")],
-        "kernel_im": [float(x) for x in spec.kernel.imag.ravel(order="C")],
-        "damping_re": [float(x) for x in spec.damping.real.ravel(order="C")],
-        "damping_im": [float(x) for x in spec.damping.imag.ravel(order="C")],
+        "coords": spec.coords.ravel().tolist(),
+        "covariances": spec.covariances.ravel().tolist(),
         "source_kind": list(spec.source_kind),
-        "gen_coord_vector": [float(x) for x in spec.gen_coord_vector],
+        "gen_coord_vector": spec.gen_coord_vector.tolist(),
     }
+    for name in ("kernel", "damping"):
+        m = getattr(spec, name).ravel()
+        doc[f"{name}_re"], doc[f"{name}_im"] = m.real.tolist(), m.imag.tolist()
     return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _json_floats(doc: dict, key: str, shape: tuple[int, ...] | None = None) -> NDArray[np.float64]:
+    """``doc[key]`` as a float array, reshaped row-major to ``shape`` when given.
+
+    A value that is not a number or a (nested) list of numbers, or that
+    holds another count of them than ``shape`` does, raises a ValueError that
+    names ``key``.
+    """
+    try:
+        values = np.asarray(doc[key])
+    except ValueError:  # a ragged nested list
+        values = None
+    if values is None or values.dtype.kind not in "iuf":
+        raise ValueError(f"{key} must be a number or a list of numbers")
+    values = values.astype(float, copy=False)
+    if shape is None:
+        return values
+    if values.size != math.prod(shape):
+        raise ValueError(f"{key} must hold {math.prod(shape)} number(s), got {values.size}")
+    return values.reshape(shape)
 
 
 def spec_from_json(text: str) -> MediumSpec:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("a model file must hold a JSON object")
     n = doc["n"]
     if type(n) is not int or n < 1:
         raise ValueError(f"model n must be an integer of at least 1, got {n!r}")
-    coords = np.asarray(doc["coords"], dtype=float).reshape(3, n)
-    cov = np.asarray(doc["covariances"], dtype=float).reshape(n, 3, 3)
-    kernel = (
-        np.asarray(doc["kernel_re"], dtype=float)
-        + 1j * np.asarray(doc["kernel_im"], dtype=float)
-    ).reshape(n, n)
-    damping = (
-        np.asarray(doc["damping_re"], dtype=float)
-        + 1j * np.asarray(doc["damping_im"], dtype=float)
-    ).reshape(n, n)
+    if not isinstance(doc["source_kind"], list):
+        raise ValueError("source_kind must be a list of source tags")
+    kernel, damping = (
+        _json_floats(doc, f"{name}_re", (n, n)) + 1j * _json_floats(doc, f"{name}_im", (n, n))
+        for name in ("kernel", "damping")
+    )
     return MediumSpec(
-        coords=coords,
-        covariances=cov,
+        coords=_json_floats(doc, "coords", (3, n)),
+        covariances=_json_floats(doc, "covariances", (n, 3, 3)),
         kernel=kernel,
         damping=damping,
         source_kind=tuple(doc["source_kind"]),
-        gen_coord_vector=np.asarray(doc["gen_coord_vector"], dtype=float),
+        gen_coord_vector=_json_floats(doc, "gen_coord_vector", (n,)),
     )

@@ -39,7 +39,7 @@ class PlaneWave:
         k = np.asarray(self.k, dtype=float).reshape(3)
         amp = np.asarray(self.amplitude, dtype=complex)
         if amp.ndim == 1:
-            amp = amp.reshape(1, 3)
+            amp = amp[None]
         if amp.ndim != 2 or amp.shape[1] != 3:
             raise ValueError("amplitude must be a 3-vector or an (m, 3) table")
         if not np.all(np.isfinite(amp)):

@@ -5,8 +5,8 @@ The dynamics of the medium is encoded in the closed-form square root
     sqrt_kappa = i M,    M = [[0, -I], [K, 2 Gamma]],    kappa = -M M,
 
 whose spectrum carries every resonance of the damped equation of motion.
-An :class:`ExtendedOperator` stores only M, float64 for real K and Gamma
-(every medium the builders make), and derives sqrt_kappa and kappa on read.
+An :class:`ExtendedOperator` stores only M, in the dtype of the medium's K and
+Gamma (float64 when real), and derives sqrt_kappa and kappa on read.
 From the eigenvectors V we build the symmetric similarity matrix
 A = V V^T, with kappa = A kappa^T A^{-1}, the quadratic-Hamiltonian
 generator J_B, and the on-shell energy functional.  Every eigensystem comes
@@ -60,7 +60,7 @@ class ExtendedOperator:
     """
 
     root: NDArray[np.float64] | NDArray[np.complex128]
-    damping: NDArray[np.complex128]
+    damping: NDArray[np.float64] | NDArray[np.complex128]
     sim_A: NDArray[np.float64] | NDArray[np.complex128] | None = None
     sim_A_cond: float | None = None
     gen_JB: NDArray[np.float64] | NDArray[np.complex128] | None = None
@@ -172,16 +172,15 @@ def _eigensystem(values, vectors, pairs=None) -> EigenSystem:
 
 
 def build_sqrt_kappa(spec: MediumSpec) -> ExtendedOperator:
-    """Assemble M = -i sqrt_kappa, real when K and Gamma are.
+    """Assemble M = -i sqrt_kappa, complex when the medium holds K or Gamma so.
 
     The construction is total: K and Gamma may be complex, singular or
     non-diagonalizable.  The square identity kappa = -M M is verified to a
     relative Frobenius residual of 1e-12.
     """
     n, K, G = spec.n, spec.kernel, spec.damping
-    if not (np.any(K.imag) or np.any(G.imag)):
-        K, G = K.real, G.real
-    M = np.block([[np.zeros((n, n), K.dtype), -np.eye(n, dtype=K.dtype)], [K, 2.0 * G]])
+    dtype = np.result_type(K, G)
+    M = np.block([[np.zeros((n, n), dtype), -np.eye(n, dtype=dtype)], [K, 2.0 * G]])
     ext = ExtendedOperator(root=M, damping=spec.damping)
     kappa = ext.kappa
     scale = np.linalg.norm(kappa)

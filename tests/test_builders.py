@@ -154,6 +154,30 @@ class TestDrudeModel:
         f = uniform_field_kick(geom, self.params(True), direction=(1.0, 0.0, 0.0))
         assert abs(f.sum()) < 1e-12
 
+    def test_kernel_evaluated_once(self, monkeypatch):
+        # the conduction matrix and the field kick need distances, not erf
+        from qpmedia import builders
+
+        geom = hexagonal_disk(6.0, 2.4)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return coulomb_kernel(*args)
+
+        monkeypatch.setattr(builders, "coulomb_kernel", counted)
+        spec = build_drude_charge_model(geom, self.params(True))
+        assert len(calls) == 1
+        k_cond = drude_conduction_matrix(geom, self.params(True))
+        uniform_field_kick(geom, self.params(True))
+        assert len(calls) == 1
+        T, _ = coulomb_kernel(geom.positions * BOHR_PER_ANGSTROM, 2.4)
+        assert np.array_equal(spec.kernel, -k_cond @ T)
+
+    def test_model_is_stored_real(self):
+        spec = build_drude_charge_model(two_atom_geom(2.0), self.params())
+        assert spec.kernel.dtype == np.float64 and spec.damping.dtype == np.float64
+
     def test_response_axis_sets_gen_coords(self):
         geom = two_atom_geom(3.0)
         spec = build_drude_charge_model(geom, self.params(), response_axis=0)
@@ -180,6 +204,11 @@ class TestSynthetic:
     def test_marginal_variant(self):
         spec = build_synthetic(3, seed=1, stability="marginal")
         assert np.abs(spec.damping).max() == 0.0
+
+    @pytest.mark.parametrize("stability", ["stable", "marginal"])
+    def test_medium_is_stored_real(self, stability):
+        spec = build_synthetic(4, seed=1, stability=stability)
+        assert spec.kernel.dtype == np.float64 and spec.damping.dtype == np.float64
 
 
 class TestDrudeParamsIO:

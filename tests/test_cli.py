@@ -314,8 +314,12 @@ class TestField:
             ("amplitude_re", [float("nan"), 1.0, 0.0], "plane-wave amplitude must be finite"),
             ("amplitude_im", [0.0, float("nan"), 0.0], "plane-wave amplitude must be finite"),
             ("k_queries", [[0.02, 0.0, 0.0], [float("nan"), 0.0, 0.0]], "k_queries must be finite"),
+            ("amplitude_re", [float("inf"), 1.0, 0.0], "plane-wave amplitude must be finite"),
+            ("amplitude_im", [0.0, float("-inf"), 0.0], "plane-wave amplitude must be finite"),
         ],
     )
+    # a numpy warning on the way to the error would be a second stderr line
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_field_input_rejected(self, model_file, tmp_path, capsys, key, value, message):
         wave = {"k": [0.01, 0.0, 0.0], "amplitude_re": [0.0, 1.0, 0.0]}
         doc = {
@@ -528,6 +532,9 @@ class TestPropagateFallback:
         assert capsys.readouterr().err == ""
 
 
+_WAVE = {"k": [0.01, 0.0, 0.0], "amplitude_re": [0.0, 1.0, 0.0]}
+
+
 class TestErrors:
     def test_structured_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -632,17 +639,33 @@ class TestErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "target,edit",
+        "target,edit,name",
         [
-            ("model", {"kernel_re": {"a": 1}}),
-            ("model", {"source_kind": 5}),
-            ("model", None),
-            ("waves", {"plane_waves": 5}),
-            ("waves", {"omega_min_ev": "1"}),
-            ("kick", None),
+            ("model", {"kernel_re": {"a": 1}}, "kernel_re must be a number"),
+            ("model", {"source_kind": 5}, "source_kind"),
+            ("model", None, "model file"),
+            ("waves", {"plane_waves": 5}, "plane_waves"),
+            ("waves", {"omega_min_ev": "1"}, "omega_min_ev must be a number"),
+            ("kick", None, "kick amplitude must be a list of numbers"),
+            ("model", {"coords": [0.0, 1.0]}, "coords must hold 6 number(s), got 2"),
+            ("model", {"damping_im": [[0.0, 0.0], [0.0]]}, "damping_im must be a number"),
+            ("model", {"gen_coord_vector": ["1", "2"]}, "gen_coord_vector must be a number"),
+            ("model", {"covariances": [True] * 18}, "covariances must be a number"),
+            ("waves", {"omega_step_ev": [0.5, 1.0]}, "omega_step_ev must hold 1 number(s), got 2"),
+            ("waves", {"k_queries": "[0, 0, 1]"}, "k_queries must be a number"),
+            ("waves", {"plane_waves": [{**_WAVE, "k": [0.01, 0.0]}]}, "k must hold 3"),
+            ("waves", {"plane_waves": [{**_WAVE, "amplitude_re": None}]}, "amplitude_re"),
+            ("waves", {"plane_waves": [{**_WAVE, "amplitude_im": {}}]}, "amplitude_im must be"),
+            ("waves", {"plane_waves": [{**_WAVE, "amplitude_re": [0.0, 1.0]}]}, "amplitude must"),
+        ],
+        ids=[
+            "model-edit0", "model-edit1", "model-None", "waves-edit3", "waves-edit4", "kick-None",
+            "coords-count", "ragged-damping_im", "string-gen_coord_vector", "bool-covariances",
+            "list-omega_step_ev", "string-k_queries", "short-k", "null-amplitude_re",
+            "object-amplitude_im", "short-amplitude_re",
         ],
     )
-    def test_wrongly_typed_json_rejected(self, tmp_path, capsys, target, edit):
+    def test_wrongly_typed_json_rejected(self, tmp_path, capsys, target, edit, name):
         model_doc = json.loads(spec_to_json(stable_spec(seed=3, n=2)))
         waves_doc = {
             "omega_min_ev": 1.0,
@@ -672,6 +695,7 @@ class TestErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert name in err
         assert not out.exists()
 
     def test_usage_error_exit_code(self):

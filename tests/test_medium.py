@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -39,6 +41,19 @@ class TestExtendedForce:
         )
         F = build_extended_force(spec, drive, t=1.0)
         assert_allclose(F, [1.0, -1.0])
+
+    @pytest.mark.parametrize(
+        "times,values,derivatives,message",
+        [
+            ([0.0, 0.0], [[0.0], [1.0]], [[1.0], [1.0]], "strictly increasing"),
+            ([[0.0, 1.0]], [[0.0], [1.0]], [[1.0], [1.0]], "strictly increasing"),
+            ([0.0, 1.0], [[0.0], [1.0], [2.0]], [[1.0], [1.0], [1.0]], "match the time grid"),
+            ([0.0, 1.0], [[0.0], [1.0]], [[1.0]], "match the time grid"),
+        ],
+    )
+    def test_tabulated_drive_rejects_a_bad_grid(self, times, values, derivatives, message):
+        with pytest.raises(ValueError, match=message):
+            TabulatedDrive(times=times, values=values, derivatives=derivatives)
 
     def test_out_of_range(self):
         spec = scalar_spec(1.0, 0.0)
@@ -152,6 +167,19 @@ class TestExtendedIntegrator:
         assert np.abs(extended.x[:, 0] - direct.u[:, 0]).max() < 1e-6
 
 
+def two_source_spec(**changes):
+    """A valid two-source MediumSpec with ``changes`` applied to its fields."""
+    fields = dict(
+        coords=np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 2.0]]),
+        covariances=[np.eye(3), np.eye(3)],
+        kernel=np.eye(2),
+        damping=np.zeros((2, 2)),
+        source_kind=("charge", "charge"),
+        gen_coord_vector=[1.0, 2.0],
+    )
+    return MediumSpec(**{**fields, **changes})
+
+
 class TestSpecValidation:
     def test_round_trip_byte_identical(self):
         spec = stable_spec(seed=5, n=3)
@@ -206,4 +234,52 @@ class TestSpecValidation:
     def test_simple_spec_shape(self):
         spec = simple_spec([[2.0, 0.1], [0.0, 3.0]], np.zeros((2, 2)))
         assert spec.n == 2
-        assert spec.kernel.dtype == complex
+        assert spec.kernel.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            ({"kernel": np.eye(3)}, "kernel must be 2 x 2, got \\(3, 3\\)"),
+            ({"damping": [0.0, 0.0]}, "damping must be 2 x 2, got \\(2,\\)"),
+            ({"kernel": [[1.0, np.inf], [0.0, 1.0]]}, "kernel contains non-finite entries"),
+            ({"damping": [[0.0, 1j * np.nan], [0.0, 0.0]]}, "damping contains non-finite entries"),
+            ({"source_kind": ("charge", "spin")}, "unknown source kind 'spin'"),
+            (
+                {"covariances": [np.eye(3), [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]]},
+                "covariance 1 is not symmetric",
+            ),
+        ],
+    )
+    def test_malformed_medium_rejected(self, changes, message):
+        two_source_spec()
+        with pytest.raises(ValueError, match=message):
+            two_source_spec(**changes)
+
+
+class TestStoredDtype:
+    """MediumSpec alone decides whether K and Gamma are held real or complex."""
+
+    K = [[2.0, 0.1], [0.0, 3.0]]
+    G = [[0.2, 0.0], [0.0, 0.3]]
+    CASES = {
+        "real": (K, G, np.float64, np.float64),
+        "complex": (np.add(K, 0.1j), np.add(G, 0.01j), np.complex128, np.complex128),
+        "mixed": (K, np.add(G, 0.01j), np.float64, np.complex128),
+        "zero imaginary part": (np.add(K, 0j), np.add(G, 0j), np.float64, np.float64),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_dtype_through_every_entry(self, case):
+        K, G, k_dtype, g_dtype = self.CASES[case]
+        direct = two_source_spec(kernel=K, damping=G)
+        text = spec_to_json(direct)
+        loaded = spec_from_json(text)
+        for spec in (direct, simple_spec(K, G), loaded):
+            assert spec.kernel.dtype == k_dtype and spec.damping.dtype == g_dtype
+            assert np.array_equal(spec.kernel, K) and np.array_equal(spec.damping, G)
+        assert spec_to_json(loaded) == text
+
+    def test_real_spec_keeps_the_file_layout(self):
+        doc = json.loads(spec_to_json(simple_spec(self.K, self.G)))
+        assert doc["kernel_re"] == [2.0, 0.1, 0.0, 3.0]
+        assert doc["kernel_im"] == [0.0] * 4 and doc["damping_im"] == [0.0] * 4

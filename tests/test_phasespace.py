@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from conftest import scalar_spec, stable_spec
 from qpmedia.builders import build_synthetic
-from qpmedia.errors import ThermalSingularity
+from qpmedia.errors import ResonantFrequency, ThermalSingularity
 from qpmedia.medium import (
     KickDrive,
     MonochromaticDrive,
@@ -337,6 +337,13 @@ class TestMeanInFrequency:
             force = np.array([1.0, -1j * w], dtype=complex)
             x = np.linalg.solve(w**2 * np.eye(2) - ext.kappa, force)
             assert np.abs(out[i, 2:] - x).max() < 1e-9
+
+    def test_resonance_raises_resonant_frequency(self):
+        # K = 0 gives kappa an exactly zero column, so J_B has one and the
+        # solve at omega = 0 is exactly singular
+        ext, _ = prepare(simple_spec([[0.0]], [[0.5]]))
+        with pytest.raises(ResonantFrequency):
+            mean_in_frequency(ext, KickDrive([1.0]), [0.0])
 
     def test_linearity(self, damped_scalar):
         ext, _ = prepare(damped_scalar)

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 
 from conftest import stable_spec
 from qpmedia.constants import SPEED_OF_LIGHT_AU
-from qpmedia.errors import LightConeSingularity
+from qpmedia.errors import LightConeSingularity, SingularAuxiliary
 from qpmedia.medium import MediumSpec, simple_spec
 from qpmedia import selfconsistent
 from qpmedia.selfconsistent import (
@@ -77,6 +77,32 @@ class TestAuxiliaryResponse:
         ext, _ = prepare(spec)
         ext_idgauge = replace(ext, sim_A=np.eye(4, dtype=complex))
         assert np.abs(auxiliary_response(ext_idgauge, 0.0)).max() < 1e-14
+
+
+    def test_singular_response_raises(self):
+        # K = 0, Gamma = 1/2: A3 + 2 Gamma A2 is exactly zero at omega = 0
+        ext, _ = prepare(simple_spec([[0.0]], [[0.5]]))
+        with pytest.raises(SingularAuxiliary):
+            auxiliary_response(ext, 0.0)
+
+
+class TestPlaneWaveValidation:
+    @pytest.mark.parametrize("amplitude", [[1.0, 0.0], np.zeros((2, 4)), np.zeros((1, 1, 3))])
+    def test_amplitude_shape(self, amplitude):
+        with pytest.raises(ValueError, match="3-vector or an \\(m, 3\\) table"):
+            PlaneWave(k=[0.0, 0.0, 0.1], amplitude=amplitude)
+
+    def test_table_not_aligned_with_grid(self):
+        wave = PlaneWave(k=[0.0, 0.0, 0.1], amplitude=np.ones((2, 3)))
+        FieldPlaneWaveSet(omega_grid=[0.1, 0.2], waves=(wave,))
+        with pytest.raises(ValueError, match="not aligned with the grid"):
+            FieldPlaneWaveSet(omega_grid=[0.1, 0.2, 0.3], waves=(wave,))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_k(self, bad):
+        wave = PlaneWave(k=[0.0, bad, 0.1], amplitude=[1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="k vector must be finite"):
+            FieldPlaneWaveSet(omega_grid=[0.1], waves=(wave,))
 
 
 class TestGaussianFT:

@@ -587,10 +587,13 @@ def test_real_medium_stores_one_real_root():
 
 
 def test_complex_medium_keeps_a_complex_root():
+    # a mixed medium: real K, complex Gamma
     spec = stable_spec(seed=12, n=4)
     spec = replace(spec, damping=spec.damping + 0.01j * np.eye(4))
+    assert spec.kernel.dtype == np.float64 and spec.damping.dtype == np.complex128
     ext = build_sqrt_kappa(spec)
     assert ext.root.dtype == np.complex128
+    assert np.array_equal(ext.root[4:, :4], spec.kernel)
     assert np.array_equal(ext.kappa, extended_kernel(spec.kernel, spec.damping))
     assert np.array_equal(ext.sqrt_kappa, 1j * ext.root)
 
@@ -607,3 +610,13 @@ def test_square_identity_check_catches_a_wrong_kappa(monkeypatch):
     monkeypatch.setattr(spectral, "extended_kernel", perturbed)
     with pytest.raises(AssertionError, match="square identity"):
         build_sqrt_kappa(spec)
+
+
+def test_near_critical_medium_has_a_singular_similarity():
+    # Gamma^2 = K (1 - 1e-13): cond(V) ~ 6e6 is trusted, but A = W S W^T
+    # carries cond(V)^2 and exceeds SINGULAR_A_COND_THRESHOLD
+    ext = build_sqrt_kappa(simple_spec([[1.0 + 1e-13]], [[1.0]]))
+    eig = eigendecompose(ext)
+    assert not eig.defective
+    with pytest.raises(SingularSimilarity, match="cond\\(A\\)"):
+        attach_similarity(ext, eig)
