@@ -17,7 +17,7 @@ from numpy.typing import NDArray
 
 from .constants import BOHR_PER_ANGSTROM
 from .errors import CoincidentAtoms, CountMismatch, MalformedXYZ
-from .medium import MediumSpec
+from .medium import MediumSpec, _json_floats, _json_object
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,11 @@ class DrudeParams:
     tunneling_steepness: float = 1.0
 
     def __post_init__(self):
+        for name in (
+            "drude_factor", "relaxation", "gaussian_width", "tunneling_d0", "tunneling_steepness"
+        ):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if self.gaussian_width <= 0:
             raise ValueError("gaussian_width must be positive")
         if self.relaxation < 0:
@@ -74,15 +79,24 @@ class DrudeParams:
 
     @classmethod
     def from_json(cls, text: str) -> "DrudeParams":
-        doc = json.loads(text)
-        tun = doc.get("tunneling", {})
+        """Parameters of a JSON object; a key of the wrong type raises a ValueError naming it."""
+        doc = _json_object(json.loads(text), "a parameter file")
+        tun = {
+            "enabled": False,
+            "d0": 0.0,
+            "steepness": 1.0,
+            **_json_object(doc.get("tunneling", {}), "tunneling"),
+        }
+        if not isinstance(tun["enabled"], bool):
+            raise ValueError("tunneling enabled must be true or false")
+        drude_factor = _json_floats(doc, "drude_factor")
         return cls(
-            drude_factor=doc["drude_factor"],
-            relaxation=doc["relaxation"],
-            gaussian_width=doc["gaussian_width"],
-            tunneling_enabled=bool(tun.get("enabled", False)),
-            tunneling_d0=float(tun.get("d0", 0.0)),
-            tunneling_steepness=float(tun.get("steepness", 1.0)),
+            drude_factor=float(drude_factor) if drude_factor.ndim == 0 else drude_factor,
+            relaxation=float(_json_floats(doc, "relaxation", ())),
+            gaussian_width=float(_json_floats(doc, "gaussian_width", ())),
+            tunneling_enabled=tun["enabled"],
+            tunneling_d0=float(_json_floats(tun, "d0", ())),
+            tunneling_steepness=float(_json_floats(tun, "steepness", ())),
         )
 
 
@@ -167,7 +181,10 @@ def tunneling_gate(d: NDArray[np.float64], params: DrudeParams):
 def _conduction(d: NDArray[np.float64], params: DrudeParams):
     """The conduction matrix of the links between sources at distances ``d``."""
     n = d.shape[0]
-    factor = np.broadcast_to(np.asarray(params.drude_factor, dtype=float), (n,))
+    factor = np.asarray(params.drude_factor, dtype=float)
+    if factor.ndim > 1 or factor.size not in (1, n):
+        raise ValueError(f"drude_factor must be one number or one per source ({n})")
+    factor = np.broadcast_to(factor, (n,))
     strength = np.sqrt(np.outer(factor, factor))
     w = strength * tunneling_gate(d, params)
     np.fill_diagonal(w, 0.0)

@@ -5,6 +5,10 @@ internally; every run prints one summary line with a checksum of the files
 it wrote.  At a fixed BLAS thread count, identical inputs produce
 byte-identical outputs.
 
+Each subcommand is declared once, in the command table ``_COMMANDS`` (help,
+runner, arguments; shared argument groups are defined once): the parser is
+built from it and :func:`run` dispatches through it.
+
 Every table goes through one writer, :func:`_write_table`, in chunks: each
 chunk is one ``template % values``, where the template holds the row
 formats of all of the chunk's rows and the cells that repeat (row indices,
@@ -31,7 +35,8 @@ from . import builders, openquantum, phasespace, response, spectral
 from .constants import HARTREE_TO_EV
 from .errors import QpmError
 from .medium import (
-    KickDrive, MediumSpec, _json_floats, consistent_extended_ic, spec_from_json, spec_to_json
+    KickDrive, MediumSpec, _json_floats, _json_object, consistent_extended_ic, spec_from_json,
+    spec_to_json,
 )
 
 _HEADER_COMMENT = f"# 1 Hartree = {HARTREE_TO_EV!r} eV"
@@ -121,13 +126,6 @@ def _kick_for(spec: MediumSpec, config: argparse.Namespace) -> KickDrive:
     return KickDrive(_vector(config.kick, spec.n, "kick amplitude"))
 
 
-def _axis_index(name: str) -> int:
-    try:
-        return {"x": 0, "y": 1, "z": 2}[name.lower()]
-    except KeyError:
-        raise ValueError("response axis must be one of x, y, z") from None
-
-
 def _write_svg(path: Path, table: response.SpectrumTable) -> None:
     """Minimal deterministic line plot of the spectrum columns."""
     width, height, pad = 720, 360, 40
@@ -169,7 +167,7 @@ def _run_build(config: argparse.Namespace) -> list[Path]:
     geom = builders.parse_xyz(Path(config.xyz))
     params = builders.DrudeParams.from_json(Path(config.params).read_text(encoding="utf-8"))
     spec = builders.build_drude_charge_model(
-        geom, params, response_axis=_axis_index(config.response_axis)
+        geom, params, response_axis="xyz".index(config.response_axis)
     )
     out = Path(config.out)
     out.write_text(spec_to_json(spec) + "\n", encoding="utf-8")
@@ -262,6 +260,8 @@ def _run_propagate(config: argparse.Namespace) -> list[Path]:
     u0 = np.zeros(n, dtype=complex) if config.u0 is None else _vector(config.u0, n, "u0")
     v0 = np.zeros(n, dtype=complex) if config.v0 is None else _vector(config.v0, n, "v0")
     drive = _kick_for(spec, config) if config.kick is not None else None
+    if config.cov_out:  # a bad --hbar fails before the solve
+        phasespace._positive_finite("hbar", config.hbar)
     ext, _ = spectral.prepare(spec)
     x0, xdot0 = consistent_extended_ic(spec, u0, v0, drive)
     q0 = phasespace.consistent_mean(ext, x0, xdot0)
@@ -313,7 +313,7 @@ def _run_field(config: argparse.Namespace) -> list[Path]:
     spec = _load_model(config)
     if not config.waves:
         raise ValueError("field requires --waves")
-    doc = json.loads(Path(config.waves).read_text(encoding="utf-8"))
+    doc = _json_object(json.loads(Path(config.waves).read_text(encoding="utf-8")), "a waves file")
     keys = ("omega_min_ev", "omega_max_ev", "omega_step_ev")
     grid_ev = _grid(*(float(_json_floats(doc, key, ())) for key in keys), "frequency")
     grid = grid_ev / HARTREE_TO_EV
@@ -321,6 +321,7 @@ def _run_field(config: argparse.Namespace) -> list[Path]:
         raise ValueError("plane_waves must be a list of plane waves")
     waves = []
     for w in doc["plane_waves"]:
+        _json_object(w, "each entry of plane_waves")
         re = _json_floats(w, "amplitude_re")
         im = _json_floats(w, "amplitude_im") if "amplitude_im" in w else 0.0
         # a non-finite part is rejected by PlaneWave; inf * 1j would first warn
@@ -352,13 +353,9 @@ def _run_field(config: argparse.Namespace) -> list[Path]:
                 "similarity_gauge": "deterministic eigenvector basis of the extended square root",
                 "delta_terms": [
                     {
-                        "k": [float(v) for v in term["k"]],
-                        "amplitude_re": [
-                            [float(c.real) for c in row] for row in term["amplitude"]
-                        ],
-                        "amplitude_im": [
-                            [float(c.imag) for c in row] for row in term["amplitude"]
-                        ],
+                        "k": term["k"].tolist(),
+                        "amplitude_re": term["amplitude"].real.tolist(),
+                        "amplitude_im": term["amplitude"].imag.tolist(),
                     }
                     for term in delta_terms
                 ],
@@ -376,6 +373,10 @@ def _run_bath(config: argparse.Namespace) -> list[Path]:
     spec = _load_model(config)
     grid_ev = _grid(config.omega_min, config.omega_max, config.omega_step, "frequency")
     grid = grid_ev / HARTREE_TO_EV
+    # checked before the solve, in the order thermal_correlation checks them
+    phasespace._positive_finite("beta", config.beta)
+    phasespace._positive_finite("hbar", config.hbar)
+    openquantum._check_eta(config.eta)
     ext, _ = spectral.prepare(spec)
     corr = openquantum.thermal_correlation(ext, config.beta, config.hbar, grid, config.eta)
     m = corr.gamma.shape[1]
@@ -398,21 +399,76 @@ def _run_bath(config: argparse.Namespace) -> list[Path]:
     return [out]
 
 
-_RUNNERS = {
-    "build": _run_build,
-    "spectrum": _run_spectrum,
-    "modes": _run_modes,
-    "filter": _run_filter,
-    "propagate": _run_propagate,
-    "field": _run_field,
-    "bath": _run_bath,
+# Argument groups shared by several subcommands: (flag, add_argument keywords).
+_MODEL_OUT = (
+    ("--model", dict(required=True, help="model JSON file")),
+    ("--out", dict(required=True, help="output file")),
+)
+_WINDOW = (
+    ("--omega-min", dict(type=float, required=True, help="window start (eV)")),
+    ("--omega-max", dict(type=float, required=True, help="window end (eV)")),
+    ("--omega-step", dict(type=float, required=True, help="step (eV)")),
+)
+_KICK = ("--kick", dict(help="kick amplitudes: comma list or JSON file"))
+_HBAR = ("--hbar", dict(type=float, default=1.0))
+
+# subcommand -> (help, runner, its arguments in --help order)
+_COMMANDS = {
+    "build": ("build a model from geometry + parameters", _run_build, [
+        ("--xyz", dict(required=True)),
+        ("--params", dict(required=True)),
+        ("--response-axis", dict(default="z", choices=("x", "y", "z"))),
+        ("--out", dict(required=True)),
+    ]),
+    "spectrum": ("tabulate Im alpha over a frequency window", _run_spectrum, [
+        *_MODEL_OUT,
+        *_WINDOW,
+        _KICK,
+        ("--svg", dict(help="optional SVG plot path")),
+    ]),
+    "modes": ("dump the extended eigenvalues", _run_modes, [
+        *_MODEL_OUT,
+        ("--vectors", dict(help="optional eigenvector dump path")),
+    ]),
+    "filter": ("mode selection report", _run_filter, [
+        *_MODEL_OUT,
+        ("--mode", dict(dest="filter_mode", required=True, choices=("if", "ef"))),
+        ("--threshold", dict(type=float)),
+        ("--omega-lo", dict(dest="window_lo", type=float, help="window start (eV)")),
+        ("--omega-hi", dict(dest="window_hi", type=float, help="window end (eV)")),
+        _KICK,
+    ]),
+    "propagate": ("mean phase-space trajectory", _run_propagate, [
+        *_MODEL_OUT,
+        ("--t-max", dict(type=float, required=True)),
+        ("--t-step", dict(type=float, required=True)),
+        ("--u0", dict(help="comma list of initial u")),
+        ("--v0", dict(help="comma list of initial u'")),
+        ("--kick", dict(help="kick amplitudes applied for t >= 0")),
+        _HBAR,
+        ("--cov-out", dict(
+            dest="cov_out", help="directory for per-sample covariance dumps (vacuum initial state)"
+        )),
+    ]),
+    "field": ("first-order scattered field", _run_field, [
+        *_MODEL_OUT,
+        ("--waves", dict(required=True, help="plane-wave set JSON")),
+    ]),
+    "bath": ("thermal bath correlation tables", _run_bath, [
+        *_MODEL_OUT,
+        ("--beta", dict(type=float, required=True)),
+        _HBAR,
+        ("--eta", dict(type=float, default=1e-4, help="regularization (Hartree)")),
+        *_WINDOW,
+    ]),
 }
 
 
 def run(config: argparse.Namespace) -> int:
     """Dispatch one subcommand; returns the process exit status."""
     try:
-        written = _RUNNERS[config.subcommand](config)
+        _, runner, _ = _COMMANDS[config.subcommand]
+        written = runner(config)
     except (QpmError, ValueError, OSError, KeyError, TypeError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -426,64 +482,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qpm", description="Dissipative polarizable media toolkit"
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p):
-        p.add_argument("--model", required=True, help="model JSON file")
-        p.add_argument("--out", required=True, help="output file")
-
-    p = sub.add_parser("build", help="build a model from geometry + parameters")
-    p.add_argument("--xyz", required=True)
-    p.add_argument("--params", required=True)
-    p.add_argument("--response-axis", default="z", choices=("x", "y", "z"))
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("spectrum", help="tabulate Im alpha over a frequency window")
-    add_common(p)
-    p.add_argument("--omega-min", type=float, required=True, help="window start (eV)")
-    p.add_argument("--omega-max", type=float, required=True, help="window end (eV)")
-    p.add_argument("--omega-step", type=float, required=True, help="step (eV)")
-    p.add_argument("--kick", help="kick amplitudes: comma list or JSON file")
-    p.add_argument("--svg", help="optional SVG plot path")
-
-    p = sub.add_parser("modes", help="dump the extended eigenvalues")
-    add_common(p)
-    p.add_argument("--vectors", help="optional eigenvector dump path")
-
-    p = sub.add_parser("filter", help="mode selection report")
-    add_common(p)
-    p.add_argument("--mode", dest="filter_mode", required=True, choices=("if", "ef"))
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--omega-lo", dest="window_lo", type=float, help="window start (eV)")
-    p.add_argument("--omega-hi", dest="window_hi", type=float, help="window end (eV)")
-    p.add_argument("--kick", help="kick amplitudes: comma list or JSON file")
-
-    p = sub.add_parser("propagate", help="mean phase-space trajectory")
-    add_common(p)
-    p.add_argument("--t-max", type=float, required=True)
-    p.add_argument("--t-step", type=float, required=True)
-    p.add_argument("--u0", help="comma list of initial u")
-    p.add_argument("--v0", help="comma list of initial u'")
-    p.add_argument("--kick", help="kick amplitudes applied for t >= 0")
-    p.add_argument("--hbar", type=float, default=1.0)
-    p.add_argument(
-        "--cov-out",
-        dest="cov_out",
-        help="directory for per-sample covariance dumps (vacuum initial state)",
-    )
-
-    p = sub.add_parser("field", help="first-order scattered field")
-    add_common(p)
-    p.add_argument("--waves", required=True, help="plane-wave set JSON")
-
-    p = sub.add_parser("bath", help="thermal bath correlation tables")
-    add_common(p)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--hbar", type=float, default=1.0)
-    p.add_argument("--eta", type=float, default=1e-4, help="regularization (Hartree)")
-    p.add_argument("--omega-min", type=float, required=True)
-    p.add_argument("--omega-max", type=float, required=True)
-    p.add_argument("--omega-step", type=float, required=True)
-
+    for name, (help_text, _, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
     return parser
 
 

@@ -485,10 +485,15 @@ def _json_floats(doc: dict, key: str, shape: tuple[int, ...] | None = None) -> N
     return values.reshape(shape)
 
 
-def spec_from_json(text: str) -> MediumSpec:
-    doc = json.loads(text)
+def _json_object(doc, what: str) -> dict:
+    """``doc`` when it is a JSON object; otherwise a ValueError that names ``what``."""
     if not isinstance(doc, dict):
-        raise ValueError("a model file must hold a JSON object")
+        raise ValueError(f"{what} must hold a JSON object")
+    return doc
+
+
+def spec_from_json(text: str) -> MediumSpec:
+    doc = _json_object(json.loads(text), "a model file")
     n = doc["n"]
     if type(n) is not int or n < 1:
         raise ValueError(f"model n must be an integer of at least 1, got {n!r}")

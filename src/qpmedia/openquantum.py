@@ -68,6 +68,12 @@ def x_block(matrix: NDArray[np.complex128]) -> NDArray[np.complex128]:
     return matrix[N:, N:]
 
 
+def _check_eta(eta: float) -> None:
+    """Reject a regularization eta that is negative or not finite."""
+    if not 0 <= eta < np.inf:
+        raise ValueError("eta must be non-negative and finite")
+
+
 def _x_sweep(ext: ExtendedOperator, omega_grid, eta: float, rhs_x, finish) -> CorrelationSet:
     """Xi(omega) on the x-block, one resolvent solve per grid frequency.
 
@@ -75,8 +81,7 @@ def _x_sweep(ext: ExtendedOperator, omega_grid, eta: float, rhs_x, finish) -> Co
     right-hand side, so only the 2n x-columns ``rhs_x`` are solved for;
     ``finish`` maps each solved 4n x 2n block to its 2n x 2n x-block.
     """
-    if not 0 <= eta < np.inf:
-        raise ValueError("eta must be non-negative and finite")
+    _check_eta(eta)
     grid = np.asarray(omega_grid, dtype=float)
     xi = np.array([finish(_resolvent_solve(ext, w, rhs_x, eta)) for w in grid])
     xi_dag = np.conj(np.transpose(xi, (0, 2, 1)))

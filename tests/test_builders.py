@@ -220,7 +220,8 @@ class TestDrudeParamsIO:
           "gaussian_width": 2.4,
           "tunneling": {"enabled": true, "d0": 6.0, "steepness": 10.0}
         }"""
-        assert DrudeParams.from_json(text) == DrudeParams(
+        params = DrudeParams.from_json(text)
+        assert params == DrudeParams(
             drude_factor=0.008,
             relaxation=0.004,
             gaussian_width=2.4,
@@ -228,6 +229,7 @@ class TestDrudeParamsIO:
             tunneling_d0=6.0,
             tunneling_steepness=10.0,
         )
+        assert type(params.drude_factor) is float
 
     def test_invalid_width_rejected(self):
         with pytest.raises(ValueError, match="gaussian_width"):

@@ -532,6 +532,94 @@ class TestPropagateFallback:
         assert capsys.readouterr().err == ""
 
 
+# every option of every subcommand, in --help order:
+# (flags, dest, type, default, required, choices)
+_PARSER_GOLDEN = {
+    "build": [
+        (("--xyz",), "xyz", None, None, True, None),
+        (("--params",), "params", None, None, True, None),
+        (("--response-axis",), "response_axis", None, "z", False, ("x", "y", "z")),
+        (("--out",), "out", None, None, True, None),
+    ],
+    "spectrum": [
+        (("--model",), "model", None, None, True, None),
+        (("--out",), "out", None, None, True, None),
+        (("--omega-min",), "omega_min", float, None, True, None),
+        (("--omega-max",), "omega_max", float, None, True, None),
+        (("--omega-step",), "omega_step", float, None, True, None),
+        (("--kick",), "kick", None, None, False, None),
+        (("--svg",), "svg", None, None, False, None),
+    ],
+    "modes": [
+        (("--model",), "model", None, None, True, None),
+        (("--out",), "out", None, None, True, None),
+        (("--vectors",), "vectors", None, None, False, None),
+    ],
+    "filter": [
+        (("--model",), "model", None, None, True, None),
+        (("--out",), "out", None, None, True, None),
+        (("--mode",), "filter_mode", None, None, True, ("if", "ef")),
+        (("--threshold",), "threshold", float, None, False, None),
+        (("--omega-lo",), "window_lo", float, None, False, None),
+        (("--omega-hi",), "window_hi", float, None, False, None),
+        (("--kick",), "kick", None, None, False, None),
+    ],
+    "propagate": [
+        (("--model",), "model", None, None, True, None),
+        (("--out",), "out", None, None, True, None),
+        (("--t-max",), "t_max", float, None, True, None),
+        (("--t-step",), "t_step", float, None, True, None),
+        (("--u0",), "u0", None, None, False, None),
+        (("--v0",), "v0", None, None, False, None),
+        (("--kick",), "kick", None, None, False, None),
+        (("--hbar",), "hbar", float, 1.0, False, None),
+        (("--cov-out",), "cov_out", None, None, False, None),
+    ],
+    "field": [
+        (("--model",), "model", None, None, True, None),
+        (("--out",), "out", None, None, True, None),
+        (("--waves",), "waves", None, None, True, None),
+    ],
+    "bath": [
+        (("--model",), "model", None, None, True, None),
+        (("--out",), "out", None, None, True, None),
+        (("--beta",), "beta", float, None, True, None),
+        (("--hbar",), "hbar", float, 1.0, False, None),
+        (("--eta",), "eta", float, 1e-4, False, None),
+        (("--omega-min",), "omega_min", float, None, True, None),
+        (("--omega-max",), "omega_max", float, None, True, None),
+        (("--omega-step",), "omega_step", float, None, True, None),
+    ],
+}
+
+
+class TestParser:
+    def test_options_match_golden(self):
+        import argparse
+
+        from qpmedia.cli import _build_parser
+
+        (sub,) = (
+            a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        options = {
+            name: [
+                (tuple(a.option_strings), a.dest, a.type, a.default, a.required, a.choices)
+                for a in parser._actions
+                if not isinstance(a, argparse._HelpAction)
+            ]
+            for name, parser in sub.choices.items()
+        }
+        assert list(options.items()) == list(_PARSER_GOLDEN.items())
+
+    @pytest.mark.parametrize("subcommand", list(_PARSER_GOLDEN))
+    def test_help_exits_zero(self, subcommand, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: qpm {subcommand} ")
+
+
 _WAVE = {"k": [0.01, 0.0, 0.0], "amplitude_re": [0.0, 1.0, 0.0]}
 
 
@@ -607,8 +695,14 @@ class TestErrors:
         ],
     )
     def test_ill_posed_physical_parameter_rejected(
-        self, model_file, tmp_path, capsys, subcommand, flags, name
+        self, model_file, tmp_path, capsys, monkeypatch, subcommand, flags, name
     ):
+        from qpmedia import spectral
+
+        def no_decomposition(spec):
+            raise AssertionError("spectral.prepare ran before the parameter was checked")
+
+        monkeypatch.setattr(spectral, "prepare", no_decomposition)
         out = tmp_path / "out.csv"
         cov_dir = tmp_path / "covs"
         window = {
@@ -657,12 +751,14 @@ class TestErrors:
             ("waves", {"plane_waves": [{**_WAVE, "amplitude_re": None}]}, "amplitude_re"),
             ("waves", {"plane_waves": [{**_WAVE, "amplitude_im": {}}]}, "amplitude_im must be"),
             ("waves", {"plane_waves": [{**_WAVE, "amplitude_re": [0.0, 1.0]}]}, "amplitude must"),
+            ("waves", None, "a waves file must hold a JSON object"),
+            ("waves", {"plane_waves": [5]}, "each entry of plane_waves must hold a JSON object"),
         ],
         ids=[
             "model-edit0", "model-edit1", "model-None", "waves-edit3", "waves-edit4", "kick-None",
             "coords-count", "ragged-damping_im", "string-gen_coord_vector", "bool-covariances",
             "list-omega_step_ev", "string-k_queries", "short-k", "null-amplitude_re",
-            "object-amplitude_im", "short-amplitude_re",
+            "object-amplitude_im", "short-amplitude_re", "waves-None", "int-plane_wave",
         ],
     )
     def test_wrongly_typed_json_rejected(self, tmp_path, capsys, target, edit, name):
@@ -677,7 +773,7 @@ class TestErrors:
         if target == "model":
             model_doc = [model_doc] if edit is None else {**model_doc, **edit}
         elif target == "waves":
-            waves_doc.update(edit)
+            waves_doc = [waves_doc] if edit is None else {**waves_doc, **edit}
         model = tmp_path / "model.json"
         model.write_text(json.dumps(model_doc), encoding="utf-8")
         out = tmp_path / "out.csv"
@@ -696,6 +792,57 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert name in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[]", "a parameter file must hold a JSON object"),
+            ('{"tunneling": [1]}', "tunneling must hold a JSON object"),
+            ('{"drude_factor": "abc"}', "drude_factor must be a number or a list of numbers"),
+            ('{"relaxation": "x"}', "relaxation must be a number or a list of numbers"),
+            ('{"relaxation": true}', "relaxation must be a number or a list of numbers"),
+            ('{"gaussian_width": [2.4, 2.4]}', "gaussian_width must hold 1 number(s), got 2"),
+            ('{"tunneling": {"d0": "six"}}', "d0 must be a number or a list of numbers"),
+            ('{"tunneling": {"steepness": null}}', "steepness must be a number or a list"),
+            ('{"tunneling": {"enabled": "no"}}', "tunneling enabled must be true or false"),
+            ('{"relaxation": NaN}', "relaxation must be finite"),
+            ('{"gaussian_width": Infinity}', "gaussian_width must be finite"),
+            ('{"drude_factor": [0.008, -Infinity]}', "drude_factor must be finite"),
+            ('{"drude_factor": [0.008, 0.008, 0.008]}', "drude_factor must be one number or one per"),
+            ('{"tunneling": {"d0": NaN}}', "tunneling_d0 must be finite"),
+        ],
+        ids=[
+            "list-file", "list-tunneling", "string-drude_factor", "string-relaxation",
+            "bool-relaxation", "list-gaussian_width", "string-d0", "null-steepness",
+            "string-enabled", "nan-relaxation", "inf-gaussian_width", "inf-drude_factor",
+            "long-drude_factor", "nan-d0",
+        ],
+    )
+    def test_malformed_params_rejected(self, tmp_path, capsys, text, message):
+        xyz = tmp_path / "g.xyz"
+        xyz.write_text("2\ncluster\nAg 0 0 0\nAg 0 0 2.5\n", encoding="utf-8")
+        valid = {
+            "drude_factor": 0.008,
+            "relaxation": 0.004,
+            "gaussian_width": 2.4,
+            "tunneling": {"enabled": True, "d0": 6.0, "steepness": 10.0},
+        }
+        # an edit object replaces one key of the valid file, or one key of its tunneling
+        doc = json.loads(text)
+        if isinstance(doc, dict):
+            tunneling = doc.get("tunneling", {})
+            if isinstance(tunneling, dict):
+                doc["tunneling"] = {**valid["tunneling"], **tunneling}
+            doc = {**valid, **doc}
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "model.json"
+        code = main(["build", "--xyz", str(xyz), "--params", str(params), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: ") and err.count("\n") == 1
+        assert message in err
         assert not out.exists()
 
     def test_usage_error_exit_code(self):
