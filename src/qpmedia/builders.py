@@ -9,6 +9,7 @@ deliberately not baked in; every physical constant arrives through
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -155,18 +156,17 @@ def coulomb_kernel(coords_bohr: NDArray[np.float64], width: float):
     d -> 0 limit 2/(width sqrt(2 pi)), which bounds the interaction and
     removes the polarization catastrophe of the bare Coulomb kernel.
     """
-    # imported here, as only qpm build needs it, to keep scipy off every
-    # other command's start-up
-    from scipy.special import erf
-
     d = _distances(coords_bohr)
     n = d.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    if np.any(d[off] == 0.0):
+    # d is exactly symmetric, so erf is evaluated once per pair and mirrored
+    upper = np.triu_indices(n, 1)
+    pairs = d[upper]
+    if np.any(pairs == 0.0):
         raise CoincidentAtoms("two sources coincide")
+    x = pairs / (width * np.sqrt(2.0))
     T = np.empty((n, n))
-    T[off] = erf(d[off] / (width * np.sqrt(2.0))) / d[off]
-    T[~off] = 2.0 / (width * np.sqrt(2.0 * np.pi))
+    T[upper] = T.T[upper] = np.fromiter(map(math.erf, x.tolist()), float, count=x.size) / pairs
+    np.fill_diagonal(T, 2.0 / (width * np.sqrt(2.0 * np.pi)))
     return T, d
 
 

@@ -89,13 +89,20 @@ class MediumSpec:
             raise ValueError("source_kind must have one tag per source")
         if self.gen_coord_vector.shape != (n,):
             raise ValueError("gen_coord_vector must have length n")
-        if not np.all(np.isfinite(self.coords)):
-            raise ValueError("coords contain non-finite entries")
-        for alpha, sigma in enumerate(self.covariances):
-            if not np.allclose(sigma, sigma.T, atol=1e-12):
+        for name in ("coords", "covariances", "gen_coord_vector"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} contains non-finite entries")
+        sigma = self.covariances
+        sigma_t = sigma.transpose(0, 2, 1)
+        asymmetric = ~np.isclose(sigma, sigma_t, atol=1e-12).all(axis=(1, 2))
+        # halved before the sum, which cannot overflow for finite entries
+        indefinite = np.linalg.eigvalsh(sigma / 2 + sigma_t / 2).min(axis=1) < -1e-12
+        bad = np.flatnonzero(asymmetric | indefinite)
+        if bad.size:
+            alpha = bad[0]
+            if asymmetric[alpha]:
                 raise ValueError(f"covariance {alpha} is not symmetric")
-            if np.linalg.eigvalsh((sigma + sigma.T) / 2).min() < -1e-12:
-                raise ValueError(f"covariance {alpha} is not positive semidefinite")
+            raise ValueError(f"covariance {alpha} is not positive semidefinite")
         for alpha, kind in enumerate(self.source_kind):
             g = self.gen_coord_vector[alpha]
             if kind == "dipole-component":
@@ -449,19 +456,51 @@ def extended_kernel(K, G) -> NDArray:
 # Serialization
 # ---------------------------------------------------------------------------
 
+# what json.dumps(indent=2) writes between two cells of a list nested one level deep
+_CELL_SEP = ",\n    "
+
+
+def _json_list(cells) -> str:
+    """A list of already-encoded cells, laid out as json.dumps(indent=2) lays it out."""
+    return "[\n    " + _CELL_SEP.join(cells) + "\n  ]"
+
+
+def _json_float_cells(values: NDArray[np.float64]) -> list[str]:
+    """Each entry of ``values`` as json writes a finite float: ``float.__repr__``.
+
+    An exact +0.0 is the literal ``"0.0"`` without a repr; a -0.0 keeps its own.
+    The all-zero ``_im`` lists of a real medium and the off-diagonal of a
+    scalar damping so cost almost nothing.
+    """
+    flat = values.ravel()
+    kept = np.flatnonzero((flat != 0.0) | np.signbit(flat))
+    if kept.size == flat.size:
+        return list(map(float.__repr__, flat.tolist()))
+    cells = ["0.0"] * flat.size
+    for i, cell in zip(kept.tolist(), map(float.__repr__, flat[kept].tolist())):
+        cells[i] = cell
+    return cells
+
+
 def spec_to_json(spec: MediumSpec) -> str:
-    """Serialize a MediumSpec to the documented JSON layout (row-major)."""
-    doc = {
-        "n": spec.n,
-        "coords": spec.coords.ravel().tolist(),
-        "covariances": spec.covariances.ravel().tolist(),
-        "source_kind": list(spec.source_kind),
-        "gen_coord_vector": spec.gen_coord_vector.tolist(),
+    """Serialize a MediumSpec to the documented JSON layout (row-major).
+
+    The text is, byte for byte, ``json.dumps(doc, indent=2, sort_keys=True)``
+    of the document with every array flattened to a list, written directly
+    rather than through json's pure-Python indent encoder.
+    """
+    arrays = {
+        "coords": spec.coords,
+        "covariances": spec.covariances,
+        "gen_coord_vector": spec.gen_coord_vector,
     }
     for name in ("kernel", "damping"):
-        m = getattr(spec, name).ravel()
-        doc[f"{name}_re"], doc[f"{name}_im"] = m.real.tolist(), m.imag.tolist()
-    return json.dumps(doc, indent=2, sort_keys=True)
+        m = getattr(spec, name)
+        arrays[f"{name}_re"], arrays[f"{name}_im"] = m.real, m.imag
+    fields = {key: _json_list(_json_float_cells(a)) for key, a in arrays.items()}
+    fields["n"] = json.dumps(spec.n)
+    fields["source_kind"] = _json_list(map(json.dumps, spec.source_kind))
+    return "{\n" + ",\n".join(f'  "{key}": {fields[key]}' for key in sorted(fields)) + "\n}"
 
 
 def _json_floats(doc: dict, key: str, shape: tuple[int, ...] | None = None) -> NDArray[np.float64]:
@@ -492,6 +531,20 @@ def _json_object(doc, what: str) -> dict:
     return doc
 
 
+def _json_matrix(doc: dict, name: str, n: int) -> NDArray:
+    """The n x n matrix stored as ``{name}_re`` and ``{name}_im``.
+
+    An all-zero ``_im`` list gives a float matrix without a complex temporary;
+    adding that list to ``_re`` leaves every entry, signed zeros included, as
+    the complex sum ``re + 1j * im`` would.
+    """
+    re = _json_floats(doc, f"{name}_re", (n, n))
+    im = _json_floats(doc, f"{name}_im", (n, n))
+    if im.any():
+        return re + 1j * im
+    return np.add(re, im, out=re)
+
+
 def spec_from_json(text: str) -> MediumSpec:
     doc = _json_object(json.loads(text), "a model file")
     n = doc["n"]
@@ -499,15 +552,11 @@ def spec_from_json(text: str) -> MediumSpec:
         raise ValueError(f"model n must be an integer of at least 1, got {n!r}")
     if not isinstance(doc["source_kind"], list):
         raise ValueError("source_kind must be a list of source tags")
-    kernel, damping = (
-        _json_floats(doc, f"{name}_re", (n, n)) + 1j * _json_floats(doc, f"{name}_im", (n, n))
-        for name in ("kernel", "damping")
-    )
     return MediumSpec(
         coords=_json_floats(doc, "coords", (3, n)),
         covariances=_json_floats(doc, "covariances", (n, 3, 3)),
-        kernel=kernel,
-        damping=damping,
+        kernel=_json_matrix(doc, "kernel", n),
+        damping=_json_matrix(doc, "damping", n),
         source_kind=tuple(doc["source_kind"]),
         gen_coord_vector=_json_floats(doc, "gen_coord_vector", (n,)),
     )

@@ -96,6 +96,23 @@ class TestKernel:
         ]
         assert np.all(np.diff(vals) < 0)
 
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            hexagonal_disk(20.0, 2.434).positions * BOHR_PER_ANGSTROM,
+            np.random.default_rng(5).uniform(-30.0, 30.0, size=(3, 80)),
+        ],
+        ids=["readme-disk", "random-cloud"],
+    )
+    def test_within_one_spacing_of_scipy_erf(self, coords):
+        s = 2.4
+        T, d = coulomb_kernel(coords, width=s)
+        off = ~np.eye(d.shape[0], dtype=bool)
+        expected = np.empty_like(T)
+        expected[off] = erf(d[off] / (s * np.sqrt(2.0))) / d[off]
+        expected[~off] = 2.0 / (s * np.sqrt(2.0 * np.pi))
+        assert np.all(np.abs(T - expected) <= np.spacing(np.abs(expected)))
+
     def test_coincident_atoms(self):
         with pytest.raises(CoincidentAtoms):
             coulomb_kernel(np.zeros((3, 2)), width=1.0)

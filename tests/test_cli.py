@@ -411,15 +411,34 @@ class TestCovDump:
 
 
 class TestStartup:
-    def test_cli_import_loads_no_scipy(self):
-        # scipy is imported only by qpm build and the expm fallback
+    """scipy is imported only by the expm fallback of a defective generator."""
+
+    @staticmethod
+    def _scipy_modules_after(code, cwd):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        code = "import sys, qpmedia.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+        code = f"import sys\n{code}\nprint([m for m in sys.modules if m.startswith('scipy')])"
         out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True,
+            check=True,
         )
-        assert out.stdout.strip() == "[]"
+        return out.stdout.splitlines()[-1]
+
+    def test_cli_import_loads_no_scipy(self, tmp_path):
+        assert self._scipy_modules_after("import qpmedia.cli", tmp_path) == "[]"
+
+    def test_build_loads_no_scipy(self, tmp_path):
+        (tmp_path / "g.xyz").write_text(
+            "3\ncluster\nAg 0 0 0\nAg 0 0 2.5\nAg 0 2.5 0\n", encoding="utf-8"
+        )
+        params = {"drude_factor": 0.01, "relaxation": 0.004, "gaussian_width": 2.0}
+        (tmp_path / "p.json").write_text(json.dumps(params), encoding="utf-8")
+        code = (
+            "from qpmedia.cli import main\n"
+            "assert main(['build', '--xyz', 'g.xyz', '--params', 'p.json', '--out', 'm.json']) == 0"
+        )
+        assert self._scipy_modules_after(code, tmp_path) == "[]"
+        assert (tmp_path / "m.json").exists()
 
 
 class TestVectorArguments:
@@ -730,6 +749,33 @@ class TestErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError: model n must be an integer")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("gen_coord_vector", float("nan")),
+            ("covariances", float("inf")),
+            ("covariances", float("nan")),
+            ("coords", float("-inf")),
+        ],
+        ids=["nan-gen_coord_vector", "inf-covariances", "nan-covariances", "inf-coords"],
+    )
+    def test_non_finite_model_entries_rejected(self, tmp_path, capsys, key, value):
+        doc = json.loads(spec_to_json(stable_spec(seed=3, n=2)))
+        doc[key] = [value] * len(doc[key])
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "s.csv"
+        code = main(
+            [
+                "spectrum", "--model", str(model), "--omega-min", "0",
+                "--omega-max", "1", "--omega-step", "0.1", "--out", str(out),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: ValueError: {key} contains non-finite entries\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import scalar_spec, stable_spec
+from qpmedia import builders
 from qpmedia.errors import InconsistentInitialConditions, NonFinite, OutOfRange
 from qpmedia.medium import (
     KickDrive,
@@ -231,6 +234,10 @@ class TestSpecValidation:
                 gen_coord_vector=np.zeros(0),
             )
 
+    def test_largest_finite_covariance_accepted(self):
+        spec = two_source_spec(covariances=[np.eye(3), np.full((3, 3), 1.7e308) * np.eye(3)])
+        assert spec.covariances[1, 2, 2] == 1.7e308
+
     def test_simple_spec_shape(self):
         spec = simple_spec([[2.0, 0.1], [0.0, 3.0]], np.zeros((2, 2)))
         assert spec.n == 2
@@ -248,12 +255,38 @@ class TestSpecValidation:
                 {"covariances": [np.eye(3), [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]]},
                 "covariance 1 is not symmetric",
             ),
+            ({"gen_coord_vector": [np.nan, np.nan]}, "gen_coord_vector contains non-finite"),
+            ({"covariances": [np.eye(3), np.full((3, 3), np.inf)]}, "covariances contains non-"),
+            ({"covariances": [np.eye(3), np.full((3, 3), np.nan)]}, "covariances contains non-"),
+            ({"coords": [[0.0, np.inf], [0.0, 0.0], [1.0, 2.0]]}, "coords contains non-finite"),
         ],
     )
     def test_malformed_medium_rejected(self, changes, message):
         two_source_spec()
         with pytest.raises(ValueError, match=message):
             two_source_spec(**changes)
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ({2: -np.eye(3), 3: np.triu(np.ones((3, 3)))}, "covariance 2 is not positive"),
+            ({2: np.triu(np.ones((3, 3))), 3: -np.eye(3)}, "covariance 2 is not symmetric"),
+            ({1: -np.triu(np.ones((3, 3)))}, "covariance 1 is not symmetric"),
+        ],
+    )
+    def test_first_bad_covariance_is_named(self, bad, message):
+        covariances = np.broadcast_to(np.eye(3), (5, 3, 3)).copy()
+        for alpha, sigma in bad.items():
+            covariances[alpha] = sigma
+        with pytest.raises(ValueError, match=f"^{message}"):
+            MediumSpec(
+                coords=np.zeros((3, 5)),
+                covariances=covariances,
+                kernel=np.eye(5),
+                damping=np.zeros((5, 5)),
+                source_kind=("charge",) * 5,
+                gen_coord_vector=np.zeros(5),
+            )
 
 
 class TestStoredDtype:
@@ -283,3 +316,119 @@ class TestStoredDtype:
         doc = json.loads(spec_to_json(simple_spec(self.K, self.G)))
         assert doc["kernel_re"] == [2.0, 0.1, 0.0, 3.0]
         assert doc["kernel_im"] == [0.0] * 4 and doc["damping_im"] == [0.0] * 4
+
+
+def json_dumps_layout(spec):
+    """The model text as ``json.dumps(indent=2, sort_keys=True)`` writes it: the writer's oracle."""
+    doc = {
+        "n": spec.n,
+        "coords": spec.coords.ravel().tolist(),
+        "covariances": spec.covariances.ravel().tolist(),
+        "source_kind": list(spec.source_kind),
+        "gen_coord_vector": spec.gen_coord_vector.tolist(),
+    }
+    for name in ("kernel", "damping"):
+        m = getattr(spec, name).ravel()
+        doc[f"{name}_re"], doc[f"{name}_im"] = m.real.tolist(), m.imag.tolist()
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+# signed zeros, subnormals, both sides of repr's switch to exponent notation
+# (below 1e-4 and from 1e16 on) and the extremes of float64
+_EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e-5, 9.999999999999999e-05, 1e-4,
+    -0.0001, 1e15, 9999999999999998.0, 1e16, -1e16, 1.7976931348623157e308,
+)
+
+
+def _complex(re, im):
+    """``re + i im`` with the sign of every zero kept."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+@st.composite
+def media(draw):
+    n = draw(st.integers(1, 4))
+    cells = st.one_of(
+        st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False)
+    )
+
+    def array(*shape, values=cells):
+        count = int(np.prod(shape))
+        return np.array(draw(st.lists(values, min_size=count, max_size=count))).reshape(shape)
+
+    def matrix():
+        re = array(n, n)
+        return _complex(re, array(n, n)) if draw(st.booleans()) else re
+
+    coords = array(3, n)
+    kinds = st.sampled_from(("charge", "dipole-component"))
+    kinds = tuple(draw(st.lists(kinds, min_size=n, max_size=n)))
+    axis = draw(st.integers(0, 2))
+    variance = st.one_of(st.sampled_from((0.0, 5e-324, 1e-5, 1e16)), st.floats(0.0, 1e300))
+    variances = array(n, 3, values=variance)
+    return MediumSpec(
+        coords=coords,
+        covariances=variances[:, :, None] * np.eye(3),
+        kernel=matrix(),
+        damping=matrix(),
+        source_kind=kinds,
+        gen_coord_vector=np.where(np.array(kinds) == "charge", coords[axis], 1.0),
+    )
+
+
+def _drude_disk():
+    params = builders.DrudeParams(
+        drude_factor=0.008, relaxation=0.004, gaussian_width=2.4,
+        tunneling_enabled=True, tunneling_d0=6.0, tunneling_steepness=10.0,
+    )
+    return builders.build_drude_charge_model(builders.hexagonal_disk(8.0, 2.434), params)
+
+
+def _complex_edges():
+    edges = np.reshape(_EDGE_FLOATS[:9], (3, 3)), np.reshape(_EDGE_FLOATS[5:], (3, 3))
+    return simple_spec(_complex(*edges), np.diag([0.1, -0.0, 1e-5]))
+
+
+class TestModelWriter:
+    """spec_to_json writes json.dumps(indent=2, sort_keys=True)'s bytes without calling it."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: builders.build_synthetic(1, 1),
+            lambda: builders.build_synthetic(6, 1),
+            lambda: builders.build_synthetic(40, 1, stability="marginal"),
+            _drude_disk,
+            _complex_edges,
+        ],
+        ids=["synthetic-1", "synthetic-6", "marginal-40", "drude-disk", "complex-edges"],
+    )
+    def test_matches_json_dumps(self, make):
+        spec = make()
+        assert spec_to_json(spec) == json_dumps_layout(spec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(media())
+    def test_random_media_match_json_dumps_and_round_trip(self, spec):
+        text = spec_to_json(spec)
+        assert text == json_dumps_layout(spec)
+        loaded = spec_from_json(text)
+        assert loaded.source_kind == spec.source_kind
+        for name in ("coords", "covariances", "kernel", "damping", "gen_coord_vector"):
+            got, want = getattr(loaded, name), getattr(spec, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+class TestModelLoader:
+    def test_zero_imaginary_list_loads_as_the_complex_sum(self):
+        # each -0.0 in _re over a +0.0 in _im loads as +0.0, as in re + 1j * im
+        doc = json.loads(spec_to_json(simple_spec(np.eye(2), np.eye(2))))
+        doc["kernel_re"], doc["kernel_im"] = [-0.0, -0.0, 1.0, 3.0], [0.0, -0.0, 0.0, -0.0]
+        loaded = spec_from_json(json.dumps(doc))
+        summed = np.add(doc["kernel_re"], 1j * np.array(doc["kernel_im"])).real.reshape(2, 2)
+        assert loaded.kernel.dtype == np.float64
+        assert loaded.kernel.tobytes() == summed.tobytes()
+        assert np.signbit(loaded.kernel).tolist() == [[False, True], [False, False]]
