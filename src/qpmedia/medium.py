@@ -111,7 +111,9 @@ class MediumSpec:
                         f"dipole source {alpha} must carry unit generalized coordinate"
                     )
             elif kind == "charge":
-                if np.abs(self.coords[:, alpha] - g).min() > _GEN_COORD_TOL:
+                # halved, so that coordinates near the float64 maximum
+                # cannot overflow; this decides as |c - g| > tol does
+                if np.abs(self.coords[:, alpha] / 2 - g / 2).min() > _GEN_COORD_TOL / 2:
                     raise ValueError(
                         f"charge source {alpha}: gen_coord_vector must be a coordinate component"
                     )
@@ -532,17 +534,19 @@ def _json_object(doc, what: str) -> dict:
 
 
 def _json_matrix(doc: dict, name: str, n: int) -> NDArray:
-    """The n x n matrix stored as ``{name}_re`` and ``{name}_im``.
+    """The n x n matrix stored as ``{name}_re`` and ``{name}_im``, bit for bit.
 
-    An all-zero ``_im`` list gives a float matrix without a complex temporary;
-    adding that list to ``_re`` leaves every entry, signed zeros included, as
-    the complex sum ``re + 1j * im`` would.
+    An all-zero ``_im`` list gives the float ``_re`` matrix untouched;
+    otherwise the parts are assigned to a complex array, not summed, so every
+    signed zero is kept.
     """
     re = _json_floats(doc, f"{name}_re", (n, n))
     im = _json_floats(doc, f"{name}_im", (n, n))
-    if im.any():
-        return re + 1j * im
-    return np.add(re, im, out=re)
+    if not im.any():
+        return re
+    out = np.empty((n, n), dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def spec_from_json(text: str) -> MediumSpec:

@@ -22,7 +22,7 @@ from .phasespace import (
     GaussianState, _lambda_at, _positive_finite, _thermal_spectral, decompose_generator
 )
 from .selfconsistent import auxiliary_response
-from .spectral import ExtendedOperator, _generator, _resolvent_solve, symplectic_form
+from .spectral import ExtendedOperator, _resolvent_x, _similarity_matrix, symplectic_form
 
 BOHR_GROUP_TOL = 1e-10
 
@@ -75,15 +75,21 @@ def _check_eta(eta: float) -> None:
 
 
 def _x_sweep(ext: ExtendedOperator, omega_grid, eta: float, rhs_x, finish) -> CorrelationSet:
-    """Xi(omega) on the x-block, one resolvent solve per grid frequency.
+    """Xi(omega) on the x-block, one 2n solve per grid frequency.
 
     A column of the solution depends only on the same column of the
-    right-hand side, so only the 2n x-columns ``rhs_x`` are solved for;
-    ``finish`` maps each solved 4n x 2n block to its 2n x 2n x-block.
+    right-hand side r, so only the 2n x-columns ``rhs_x`` are solved for.
+    The x rows of (z E + i J_B)^{-1} r, z = omega + i eta, come from
+    :func:`spectral._resolvent_x`, with kappa and i A r_pi formed once for
+    the sweep; ``finish(z, x)`` maps each 2n x 2n block of them to Xi.
     """
     _check_eta(eta)
+    A = _similarity_matrix(ext)
     grid = np.asarray(omega_grid, dtype=float)
-    xi = np.array([finish(_resolvent_solve(ext, w, rhs_x, eta)) for w in grid])
+    N = A.shape[0]
+    kappa = ext.kappa
+    pi_term, r_x = 1j * (A @ rhs_x[:N]), rhs_x[N:]
+    xi = np.array([finish(z, _resolvent_x(kappa, z, pi_term + z * r_x)) for z in grid + 1j * eta])
     xi_dag = np.conj(np.transpose(xi, (0, 2, 1)))
     return CorrelationSet(omega_grid=grid, xi=xi, gamma=xi + xi_dag, s_ls=(xi - xi_dag) / 2j)
 
@@ -98,7 +104,7 @@ def correlation_frequency(
     """
     N = 2 * ext.n
     xi0 = _initial_moment_matrix(state0)
-    return _x_sweep(ext, omega_grid, eta, xi0[:, N:], lambda y: 1j * y[N:])
+    return _x_sweep(ext, omega_grid, eta, xi0[:, N:], lambda z, x: 1j * x)
 
 
 def _bose_einstein_x_columns(ext: ExtendedOperator, beta: float, hbar: float):
@@ -121,19 +127,27 @@ def thermal_correlation(
     x-columns of n_BE J are the first 2n columns of n_BE, the only ones
     formed.
     """
-    N = 2 * ext.n
     nbe_x = _bose_einstein_x_columns(ext, beta, hbar)
-    return _x_sweep(ext, omega_grid, eta, nbe_x, lambda y: -hbar * y[N:])
+    return _x_sweep(ext, omega_grid, eta, nbe_x, lambda z, x: -hbar * x)
 
 
 def classical_correlation(
     ext: ExtendedOperator, beta: float, omega_grid, eta: float
 ) -> CorrelationSet:
-    """hbar -> 0 limit of the thermal correlations (scales as 1/beta)."""
+    """hbar -> 0 limit of the thermal correlations (scales as 1/beta).
+
+    Xi(omega) = -(i beta J_B)^{-1} (z E + i J_B)^{-1} J on the x-block.  The
+    x rows of J_B^{-1} are [kappa^{-1} A, 0], and the pi rows of the
+    resolvent on J's x-columns are z R^T = z A^{-1} R A (A kappa^T = kappa A),
+    so Xi = (z / beta) kappa^{-1} y_x, with y_x = i R A the x rows of that
+    resolvent: one 2n inverse per sweep and no 4n matrix.
+    """
     _positive_finite("beta", beta)
     N = 2 * ext.n
-    prefactor_x = -np.linalg.inv(beta * 1j * _generator(ext))[N:]
-    return _x_sweep(ext, omega_grid, eta, symplectic_form(N)[:, N:], lambda y: prefactor_x @ y)
+    kappa_inv = np.linalg.inv(ext.kappa)
+    return _x_sweep(
+        ext, omega_grid, eta, symplectic_form(N)[:, N:], lambda z, x: (z / beta) * (kappa_inv @ x)
+    )
 
 
 # ---------------------------------------------------------------------------

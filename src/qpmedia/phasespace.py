@@ -18,8 +18,7 @@ from .medium import DriveSignal, drive_value, spectral_amplitude
 from .spectral import (
     EigenSystem,
     ExtendedOperator,
-    _generator,
-    _resolvent_solve,
+    _resolvent_x,
     _similarity_matrix,
     symplectic_form,
 )
@@ -97,13 +96,26 @@ def _thermal_spectral(ext: ExtendedOperator, beta: float, hbar: float) -> EigenS
     return jb_eig
 
 
-def _drive_vector(ext: ExtendedOperator, drive):
-    """J C_t = [A^{-1} F_t; 0] for the phase-space equations of motion."""
-    n = ext.n
+def _force(ext: ExtendedOperator, drive):
+    """F_t = [f; f' - 2 Gamma f], the drive in the extended coordinates."""
     f, fdot = drive
-    force = np.concatenate([f, fdot - 2.0 * (ext.damping @ f)])
-    top = np.linalg.solve(_similarity_matrix(ext), force)
-    return np.concatenate([top, np.zeros(2 * n, dtype=complex)])
+    return np.concatenate([f, fdot - 2.0 * (ext.damping @ f)])
+
+
+def _drive_vector(ext: ExtendedOperator, drive):
+    """J C_t = [A^{-1} F_t; 0] for the phase-space equations of motion.
+
+    A real A is solved against the real and imaginary parts of F_t as the
+    two columns of one real solve, not cast to complex.
+    """
+    A = _similarity_matrix(ext)
+    force = _force(ext, drive)
+    if np.isrealobj(A):
+        parts = np.linalg.solve(A, np.stack([force.real, force.imag], axis=1))
+        top = parts[:, 0] + 1j * parts[:, 1]
+    else:
+        top = np.linalg.solve(A, force)
+    return np.concatenate([top, np.zeros(top.size, dtype=complex)])
 
 
 def _advance_delta(ext, jb_eig: EigenSystem, drive, delta, t0, t1, quad_step: float):
@@ -231,11 +243,18 @@ def mean_in_frequency(
     """Frequency-domain mean (zero initial mean assumed).
 
     Solves (omega E + i J_B) y = -i J C(omega) per grid point; the x block
-    of the result carries the polarization sources.
+    of the result carries the polarization sources.  With J C = [A^{-1} F; 0]
+    the x rows are (omega^2 I - kappa)^{-1} F (:func:`spectral._resolvent_x`)
+    and the pi rows -i omega A^{-1} x: two 2n solves per grid point.
     """
+    A = _similarity_matrix(ext)
     omega_grid = np.asarray(omega_grid, dtype=float)
-    out = np.empty((omega_grid.size, _generator(ext).shape[0]), dtype=complex)
+    N = A.shape[0]
+    kappa = ext.kappa
+    out = np.empty((omega_grid.size, 2 * N), dtype=complex)
     f = spectral_amplitude(drive)
     for i, w in enumerate(omega_grid):
-        out[i] = _resolvent_solve(ext, w, -1j * _drive_vector(ext, (f, (-1j * w) * f)))
+        x = _resolvent_x(kappa, w, _force(ext, (f, (-1j * w) * f)))
+        out[i, :N] = (-1j * w) * np.linalg.solve(A, x)
+        out[i, N:] = x
     return out

@@ -19,7 +19,7 @@ from numpy.typing import NDArray
 from .constants import SPEED_OF_LIGHT_AU
 from .errors import LightConeSingularity, SingularAuxiliary
 from .medium import MediumSpec
-from .spectral import ExtendedOperator, _resolvent_solve
+from .spectral import ExtendedOperator, _resolvent_x, _similarity_matrix
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
 
@@ -108,21 +108,25 @@ def _charge_weights(spec: MediumSpec) -> NDArray[np.float64]:
     return spec.coords  # 3 x n dipole-density weights
 
 
-def scattering_rows(ext: ExtendedOperator, omega: float):
+def scattering_rows(ext: ExtendedOperator, omega: float, kappa=None):
     """Frequency-dependent prefactor of the scattering kernel.
 
     Returns the n x n matrix U(omega) combining the source rows of the
     resolvent with the direct and auxiliary coupling channels; it is shared
-    by every k evaluated at the same frequency.
+    by every k evaluated at the same frequency.  Those rows are the u rows
+    of i R A, R = (omega^2 I - kappa)^{-1}, the resolvent's pi columns.  As
+    kappa A = A kappa^T, R A is symmetric, so they are the transposed u
+    columns: one 2n solve (:func:`spectral._resolvent_x`) against the first
+    n columns of A, real for a real medium.  A sweep passes ``kappa``
+    (ext.kappa) read once.
     """
+    A = _similarity_matrix(ext)
+    if kappa is None:
+        kappa = ext.kappa
     n = ext.n
-    N = 2 * n
-    selector = np.zeros((2 * N, n), dtype=complex)
-    selector[N : N + n] = np.eye(n)
-    # rows N+1..N+n of the inverse
-    rows = _resolvent_solve(ext, omega, selector, transpose=True).T
+    rows = 1j * _resolvent_x(kappa, omega, A[:, :n]).T
     L = auxiliary_response(ext, omega)
-    return rows[:, :n] + rows[:, n : 2 * n] @ L
+    return rows[:, :n] + rows[:, n:] @ L
 
 
 def scattering_T(
@@ -159,14 +163,23 @@ def _gtilde(spec: MediumSpec, k) -> NDArray[np.complex128]:
     )
 
 
+def _green_tensors(k_points, omega: float) -> NDArray[np.float64]:
+    """:func:`green_tensor` of each row of ``k_points``, as one (m, 3, 3) array.
+
+    The first point on the light cone raises LightConeSingularity.
+    """
+    c2 = SPEED_OF_LIGHT_AU**2
+    denom = omega**2 - c2 * np.einsum("mi,mi->m", k_points, k_points)
+    hit = np.flatnonzero(denom == 0.0)
+    if hit.size:
+        raise LightConeSingularity(tuple(k_points[hit[0]]), omega)
+    ckk = c2 * (k_points[:, :, None] * k_points[:, None, :])
+    return 4.0 * np.pi * (np.eye(3) * omega**2 - ckk) / denom[:, None, None]
+
+
 def green_tensor(k, omega: float):
     """Transverse-wave Green factor 4 pi (delta omega^2 - c^2 k k^T) / (omega^2 - c^2 |k|^2)."""
-    k = np.asarray(k, dtype=float).reshape(3)
-    c = SPEED_OF_LIGHT_AU
-    denom = omega**2 - c**2 * float(k @ k)
-    if denom == 0.0:
-        raise LightConeSingularity(tuple(k), omega)
-    return 4.0 * np.pi * (np.eye(3) * omega**2 - c**2 * np.outer(k, k)) / denom
+    return _green_tensors(np.asarray(k, dtype=float).reshape(1, 3), omega)[0]
 
 
 def _first_order_passes(
@@ -174,24 +187,26 @@ def _first_order_passes(
 ):
     """The first-order field at ``k_points``, one frequency of the set's grid at a time.
 
-    Yields per frequency the scattering rows, the per-point projectors
-    G(k) R G~(k) and the field the external waves scatter once, summed in
-    wave order.  G~ does not depend on omega, so it is taken once per point
-    and once per wave.
+    Yields per frequency the scattering rows, the projectors G(k) R G~(k) of
+    all points as one (m, 3, n) array and the field the external waves
+    scatter once.  G~ does not depend on omega, so it is taken once per
+    point and once per wave.  With the weights X, a wave's kernel action is
+    T(-k) A = i (2 pi)^-3 U (G~(-k) * (X^T A)), so the waves are summed into
+    one source vector per frequency before the sweep, and each frequency
+    projects one action of U.
     """
     weights = _charge_weights(spec)
-    g_waves = [_gtilde(spec, -w.k) for w in ext_field.waves]
-    weighted = [weights * _gtilde(spec, k)[None, :] for k in k_points]
-    amps = [w.amplitude_on(ext_field.omega_grid) for w in ext_field.waves]
-    for iw, omega in enumerate(ext_field.omega_grid):
-        rows = scattering_rows(ext, omega)
-        t_wave = [_t_kernel(rows, g, weights) for g in g_waves]
-        # sum_alpha G_ij R_{j alpha} Gtil_alpha T_{alpha l} A_l per wave
-        proj = [green_tensor(k, omega) @ wg for k, wg in zip(k_points, weighted)]
-        first = np.zeros((len(proj), 3), dtype=complex)
-        for i in range(len(proj)):
-            for t_mat, amp in zip(t_wave, amps):
-                first[i] += proj[i] @ (t_mat @ amp[iw])
+    grid = ext_field.omega_grid
+    weighted = np.stack([weights * _gtilde(spec, k)[None, :] for k in k_points])
+    sources = np.zeros((spec.n, grid.size), dtype=complex)
+    for wave in ext_field.waves:
+        sources += _gtilde(spec, -wave.k)[:, None] * (weights.T @ wave.amplitude_on(grid).T)
+    kappa = ext.kappa
+    for iw, omega in enumerate(grid):
+        rows = scattering_rows(ext, omega, kappa)
+        proj = _green_tensors(k_points, omega) @ weighted
+        # sum_alpha G_ij R_{j alpha} Gtil_alpha T_{alpha l} A_l, summed over waves
+        first = proj @ ((1j / TWO_PI_CUBED) * (rows @ sources[:, iw]))
         yield rows, proj, first
 
 
@@ -256,6 +271,6 @@ def emitted_field_iterate(
                 fold = np.zeros(spec.n, dtype=complex)
                 for j in range(n_k):
                     fold += k_weights[j] * (t_node[j] @ cur[j])
-                cur = np.stack([first[i] + proj[i] @ fold for i in range(n_k)])
+                cur = first + proj @ fold
         field[iw] = cur
     return field

@@ -9,9 +9,12 @@ An :class:`ExtendedOperator` stores only M, in the dtype of the medium's K and
 Gamma (float64 when real), and derives sqrt_kappa and kappa on read.
 From the eigenvectors V we build the symmetric similarity matrix
 A = V V^T, with kappa = A kappa^T A^{-1}, the quadratic-Hamiltonian
-generator J_B, and the on-shell energy functional.  Every eigensystem comes
-from :func:`_eigensystem`, and A has this one construction: a medium whose
-V is not trusted (cond(V) above DEFECTIVE_COND_THRESHOLD) raises
+generator J_B, and the on-shell energy functional.  Every frequency sweep
+applies the resolvent (z E + i J_B)^{-1} through one helper,
+:func:`_resolvent_x`: its x rows come from one 2n solve of the Schur
+complement z^2 I - kappa, and no 4n matrix is factored.  Every eigensystem
+comes from :func:`_eigensystem`, and A has this one construction: a medium
+whose V is not trusted (cond(V) above DEFECTIVE_COND_THRESHOLD) raises
 DefectiveMatrix.
 
 For a real M all of this runs in real arithmetic: the real eigensolver
@@ -390,25 +393,26 @@ def _generator(ext: ExtendedOperator) -> NDArray[np.complex128]:
     return ext.gen_JB
 
 
-def _resolvent_solve(
-    ext: ExtendedOperator,
-    omega: float,
-    rhs: NDArray[np.complex128],
-    eta: float | None = None,
-    transpose: bool = False,
-) -> NDArray[np.complex128]:
-    """Apply (z E + i J_B)^{-1}, or its transpose, to ``rhs`` by a dense LU.
+def _resolvent_x(kappa: NDArray, z: complex, rhs: NDArray) -> NDArray:
+    """The x rows of (z E + i J_B)^{-1} r from one 2n solve: (z^2 I - kappa)^{-1} rhs.
 
-    z is ``omega``, or ``omega + i eta`` when an ``eta`` is given.  A
-    singular LU is a resonance and raises ResonantFrequency(omega).
+    For J_B = [[0, A^{-1} kappa], [-A, 0]], the Schur complement of the z E
+    block (F. Zhang, ed., *The Schur Complement and Its Applications*,
+    Springer 2005, ch. 1) is z^2 I - kappa, and with R its inverse the x
+    block row of (z E + i J_B)^{-1} is [i R A, z R], for any A.  (Where
+    A kappa^T = kappa A the pi block row is [z R^T, -i R^T A^{-1} kappa].)
+    So the x rows of (z E + i J_B)^{-1} [r_pi; r_x] are R (i A r_pi + z r_x):
+    ``rhs`` is i A r_pi + z r_x, formed by the caller, which reads kappa and
+    A r_pi once per sweep.  The pi rows, where needed, follow from the
+    second block row as i A^{-1} (r_x - z x).  The arithmetic is real when
+    z, kappa and ``rhs`` are.  z^2 I - kappa is singular exactly where
+    z E + i J_B is (z = +/- mu), and a singular solve raises
+    ResonantFrequency(Re z).
     """
-    JB = _generator(ext)
-    z = omega if eta is None else omega + 1j * eta
-    M = z * np.eye(JB.shape[0]) + 1j * JB
     try:
-        return np.linalg.solve(M.T if transpose else M, rhs)
+        return np.linalg.solve(z * z * np.eye(kappa.shape[0]) - kappa, rhs)
     except np.linalg.LinAlgError:
-        raise ResonantFrequency(omega) from None
+        raise ResonantFrequency(z.real) from None
 
 
 def prepare(spec: MediumSpec) -> tuple[ExtendedOperator, EigenSystem]:

@@ -238,6 +238,25 @@ class TestSpecValidation:
         spec = two_source_spec(covariances=[np.eye(3), np.full((3, 3), 1.7e308) * np.eye(3)])
         assert spec.covariances[1, 2, 2] == 1.7e308
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gen,accepted", [(1e308, True), (-1e308, True), (0.0, False)])
+    def test_extreme_charge_coordinates_checked_without_overflow(self, gen, accepted):
+        # c - g overflows to inf for coordinates of opposite sign near the maximum
+        coords = np.array([[1e308], [-1e308], [1e308]])
+        make = lambda: MediumSpec(
+            coords=coords,
+            covariances=[np.eye(3)],
+            kernel=[[1.0]],
+            damping=[[0.0]],
+            source_kind=("charge",),
+            gen_coord_vector=[gen],
+        )
+        if accepted:
+            assert make().gen_coord_vector[0] == gen
+        else:
+            with pytest.raises(ValueError, match="coordinate component"):
+                make()
+
     def test_simple_spec_shape(self):
         spec = simple_spec([[2.0, 0.1], [0.0, 3.0]], np.zeros((2, 2)))
         assert spec.n == 2
@@ -419,16 +438,25 @@ class TestModelWriter:
         assert loaded.source_kind == spec.source_kind
         for name in ("coords", "covariances", "kernel", "damping", "gen_coord_vector"):
             got, want = getattr(loaded, name), getattr(spec, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want), name
+            # bit for bit: signed zeros and the sign of every zero part included
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 class TestModelLoader:
-    def test_zero_imaginary_list_loads_as_the_complex_sum(self):
-        # each -0.0 in _re over a +0.0 in _im loads as +0.0, as in re + 1j * im
+    def test_zero_imaginary_list_keeps_signed_zeros(self):
+        # an all-zero _im list loads as the _re list itself, -0.0 included
         doc = json.loads(spec_to_json(simple_spec(np.eye(2), np.eye(2))))
         doc["kernel_re"], doc["kernel_im"] = [-0.0, -0.0, 1.0, 3.0], [0.0, -0.0, 0.0, -0.0]
         loaded = spec_from_json(json.dumps(doc))
-        summed = np.add(doc["kernel_re"], 1j * np.array(doc["kernel_im"])).real.reshape(2, 2)
         assert loaded.kernel.dtype == np.float64
-        assert loaded.kernel.tobytes() == summed.tobytes()
-        assert np.signbit(loaded.kernel).tolist() == [[False, True], [False, False]]
+        assert loaded.kernel.tobytes() == np.array(doc["kernel_re"]).reshape(2, 2).tobytes()
+        assert np.signbit(loaded.kernel).tolist() == [[True, True], [False, False]]
+
+    def test_complex_parts_keep_signed_zeros(self):
+        # -0.0 over a +0.0, and a -0.0 imaginary part over a +0.0 real part
+        doc = json.loads(spec_to_json(simple_spec(np.eye(2), np.eye(2))))
+        doc["damping_re"], doc["damping_im"] = [-0.0, 0.0, 1.0, -0.0], [0.0, -0.0, 2.0, -0.0]
+        loaded = spec_from_json(json.dumps(doc))
+        assert loaded.damping.dtype == np.complex128
+        assert np.signbit(loaded.damping.real).ravel().tolist() == [True, False, False, True]
+        assert np.signbit(loaded.damping.imag).ravel().tolist() == [False, True, False, True]

@@ -7,7 +7,8 @@ from conftest import stable_spec
 from qpmedia.constants import SPEED_OF_LIGHT_AU
 from qpmedia.errors import LightConeSingularity, SingularAuxiliary
 from qpmedia.medium import MediumSpec, simple_spec
-from qpmedia import selfconsistent
+from qpmedia import builders, selfconsistent
+from qpmedia.phasespace import decompose_generator
 from qpmedia.selfconsistent import (
     FieldPlaneWaveSet,
     PlaneWave,
@@ -240,6 +241,16 @@ class TestGreenTensor:
         with pytest.raises(LightConeSingularity):
             green_tensor(k, SPEED_OF_LIGHT_AU)
 
+    def test_field_names_the_first_point_on_the_light_cone(self):
+        spec = charge_spec(np.array([[0.2], [-0.1], [0.8]]), np.eye(1) * 2.0, np.eye(1) * 0.25)
+        ext, _ = prepare(spec)
+        c = SPEED_OF_LIGHT_AU
+        waves = FieldPlaneWaveSet([0.5, c], (PlaneWave([0.05, 0.0, 0.0], [0.0, 1.0, 0.0]),))
+        points = [[0.5, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
+        with pytest.raises(LightConeSingularity) as err:
+            emitted_field_first_order(ext, spec, waves, points)
+        assert err.value.k == (0.0, 1.0, 0.0) and err.value.omega == c
+
 
 class TestEmittedField:
     def make_medium(self):
@@ -276,6 +287,42 @@ class TestEmittedField:
         gt = gaussian_ft(kq, spec.coords[:, 0], spec.covariances[0])
         manual = g @ (spec.coords[:, 0] * gt) * (T[0] @ amp)
         assert_allclose(scattered[0, 0], manual, rtol=1e-12)
+
+    def test_drude_disk_matches_explicit_inverse(self):
+        # the n=7 disk, whose J_B is defective: the field against the
+        # kernel assembled from the explicit 4n resolvent, per wave and point
+        params = builders.DrudeParams(
+            drude_factor=0.008, relaxation=0.004, gaussian_width=2.4,
+            tunneling_enabled=True, tunneling_d0=6.0, tunneling_steepness=10.0,
+        )
+        spec = builders.build_drude_charge_model(builders.hexagonal_disk(4.0, 2.434), params)
+        ext, _ = prepare(spec)
+        assert spec.n == 7 and decompose_generator(ext).defective
+        grid = np.array([0.03, 0.05, 0.08])
+        waves = FieldPlaneWaveSet(
+            grid,
+            (
+                PlaneWave([0.05, 0.0, 0.01], [0.3, -1.2, 0.4]),
+                PlaneWave([0.0, -0.03, 0.02], [1.0 + 0.5j, 0.0, -0.2j]),
+            ),
+        )
+        k_points = np.array([[0.1, 0.0, 0.0], [0.02, -0.07, 0.05]])
+        scattered, _ = emitted_field_first_order(ext, spec, waves, k_points)
+        n, N = spec.n, 2 * spec.n
+
+        def weighted(k):
+            gt = [gaussian_ft(k, spec.coords[:, b], spec.covariances[b]) for b in range(n)]
+            return spec.coords * np.array(gt)[None, :]
+
+        for iw, w in enumerate(grid):
+            rows = np.linalg.inv(w * np.eye(2 * N) + 1j * ext.gen_JB)[N : N + n]
+            coupling = rows[:, :n] + rows[:, n:N] @ auxiliary_response(ext, w)
+            for i, kq in enumerate(k_points):
+                want = np.zeros(3, dtype=complex)
+                for wave in waves.waves:
+                    T = (1j / (2 * np.pi) ** 3) * coupling @ weighted(-wave.k).T
+                    want += green_tensor(kq, w) @ weighted(kq) @ (T @ wave.amplitude[0])
+                assert_allclose(scattered[iw, i], want, rtol=1e-12, atol=0)
 
     def test_linearity_in_amplitude(self):
         spec = self.make_medium()

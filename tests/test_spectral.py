@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import assert_multiset_close, stable_spec
-from qpmedia.errors import DefectiveMatrix, SingularSimilarity
+from qpmedia.errors import DefectiveMatrix, ResonantFrequency, SingularSimilarity
 from qpmedia.medium import extended_kernel, simple_spec
 from qpmedia import builders, openquantum, phasespace, response, selfconsistent, spectral
 from qpmedia.medium import KickDrive
@@ -187,22 +187,12 @@ JB_CONSUMERS = {
         ext, None, np.zeros(4 * spec.n), [0.0, 0.5]
     ),
     "thermal_state": lambda ext, spec: phasespace.thermal_state(ext, 1.0, 1.0),
-    "mean_in_frequency": lambda ext, spec: phasespace.mean_in_frequency(
-        ext, KickDrive(np.ones(spec.n)), [0.5]
-    ),
     "correlation_time": lambda ext, spec: openquantum.correlation_time(
         ext, _vacuum(spec.n), 0.5
-    ),
-    "correlation_frequency": lambda ext, spec: openquantum.correlation_frequency(
-        ext, _vacuum(spec.n), [0.5], 1e-3
     ),
     "thermal_correlation": lambda ext, spec: openquantum.thermal_correlation(
         ext, 1.0, 1.0, [0.5], 1e-3
     ),
-    "classical_correlation": lambda ext, spec: openquantum.classical_correlation(
-        ext, 1.0, [0.5], 1e-3
-    ),
-    "scattering_rows": lambda ext, spec: selfconsistent.scattering_rows(ext, 0.5),
 }
 
 
@@ -224,6 +214,17 @@ A_CONSUMERS = {
     "consistent_mean": lambda ext, spec: phasespace.consistent_mean(
         ext, np.ones(2 * spec.n), np.zeros(2 * spec.n)
     ),
+    # the frequency sweeps read A and kappa through spectral._resolvent_x, not J_B
+    "classical_correlation": lambda ext, spec: openquantum.classical_correlation(
+        ext, 1.0, [0.5], 1e-3
+    ),
+    "correlation_frequency": lambda ext, spec: openquantum.correlation_frequency(
+        ext, _vacuum(spec.n), [0.5], 1e-3
+    ),
+    "mean_in_frequency": lambda ext, spec: phasespace.mean_in_frequency(
+        ext, KickDrive(np.ones(spec.n)), [0.5]
+    ),
+    "scattering_rows": lambda ext, spec: selfconsistent.scattering_rows(ext, 0.5),
 }
 
 
@@ -620,3 +621,72 @@ def test_near_critical_medium_has_a_singular_similarity():
     assert not eig.defective
     with pytest.raises(SingularSimilarity, match="cond\\(A\\)"):
         attach_similarity(ext, eig)
+
+
+# ---------------------------------------------------------------------------
+# One resolvent route: the x rows of (z E + i J_B)^{-1} from one 2n solve,
+# against the explicit 4n inverse
+# ---------------------------------------------------------------------------
+
+def _complex_medium():
+    spec = stable_spec(seed=12, n=4)
+    shift = 0.01j * np.eye(4)
+    return replace(spec, kernel=spec.kernel + 2.0 * shift, damping=spec.damping + shift)
+
+
+RESOLVENT_MEDIA = {
+    "synthetic": lambda: builders.build_synthetic(6, 1),
+    "complex": _complex_medium,
+    # n = 7: the conserved-charge mode makes J_B defective and kappa singular
+    "drude-disk": lambda: _drude_disk(4.0),
+}
+
+
+def _max_rel(got, want):
+    return np.abs(np.asarray(got) - want).max() / np.abs(want).max()
+
+
+def _resolvent_case(medium, z):
+    ext, _ = prepare(RESOLVENT_MEDIA[medium]())
+    N = 2 * ext.n
+    inverse = np.linalg.inv(z * np.eye(2 * N) + 1j * ext.gen_JB)
+    return ext, N, inverse
+
+
+@pytest.mark.parametrize("z", [0.37, 0.8 + 1e-3j], ids=["real", "damped"])
+@pytest.mark.parametrize("medium", sorted(RESOLVENT_MEDIA))
+def test_resolvent_x_rows_match_explicit_inverse(medium, z):
+    ext, N, inverse = _resolvent_case(medium, z)
+    A, kappa, n = ext.sim_A, ext.kappa, ext.n
+    if medium == "drude-disk":
+        assert phasespace.decompose_generator(ext).defective
+    rng = np.random.default_rng(7)
+    r = rng.standard_normal((2 * N, 3)) + 1j * rng.standard_normal((2 * N, 3))
+    x = spectral._resolvent_x(kappa, z, 1j * A @ r[:N] + z * r[N:])
+    assert _max_rel(x, (inverse @ r)[N:]) < 1e-12
+    # pi rows for r_x = 0 (mean_in_frequency): -i z A^{-1} x
+    x = spectral._resolvent_x(kappa, z, 1j * A @ r[:N])
+    assert _max_rel(-1j * z * np.linalg.solve(A, x), inverse[:N, :N] @ r[:N]) < 1e-12
+    # the u rows of the pi columns (scattering_rows) are transposed u columns
+    rows = 1j * spectral._resolvent_x(kappa, z, A[:, :n]).T
+    assert _max_rel(rows, inverse[N : N + n, :N]) < 1e-12
+
+
+@pytest.mark.parametrize("z", [0.37, 0.8 + 1e-3j], ids=["real", "damped"])
+@pytest.mark.parametrize("medium", ["complex", "synthetic"])
+def test_classical_prefactor_from_x_rows(medium, z):
+    # -(i beta J_B)^{-1} (z E + i J_B)^{-1} J on the x-block is (z / beta) kappa^{-1} y_x
+    ext, N, inverse = _resolvent_case(medium, z)
+    beta = 1.3
+    want = -np.linalg.inv(beta * 1j * ext.gen_JB)[N:] @ inverse[:, :N]
+    y_x = spectral._resolvent_x(ext.kappa, z, 1j * ext.sim_A)
+    assert _max_rel((z / beta) * np.linalg.solve(ext.kappa, y_x), want) < 1e-12
+    got = openquantum.classical_correlation(ext, beta, [z.real], z.imag).xi[0]
+    assert _max_rel(got, want) < 1e-12
+
+
+def test_resolvent_x_raises_at_a_resonance():
+    # kappa = 4 I for K = 4, Gamma = 0: z = 2 is a root of z^2 - kappa
+    ext, _ = prepare(simple_spec([[4.0]], [[0.0]]))
+    with pytest.raises(ResonantFrequency, match="omega=2.0"):
+        spectral._resolvent_x(ext.kappa, 2.0, np.ones(2))
