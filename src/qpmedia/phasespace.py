@@ -102,19 +102,21 @@ def _force(ext: ExtendedOperator, drive):
     return np.concatenate([f, fdot - 2.0 * (ext.damping @ f)])
 
 
-def _drive_vector(ext: ExtendedOperator, drive):
-    """J C_t = [A^{-1} F_t; 0] for the phase-space equations of motion.
+def _solve_A(A, b):
+    """A^{-1} b as a complex vector.
 
-    A real A is solved against the real and imaginary parts of F_t as the
-    two columns of one real solve, not cast to complex.
+    A real A is solved against the real and imaginary parts of b as the two
+    columns of one real solve, not cast to complex for a complex LU.
     """
-    A = _similarity_matrix(ext)
-    force = _force(ext, drive)
     if np.isrealobj(A):
-        parts = np.linalg.solve(A, np.stack([force.real, force.imag], axis=1))
-        top = parts[:, 0] + 1j * parts[:, 1]
-    else:
-        top = np.linalg.solve(A, force)
+        parts = np.linalg.solve(A, np.stack([b.real, b.imag], axis=1))
+        return parts[:, 0] + 1j * parts[:, 1]
+    return np.linalg.solve(A, b)
+
+
+def _drive_vector(ext: ExtendedOperator, drive):
+    """J C_t = [A^{-1} F_t; 0] for the phase-space equations of motion."""
+    top = _solve_A(_similarity_matrix(ext), _force(ext, drive))
     return np.concatenate([top, np.zeros(top.size, dtype=complex)])
 
 
@@ -245,7 +247,8 @@ def mean_in_frequency(
     Solves (omega E + i J_B) y = -i J C(omega) per grid point; the x block
     of the result carries the polarization sources.  With J C = [A^{-1} F; 0]
     the x rows are (omega^2 I - kappa)^{-1} F (:func:`spectral._resolvent_x`)
-    and the pi rows -i omega A^{-1} x: two 2n solves per grid point.
+    and the pi rows -i omega A^{-1} x: two 2n solves per grid point.  The
+    A solve of a real medium is a real one (:func:`_solve_A`).
     """
     A = _similarity_matrix(ext)
     omega_grid = np.asarray(omega_grid, dtype=float)
@@ -255,6 +258,6 @@ def mean_in_frequency(
     f = spectral_amplitude(drive)
     for i, w in enumerate(omega_grid):
         x = _resolvent_x(kappa, w, _force(ext, (f, (-1j * w) * f)))
-        out[i, :N] = (-1j * w) * np.linalg.solve(A, x)
+        out[i, :N] = (-1j * w) * _solve_A(A, x)
         out[i, N:] = x
     return out

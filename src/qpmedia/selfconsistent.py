@@ -108,7 +108,7 @@ def _charge_weights(spec: MediumSpec) -> NDArray[np.float64]:
     return spec.coords  # 3 x n dipole-density weights
 
 
-def scattering_rows(ext: ExtendedOperator, omega: float, kappa=None):
+def scattering_rows(ext: ExtendedOperator, omega: float):
     """Frequency-dependent prefactor of the scattering kernel.
 
     Returns the n x n matrix U(omega) combining the source rows of the
@@ -117,14 +117,11 @@ def scattering_rows(ext: ExtendedOperator, omega: float, kappa=None):
     of i R A, R = (omega^2 I - kappa)^{-1}, the resolvent's pi columns.  As
     kappa A = A kappa^T, R A is symmetric, so they are the transposed u
     columns: one 2n solve (:func:`spectral._resolvent_x`) against the first
-    n columns of A, real for a real medium.  A sweep passes ``kappa``
-    (ext.kappa) read once.
+    n columns of A, real for a real medium.
     """
     A = _similarity_matrix(ext)
-    if kappa is None:
-        kappa = ext.kappa
     n = ext.n
-    rows = 1j * _resolvent_x(kappa, omega, A[:, :n]).T
+    rows = 1j * _resolvent_x(ext.kappa, omega, A[:, :n]).T
     L = auxiliary_response(ext, omega)
     return rows[:, :n] + rows[:, n:] @ L
 
@@ -201,9 +198,8 @@ def _first_order_passes(
     sources = np.zeros((spec.n, grid.size), dtype=complex)
     for wave in ext_field.waves:
         sources += _gtilde(spec, -wave.k)[:, None] * (weights.T @ wave.amplitude_on(grid).T)
-    kappa = ext.kappa
     for iw, omega in enumerate(grid):
-        rows = scattering_rows(ext, omega, kappa)
+        rows = scattering_rows(ext, omega)
         proj = _green_tensors(k_points, omega) @ weighted
         # sum_alpha G_ij R_{j alpha} Gtil_alpha T_{alpha l} A_l, summed over waves
         first = proj @ ((1j / TWO_PI_CUBED) * (rows @ sources[:, iw]))
