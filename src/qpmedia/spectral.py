@@ -402,10 +402,10 @@ def _resolvent_x(kappa: NDArray, z: complex, rhs: NDArray) -> NDArray:
     block row of (z E + i J_B)^{-1} is [i R A, z R], for any A.  (Where
     A kappa^T = kappa A the pi block row is [z R^T, -i R^T A^{-1} kappa].)
     So the x rows of (z E + i J_B)^{-1} [r_pi; r_x] are R (i A r_pi + z r_x):
-    ``rhs`` is i A r_pi + z r_x, formed by the caller, which reads kappa and
-    A r_pi once per sweep.  The pi rows, where needed, follow from the
-    second block row as i A^{-1} (r_x - z x).  The arithmetic is real when
-    z, kappa and ``rhs`` are.  z^2 I - kappa is singular exactly where
+    ``rhs`` is i A r_pi + z r_x, formed by the caller.  The pi rows, where
+    needed, follow from the second block row as i A^{-1} (r_x - z x).  The
+    arithmetic is real when z, kappa and ``rhs`` are.  z^2 I - kappa is
+    singular exactly where
     z E + i J_B is (z = +/- mu), and a singular solve raises
     ResonantFrequency(Re z).
     """
