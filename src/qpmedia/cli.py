@@ -204,8 +204,8 @@ def _run_spectrum(config: argparse.Namespace) -> list[Path]:
 
 
 def _run_modes(config: argparse.Namespace) -> list[Path]:
-    spec = _load_model(config)
-    _, eig = spectral.prepare(spec)
+    # the table reads only the eigensystem: no A, cond(A) or J_B
+    eig = spectral.eigendecompose(spectral.build_sqrt_kappa(_load_model(config)))
     re_mu, im_mu = eig.values.real * HARTREE_TO_EV, eig.values.imag * HARTREE_TO_EV
     template = "".join(f"{k},%.12g,%.12g\n" for k in range(re_mu.size))
     out = Path(config.out)

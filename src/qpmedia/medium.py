@@ -257,10 +257,14 @@ def is_autonomous(drive: DriveSignal) -> bool:
 # Extended force and trajectories
 # ---------------------------------------------------------------------------
 
+def _extended_force(damping, f, fdot):
+    """F = [f; f' - 2 Gamma f], the drive (f, f') in the extended coordinates."""
+    return np.concatenate([f, fdot - 2.0 * (damping @ f)])
+
+
 def build_extended_force(spec: MediumSpec, drive: DriveSignal, t: float):
     """Extended-space force vector [f(t); f'(t) - 2 Gamma f(t)]."""
-    f, fdot = drive_value(drive, t)
-    return np.concatenate([f, fdot - 2.0 * (spec.damping @ f)])
+    return _extended_force(spec.damping, *drive_value(drive, t))
 
 
 @dataclass(frozen=True)

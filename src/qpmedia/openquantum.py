@@ -22,7 +22,9 @@ from .phasespace import (
     GaussianState, _lambda_at, _positive_finite, _thermal_spectral, decompose_generator
 )
 from .selfconsistent import auxiliary_response
-from .spectral import ExtendedOperator, _resolvent_x, _similarity_matrix, symplectic_form
+from .spectral import (
+    SINGULAR_A_COND_THRESHOLD, ExtendedOperator, _resolvent_x, _similarity_matrix, symplectic_form
+)
 
 BOHR_GROUP_TOL = 1e-10
 
@@ -140,11 +142,20 @@ def classical_correlation(
     x rows of J_B^{-1} are [kappa^{-1} A, 0], and the pi rows of the
     resolvent on J's x-columns are z R^T = z A^{-1} R A (A kappa^T = kappa A),
     so Xi = (z / beta) kappa^{-1} y_x, with y_x = i R A the x rows of that
-    resolvent: one 2n inverse per sweep and no 4n matrix.
+    resolvent: one 2n inverse per sweep and no 4n matrix.  A kappa whose
+    cond exceeds SINGULAR_A_COND_THRESHOLD (the free charge mode of a Drude
+    medium) has no trusted inverse and raises ThermalSingularity.
     """
     _positive_finite("beta", beta)
     N = 2 * ext.n
-    kappa_inv = np.linalg.inv(ext.kappa)
+    kappa = ext.kappa
+    cond = np.linalg.cond(kappa)
+    if not cond <= SINGULAR_A_COND_THRESHOLD:
+        raise ThermalSingularity(
+            f"cond(kappa) = {cond:.3e} exceeds {SINGULAR_A_COND_THRESHOLD:.1e}: "
+            "free modes of a singular kernel have no classical thermal state"
+        )
+    kappa_inv = np.linalg.inv(kappa)
     return _x_sweep(
         ext, omega_grid, eta, symplectic_form(N)[:, N:], lambda z, x: (z / beta) * (kappa_inv @ x)
     )

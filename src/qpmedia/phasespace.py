@@ -14,7 +14,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ThermalSingularity
-from .medium import DriveSignal, drive_value, spectral_amplitude
+from .medium import DriveSignal, _extended_force, drive_value, spectral_amplitude
 from .spectral import (
     EigenSystem,
     ExtendedOperator,
@@ -96,12 +96,6 @@ def _thermal_spectral(ext: ExtendedOperator, beta: float, hbar: float) -> EigenS
     return jb_eig
 
 
-def _force(ext: ExtendedOperator, drive):
-    """F_t = [f; f' - 2 Gamma f], the drive in the extended coordinates."""
-    f, fdot = drive
-    return np.concatenate([f, fdot - 2.0 * (ext.damping @ f)])
-
-
 def _solve_A(A, b):
     """A^{-1} b as a complex vector.
 
@@ -116,7 +110,7 @@ def _solve_A(A, b):
 
 def _drive_vector(ext: ExtendedOperator, drive):
     """J C_t = [A^{-1} F_t; 0] for the phase-space equations of motion."""
-    top = _solve_A(_similarity_matrix(ext), _force(ext, drive))
+    top = _solve_A(_similarity_matrix(ext), _extended_force(ext.damping, *drive))
     return np.concatenate([top, np.zeros(top.size, dtype=complex)])
 
 
@@ -257,7 +251,7 @@ def mean_in_frequency(
     out = np.empty((omega_grid.size, 2 * N), dtype=complex)
     f = spectral_amplitude(drive)
     for i, w in enumerate(omega_grid):
-        x = _resolvent_x(kappa, w, _force(ext, (f, (-1j * w) * f)))
+        x = _resolvent_x(kappa, w, _extended_force(ext.damping, f, (-1j * w) * f))
         out[i, :N] = (-1j * w) * _solve_A(A, x)
         out[i, N:] = x
     return out

@@ -5,11 +5,11 @@ non-conjugate ladder pair (b, b~) with [b_i, b~_j] = delta_ij.  Their
 coefficients are linear forms in (x, pi) built from the mode matrix P1 and
 the diagonal square root of the kernel eigenvalues.
 
-Gauge note: when the spectrum is real (undamped symmetric media) the mode
-matrix is rebuilt on a real paired basis, which reduces (b, b~) to ordinary
-conjugate ladder operators; the generic damped case keeps the eigenvector
-basis of the extended square root, whose branch fixes sqrt(J) = diag(mu_k)
-unambiguously.
+Gauge note: a real medium whose every mode is undamped (K need not be
+symmetric: build_synthetic(n, s, "marginal") qualifies) gets a real paired
+mode basis, read off the eigensystem's real basis, which reduces (b, b~) to
+ordinary conjugate ladder operators; any other medium keeps the eigenvectors
+of the extended square root, whose branch fixes sqrt(J) = diag(mu_k).
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ from numpy.typing import NDArray
 
 from .errors import SingularEffectiveSigma, ZeroMode
 from .phasespace import _positive_finite
-from .spectral import EigenSystem, _eigensystem, symplectic_form
+from .spectral import EigenSystem, _eigensystem, _normalize_columns, symplectic_form
 
 _REAL_SPECTRUM_RTOL = 1e-10
-_PAIR_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -69,48 +68,27 @@ class BiCoherentParams:
 
 
 def _paired_real_mode_matrix(eig: EigenSystem) -> EigenSystem | None:
-    """Real paired mode basis for a real +/- spectrum, or None if impossible."""
-    mu = eig.values
-    m = mu.size
-    n = m // 2
-    scale = max(np.abs(mu).max(), 1.0)
-    pos = [k for k in range(m) if mu[k].real > 0]
-    neg = set(k for k in range(m) if k not in pos)
-    if len(pos) != n:
-        return None
-    used: set[int] = set()
-    pairs = []
-    for k in sorted(pos, key=lambda k: mu[k].real):
-        partner = None
-        for j in neg:
-            if j not in used and abs(mu[j] + mu[k]) <= _PAIR_RTOL * scale:
-                partner = j
-                break
-        if partner is None:
-            return None
-        used.add(partner)
-        pairs.append(k)
+    """Real paired mode basis of a real medium whose every mode is undamped, or None.
 
-    P1 = np.zeros((m, m), dtype=complex)
-    sqrtJ = np.zeros(m, dtype=complex)
-    kappa_rec = eig.function_of(mu**2)
-    kscale = max(np.linalg.norm(kappa_rec), 1.0)
-    for p, k in enumerate(pairs):
-        v = eig.right_vectors[:, k]
-        w = v[:n]
-        j = int(np.argmax(np.abs(w) >= (1.0 - 1e-9) * np.abs(w).max()))
-        w = w * (abs(w[j]) / w[j])
-        if np.abs(w.imag).max() > 1e-8 * np.linalg.norm(w):
-            return None
-        w = w.real / np.linalg.norm(w.real)
-        cand = np.concatenate([np.zeros(n), w]).astype(complex)
-        if np.linalg.norm(kappa_rec @ cand - mu[k] ** 2 * cand) > 1e-7 * kscale:
-            return None
-        P1[:n, 2 * p] = w
-        P1[n:, 2 * p + 1] = w
-        sqrtJ[2 * p] = mu[k].real
-        sqrtJ[2 * p + 1] = mu[k].real
-    paired = _eigensystem(sqrtJ, P1)
+    W holds sqrt(2) Re v and sqrt(2) Im v of each conjugate pair v = [w; -lambda w].
+    They are [w; 0] and [0; w] up to scale (the other block below 1e-8, the lower one
+    per unit |mu|) exactly when w is real and lambda imaginary: Gamma w = 0, K w = mu^2 w.
+    Partners share |Re mu| and Im mu, and the stable sort keeps tied pairs in one order,
+    so the k-th of each sign by ascending (|Re mu|, Im mu) form a pair; [w; 0] is first.
+    """
+    W, mu, n = eig.basis, eig.values, eig.values.size // 2
+    first, second = np.flatnonzero(eig.signs > 0), np.flatnonzero(eig.signs < 0)
+    if np.iscomplexobj(W) or second.size != n:
+        return None
+    top, bottom = np.linalg.norm(W[:n], axis=0), np.linalg.norm(W[n:], axis=0) / np.abs(mu)
+    if np.any(np.minimum(top, bottom) > 1e-8 * np.maximum(top, bottom)):
+        return None
+    first = first[np.lexsort((mu.imag[first], -mu.real[first]))]
+    is_top = top[first] > bottom[first]
+    P1 = np.zeros((2 * n, 2 * n), dtype=complex)
+    P1[:n, 0::2] = W[:n, np.where(is_top, first, second)]
+    P1[n:, 1::2] = W[n:, np.where(is_top, second, first)]
+    paired = _eigensystem(np.repeat(mu.real[second], 2).astype(complex), _normalize_columns(P1))
     return None if paired.defective else paired
 
 
@@ -126,27 +104,24 @@ def build_pseudoboson(eig: EigenSystem, hbar: float = 1.0) -> PseudoBosonBasis:
     if np.any(np.abs(mu) < 1e-12 * scale):
         raise ZeroMode("zero eigenvalue: inverse quarter root does not exist")
 
-    paired = None
+    modes = eig
     if np.abs(mu.imag).max() <= _REAL_SPECTRUM_RTOL * scale:
-        paired = _paired_real_mode_matrix(eig)
-    modes = eig if paired is None else paired
+        modes = _paired_real_mode_matrix(eig) or eig
     P1, P1inv, sqrtJ = modes.right_vectors, modes.inverse_vectors, modes.values
 
     quarter = np.sqrt(sqrtJ.astype(complex))  # principal branch
     pref = 1.0 / np.sqrt(2.0 * hbar)
     bx = pref * (quarter[:, None] * P1inv)
     bp = 1j * pref * (P1.T / quarter[:, None])
-    b = np.hstack([bx, bp])
-    btilde = np.hstack([bx, -bp])
     return PseudoBosonBasis(
-        b_coeff=b,
-        btilde_coeff=btilde,
+        b_coeff=np.hstack([bx, bp]),
+        btilde_coeff=np.hstack([bx, -bp]),
         sqrtJK=sqrtJ,
         quarterJK=quarter,
         mode_matrix=P1,
         mode_matrix_inv=P1inv,
         hbar=hbar,
-        paired_real_gauge=paired is not None,
+        paired_real_gauge=modes is not eig,
     )
 
 

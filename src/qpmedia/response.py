@@ -14,7 +14,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import SingularAtFrequency, UnsupportedDrive
-from .medium import DriveSignal, KickDrive, MediumSpec, spectral_amplitude
+from .medium import DriveSignal, KickDrive, MediumSpec, _extended_force, spectral_amplitude
 from .spectral import EigenSystem
 
 
@@ -83,11 +83,9 @@ def decompose_modes(eig: EigenSystem, spec: MediumSpec, drive: KickDrive) -> Mod
     if f.shape != (n,):
         raise ValueError("kick amplitude must have length n")
     r = np.concatenate([spec.gen_coord_vector.astype(complex), np.zeros(n)])
-    w0 = np.concatenate([f, -2.0 * (spec.damping @ f)])
-    w1 = np.concatenate([np.zeros(n, dtype=complex), f])
-
-    left0 = eig.inverse_vectors @ w0
-    left1 = eig.inverse_vectors @ w1
+    # the kick's force at omega splits as F(f, -i omega f) = F(f, 0) - i omega F(0, f)
+    left0 = eig.inverse_vectors @ _extended_force(spec.damping, f, 0.0)
+    left1 = eig.inverse_vectors @ _extended_force(spec.damping, np.zeros(n, dtype=complex), f)
     right = eig.right_vectors.T @ r
     return ModeLedger(mu=eig.values, intercept=left0 * right, angle=left1 * right)
 

@@ -126,6 +126,42 @@ class TestModes:
         assert len(lines[0].split()) == 4  # two complex pairs
 
 
+    def test_reads_only_the_eigensystem(self, model_file, tmp_path, monkeypatch):
+        # no A, cond(A) or J_B is built, and both tables are those of the
+        # eigensystem that spectral.prepare returns
+        from qpmedia import spectral
+        from qpmedia.medium import spec_from_json
+
+        _, eig = spectral.prepare(spec_from_json(model_file.read_text(encoding="utf-8")))
+
+        def unused(*args):
+            raise AssertionError("qpm modes built A or J_B")
+
+        monkeypatch.setattr(spectral, "attach_similarity", unused)
+        monkeypatch.setattr(spectral, "attach_JB", unused)
+        out, vecs = tmp_path / "modes.csv", tmp_path / "vecs.txt"
+        argv = ["modes", "--model", str(model_file), "--out", str(out), "--vectors", str(vecs)]
+        assert main(argv) == 0
+        re_mu, im_mu = eig.values.real * HARTREE_TO_EV, eig.values.imag * HARTREE_TO_EV
+        rows = "".join("%d,%.12g,%.12g\n" % row for row in zip(range(re_mu.size), re_mu, im_mu))
+        header = f"# 1 Hartree = {HARTREE_TO_EV!r} eV\nk,re_mu,im_mu\n"
+        assert out.read_text(encoding="utf-8") == header + rows
+        lines = (" ".join("%.12g %.12g" % (z.real, z.imag) for z in v) for v in eig.right_vectors.T)
+        assert vecs.read_text(encoding="utf-8") == "".join(line + "\n" for line in lines)
+
+    def test_singular_similarity_still_has_modes(self, tmp_path):
+        # cond(A) above SINGULAR_A_COND_THRESHOLD stops the commands that
+        # read A, not the modes table
+        from qpmedia.medium import simple_spec
+
+        model = tmp_path / "critical.json"
+        spec = simple_spec([[1.0 + 1e-13]], [[1.0]])
+        model.write_text(spec_to_json(spec) + "\n", encoding="utf-8")
+        out = tmp_path / "modes.csv"
+        assert main(["modes", "--model", str(model), "--out", str(out)]) == 0
+        assert len(read_rows(out)[1]) == 2
+
+
 class TestFilter:
     def test_threshold_nesting(self, model_file, tmp_path):
         selected = {}

@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import fock_ladder, scalar_spec, stable_spec
+from qpmedia import builders
 from qpmedia.errors import FrequencyNotCovered, ThermalSingularity
 from qpmedia.openquantum import (
     SystemCoupling,
     _interp_tensor,
+    _x_sweep,
     assemble_master_equation,
     bohr_decompose,
     classical_correlation,
@@ -196,6 +198,36 @@ class TestThermalRoutes:
         a = classical_correlation(ext, 1.0, grid, 1e-3)
         b = classical_correlation(ext, 2.0, grid, 1e-3)
         assert_allclose(b.xi, a.xi / 2.0, rtol=1e-12)
+
+    def test_classical_singular_kappa_raises(self):
+        # the n=7 Drude disk: its conserved-charge mode makes kappa singular
+        # (cond about 9e16), which the quantum route reports through J_B
+        params = builders.DrudeParams(
+            drude_factor=0.008, relaxation=0.004, gaussian_width=2.4,
+            tunneling_enabled=True, tunneling_d0=6.0, tunneling_steepness=10.0,
+        )
+        spec = builders.build_drude_charge_model(builders.hexagonal_disk(4.0, 2.434), params)
+        ext, _ = prepare(spec)
+        assert spec.n == 7
+        with pytest.raises(ThermalSingularity, match="cond\\(kappa\\)"):
+            classical_correlation(ext, 1.0, [0.05], 1e-3)
+        with pytest.raises(ThermalSingularity):
+            thermal_correlation(ext, 1.0, 1.0, [0.05], 1e-3)
+
+    @pytest.mark.parametrize("n", [40, 64])
+    def test_classical_well_conditioned_keeps_its_bits(self, n):
+        # cond(kappa) is about 4 here: the check before the inverse leaves
+        # every bit of (z / beta) kappa^{-1} y_x as it was
+        ext, _ = prepare(builders.build_synthetic(n, 1))
+        beta, eta, grid = 1.3, 1e-3, np.array([0.2, 0.9, 1.7])
+        kappa_inv = np.linalg.inv(ext.kappa)
+        want = _x_sweep(
+            ext, grid, eta, symplectic_form(2 * n)[:, 2 * n:],
+            lambda z, x: (z / beta) * (kappa_inv @ x),
+        )
+        got = classical_correlation(ext, beta, grid, eta)
+        for name in ("xi", "gamma", "s_ls"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     def test_thermal_singularity_propagates(self):
         spec = scalar_spec(1.0, 2.0)  # overdamped: real generator eigenvalues

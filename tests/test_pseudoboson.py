@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
@@ -8,6 +10,7 @@ from conftest import (
     scalar_spec,
     stable_spec,
 )
+from qpmedia.builders import build_synthetic
 from qpmedia.errors import ZeroMode
 from qpmedia.medium import simple_spec
 from qpmedia.pseudoboson import (
@@ -70,6 +73,58 @@ class TestBasis:
         spec = stable_spec(seed=204, n=4)
         basis = build_pseudoboson(eig_for(spec))
         assert_allclose(basis.quarterJK**2, basis.sqrtJK, rtol=1e-12)
+
+
+def undamped_real_spec(n, seed, kind, tiny_damping):
+    """A real medium whose every mode is undamped: SPD, marginal or c I kernel."""
+    rng = np.random.default_rng(seed)
+    if kind == "spd":
+        B = rng.standard_normal((n, n))
+        K = B @ B.T / n + rng.uniform(0.1, 2.0) * np.eye(n)
+    elif kind == "marginal":  # non-symmetric K, real spectrum
+        K = build_synthetic(n, seed, "marginal").kernel
+    else:  # one n-fold degenerate cluster
+        K = rng.uniform(0.1, 5.0) * np.eye(n)
+    return simple_spec(K, (1e-13 if tiny_damping else 0.0) * np.eye(n))
+
+
+class TestPairedRealGauge:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        seed=st.integers(0, 2**16),
+        kind=st.sampled_from(["spd", "marginal", "degenerate"]),
+        tiny_damping=st.booleans(),
+    )
+    def test_undamped_real_media_get_the_paired_basis(self, n, seed, kind, tiny_damping):
+        ext = build_sqrt_kappa(undamped_real_spec(n, seed, kind, tiny_damping))
+        basis = build_pseudoboson(eigendecompose(ext), hbar=0.7)
+        assert basis.paired_real_gauge
+        P1 = basis.mode_matrix
+        assert not P1.imag.any()
+        # block-diagonal up to column order: each column lies in one block,
+        # n columns in each
+        top_only, bottom_only = ~P1[n:].any(axis=0), ~P1[:n].any(axis=0)
+        assert np.array_equal(top_only, ~bottom_only)
+        assert np.count_nonzero(top_only) == n
+        kappa = ext.kappa
+        resid = np.linalg.norm(kappa @ P1 - P1 * basis.sqrtJK**2)
+        assert resid <= 1e-12 * np.linalg.norm(kappa) * np.linalg.norm(P1)
+        assert np.abs(commutator_matrix(basis) - np.eye(2 * n)).max() < 1e-12
+        b = basis.b_coeff
+        assert np.abs(basis.btilde_coeff - b.conj()).max() <= 1e-14 * np.abs(b).max()
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_damped_media_keep_the_generic_gauge(self, n):
+        assert not build_pseudoboson(eig_for(stable_spec(seed=300 + n, n=n))).paired_real_gauge
+
+    def test_complex_hermitian_kernel_keeps_the_generic_gauge(self):
+        rng = np.random.default_rng(17)
+        H = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        spec = simple_spec(H @ H.conj().T / 4 + 2.0 * np.eye(4), np.zeros((4, 4)))
+        eig = eig_for(spec)
+        assert np.abs(eig.values.imag).max() <= 1e-10 * np.abs(eig.values).max()
+        assert not build_pseudoboson(eig).paired_real_gauge
 
 
 class TestCoherentParams:
