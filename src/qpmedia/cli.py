@@ -9,15 +9,16 @@ Each subcommand is declared once, in the command table ``_COMMANDS`` (help,
 runner, arguments; shared argument groups are defined once): the parser is
 built from it and :func:`run` dispatches through it.
 
-Every table goes through one writer, :func:`_write_table`, in chunks: each
-chunk is one ``template % values``, where the template holds the row
-formats of all of the chunk's rows and the cells that repeat (row indices,
-the bath's alpha,beta pair, the field's k queries, a block's frequency)
-already rendered in, and every other float is rendered as ``%.12g``.  A
-chunk is at most one frequency block of the field, one alpha row of a bath
-block, one matrix row of ``--vectors`` and ``--cov-out``, or the whole of
-the small ``spectrum``, ``modes``, ``filter`` and ``propagate`` tables, so
-no large table is held in memory as text.
+Every table goes through one writer, :func:`_write_table`, in chunks, and
+every ``--out`` table through :func:`_write_out`, which adds its head (the
+units line and the column names).  Each chunk is one ``template % values``,
+where the template holds the row formats of all of the chunk's rows and the
+cells that repeat (row indices, the bath's alpha,beta pair, the field's k
+queries, a block's frequency) already rendered in, and every other float is
+rendered as ``%.12g``.  A chunk is at most one frequency block of the field,
+one alpha row of a bath block, one matrix row of ``--vectors`` and
+``--cov-out``, or the whole of the small ``spectrum``, ``modes``, ``filter``
+and ``propagate`` tables, so no large table is held in memory as text.
 """
 
 from __future__ import annotations
@@ -74,6 +75,13 @@ def _write_table(path: Path, head: Sequence[str], chunks: Iterable) -> None:
         fh.writelines(line + "\n" for line in head)
         for template, values in chunks:
             fh.write(template % tuple(values.ravel().tolist()))
+
+
+def _write_out(config: argparse.Namespace, columns: str, chunks: Iterable) -> Path:
+    """Write the ``--out`` table: the units line, the ``columns`` line, then the chunks."""
+    out = Path(config.out)
+    _write_table(out, (_HEADER_COMMENT, columns), chunks)
+    return out
 
 
 def _fmt_row(count: int, cell: str = "%.12g", sep: str = ",") -> str:
@@ -189,13 +197,8 @@ def _run_spectrum(config: argparse.Namespace) -> list[Path]:
         ledger, np.arange(ledger.n_modes), grid_ev / HARTREE_TO_EV
     )
     values = np.column_stack((grid_ev, table.im_alpha, table.absorptive, table.dispersive))
-    out = Path(config.out)
-    _write_table(
-        out,
-        (_HEADER_COMMENT, "omega_eV,im_alpha,absorptive,dispersive"),
-        [(_fmt_row(4) * grid_ev.size, values)],
-    )
-    written = [out]
+    columns = "omega_eV,im_alpha,absorptive,dispersive"
+    written = [_write_out(config, columns, [(_fmt_row(4) * grid_ev.size, values)])]
     if config.svg:
         svg = Path(config.svg)
         _write_svg(svg, table)
@@ -208,11 +211,7 @@ def _run_modes(config: argparse.Namespace) -> list[Path]:
     eig = spectral.eigendecompose(spectral.build_sqrt_kappa(_load_model(config)))
     re_mu, im_mu = eig.values.real * HARTREE_TO_EV, eig.values.imag * HARTREE_TO_EV
     template = "".join(f"{k},%.12g,%.12g\n" for k in range(re_mu.size))
-    out = Path(config.out)
-    _write_table(
-        out, (_HEADER_COMMENT, "k,re_mu,im_mu"), [(template, np.column_stack((re_mu, im_mu)))]
-    )
-    written = [out]
+    written = [_write_out(config, "k,re_mu,im_mu", [(template, np.column_stack((re_mu, im_mu)))])]
     if config.vectors:
         # one line per eigenvector: "re im re im ..."
         vec_path = Path(config.vectors)
@@ -248,9 +247,7 @@ def _run_filter(config: argparse.Namespace) -> list[Path]:
     values = np.column_stack(
         (mu.real * HARTREE_TO_EV, mu.imag * HARTREE_TO_EV, ledger.intercept.real)
     )
-    out = Path(config.out)
-    _write_table(out, (_HEADER_COMMENT, "k,re_mu_eV,im_mu_eV,re_I,selected"), [(template, values)])
-    return [out]
+    return [_write_out(config, "k,re_mu_eV,im_mu_eV,re_I,selected", [(template, values)])]
 
 
 def _run_propagate(config: argparse.Namespace) -> list[Path]:
@@ -278,18 +275,11 @@ def _run_propagate(config: argparse.Namespace) -> list[Path]:
             "scipy.linalg.expm",
             file=sys.stderr,
         )
-    xs = means[:, 2 * n :]
-    header = ["t"]
-    for name in ("u", "v"):
-        for i in range(1, n + 1):
-            header += [f"re_mean_{name}_{i}", f"im_mean_{name}_{i}"]
-    out = Path(config.out)
-    _write_table(
-        out,
-        (_HEADER_COMMENT, ",".join(header)),
-        [(_fmt_row(len(header)) * t_grid.size, np.column_stack((t_grid, _interleaved(xs))))],
-    )
-    written = [out]
+    header = ["t"] + [
+        f"{p}_mean_{x}_{i}" for x in "uv" for i in range(1, n + 1) for p in ("re", "im")
+    ]
+    rows = np.column_stack((t_grid, _interleaved(means[:, 2 * n :])))
+    written = [_write_out(config, ",".join(header), [(_fmt_row(len(header)) * t_grid.size, rows)])]
     if config.cov_out:
         cov_dir = Path(config.cov_out)
         cov_dir.mkdir(parents=True, exist_ok=True)
@@ -337,15 +327,12 @@ def _run_field(config: argparse.Namespace) -> list[Path]:
     ext, _ = spectral.prepare(spec)
     scattered, delta_terms = emitted_field_first_order(ext, spec, field_set, k_queries)
     k_cells = [",%.12g,%.12g,%.12g," % tuple(k) for k in k_queries.tolist()]
-    out = Path(config.out)
-    _write_table(
-        out,
-        (_HEADER_COMMENT, "omega_eV,kx,ky,kz,re_Ex,im_Ex,re_Ey,im_Ey,re_Ez,im_Ez"),
-        (
-            (_keyed_rows("%.12g" % w_ev, k_cells, _fmt_row(6)), _interleaved(scattered[iw]))
-            for iw, w_ev in enumerate(grid_ev.tolist())
-        ),
+    columns = "omega_eV,kx,ky,kz,re_Ex,im_Ex,re_Ey,im_Ey,re_Ez,im_Ez"
+    chunks = (
+        (_keyed_rows("%.12g" % w_ev, k_cells, _fmt_row(6)), _interleaved(scattered[iw]))
+        for iw, w_ev in enumerate(grid_ev.tolist())
     )
+    out = _write_out(config, columns, chunks)
     sidecar = out.with_suffix(out.suffix + ".deltas.json")
     sidecar.write_text(
         json.dumps(
@@ -392,11 +379,7 @@ def _run_bath(config: argparse.Namespace) -> list[Path]:
             for a in range(m):
                 yield _keyed_rows(omega + alphas[a], betas, cells), block[a]
 
-    out = Path(config.out)
-    _write_table(
-        out, (_HEADER_COMMENT, "omega_eV,alpha,beta,re_gamma,im_gamma,re_S,im_S"), chunks()
-    )
-    return [out]
+    return [_write_out(config, "omega_eV,alpha,beta,re_gamma,im_gamma,re_S,im_S", chunks())]
 
 
 # Argument groups shared by several subcommands: (flag, add_argument keywords).

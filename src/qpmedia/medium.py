@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import InconsistentInitialConditions, NonFinite, OutOfRange
+from .errors import InconsistentInitialConditions, NonFinite, OutOfRange, UnsupportedDrive
 
 _GEN_COORD_TOL = 1e-9
 
@@ -243,14 +243,7 @@ def spectral_amplitude(drive: DriveSignal) -> NDArray[np.complex128]:
     """
     if isinstance(drive, (KickDrive, MonochromaticDrive)):
         return drive.amplitude
-    from .errors import UnsupportedDrive
-
     raise UnsupportedDrive("tabulated drives have no closed-form spectral amplitude")
-
-
-def is_autonomous(drive: DriveSignal) -> bool:
-    """True when f(t) is constant in time (kick between impulses)."""
-    return isinstance(drive, KickDrive)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +363,7 @@ def integrate_reference_second_order(
     mat[n:, :n] = -spec.kernel
     mat[n:, n:] = -2.0 * spec.damping
     y0 = np.concatenate([u0, v0])
-    if is_autonomous(drive):
+    if isinstance(drive, KickDrive):
         f, _ = drive_value(drive, t_grid[0])
         const = np.concatenate([np.zeros(n), -f])
         ys = _rk4_affine_sweep(mat, const, y0, t_grid)
@@ -437,7 +430,7 @@ def integrate_reference_extended(
     mat[: 2 * n, 2 * n :] = np.eye(2 * n)
     mat[2 * n :, : 2 * n] = -kappa
     y0 = np.concatenate([x0, xdot0])
-    if is_autonomous(drive):
+    if isinstance(drive, KickDrive):
         const = np.concatenate(
             [np.zeros(2 * n), -build_extended_force(spec, drive, t_grid[0])]
         )

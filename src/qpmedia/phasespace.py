@@ -229,7 +229,6 @@ def thermal_state(ext: ExtendedOperator, beta: float, hbar: float) -> GaussianSt
     N = 2 * ext.n
     J = symplectic_form(N)
     M0 = -(hbar / 2.0) * jb_eig.function_of(cot) @ J.T
-    M0 = (M0 + M0.T) / 2.0
     return GaussianState(mean=np.zeros(2 * N, dtype=complex), cov=M0, hbar=hbar)
 
 

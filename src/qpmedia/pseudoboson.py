@@ -100,8 +100,8 @@ def build_pseudoboson(eig: EigenSystem, hbar: float = 1.0) -> PseudoBosonBasis:
     """
     _positive_finite("hbar", hbar)
     mu = eig.values
-    scale = max(np.abs(mu).max(), 1.0)
-    if np.any(np.abs(mu) < 1e-12 * scale):
+    scale = np.abs(mu).max()  # both gates are relative, so the gauge is free of units
+    if np.any(np.abs(mu) <= 1e-12 * scale):
         raise ZeroMode("zero eigenvalue: inverse quarter root does not exist")
 
     modes = eig

@@ -22,7 +22,7 @@ from qpmedia.pseudoboson import (
     phi_unnormalized,
     psi_unnormalized,
 )
-from qpmedia.spectral import build_sqrt_kappa, eigendecompose
+from qpmedia.spectral import _eigensystem, build_sqrt_kappa, eigendecompose
 
 
 def eig_for(spec):
@@ -68,6 +68,12 @@ class TestBasis:
         spec = scalar_spec(0.0, 0.3)
         with pytest.raises(ZeroMode):
             build_pseudoboson(eig_for(spec))
+
+    def test_all_zero_spectrum_rejected(self):
+        # the spectrum of K = Gamma = 0; its own eigensystem is a Jordan block
+        # that eigendecompose refuses, so the trusted basis here is the identity
+        with pytest.raises(ZeroMode):
+            build_pseudoboson(_eigensystem(np.zeros(2, dtype=complex), np.eye(2, dtype=complex)))
 
     def test_quarter_root_squares_to_sqrtJ(self):
         spec = stable_spec(seed=204, n=4)
@@ -117,6 +123,21 @@ class TestPairedRealGauge:
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_damped_media_keep_the_generic_gauge(self, n):
         assert not build_pseudoboson(eig_for(stable_spec(seed=300 + n, n=n))).paired_real_gauge
+
+    @pytest.mark.parametrize("rate", [1e-8, 1e-9, 1e-11])
+    def test_gauge_is_free_of_units(self, rate):
+        # K * 10**k scales every frequency by 10**(k/2); Gamma = rate * omega_min I
+        # scales with it, so every copy is the same medium in other units
+        rng = np.random.default_rng(5)
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        K = Q @ np.diag([3.0, 5.0, 9.0]) @ Q.T
+        gauges = {
+            build_pseudoboson(
+                eig_for(simple_spec(10.0**k * K, rate * np.sqrt(3.0 * 10.0**k) * np.eye(3)))
+            ).paired_real_gauge
+            for k in range(-6, 7)
+        }
+        assert gauges == {rate < 1e-10}
 
     def test_complex_hermitian_kernel_keeps_the_generic_gauge(self):
         rng = np.random.default_rng(17)
