@@ -325,7 +325,7 @@ def _run_field(config: argparse.Namespace) -> list[Path]:
         raise ValueError("k_queries must be finite")
     field_set = FieldPlaneWaveSet(omega_grid=grid, waves=tuple(waves))
     ext, _ = spectral.prepare(spec)
-    scattered, delta_terms = emitted_field_first_order(ext, spec, field_set, k_queries)
+    scattered = emitted_field_first_order(ext, spec, field_set, k_queries)
     k_cells = [",%.12g,%.12g,%.12g," % tuple(k) for k in k_queries.tolist()]
     columns = "omega_eV,kx,ky,kz,re_Ex,im_Ex,re_Ey,im_Ey,re_Ez,im_Ez"
     chunks = (
@@ -333,26 +333,16 @@ def _run_field(config: argparse.Namespace) -> list[Path]:
         for iw, w_ev in enumerate(grid_ev.tolist())
     )
     out = _write_out(config, columns, chunks)
+    # the delta-supported part of the field: the incident waves on the grid
+    amps = [w.amplitude_on(grid) for w in field_set.waves]
+    delta_terms = [
+        {"k": w.k.tolist(), "amplitude_re": a.real.tolist(), "amplitude_im": a.imag.tolist()}
+        for w, a in zip(field_set.waves, amps)
+    ]
+    gauge = "deterministic eigenvector basis of the extended square root"
+    deltas = {"similarity_gauge": gauge, "delta_terms": delta_terms}
     sidecar = out.with_suffix(out.suffix + ".deltas.json")
-    sidecar.write_text(
-        json.dumps(
-            {
-                "similarity_gauge": "deterministic eigenvector basis of the extended square root",
-                "delta_terms": [
-                    {
-                        "k": term["k"].tolist(),
-                        "amplitude_re": term["amplitude"].real.tolist(),
-                        "amplitude_im": term["amplitude"].imag.tolist(),
-                    }
-                    for term in delta_terms
-                ],
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    sidecar.write_text(json.dumps(deltas, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return [out, sidecar]
 
 
@@ -452,8 +442,10 @@ def run(config: argparse.Namespace) -> int:
     try:
         _, runner, _ = _COMMANDS[config.subcommand]
         written = runner(config)
-    except (QpmError, ValueError, OSError, KeyError, TypeError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except (QpmError, ValueError, OSError, KeyError, TypeError, MemoryError) as exc:
+        # numpy's failed allocation is a private MemoryError subclass
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(f"error: {name}: {exc}", file=sys.stderr)
         return 1
     summary = " ".join(f"{p.name} sha256={_checksum(p)}" for p in written)
     print(f"{config.subcommand}: wrote {summary}")

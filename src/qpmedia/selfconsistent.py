@@ -214,21 +214,16 @@ def emitted_field_first_order(
 ):
     """First-order scattered field at the query wavevectors.
 
-    Returns ``(scattered, delta_terms)`` where ``scattered`` has shape
-    (n_omega, n_queries, 3) and holds the smooth part of the field in the
-    (2 pi)^-3-scaled convention; ``delta_terms`` lists the plane waves whose
-    delta-supported contribution stays symbolic.
+    Returns the smooth part of the field, shape (n_omega, n_queries, 3), in
+    the (2 pi)^-3-scaled convention.  The delta-supported part stays
+    symbolic: it is the incident plane waves themselves.
     """
     omega_grid = ext_field.omega_grid
     k_queries = np.atleast_2d(np.asarray(k_queries, dtype=float))
     scattered = np.zeros((omega_grid.size, k_queries.shape[0], 3), dtype=complex)
     for iw, (_, _, first) in enumerate(_first_order_passes(ext, spec, ext_field, k_queries)):
         scattered[iw] = first
-    delta_terms = [
-        {"k": wave.k.copy(), "amplitude": wave.amplitude_on(omega_grid).copy()}
-        for wave in ext_field.waves
-    ]
-    return scattered, delta_terms
+    return scattered
 
 
 def emitted_field_iterate(

@@ -55,8 +55,8 @@ class ExtendedOperator:
     Gamma, complex otherwise) and ``damping``, the medium's Gamma, for the
     drive and auxiliary channels.  Derived on read: ``n``, ``sqrt_kappa`` =
     i M and ``kappa`` = -M M (:func:`medium.extended_kernel`).  ``sim_A``
-    (with its cond) and ``gen_JB`` are attached by :func:`attach_similarity`
-    / :func:`attach_JB`, real for a real M.  Instances are immutable and
+    and ``gen_JB`` are attached by :func:`attach_similarity` /
+    :func:`attach_JB`, real for a real M.  Instances are immutable and
     updated via ``replace``.  The J_B eigensystem is decomposed on first use
     and cached on the instance (a ``replace``d operator starts without it);
     read it through :func:`phasespace.decompose_generator`.
@@ -65,7 +65,6 @@ class ExtendedOperator:
     root: NDArray[np.float64] | NDArray[np.complex128]
     damping: NDArray[np.float64] | NDArray[np.complex128]
     sim_A: NDArray[np.float64] | NDArray[np.complex128] | None = None
-    sim_A_cond: float | None = None
     gen_JB: NDArray[np.float64] | NDArray[np.complex128] | None = None
 
     @property
@@ -121,7 +120,7 @@ class EigenSystem:
         V (f(lambda) * (V^{-1} rhs)), two O(m^2) products instead of the
         O(m^3) matrix; the Delta_t quadrature takes this route.  Every other
         caller (Lambda_t, the thermal cotangent, the bath's Bose-Einstein
-        matrix, the rebuilt kappa) passes no ``rhs`` and gets the matrix;
+        matrix) passes no ``rhs`` and gets the matrix;
         with a slice ``columns`` it forms only those columns of the matrix.
         """
         if rhs is None:
@@ -333,13 +332,9 @@ def build_similarity(eig: EigenSystem) -> NDArray:
 
     A = V V^T = W S W^T is formed from the eigensystem's basis, so it is
     real for a real medium.  It is the difference of two symmetric rank-k
-    products and so exactly symmetric.
+    products and so exactly symmetric.  Raises DefectiveMatrix for a defective
+    V, and SingularSimilarity when cond(A) exceeds SINGULAR_A_COND_THRESHOLD.
     """
-    return _similarity(eig)[0]
-
-
-def _similarity(eig: EigenSystem) -> tuple[NDArray, float]:
-    """A of :func:`build_similarity` and the cond(A) that vetted it."""
     if eig.defective:
         raise DefectiveMatrix(
             f"cond(V) = {eig.cond:.3e} exceeds {DEFECTIVE_COND_THRESHOLD:.1e}: "
@@ -351,12 +346,11 @@ def _similarity(eig: EigenSystem) -> tuple[NDArray, float]:
     cond = float(np.linalg.cond(A))
     if not np.isfinite(cond) or cond > SINGULAR_A_COND_THRESHOLD:
         raise SingularSimilarity(f"cond(A) = {cond:.3e}")
-    return A, cond
+    return A
 
 
 def attach_similarity(ext: ExtendedOperator, eig: EigenSystem) -> ExtendedOperator:
-    A, cond = _similarity(eig)
-    return replace(ext, sim_A=A, sim_A_cond=cond)
+    return replace(ext, sim_A=build_similarity(eig))
 
 
 def build_JB(ext: ExtendedOperator) -> NDArray:

@@ -296,6 +296,14 @@ class TestField:
 
         model = tmp_path / "m.json"
         model.write_text(spec_to_json(scalar_spec(2.0, 0.3)) + "\n", encoding="utf-8")
+        plane_waves = [
+            {"k": [0.01, 0.0, 0.0], "amplitude_re": [0.0, 1.0, 0.0]},
+            {
+                "k": [0.0, -0.02, 0.5],
+                "amplitude_re": [0.25, 0.0, -1.5],
+                "amplitude_im": [1.0, 0.0, 2.0],
+            },
+        ]
         waves = tmp_path / "waves.json"
         waves.write_text(
             json.dumps(
@@ -303,9 +311,7 @@ class TestField:
                     "omega_min_ev": 10.0,
                     "omega_max_ev": 20.0,
                     "omega_step_ev": 10.0,
-                    "plane_waves": [
-                        {"k": [0.01, 0.0, 0.0], "amplitude_re": [0.0, 1.0, 0.0]}
-                    ],
+                    "plane_waves": plane_waves,
                     "k_queries": [[0.02, 0.0, 0.0], [0.0, 0.03, 0.0]],
                 }
             ),
@@ -319,8 +325,13 @@ class TestField:
         assert len(rows) == 2 * 2
         sidecar = out.with_suffix(out.suffix + ".deltas.json")
         doc = json.loads(sidecar.read_text(encoding="utf-8"))
-        assert len(doc["delta_terms"]) == 1
         assert "similarity_gauge" in doc
+        # one term per incident wave: its k and its amplitude at each frequency
+        assert len(doc["delta_terms"]) == len(plane_waves)
+        for term, wave in zip(doc["delta_terms"], plane_waves):
+            assert term["k"] == wave["k"]
+            assert term["amplitude_re"] == [wave["amplitude_re"]] * 2
+            assert term["amplitude_im"] == [wave.get("amplitude_im", [0.0] * 3)] * 2
 
     def test_flat_k_queries_rejected(self, model_file, tmp_path, capsys):
         waves = tmp_path / "waves.json"
@@ -925,6 +936,24 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ValueError: ") and err.count("\n") == 1
         assert message in err
+        assert not out.exists()
+
+    def test_grid_too_large_to_allocate_rejected(self, model_file, tmp_path):
+        # about 1e18 points (8 EiB), more than a 64-bit address space holds, so
+        # the allocation fails at once whatever the overcommit setting
+        out = tmp_path / "s.csv"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "qpmedia.cli", "spectrum", "--model", str(model_file),
+                "--omega-min", "0", "--omega-max", "7", "--omega-step", "7e-18", "--out", str(out),
+            ],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: MemoryError: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
         assert not out.exists()
 
     def test_usage_error_exit_code(self):

@@ -218,7 +218,7 @@ def test_field(spec, model, tmp_path):
     )
     k_queries = np.asarray(doc["k_queries"], dtype=float)
     ext, _ = spectral.prepare(spec)
-    scattered, _ = emitted_field_first_order(
+    scattered = emitted_field_first_order(
         ext, spec, FieldPlaneWaveSet(omega_grid=grid_ev / HARTREE_TO_EV, waves=waves), k_queries
     )
     rows = []

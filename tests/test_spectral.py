@@ -389,7 +389,7 @@ def test_real_basis_matches_complex_route(kind, seed, n):
     # gamma^2 inside K's spectrum puts modes next to critical damping, where
     # A is ill-conditioned; there the dense route's A^{-1} kappa misses 1e-12
     # as well, and both stay within 0.75 eps cond(A) of the oracle
-    tol = max(1e-12, 2 * spec.n * EPS * ext.sim_A_cond) if kind == "scalar" else 1e-12
+    tol = max(1e-12, 2 * spec.n * EPS * np.linalg.cond(A)) if kind == "scalar" else 1e-12
     assert np.linalg.norm(X - oracle_X) <= tol * np.linalg.norm(oracle_X)
     # J_B: the real eigensolver, paired from its raw column adjacency
     _check_against_complex_oracle(*_spy_eigensystem(phasespace.decompose_generator, ext))
@@ -532,7 +532,6 @@ def test_complex_medium_takes_the_complex_route_bit_for_bit(part):
     A = V @ V.T
     A = (A + A.T) / 2.0
     assert np.array_equal(ext.sim_A, A)
-    assert ext.sim_A_cond == float(np.linalg.cond(A))
     assert ext.gen_JB.dtype == complex
     assert np.array_equal(ext.gen_JB[:10, 10:], np.linalg.solve(A, ext.kappa))
     assert np.array_equal(ext.gen_JB[10:, :10], -A)
