@@ -267,14 +267,6 @@ def _run_propagate(config: argparse.Namespace) -> list[Path]:
             mean=q0, cov=(config.hbar / 2.0) * np.eye(4 * n), hbar=config.hbar
         )
     means = phasespace.propagate_mean(ext, drive, q0, t_grid)
-    jb_eig = phasespace.decompose_generator(ext)  # cached by propagate_mean
-    if jb_eig.defective:
-        print(
-            f"warning: J_B eigenvector condition number {jb_eig.cond:.3e} exceeds "
-            f"{spectral.DEFECTIVE_COND_THRESHOLD:.1e}; exp(J_B t) falls back to "
-            "scipy.linalg.expm",
-            file=sys.stderr,
-        )
     header = ["t"] + [
         f"{p}_mean_{x}_{i}" for x in "uv" for i in range(1, n + 1) for p in ("re", "im")
     ]

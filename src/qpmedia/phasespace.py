@@ -14,7 +14,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ThermalSingularity
-from .medium import DriveSignal, _extended_force, drive_value, spectral_amplitude
+from .medium import DriveSignal, KickDrive, _extended_force, drive_value, spectral_amplitude
 from .spectral import (
     EigenSystem,
     ExtendedOperator,
@@ -25,7 +25,7 @@ from .spectral import (
 
 
 def _positive_finite(name: str, value: float) -> None:
-    """Reject a physical scale (hbar, beta) that is not positive and finite."""
+    """Reject a scale (hbar, beta, a quadrature step) that is not positive and finite."""
     if not 0 < value < np.inf:
         raise ValueError(f"{name} must be positive and finite")
 
@@ -58,7 +58,6 @@ class Propagator:
 
     lambda_t: NDArray[np.complex128]
     delta_t: NDArray[np.complex128]
-    used_expm_fallback: bool = False
 
 
 def decompose_generator(ext: ExtendedOperator) -> EigenSystem:
@@ -67,20 +66,66 @@ def decompose_generator(ext: ExtendedOperator) -> EigenSystem:
 
 
 def _lambda_at(ext, jb_eig: EigenSystem, t: float, rhs=None):
-    """exp(J B t), by eigenmodes when well conditioned, else scaling/squaring.
+    """exp(J B t), by J B eigenmodes when well conditioned, else through kappa.
 
     With a vector ``rhs`` it returns exp(J B t) @ rhs without forming the
-    matrix on the eigenmode route (O((4n)^2)); only the Delta_t quadrature
-    passes one.  Lambda_t of a grid point or of ``correlation_time`` is the
-    matrix.
+    matrix (O((4n)^2)); only the Delta_t quadrature passes one.  Lambda_t of
+    a grid point or of ``correlation_time`` is the matrix.  A defective J B
+    eigensystem (a zero mode, as in every Drude medium) sends the call to
+    :func:`_kappa_exp` on the sqrt_kappa eigensystem, decomposed once per
+    operator.
     """
     if jb_eig.defective:
-        # imported on the fallback alone, to keep scipy off every qpm start-up
-        import scipy.linalg
-
-        lam = scipy.linalg.expm(ext.gen_JB * t)
-        return lam if rhs is None else lam @ rhs
+        return _kappa_exp(ext._sqrt_kappa_eigensystem, t, rhs)
     return jb_eig.function_of(np.exp(jb_eig.values * t), rhs)
+
+
+def _kappa_exp(eig: EigenSystem, t: float, rhs=None):
+    """exp(J B t) from the eigensystem (mu, V) of sqrt_kappa.
+
+    J B = [[0, A^{-1} kappa], [-A, 0]] and kappa A = A kappa^T give
+    (J B)^2 = -diag(kappa^T, kappa), so
+    exp(J B t) = [[c^T, A^{-1} kappa s], [-A s^T, c]] with
+    c = cos(t sqrt(kappa)) = V diag(cos mu t) V^{-1} and
+    s = sin(t sqrt(kappa)) / sqrt(kappa) = V diag(sin(mu t) / mu) V^{-1}
+    (Higham, *Functions of Matrices*, SIAM 2008, ch. 12).  Both are entire
+    in mu^2, so mu = 0 is an ordinary point; sin(mu t) / mu is evaluated as
+    t sinc(mu t / pi).  With A = V V^T the four blocks are V^{-T} diag(cos)
+    V^T, V^{-T} diag(mu sin mu t) V^{-1}, -V diag(sin(mu t) / mu) V^T and
+    V diag(cos) V^{-1}: no A and no solve.
+    """
+    V, Vi, mu = eig.right_vectors, eig.inverse_vectors, eig.values
+    cos = np.cos(mu * t)
+    sinc = t * np.sinc(mu * t / np.pi)
+    mu_sin = mu * np.sin(mu * t)
+    if rhs is None:
+        return np.block(
+            [[(Vi.T * cos) @ V.T, (Vi.T * mu_sin) @ Vi], [-(V * sinc) @ V.T, (V * cos) @ Vi]]
+        )
+    a, b = V.T @ rhs[: mu.size], Vi @ rhs[mu.size :]
+    return np.concatenate([Vi.T @ (cos * a + mu_sin * b), V @ (cos * b - sinc * a)])
+
+
+def _kick_step(eig: EigenSystem, force, t0: float, t1: float):
+    """Integral of exp(J B s) [A^{-1} F; 0] over [t0, t1] for a constant F.
+
+    By :func:`_kappa_exp` with A^{-1} F = V^{-T} g, g = V^{-1} F, the
+    integrand is [V^{-T} diag(cos mu s) g; -V diag(sin(mu s) / mu) g], whose
+    integrals from 0 are t sinc(mu t / pi) and (t^2 / 2) sinc^2(mu t / 2 pi),
+    both entire in mu^2 (Hochbruck & Lubich, Numer. Math. 83, 1999).
+    """
+    mu = eig.values
+    g = eig.inverse_vectors @ force
+
+    def cos_integral(t):
+        return t * np.sinc(mu * t / np.pi)
+
+    def sinc_integral(t):
+        return 0.5 * t * t * np.sinc(mu * t / (2.0 * np.pi)) ** 2
+
+    top = eig.inverse_vectors.T @ ((cos_integral(t1) - cos_integral(t0)) * g)
+    bottom = eig.right_vectors @ ((sinc_integral(t1) - sinc_integral(t0)) * g)
+    return np.concatenate([top, -bottom])
 
 
 def _thermal_spectral(ext: ExtendedOperator, beta: float, hbar: float) -> EigenSystem:
@@ -120,8 +165,13 @@ def _advance_delta(ext, jb_eig: EigenSystem, drive, delta, t0, t1, quad_step: fl
     Each step takes Lambda_s J C_s at its two ends and its midpoint, the
     nodes of the RK4 step the reference integrators use.  Each node costs one
     2n solve for J C_s and one action of exp(J B s) on that vector; no 4n x 4n
-    propagator is formed.  A step t1 < t0 integrates backward.
+    propagator is formed.  A step t1 < t0 integrates backward.  A kick on a
+    defective J B eigensystem takes the closed form of :func:`_kick_step`
+    instead.
     """
+    if jb_eig.defective and isinstance(drive, KickDrive):
+        force = _extended_force(ext.damping, *drive_value(drive, t0))
+        return delta + _kick_step(ext._sqrt_kappa_eigensystem, force, t0, t1)
     steps = max(1, int(round(abs(t1 - t0) / quad_step)))
     h = (t1 - t0) / steps
     s = t0
@@ -143,19 +193,20 @@ def propagator_at(
 ) -> Propagator:
     """Propagator (Lambda_t, Delta_t) at a single time.
 
-    Lambda_t comes from the generator eigendecomposition (with a
-    scaling-and-squaring fallback for ill-conditioned eigenvectors, flagged
-    in ``used_expm_fallback``); it is the one 4n x 4n matrix formed here.
-    Delta_t integrates Delta' = Lambda_s J C_s with the same fixed RK4 step
-    the reference integrators use, applying exp(J B s) to the drive vector
-    at each node.
+    Lambda_t comes from the generator eigendecomposition, or from kappa's
+    when that one is defective (:func:`_lambda_at`); it is the one 4n x 4n
+    matrix formed here.  Delta_t integrates Delta' = Lambda_s J C_s with the
+    same fixed RK4 step the reference integrators use, applying exp(J B s)
+    to the drive vector at each node.  ``quad_step`` must be positive and
+    finite.
     """
+    _positive_finite("quad_step", quad_step)
     jb_eig = decompose_generator(ext)
     delta = np.zeros(jb_eig.values.size, dtype=complex)
     lam = _lambda_at(ext, jb_eig, t)
     if drive is not None and t != 0.0:
         delta = _advance_delta(ext, jb_eig, drive, delta, 0.0, t, quad_step)
-    return Propagator(lambda_t=lam, delta_t=delta, used_expm_fallback=jb_eig.defective)
+    return Propagator(lambda_t=lam, delta_t=delta)
 
 
 def symplectic_inverse(lam: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -189,7 +240,9 @@ def propagate_mean(
 
     Delta is carried from one sample to the next, forward or backward, so
     the grid need not be increasing; a driven grid must start at t=0.
+    ``quad_step`` must be positive and finite.
     """
+    _positive_finite("quad_step", quad_step)
     jb_eig = decompose_generator(ext)
     t_grid = np.asarray(t_grid, dtype=float)
     q0 = np.asarray(q0, dtype=complex)

@@ -59,7 +59,9 @@ class ExtendedOperator:
     :func:`attach_JB`, real for a real M.  Instances are immutable and
     updated via ``replace``.  The J_B eigensystem is decomposed on first use
     and cached on the instance (a ``replace``d operator starts without it);
-    read it through :func:`phasespace.decompose_generator`.
+    read it through :func:`phasespace.decompose_generator`.  So is the
+    sqrt_kappa eigensystem that exp(J_B t) is built on when the J_B one is
+    defective (:func:`phasespace._lambda_at`).
     """
 
     root: NDArray[np.float64] | NDArray[np.complex128]
@@ -89,6 +91,10 @@ class ExtendedOperator:
     @cached_property
     def _generator_eigensystem(self) -> EigenSystem:
         return _eigensystem(*_eig(_generator(self)))
+
+    @cached_property
+    def _sqrt_kappa_eigensystem(self) -> EigenSystem:
+        return eigendecompose(self)
 
 
 @dataclass(frozen=True)

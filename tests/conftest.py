@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from qpmedia.builders import build_synthetic
+from qpmedia.builders import (
+    DrudeParams,
+    build_drude_charge_model,
+    build_synthetic,
+    hexagonal_disk,
+)
 from qpmedia.medium import simple_spec
 
 
@@ -29,6 +34,15 @@ def stable_spec(seed: int, n: int):
 
 def scalar_spec(k: float, gamma: float):
     return simple_spec([[k]], [[gamma]])
+
+
+def small_drude_disk():
+    """The 7-site Drude disk: its conserved-charge mode makes J_B defective."""
+    params = DrudeParams(
+        drude_factor=0.008, relaxation=0.004, gaussian_width=2.4,
+        tunneling_enabled=True, tunneling_d0=6.0, tunneling_steepness=10.0,
+    )
+    return build_drude_charge_model(hexagonal_disk(4.0, 2.434), params, response_axis=0)
 
 
 @pytest.fixture

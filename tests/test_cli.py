@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import stable_spec
+from conftest import small_drude_disk, stable_spec
 from qpmedia.cli import main
 from qpmedia.constants import HARTREE_TO_EV
 from qpmedia.medium import spec_to_json
@@ -458,7 +458,7 @@ class TestCovDump:
 
 
 class TestStartup:
-    """scipy is imported only by the expm fallback of a defective generator."""
+    """No qpm command imports scipy."""
 
     @staticmethod
     def _scipy_modules_after(code, cwd):
@@ -486,6 +486,17 @@ class TestStartup:
         )
         assert self._scipy_modules_after(code, tmp_path) == "[]"
         assert (tmp_path / "m.json").exists()
+
+    def test_drude_propagate_loads_no_scipy(self, tmp_path):
+        # the disk's zero mode makes J_B defective: exp(J_B t) goes through kappa
+        (tmp_path / "disk.json").write_text(spec_to_json(small_drude_disk()) + "\n", encoding="utf-8")
+        code = (
+            "from qpmedia.cli import main\n"
+            "assert main(['propagate', '--model', 'disk.json', '--t-max', '0.2', '--t-step',"
+            " '0.1', '--kick', ','.join(['1'] * 7), '--out', 't.csv']) == 0"
+        )
+        assert self._scipy_modules_after(code, tmp_path) == "[]"
+        assert (tmp_path / "t.csv").exists()
 
 
 class TestVectorArguments:
@@ -560,7 +571,7 @@ class TestVectorArguments:
 
 
 class TestPropagateFallback:
-    """qpm propagate names the expm fallback of a defective J_B on stderr."""
+    """qpm propagate on a defective J_B is as silent as on any other medium."""
 
     @staticmethod
     def _propagate(model, tmp_path):
@@ -569,24 +580,22 @@ class TestPropagateFallback:
         code = main([*argv, "--kick", ",".join(["1"] * 7), "--out", str(out)])
         return code, out
 
-    def test_zero_mode_medium_warns_once(self, tmp_path, capsys):
-        from qpmedia import builders
+    def test_zero_mode_medium_matches_oracle(self, tmp_path, capsys):
+        from qpmedia.medium import KickDrive, integrate_reference_second_order
 
-        params = builders.DrudeParams(
-            drude_factor=0.008, relaxation=0.004, gaussian_width=2.4,
-            tunneling_enabled=True, tunneling_d0=6.0, tunneling_steepness=10.0,
-        )
-        spec = builders.build_drude_charge_model(
-            builders.hexagonal_disk(4.0, 2.434), params, response_axis=0
-        )
-        assert spec.n == 7
+        spec = small_drude_disk()
         model = tmp_path / "disk.json"
         model.write_text(spec_to_json(spec) + "\n", encoding="utf-8")
         code, out = self._propagate(model, tmp_path)
         assert code == 0 and out.exists()
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("warning: ")
-        assert "scipy.linalg.expm" in err[0]
+        assert capsys.readouterr().err == ""
+        table = np.loadtxt(out, delimiter=",", skiprows=2)
+        u = table[:, 1:15:2] + 1j * table[:, 2:15:2]
+        fine = np.arange(0.0, 0.2 + 1e-12, 1e-3)
+        zeros = np.zeros(7)
+        oracle = integrate_reference_second_order(spec, KickDrive(np.ones(7)), zeros, zeros, fine)
+        want = oracle.u[::100]
+        assert np.abs(u - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_synthetic_medium_is_silent(self, tmp_path, capsys):
         from qpmedia import builders

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import scalar_spec, stable_spec
+from conftest import scalar_spec, small_drude_disk, stable_spec
 from qpmedia.builders import build_synthetic
 from qpmedia.errors import ResonantFrequency, ThermalSingularity
 from qpmedia.medium import (
@@ -15,6 +15,7 @@ from qpmedia.medium import (
     consistent_extended_ic,
     drive_value,
     integrate_reference_extended,
+    integrate_reference_second_order,
     simple_spec,
     zero_drive,
 )
@@ -287,15 +288,21 @@ class TestThermal:
 
 
 class TestExpmFallback:
-    """A free damped source: J_B is defective, so exp(J_B t) falls back to expm."""
+    """A free damped source: J_B is defective, so exp(J_B t) is built through kappa.
+
+    ``scipy.linalg.expm`` of the dense J_B and the RK4 integrators are the
+    oracles.
+    """
 
     def setup_method(self):
         self.ext, _ = prepare(simple_spec([[0.0]], [[0.1]]))
 
-    def test_propagator_reports_fallback(self):
+    def test_propagator_matches_expm(self):
         prop = propagator_at(self.ext, 0.7)
-        assert prop.used_expm_fallback
-        assert_allclose(prop.lambda_t, scipy.linalg.expm(self.ext.gen_JB * 0.7), rtol=1e-13)
+        assert decompose_generator(self.ext).defective
+        # J_B holds rounding noise (4e-17) where exp(J_B t) through kappa has exact zeros
+        want = scipy.linalg.expm(self.ext.gen_JB * 0.7)
+        assert_allclose(prop.lambda_t, want, rtol=1e-13, atol=1e-15)
 
     def test_correlation_time_uses_expm(self):
         state = GaussianState(mean=np.arange(4.0), cov=0.5 * np.eye(4))
@@ -304,10 +311,8 @@ class TestExpmFallback:
         want = scipy.linalg.expm(-self.ext.gen_JB * 0.7) @ xi0
         assert_allclose(got, want, rtol=1e-13, atol=1e-15)
 
-    def test_kicked_mean_matches_oracle(self):
-        # the Delta_t quadrature applies expm(J_B s) to the drive vector
+    def _mean_error(self, drive):
         spec = simple_spec([[0.0]], [[0.1]])
-        drive = KickDrive([0.7])
         x0, xdot0 = consistent_extended_ic(spec, [0.3], [-0.2], drive)
         fine = np.arange(0.0, 4.0 + 1e-12, 1e-3)
         oracle = integrate_reference_extended(spec, drive, x0, xdot0, fine)
@@ -316,11 +321,63 @@ class TestExpmFallback:
         means = propagate_mean(self.ext, drive, q0, fine[::stride], quad_step=1e-3)
         assert decompose_generator(self.ext).defective
         assert np.abs(means[-1, 2:]).max() > 0.1
-        assert np.abs(means[:, 2:] - oracle.x[::stride]).max() < 1e-10
+        return np.abs(means[:, 2:] - oracle.x[::stride]).max()
+
+    def test_kicked_mean_matches_oracle(self):
+        # a kick's Delta_t is in closed form
+        assert self._mean_error(KickDrive([0.7])) < 1e-10
+
+    def test_monochromatic_mean_matches_oracle(self):
+        # the Delta_t quadrature applies exp(J_B s) through kappa at each node
+        assert self._mean_error(MonochromaticDrive([0.7], 1.3)) < 1e-10
 
     def test_thermal_state_refused(self):
         with pytest.raises(ThermalSingularity, match="ill-conditioned"):
             thermal_state(self.ext, beta=1.0, hbar=1.0)
+
+
+class TestDefectiveDisk:
+    """The 7-site Drude disk: exp(J_B t) through kappa against expm and RK4."""
+
+    def setup_method(self):
+        self.spec = small_drude_disk()
+        self.ext, _ = prepare(self.spec)
+        self.jb_eig = decompose_generator(self.ext)
+
+    @pytest.mark.parametrize("t", [0.7, 5.0, 50.0])
+    def test_lambda_matches_expm(self, t):
+        assert self.jb_eig.defective
+        want = scipy.linalg.expm(self.ext.gen_JB * t)
+        got = _lambda_at(self.ext, self.jb_eig, t)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        v = np.random.default_rng(7).standard_normal(4 * self.spec.n)
+        got_v = _lambda_at(self.ext, self.jb_eig, t, v)
+        assert np.abs(got_v - want @ v).max() <= 1e-12 * np.abs(want @ v).max()
+
+    def test_kicked_mean_matches_second_order_oracle(self):
+        n = self.spec.n
+        drive = KickDrive(self.spec.coords[0])
+        fine = np.arange(0.0, 5.0 + 1e-12, 1e-3)
+        oracle = integrate_reference_second_order(self.spec, drive, np.zeros(n), np.zeros(n), fine)
+        x0, xdot0 = consistent_extended_ic(self.spec, np.zeros(n), np.zeros(n), drive)
+        means = propagate_mean(self.ext, drive, consistent_mean(self.ext, x0, xdot0), fine[::500])
+        want = oracle.u[::500]
+        assert np.abs(want).max() > 0.1
+        assert np.abs(means[:, 2 * n : 3 * n] - want).max() <= 1e-10 * np.abs(want).max()
+
+
+class TestQuadStep:
+    """A quadrature step that is not positive and finite is named, not used."""
+
+    @pytest.mark.parametrize("quad_step", [-1e-3, 0.0, np.nan, np.inf])
+    def test_rejected(self, quad_step):
+        ext, _ = prepare(simple_spec([[2.0]], [[0.1]]))
+        drive = KickDrive([1.0])
+        q0 = np.zeros(4, dtype=complex)
+        with pytest.raises(ValueError, match="quad_step must be positive and finite"):
+            propagate_mean(ext, drive, q0, [0.0, 2.0], quad_step=quad_step)
+        with pytest.raises(ValueError, match="quad_step must be positive and finite"):
+            propagator_at(ext, 2.0, drive=drive, quad_step=quad_step)
 
 
 class TestMeanInFrequency:

@@ -2,10 +2,12 @@
 
 The test reads the ``drude.json`` and the bash block of README.md's CLI
 section, runs the block's input-writing script and writes its waves file,
-then runs its ``qpm build``, ``qpm spectrum``, both ``qpm filter`` and its
-``qpm field`` lines, so that an example that drifts from the program fails
-here.  ``propagate`` is left out: the disk's defective J_B sends every
-quadrature node through ``expm``.
+then runs its ``qpm build``, ``qpm spectrum``, both ``qpm filter``, its
+``qpm field`` and its ``qpm propagate`` lines, so that an example that drifts
+from the program fails here.  Each exits 0 with nothing on stderr, and the
+kicked trajectory follows the RK4 oracle ``integrate_reference_second_order``.
+``bath`` is left out: the disk's conserved-charge mode makes its thermal state
+singular, so the README runs it on a synthetic medium.
 """
 
 import json
@@ -16,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from qpmedia.cli import main
+from qpmedia.medium import KickDrive, integrate_reference_second_order, spec_from_json
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -27,7 +30,7 @@ def cli_blocks():
     return blocks["json"], blocks["bash"].replace("\\\n", "")
 
 
-def test_disk_examples_run_and_respond(tmp_path, monkeypatch):
+def test_disk_examples_run_and_respond(tmp_path, monkeypatch, capsys):
     drude, bash = cli_blocks()
     monkeypatch.chdir(tmp_path)
     Path("drude.json").write_text(drude, encoding="utf-8")
@@ -38,11 +41,15 @@ def test_disk_examples_run_and_respond(tmp_path, monkeypatch):
     commands = [
         shlex.split(line)[1:]
         for line in bash.splitlines()
-        if line.startswith(("qpm build ", "qpm spectrum ", "qpm filter ", "qpm field "))
+        if line.startswith(
+            ("qpm build ", "qpm spectrum ", "qpm filter ", "qpm field ", "qpm propagate ")
+        )
     ]
-    assert [argv[0] for argv in commands] == ["build", "spectrum", "filter", "filter", "field"]
+    names = [argv[0] for argv in commands]
+    assert names == ["build", "spectrum", "filter", "filter", "field", "propagate"]
     for argv in commands:
         assert main(argv) == 0, argv
+        assert capsys.readouterr().err == "", argv
         if argv[0] == "build":
             continue
         out = argv[argv.index("--out") + 1]
@@ -53,6 +60,18 @@ def test_disk_examples_run_and_respond(tmp_path, monkeypatch):
             assert table.shape == (grid.size * len(doc["k_queries"]), 10)
             assert np.isfinite(table).all()
             assert Path(out + ".deltas.json").is_file()
+        elif argv[0] == "propagate":
+            spec = spec_from_json(Path("model.json").read_text(encoding="utf-8"))
+            n = spec.n
+            u = table[:, 1 : 2 * n : 2] + 1j * table[:, 2 : 2 * n + 1 : 2]
+            kick = KickDrive(json.loads(Path("kick.json").read_text(encoding="utf-8")))
+            t_max, t_step = (float(argv[argv.index(flag) + 1]) for flag in ("--t-max", "--t-step"))
+            stride = round(t_step / 1e-3)
+            fine = np.arange(0.0, t_max + 1e-12, 1e-3)
+            zeros = np.zeros(n)
+            want = integrate_reference_second_order(spec, kick, zeros, zeros, fine).u[::stride]
+            assert np.allclose(table[:, 0], fine[::stride], rtol=0.0, atol=1e-9)
+            assert np.abs(u - want).max() <= 1e-10 * np.abs(want).max()
         elif argv[0] == "spectrum":
             # a kick that moves no charge, or a response axis normal to the
             # disk, leaves max|Im alpha| at rounding level (1e-6) or exactly 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import assert_multiset_close, stable_spec
+from conftest import assert_multiset_close, small_drude_disk, stable_spec
 from qpmedia.errors import DefectiveMatrix, ResonantFrequency, SingularSimilarity
 from qpmedia.medium import extended_kernel, simple_spec
 from qpmedia import builders, openquantum, phasespace, response, selfconsistent, spectral
@@ -250,12 +250,31 @@ def test_generator_is_decomposed_once_per_operator(monkeypatch):
     openquantum.thermal_correlation(ext, 1.0, 1.0, [0.5], 1e-3)
     openquantum.correlation_time(ext, _vacuum(spec.n), 0.3)
     openquantum.correlation_time(ext, _vacuum(spec.n), 0.7)
-    prop = phasespace.propagator_at(ext, 0.5)
+    phasespace.propagator_at(ext, 0.5)
     assert calls == [(8, 8)]
-    assert not prop.used_expm_fallback
     # a replaced operator carries no cached eigensystem
     phasespace.decompose_generator(replace(ext, gen_JB=ext.gen_JB.copy()))
     assert calls == [(8, 8)] * 2
+
+
+def test_kappa_route_decomposes_sqrt_kappa_once_per_operator(monkeypatch):
+    # a defective J_B builds exp(J_B t) on the sqrt_kappa eigensystem, which
+    # the scalar-damping disk takes from the 7 x 7 eig of K
+    ext, _ = prepare(small_drude_disk())
+    calls = []
+    eig = np.linalg.eig
+
+    def counting_eig(a):
+        calls.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    kick = KickDrive(np.ones(7))
+    phasespace.propagate_mean(ext, kick, np.zeros(28, dtype=complex), [0.0, 0.5, 1.0])
+    phasespace.propagator_at(ext, 0.7, drive=kick)
+    openquantum.correlation_time(ext, _vacuum(7), 0.3)
+    assert phasespace.decompose_generator(ext).defective
+    assert calls == [(28, 28), (7, 7)]
 
 
 class TestOnShell:
