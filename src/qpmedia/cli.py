@@ -7,7 +7,8 @@ byte-identical outputs.
 
 Each subcommand is declared once, in the command table ``_COMMANDS`` (help,
 runner, arguments; shared argument groups are defined once): the parser is
-built from it and :func:`run` dispatches through it.
+built from it and :func:`run` dispatches through it.  Each runner imports
+the layers it runs, so a command loads no layer module it does not use.
 
 Every table goes through one writer, :func:`_write_table`, in chunks, and
 every ``--out`` table through :func:`_write_out`, which adds its head (the
@@ -29,16 +30,19 @@ import json
 import sys
 from collections.abc import Iterable, Sequence
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import builders, openquantum, phasespace, response, spectral
 from .constants import HARTREE_TO_EV
 from .errors import QpmError
 from .medium import (
     KickDrive, MediumSpec, _json_floats, _json_object, consistent_extended_ic, spec_from_json,
     spec_to_json,
 )
+
+if TYPE_CHECKING:
+    from .response import ModeLedger, SpectrumTable
 
 _HEADER_COMMENT = f"# 1 Hartree = {HARTREE_TO_EV!r} eV"
 
@@ -134,7 +138,7 @@ def _kick_for(spec: MediumSpec, config: argparse.Namespace) -> KickDrive:
     return KickDrive(_vector(config.kick, spec.n, "kick amplitude"))
 
 
-def _write_svg(path: Path, table: response.SpectrumTable) -> None:
+def _write_svg(path: Path, table: SpectrumTable) -> None:
     """Minimal deterministic line plot of the spectrum columns."""
     width, height, pad = 720, 360, 40
     x = table.omega_grid * HARTREE_TO_EV
@@ -170,6 +174,8 @@ def _write_svg(path: Path, table: response.SpectrumTable) -> None:
 # ---------------------------------------------------------------------------
 
 def _run_build(config: argparse.Namespace) -> list[Path]:
+    from . import builders
+
     if not (config.xyz and config.params and config.out):
         raise ValueError("build requires --xyz, --params and --out")
     geom = builders.parse_xyz(Path(config.xyz))
@@ -182,14 +188,18 @@ def _run_build(config: argparse.Namespace) -> list[Path]:
     return [out]
 
 
-def _kick_ledger(spec: MediumSpec, config: argparse.Namespace) -> response.ModeLedger:
+def _kick_ledger(spec: MediumSpec, config: argparse.Namespace) -> ModeLedger:
     """The mode ledger of the ``--kick`` drive; the eigensystem is freed on return."""
+    from . import response, spectral
+
     drive = _kick_for(spec, config)
     _, eig = spectral.prepare(spec)
     return response.decompose_modes(eig, spec, drive)
 
 
 def _run_spectrum(config: argparse.Namespace) -> list[Path]:
+    from . import response
+
     spec = _load_model(config)
     grid_ev = _grid(config.omega_min, config.omega_max, config.omega_step, "frequency")
     ledger = _kick_ledger(spec, config)
@@ -207,6 +217,8 @@ def _run_spectrum(config: argparse.Namespace) -> list[Path]:
 
 
 def _run_modes(config: argparse.Namespace) -> list[Path]:
+    from . import spectral
+
     # the table reads only the eigensystem: no A, cond(A) or J_B
     eig = spectral.eigendecompose(spectral.build_sqrt_kappa(_load_model(config)))
     re_mu, im_mu = eig.values.real * HARTREE_TO_EV, eig.values.imag * HARTREE_TO_EV
@@ -225,6 +237,8 @@ def _run_modes(config: argparse.Namespace) -> list[Path]:
 
 
 def _run_filter(config: argparse.Namespace) -> list[Path]:
+    from . import response
+
     # the selection is checked before the decomposition it would be applied to
     if config.filter_mode == "if":
         if config.threshold is None:
@@ -251,6 +265,8 @@ def _run_filter(config: argparse.Namespace) -> list[Path]:
 
 
 def _run_propagate(config: argparse.Namespace) -> list[Path]:
+    from . import phasespace, spectral
+
     spec = _load_model(config)
     t_grid = _grid(0.0, config.t_max, config.t_step, "time")
     n = spec.n
@@ -290,6 +306,7 @@ def _run_propagate(config: argparse.Namespace) -> list[Path]:
 
 
 def _run_field(config: argparse.Namespace) -> list[Path]:
+    from . import spectral
     from .selfconsistent import FieldPlaneWaveSet, PlaneWave, emitted_field_first_order
 
     spec = _load_model(config)
@@ -339,6 +356,8 @@ def _run_field(config: argparse.Namespace) -> list[Path]:
 
 
 def _run_bath(config: argparse.Namespace) -> list[Path]:
+    from . import openquantum, phasespace, spectral
+
     spec = _load_model(config)
     grid_ev = _grid(config.omega_min, config.omega_max, config.omega_step, "frequency")
     grid = grid_ev / HARTREE_TO_EV

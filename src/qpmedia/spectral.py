@@ -22,7 +22,10 @@ gives a spectrum exactly symmetric under mu -> -conj(mu) and exact
 conjugate eigenvector pairs, so V = W U with W real and U block-unitary,
 and cond(V), V^{-1}, A = V V^T = W S W^T (S = +/-1), A^{-1} kappa and J_B
 follow from the real W.  Complex media take the same route with W = V and
-S = 1.
+S = 1.  As S is orthogonal, cond(A) <= cond(W)^2 (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2nd ed., SIAM 2002, section 6.3), so
+the exact cond(W) that the eigensystem already holds proves A trusted
+without an SVD of A wherever cond(W)^2 is below the cond(A) threshold.
 
 When Gamma is exactly gamma I (the Drude builder's one relaxation rate) the
 equation of motion separates mode by mode, and the eigenpairs of
@@ -90,7 +93,7 @@ class ExtendedOperator:
 
     @cached_property
     def _generator_eigensystem(self) -> EigenSystem:
-        return _eigensystem(*_eig(_generator(self)))
+        return replace(_eigensystem(*_eig(_generator(self))), basis=None)
 
     @cached_property
     def _sqrt_kappa_eigensystem(self) -> EigenSystem:
@@ -104,7 +107,8 @@ class EigenSystem:
     ``basis`` W and ``signs`` S factor V = W U with U unitary and
     U U^T = diag(S), so cond(V) = cond(W) and V V^T = W S W^T.  W is real
     when the decomposed matrix is (see :func:`_eigensystem`); otherwise
-    W = V and S = 1.
+    W = V and S = 1.  The cached J_B eigensystem keeps no basis (``None``),
+    as nothing reads it.
 
     ``defective`` is set when cond(V) is not finite or exceeds
     DEFECTIVE_COND_THRESHOLD; V^{-1} (``inverse_vectors``) is then not
@@ -116,7 +120,7 @@ class EigenSystem:
     inverse_vectors: NDArray[np.complex128] | None
     cond: float
     defective: bool
-    basis: NDArray[np.float64] | NDArray[np.complex128]
+    basis: NDArray[np.float64] | NDArray[np.complex128] | None
     signs: NDArray[np.float64]
 
     def function_of(self, values, rhs=None, columns=slice(None)) -> NDArray[np.complex128]:
@@ -340,6 +344,15 @@ def build_similarity(eig: EigenSystem) -> NDArray:
     real for a real medium.  It is the difference of two symmetric rank-k
     products and so exactly symmetric.  Raises DefectiveMatrix for a defective
     V, and SingularSimilarity when cond(A) exceeds SINGULAR_A_COND_THRESHOLD.
+
+    S = diag(+/-1) is orthogonal, so ||A||_2 <= ||W||_2^2 and, from
+    A^{-1} = W^{-T} S W^{-1}, ||A^{-1}||_2 <= ||W^{-1}||_2^2: cond(A) <=
+    cond(W)^2 (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., SIAM 2002, section 6.3).  ``eig.cond`` is the exact cond(W),
+    so when its square is within the threshold A is accepted without an
+    SVD; otherwise the exact cond(A) decides, and the error prints it.  The
+    two can disagree only where the SVD's own rounding, about m eps cond(A)
+    relative, straddles the threshold.
     """
     if eig.defective:
         raise DefectiveMatrix(
@@ -349,9 +362,10 @@ def build_similarity(eig: EigenSystem) -> NDArray:
     # sum_k S_k w_k w_k^T as two symmetric rank-k products
     plus, minus = eig.basis[:, eig.signs > 0], eig.basis[:, eig.signs < 0]
     A = plus @ plus.T - minus @ minus.T
-    cond = float(np.linalg.cond(A))
-    if not np.isfinite(cond) or cond > SINGULAR_A_COND_THRESHOLD:
-        raise SingularSimilarity(f"cond(A) = {cond:.3e}")
+    if eig.cond**2 > SINGULAR_A_COND_THRESHOLD:
+        cond = float(np.linalg.cond(A))
+        if not np.isfinite(cond) or cond > SINGULAR_A_COND_THRESHOLD:
+            raise SingularSimilarity(f"cond(A) = {cond:.3e}")
     return A
 
 

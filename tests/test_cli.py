@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qpmedia
 from conftest import small_drude_disk, stable_spec
 from qpmedia.cli import main
 from qpmedia.constants import HARTREE_TO_EV
@@ -458,33 +460,42 @@ class TestCovDump:
 
 
 class TestStartup:
-    """No qpm command imports scipy."""
+    """No qpm command imports scipy, and each loads only the layers it runs."""
+
+    CLI = ["qpmedia", "qpmedia.cli", "qpmedia.constants", "qpmedia.errors", "qpmedia.medium"]
 
     @staticmethod
-    def _scipy_modules_after(code, cwd):
+    def _modules_after(code, cwd, package):
+        """The sorted modules of ``package`` that a child process has loaded after ``code``."""
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        code = f"import sys\n{code}\nprint([m for m in sys.modules if m.startswith('scipy')])"
+        code = (
+            f"import sys\n{code}\n"
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))"
+        )
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True,
             check=True,
         )
         return out.stdout.splitlines()[-1]
 
+    @staticmethod
+    def _cluster_inputs(cwd):
+        """A three-atom geometry ``g.xyz`` and Drude parameters ``p.json`` for ``build``."""
+        (cwd / "g.xyz").write_text("3\ncluster\nAg 0 0 0\nAg 0 0 2.5\nAg 0 2.5 0\n", encoding="utf-8")
+        params = {"drude_factor": 0.01, "relaxation": 0.004, "gaussian_width": 2.0}
+        (cwd / "p.json").write_text(json.dumps(params), encoding="utf-8")
+
     def test_cli_import_loads_no_scipy(self, tmp_path):
-        assert self._scipy_modules_after("import qpmedia.cli", tmp_path) == "[]"
+        assert self._modules_after("import qpmedia.cli", tmp_path, "scipy") == "[]"
 
     def test_build_loads_no_scipy(self, tmp_path):
-        (tmp_path / "g.xyz").write_text(
-            "3\ncluster\nAg 0 0 0\nAg 0 0 2.5\nAg 0 2.5 0\n", encoding="utf-8"
-        )
-        params = {"drude_factor": 0.01, "relaxation": 0.004, "gaussian_width": 2.0}
-        (tmp_path / "p.json").write_text(json.dumps(params), encoding="utf-8")
+        self._cluster_inputs(tmp_path)
         code = (
             "from qpmedia.cli import main\n"
             "assert main(['build', '--xyz', 'g.xyz', '--params', 'p.json', '--out', 'm.json']) == 0"
         )
-        assert self._scipy_modules_after(code, tmp_path) == "[]"
+        assert self._modules_after(code, tmp_path, "scipy") == "[]"
         assert (tmp_path / "m.json").exists()
 
     def test_drude_propagate_loads_no_scipy(self, tmp_path):
@@ -495,8 +506,73 @@ class TestStartup:
             "assert main(['propagate', '--model', 'disk.json', '--t-max', '0.2', '--t-step',"
             " '0.1', '--kick', ','.join(['1'] * 7), '--out', 't.csv']) == 0"
         )
-        assert self._scipy_modules_after(code, tmp_path) == "[]"
+        assert self._modules_after(code, tmp_path, "scipy") == "[]"
         assert (tmp_path / "t.csv").exists()
+
+    def test_package_import_loads_no_layer(self, tmp_path):
+        assert self._modules_after("import qpmedia", tmp_path, "qpmedia") == "['qpmedia']"
+
+    def test_cli_import_loads_no_layer(self, tmp_path):
+        assert self._modules_after("import qpmedia.cli", tmp_path, "qpmedia") == str(self.CLI)
+
+    WINDOW = ["--omega-min", "1", "--omega-max", "2", "--omega-step", "0.5"]
+    COMMANDS = {
+        "build": (["--xyz", "g.xyz", "--params", "p.json", "--out", "b.json"], ["builders"]),
+        "spectrum": (["--model", "m.json", "--out", "o.csv", *WINDOW], ["response", "spectral"]),
+        "filter": (
+            ["--model", "m.json", "--out", "o.csv", "--mode", "if", "--threshold", "0.1"],
+            ["response", "spectral"],
+        ),
+        "modes": (["--model", "m.json", "--out", "o.csv"], ["spectral"]),
+        "propagate": (
+            ["--model", "m.json", "--out", "o.csv", "--t-max", "0.2", "--t-step", "0.1",
+             "--kick", "1,0,0"],
+            ["phasespace", "spectral"],
+        ),
+        "field": (["--model", "m.json", "--out", "o.csv", "--waves", "w.json"],
+                  ["selfconsistent", "spectral"]),
+        "bath": (
+            ["--model", "m.json", "--out", "o.csv", "--beta", "10", *WINDOW],
+            ["openquantum", "phasespace", "selfconsistent", "spectral"],
+        ),
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_loads_only_its_layers(self, command, tmp_path):
+        self._cluster_inputs(tmp_path)
+        (tmp_path / "m.json").write_text(spec_to_json(stable_spec(seed=777, n=3)) + "\n",
+                                         encoding="utf-8")
+        waves = {
+            "omega_min_ev": 1.0, "omega_max_ev": 2.0, "omega_step_ev": 1.0,
+            "plane_waves": [{"k": [0.01, 0.0, 0.0], "amplitude_re": [0.0, 1.0, 0.0]}],
+            "k_queries": [[0.02, 0.0, 0.0]],
+        }
+        (tmp_path / "w.json").write_text(json.dumps(waves), encoding="utf-8")
+        argv, layers = self.COMMANDS[command]
+        code = f"from qpmedia.cli import main\nassert main({[command, *argv]!r}) == 0"
+        loaded = self._modules_after(code, tmp_path, "qpmedia")
+        assert loaded == str(sorted(self.CLI + [f"qpmedia.{m}" for m in layers]))
+        assert "qpmedia.pseudoboson" not in loaded
+
+
+class TestLazyExports:
+    """``qpmedia`` resolves each public name from its module on first access."""
+
+    def test_every_public_name_is_its_module_object(self):
+        assert len(qpmedia.__all__) == len(set(qpmedia.__all__)) == 56
+        for name in qpmedia.__all__:
+            module = importlib.import_module(f"qpmedia.{qpmedia._MODULE_OF[name]}")
+            assert getattr(qpmedia, name) is getattr(module, name)
+
+    def test_dir_lists_every_public_name(self):
+        assert set(qpmedia.__all__) <= set(dir(qpmedia))
+        assert "__version__" in dir(qpmedia)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            qpmedia.no_such_name
+        with pytest.raises(ImportError):
+            from qpmedia import no_such_name  # noqa: F401
 
 
 class TestVectorArguments:

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -371,9 +371,10 @@ def _check_against_complex_oracle(args, eig):
     assert eig.defective == (not (np.isfinite(cond) and cond <= DEFECTIVE_COND_THRESHOLD))
     if eig.defective:
         return
-    assert abs(eig.cond - cond) <= 1e-10 * cond
-    # the two routes round differently, so each is held to the larger of the
-    # oracle's residual and the first-order bound m eps cond(V)
+    # the two routes round differently: cond(V) is held to the larger of 1e-10
+    # and the first-order bound m eps cond(V) relative, and V^{-1} to the
+    # larger of the oracle's residual and that bound
+    assert abs(eig.cond - cond) <= max(1e-10, m * EPS * cond) * cond
     oracle = np.linalg.norm(np.linalg.inv(V) @ V - np.eye(m))
     got = np.linalg.norm(eig.inverse_vectors @ V - np.eye(m))
     assert got <= max(oracle, m * EPS * cond)
@@ -385,6 +386,8 @@ def _check_against_complex_oracle(args, eig):
     seed=st.integers(0, 2**16),
     n=st.integers(1, 8),
 )
+# cond(V) = 9.9e7: the two SVDs differ by 1.2e-9 relative, within m eps cond(V)
+@example(kind="scalar", seed=631, n=1)
 def test_real_basis_matches_complex_route(kind, seed, n):
     spec = _random_real_medium(kind, seed, n)
     ext = build_sqrt_kappa(spec)
@@ -639,6 +642,58 @@ def test_near_critical_medium_has_a_singular_similarity():
     assert not eig.defective
     with pytest.raises(SingularSimilarity, match="cond\\(A\\)"):
         attach_similarity(ext, eig)
+
+
+def _near_critical_medium(seed, n):
+    """Gamma = gamma I with gamma^2 just below one eigenvalue of K, so that
+    one mode sits next to critical damping, where cond(W) grows unboundedly."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((n, n))
+    K = base @ base.T / n + np.eye(n)
+    kappa = np.linalg.eigvalsh(K)[rng.integers(n)]
+    return simple_spec(K, np.sqrt(kappa * (1.0 - 10.0 ** -rng.uniform(2, 16))) * np.eye(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(
+        ["plain", "overdamped", "drude", "duplicated", "scalar", "complex", "near-critical"]
+    ),
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 8),
+)
+def test_skipped_cond_A_svd_is_proven_by_cond_W(kind, seed, n):
+    if kind == "near-critical":
+        spec = _near_critical_medium(seed, n)
+    elif kind == "complex":
+        spec = _random_real_medium("plain", seed, n)
+        rng = np.random.default_rng(seed)
+        spec = replace(spec, kernel=spec.kernel + 0.05j * rng.standard_normal((n, n)))
+    else:
+        spec = _random_real_medium(kind, seed, n)
+    try:
+        eig = eigendecompose(build_sqrt_kappa(spec))
+    except DefectiveMatrix:
+        return
+    with mock.patch.object(np.linalg, "cond", wraps=np.linalg.cond) as cond:
+        try:
+            A = build_similarity(eig)
+        except SingularSimilarity:
+            pass
+    bound = eig.cond**2
+    assert cond.called == (bound > SINGULAR_A_COND_THRESHOLD)
+    if not cond.called:
+        # cond(A) <= cond(W)^2, up to the rounding of A (m eps ||W||^2) and
+        # of both SVDs, first order in m eps cond(W)^2
+        m = A.shape[0]
+        assert np.linalg.cond(A) <= bound * (1.0 + 4.0 * m * EPS * bound)
+
+
+def test_prepare_takes_no_cond_A_svd_that_cond_W_proves():
+    with mock.patch.object(np.linalg, "cond", wraps=np.linalg.cond) as cond:
+        prepare(builders.build_synthetic(40, 1))
+    # cond(W) of sqrt_kappa's eigensystem only: cond(W)^2 = 731 proves A
+    assert cond.call_count == 1
 
 
 # ---------------------------------------------------------------------------
