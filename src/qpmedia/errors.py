@@ -64,7 +64,7 @@ class SingularAuxiliary(QpmError):
 
 
 class ThermalSingularity(QpmError):
-    """The thermal matrix function hit a pole of cot/Bose factors."""
+    """The thermal state does not exist: a zero mode, or a pole of coth(hbar beta mu / 2)."""
 
 
 class FrequencyNotCovered(QpmError):

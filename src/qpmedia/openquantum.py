@@ -19,7 +19,7 @@ from numpy.typing import NDArray
 
 from .errors import FrequencyNotCovered, ThermalSingularity
 from .phasespace import (
-    GaussianState, _lambda_at, _positive_finite, _thermal_spectral, decompose_generator
+    GaussianState, _lambda_at, _positive_finite, _thermal_cot, decompose_generator
 )
 from .selfconsistent import auxiliary_response
 from .spectral import (
@@ -109,17 +109,6 @@ def correlation_frequency(
     return _x_sweep(ext, omega_grid, eta, xi0[:, N:], lambda z, x: 1j * x)
 
 
-def _bose_einstein_x_columns(ext: ExtendedOperator, beta: float, hbar: float):
-    """The first 2n columns of n_BE = V diag(1 / (exp(i hbar beta lambda) - 1)) V^{-1}."""
-    jb_eig = _thermal_spectral(ext, beta, hbar)
-    args = hbar * beta * 1j * jb_eig.values
-    denom = np.expm1(args)
-    if np.any(np.abs(denom) < 1e-12):
-        worst = jb_eig.values[np.argmin(np.abs(denom))]
-        raise ThermalSingularity(f"Bose factor singular at generator eigenvalue {worst!r}")
-    return jb_eig.function_of(1.0 / denom, columns=slice(None, 2 * ext.n))
-
-
 def thermal_correlation(
     ext: ExtendedOperator, beta: float, hbar: float, omega_grid, eta: float
 ) -> CorrelationSet:
@@ -127,9 +116,11 @@ def thermal_correlation(
 
     Xi(omega) = -hbar (z E + i J_B)^{-1} n_BE J on the x-block; the
     x-columns of n_BE J are the first 2n columns of n_BE, the only ones
-    formed.
+    formed.  n_BE = -1/2 - (i/2) cot(hbar beta J_B / 2) makes them [-I/2; -(i/2) Q],
+    with Q and the gate of :func:`phasespace._thermal_cot`.
     """
-    nbe_x = _bose_einstein_x_columns(ext, beta, hbar)
+    _, Q = _thermal_cot(ext, beta, hbar)
+    nbe_x = np.concatenate([-0.5 * np.eye(Q.shape[0]), -0.5j * Q])
     return _x_sweep(ext, omega_grid, eta, nbe_x, lambda z, x: -hbar * x)
 
 

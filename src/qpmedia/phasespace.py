@@ -16,11 +16,12 @@ from numpy.typing import NDArray
 from .errors import ThermalSingularity
 from .medium import DriveSignal, KickDrive, _extended_force, drive_value, spectral_amplitude
 from .spectral import (
+    SINGULAR_A_COND_THRESHOLD,
     EigenSystem,
     ExtendedOperator,
+    _attached_eig,
     _resolvent_x,
     _similarity_matrix,
-    symplectic_form,
 )
 
 
@@ -72,11 +73,11 @@ def _lambda_at(ext, jb_eig: EigenSystem, t: float, rhs=None):
     matrix (O((4n)^2)); only the Delta_t quadrature passes one.  Lambda_t of
     a grid point or of ``correlation_time`` is the matrix.  A defective J B
     eigensystem (a zero mode, as in every Drude medium) sends the call to
-    :func:`_kappa_exp` on the sqrt_kappa eigensystem, decomposed once per
-    operator.
+    :func:`_kappa_exp` on the sqrt_kappa eigensystem attached to ``ext``,
+    decomposed once per operator by :func:`spectral.prepare`.
     """
     if jb_eig.defective:
-        return _kappa_exp(ext._sqrt_kappa_eigensystem, t, rhs)
+        return _kappa_exp(_attached_eig(ext), t, rhs)
     return jb_eig.function_of(np.exp(jb_eig.values * t), rhs)
 
 
@@ -128,17 +129,31 @@ def _kick_step(eig: EigenSystem, force, t0: float, t1: float):
     return np.concatenate([top, -bottom])
 
 
-def _thermal_spectral(ext: ExtendedOperator, beta: float, hbar: float) -> EigenSystem:
-    """The J B eigensystem that a thermal matrix function of beta, hbar is built on."""
+def _thermal_cot(ext: ExtendedOperator, beta: float, hbar: float):
+    """The blocks P, Q of cot(hbar beta J B / 2) = [[0, P], [Q, 0]], through kappa.
+
+    cot is odd and (J B)^2 = -diag(kappa^T, kappa) (:func:`_kappa_exp`), so
+    on the sqrt_kappa eigensystem (mu, V), with c = hbar beta / 2 and
+    A = V V^T, P = -V^{-T} diag(mu coth(c mu)) V^{-1} and
+    Q = V diag(coth(c mu) / mu) V^T: no A, no solve, no J B eigensystem.
+    The one thermal gate raises ThermalSingularity on a zero mode, |mu|^2 <=
+    max |mu|^2 / SINGULAR_A_COND_THRESHOLD at every beta and hbar, and on a
+    pole, |tanh(c mu)| < 1e-12: near one |cosh| = 1 + O(1e-24), so that is
+    the cotangent's |sinh| < 1e-12 max(1, |cosh|), without their overflow.
+    """
     _positive_finite("beta", beta)
     _positive_finite("hbar", hbar)
-    jb_eig = decompose_generator(ext)
-    if jb_eig.defective:
-        raise ThermalSingularity(
-            "generator eigendecomposition too ill-conditioned "
-            "(free modes of a singular kernel have no thermal state)"
-        )
-    return jb_eig
+    eig = _attached_eig(ext)
+    mu = eig.values
+    size = np.abs(mu)
+    if size.min() ** 2 <= size.max() ** 2 / SINGULAR_A_COND_THRESHOLD:
+        raise ThermalSingularity(f"zero mode |mu| = {size.min():.3e} has no thermal state")
+    tanh = np.tanh(hbar * beta * mu / 2.0)
+    if np.any(np.abs(tanh) < 1e-12):
+        worst = complex(mu[np.argmin(np.abs(tanh))])
+        raise ThermalSingularity(f"coth singular: hbar*beta*mu/2 near i pi k for mu = {worst:.3e}")
+    V, Vi = eig.right_vectors, eig.inverse_vectors
+    return -(Vi.T * (mu / tanh)) @ Vi, (V / (tanh * mu)) @ V.T
 
 
 def _solve_A(A, b):
@@ -171,7 +186,7 @@ def _advance_delta(ext, jb_eig: EigenSystem, drive, delta, t0, t1, quad_step: fl
     """
     if jb_eig.defective and isinstance(drive, KickDrive):
         force = _extended_force(ext.damping, *drive_value(drive, t0))
-        return delta + _kick_step(ext._sqrt_kappa_eigensystem, force, t0, t1)
+        return delta + _kick_step(_attached_eig(ext), force, t0, t1)
     steps = max(1, int(round(abs(t1 - t0) / quad_step)))
     h = (t1 - t0) / steps
     s = t0
@@ -269,20 +284,14 @@ def consistent_mean(ext: ExtendedOperator, x0, xdot0) -> NDArray[np.complex128]:
 
 
 def thermal_state(ext: ExtendedOperator, beta: float, hbar: float) -> GaussianState:
-    """Thermal Gaussian state: zero mean, matrix-cotangent covariance."""
-    jb_eig = _thermal_spectral(ext, beta, hbar)
-    args = hbar * beta * jb_eig.values / 2.0
-    sin = np.sin(args)
-    if np.any(np.abs(sin) < 1e-12 * np.maximum(1.0, np.abs(np.cos(args)))):
-        worst = jb_eig.values[np.argmin(np.abs(sin))]
-        raise ThermalSingularity(
-            f"cot singular: hbar*beta*lambda/2 near a multiple of pi for lambda={worst!r}"
-        )
-    cot = np.cos(args) / sin
-    N = 2 * ext.n
-    J = symplectic_form(N)
-    M0 = -(hbar / 2.0) * jb_eig.function_of(cot) @ J.T
-    return GaussianState(mean=np.zeros(2 * N, dtype=complex), cov=M0, hbar=hbar)
+    """Thermal Gaussian state: zero mean, covariance -(hbar / 2) cot(hbar beta J B / 2) J^T.
+
+    That is diag(-(hbar / 2) P, (hbar / 2) Q), with P, Q and the gate of :func:`_thermal_cot`.
+    """
+    P, Q = _thermal_cot(ext, beta, hbar)
+    zero = np.zeros_like(P)
+    cov = np.block([[-(hbar / 2.0) * P, zero], [zero, (hbar / 2.0) * Q]])
+    return GaussianState(mean=np.zeros(2 * P.shape[0], dtype=complex), cov=cov, hbar=hbar)
 
 
 def mean_in_frequency(

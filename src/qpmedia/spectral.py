@@ -5,17 +5,17 @@ The dynamics of the medium is encoded in the closed-form square root
     sqrt_kappa = i M,    M = [[0, -I], [K, 2 Gamma]],    kappa = -M M,
 
 whose spectrum carries every resonance of the damped equation of motion.
-An :class:`ExtendedOperator` stores only M, in the dtype of the medium's K and
-Gamma (float64 when real), and derives sqrt_kappa and kappa on read.
-From the eigenvectors V we build the symmetric similarity matrix
-A = V V^T, with kappa = A kappa^T A^{-1}, the quadratic-Hamiltonian
-generator J_B, and the on-shell energy functional.  Every frequency sweep
-applies the resolvent (z E + i J_B)^{-1} through one helper,
-:func:`_resolvent_x`: its x rows come from one 2n solve of the Schur
-complement z^2 I - kappa, and no 4n matrix is factored.  Every eigensystem
-comes from :func:`_eigensystem`, and A has this one construction: a medium
-whose V is not trusted (cond(V) above DEFECTIVE_COND_THRESHOLD) raises
-DefectiveMatrix.
+An :class:`ExtendedOperator` stores only M, in the dtype of the medium's K
+and Gamma (float64 when real), derives sqrt_kappa and kappa on read, and
+keeps the one eigensystem of sqrt_kappa.  From its eigenvectors V we build
+the symmetric similarity matrix A = V V^T, with kappa = A kappa^T A^{-1},
+the quadratic-Hamiltonian generator J_B, and the on-shell energy
+functional.  Every frequency sweep applies the resolvent (z E + i J_B)^{-1}
+through one helper, :func:`_resolvent_x`: its x rows come from one 2n solve
+of the Schur complement z^2 I - kappa, and no 4n matrix is factored.  Every
+eigensystem comes from :func:`_eigensystem`, and A has this one
+construction: a medium whose V is not trusted (cond(V) above
+DEFECTIVE_COND_THRESHOLD) raises DefectiveMatrix.
 
 For a real M all of this runs in real arithmetic: the real eigensolver
 gives a spectrum exactly symmetric under mu -> -conj(mu) and exact
@@ -58,19 +58,18 @@ class ExtendedOperator:
     Gamma, complex otherwise) and ``damping``, the medium's Gamma, for the
     drive and auxiliary channels.  Derived on read: ``n``, ``sqrt_kappa`` =
     i M and ``kappa`` = -M M (:func:`medium.extended_kernel`).  ``sim_A``
-    and ``gen_JB`` are attached by :func:`attach_similarity` /
-    :func:`attach_JB`, real for a real M.  Instances are immutable and
-    updated via ``replace``.  The J_B eigensystem is decomposed on first use
-    and cached on the instance (a ``replace``d operator starts without it);
-    read it through :func:`phasespace.decompose_generator`.  So is the
-    sqrt_kappa eigensystem that exp(J_B t) is built on when the J_B one is
-    defective (:func:`phasespace._lambda_at`).
+    and ``eig``, the sqrt_kappa eigensystem A is built from, are attached by
+    :func:`attach_similarity`, ``gen_JB`` by :func:`attach_JB`; A and J_B
+    are real for a real M.  Instances are immutable and updated via
+    ``replace``, which carries all three but not the J_B eigensystem, cached
+    on first use through :func:`phasespace.decompose_generator`.
     """
 
     root: NDArray[np.float64] | NDArray[np.complex128]
     damping: NDArray[np.float64] | NDArray[np.complex128]
     sim_A: NDArray[np.float64] | NDArray[np.complex128] | None = None
     gen_JB: NDArray[np.float64] | NDArray[np.complex128] | None = None
+    eig: EigenSystem | None = None
 
     @property
     def n(self) -> int:
@@ -94,10 +93,6 @@ class ExtendedOperator:
     @cached_property
     def _generator_eigensystem(self) -> EigenSystem:
         return replace(_eigensystem(*_eig(_generator(self))), basis=None)
-
-    @cached_property
-    def _sqrt_kappa_eigensystem(self) -> EigenSystem:
-        return eigendecompose(self)
 
 
 @dataclass(frozen=True)
@@ -123,18 +118,16 @@ class EigenSystem:
     basis: NDArray[np.float64] | NDArray[np.complex128] | None
     signs: NDArray[np.float64]
 
-    def function_of(self, values, rhs=None, columns=slice(None)) -> NDArray[np.complex128]:
+    def function_of(self, values, rhs=None) -> NDArray[np.complex128]:
         """f(M) = V diag(f(lambda)) V^{-1}, given ``values`` = f(lambda).
 
         With a vector ``rhs`` it returns the action f(M) @ rhs as
         V (f(lambda) * (V^{-1} rhs)), two O(m^2) products instead of the
-        O(m^3) matrix; the Delta_t quadrature takes this route.  Every other
-        caller (Lambda_t, the thermal cotangent, the bath's Bose-Einstein
-        matrix) passes no ``rhs`` and gets the matrix;
-        with a slice ``columns`` it forms only those columns of the matrix.
+        O(m^3) matrix; the Delta_t quadrature takes this route.  Lambda_t
+        itself (a grid point, ``correlation_time``) is the matrix.
         """
         if rhs is None:
-            return (self.right_vectors * values) @ self.inverse_vectors[:, columns]
+            return (self.right_vectors * values) @ self.inverse_vectors
         return self.right_vectors @ (values * (self.inverse_vectors @ rhs))
 
 
@@ -370,7 +363,7 @@ def build_similarity(eig: EigenSystem) -> NDArray:
 
 
 def attach_similarity(ext: ExtendedOperator, eig: EigenSystem) -> ExtendedOperator:
-    return replace(ext, sim_A=build_similarity(eig))
+    return replace(ext, sim_A=build_similarity(eig), eig=eig)
 
 
 def build_JB(ext: ExtendedOperator) -> NDArray:
@@ -398,6 +391,13 @@ def _similarity_matrix(ext: ExtendedOperator) -> NDArray[np.complex128]:
     if ext.sim_A is None:
         raise ValueError("similarity matrix A not built; call spectral.prepare first")
     return ext.sim_A
+
+
+def _attached_eig(ext: ExtendedOperator) -> EigenSystem:
+    """The sqrt_kappa eigensystem of ``ext``: the one check that its consumers pass."""
+    if ext.eig is None:
+        raise ValueError("sqrt_kappa eigensystem not built; call spectral.prepare first")
+    return ext.eig
 
 
 def _generator(ext: ExtendedOperator) -> NDArray[np.complex128]:

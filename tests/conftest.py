@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,13 @@ def stable_spec(seed: int, n: int):
 
 def scalar_spec(k: float, gamma: float):
     return simple_spec([[k]], [[gamma]])
+
+
+def complex_spec():
+    """A 4-source medium whose K and Gamma are both complex."""
+    spec = stable_spec(seed=12, n=4)
+    shift = 0.01j * np.eye(4)
+    return replace(spec, kernel=spec.kernel + 2.0 * shift, damping=spec.damping + shift)
 
 
 def small_drude_disk():

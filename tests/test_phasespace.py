@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import scalar_spec, small_drude_disk, stable_spec
+from conftest import complex_spec, scalar_spec, small_drude_disk, stable_spec
 from qpmedia.builders import build_synthetic
 from qpmedia.errors import ResonantFrequency, ThermalSingularity
 from qpmedia.medium import (
@@ -19,7 +19,7 @@ from qpmedia.medium import (
     simple_spec,
     zero_drive,
 )
-from qpmedia.openquantum import correlation_time
+from qpmedia.openquantum import correlation_time, thermal_correlation
 from qpmedia.phasespace import (
     GaussianState,
     _drive_vector,
@@ -287,6 +287,79 @@ class TestThermal:
             thermal_state(ext, beta, hbar=1.0)
 
 
+def _overdamped_pole():
+    """beta of the overdamped scalar's first coth pole, at hbar = 1."""
+    mu = prepare(scalar_spec(1.0, 2.0))[1].values
+    return 2.0 * np.pi / np.abs(mu).max()
+
+
+THERMAL_MEDIA = {
+    "stable-n3": lambda: build_synthetic(3, 1),
+    "stable-n12": lambda: build_synthetic(12, 2),
+    "stable-n40": lambda: build_synthetic(40, 1),
+    "marginal-n6": lambda: build_synthetic(6, 1, stability="marginal"),
+    "marginal-n20": lambda: build_synthetic(20, 3, stability="marginal"),
+    "complex": complex_spec,
+    "overdamped": lambda: scalar_spec(1.0, 2.0),
+    "drude-disk": small_drude_disk,
+}
+
+
+def _generator_route_cov(ext, beta, hbar):
+    """-(hbar / 2) cot(hbar beta J_B / 2) J^T on the J_B eigensystem, or None where it is refused."""
+    jb_eig = decompose_generator(ext)
+    args = hbar * beta * jb_eig.values / 2.0
+    sin = np.sin(args)
+    if jb_eig.defective or np.any(np.abs(sin) < 1e-12 * np.maximum(1.0, np.abs(np.cos(args)))):
+        return None
+    return -(hbar / 2.0) * jb_eig.function_of(np.cos(args) / sin) @ symplectic_form(2 * ext.n).T
+
+
+class TestThermalThroughKappa:
+    """The cotangent on the sqrt_kappa eigensystem against the J_B one."""
+
+    @pytest.mark.parametrize("medium", sorted(THERMAL_MEDIA))
+    def test_matches_generator_route(self, medium):
+        ext, _ = prepare(THERMAL_MEDIA[medium]())
+        pairs = [(1.0, 1.0), (0.3, 2.0), (7.0, 0.5)]
+        if medium == "overdamped":
+            pairs.append((_overdamped_pole(), 1.0))
+        decisions = []
+        for beta, hbar in pairs:
+            want = _generator_route_cov(ext, beta, hbar)
+            try:
+                got = thermal_state(ext, beta, hbar).cov
+            except ThermalSingularity:
+                got = None
+            decisions.append(want is None)
+            assert (got is None) == (want is None), (beta, hbar)
+            if want is not None:
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (beta, hbar)
+        # the pole and the disk's charge mode are refused by both routes
+        assert any(decisions) == (medium in ("overdamped", "drude-disk"))
+
+    @pytest.mark.parametrize("beta", [1e3, 1e6])
+    def test_cold_limit_is_finite(self, beta):
+        # cos and sin of hbar beta J_B / 2 overflow past beta ~ 600 here; coth
+        # has saturated to 1e-16 from beta ~ 25, where the J_B route is the oracle
+        ext, _ = prepare(build_synthetic(8, 1))
+        want = _generator_route_cov(ext, 125.0, 1.0)
+        got = thermal_state(ext, beta, 1.0).cov
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.isfinite(thermal_correlation(ext, beta, 1.0, [0.5], 1e-3).xi).all()
+
+    @pytest.mark.parametrize("beta", [1e-3, 1.0, 1e3, 1e6])
+    def test_zero_mode_refused_at_every_beta(self, beta):
+        # the n=7 disk's charge mode, mu = 3.3e-16i: a pole test alone would
+        # pass it once hbar beta |mu| / 2 clears 1e-12
+        ext, _ = prepare(small_drude_disk())
+        assert np.abs(ext.eig.values).min() < 1e-15
+        with pytest.raises(ThermalSingularity, match="zero mode"):
+            thermal_state(ext, beta, 1.0)
+        with pytest.raises(ThermalSingularity, match="zero mode"):
+            thermal_correlation(ext, beta, 1.0, [0.05], 1e-3)
+
+
 class TestExpmFallback:
     """A free damped source: J_B is defective, so exp(J_B t) is built through kappa.
 
@@ -332,7 +405,7 @@ class TestExpmFallback:
         assert self._mean_error(MonochromaticDrive([0.7], 1.3)) < 1e-10
 
     def test_thermal_state_refused(self):
-        with pytest.raises(ThermalSingularity, match="ill-conditioned"):
+        with pytest.raises(ThermalSingularity, match="zero mode"):
             thermal_state(self.ext, beta=1.0, hbar=1.0)
 
 

@@ -6,8 +6,9 @@ then runs its ``qpm build``, ``qpm spectrum``, both ``qpm filter``, its
 ``qpm field`` and its ``qpm propagate`` lines, so that an example that drifts
 from the program fails here.  Each exits 0 with nothing on stderr, and the
 kicked trajectory follows the RK4 oracle ``integrate_reference_second_order``.
-``bath`` is left out: the disk's conserved-charge mode makes its thermal state
-singular, so the README runs it on a synthetic medium.
+The README runs ``bath`` on a synthetic medium, and says that on the disk's
+``model.json`` it exits 1 with ThermalSingularity (the conserved-charge mode);
+its ``qpm bath`` line is run on ``model.json`` to hold it to that.
 """
 
 import json
@@ -78,3 +79,11 @@ def test_disk_examples_run_and_respond(tmp_path, monkeypatch, capsys):
             assert np.abs(table[:, 1]).max() > 1e3
         else:
             assert table[:, 4].sum() >= 1, argv
+    bath = [shlex.split(line)[1:] for line in bash.splitlines() if line.startswith("qpm bath ")]
+    assert len(bath) == 1
+    argv = bath[0]
+    argv[argv.index("--model") + 1] = "model.json"
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ThermalSingularity: zero mode"), err
+    assert not Path(argv[argv.index("--out") + 1]).exists()

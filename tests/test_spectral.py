@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import assert_multiset_close, small_drude_disk, stable_spec
+from conftest import assert_multiset_close, complex_spec, small_drude_disk, stable_spec
 from qpmedia.errors import DefectiveMatrix, ResonantFrequency, SingularSimilarity
 from qpmedia.medium import extended_kernel, simple_spec
 from qpmedia import builders, openquantum, phasespace, response, selfconsistent, spectral
@@ -186,12 +186,8 @@ JB_CONSUMERS = {
     "propagate_mean": lambda ext, spec: phasespace.propagate_mean(
         ext, None, np.zeros(4 * spec.n), [0.0, 0.5]
     ),
-    "thermal_state": lambda ext, spec: phasespace.thermal_state(ext, 1.0, 1.0),
     "correlation_time": lambda ext, spec: openquantum.correlation_time(
         ext, _vacuum(spec.n), 0.5
-    ),
-    "thermal_correlation": lambda ext, spec: openquantum.thermal_correlation(
-        ext, 1.0, 1.0, [0.5], 1e-3
     ),
 }
 
@@ -201,6 +197,45 @@ def test_every_generator_consumer_needs_JB(consumer):
     spec = stable_spec(seed=43, n=2)
     with pytest.raises(ValueError, match="generator J_B not built; call spectral.prepare first"):
         JB_CONSUMERS[consumer](build_sqrt_kappa(spec), spec)
+
+
+_DISK_KICK = KickDrive(np.ones(7))
+
+# (medium, call): the thermal functions read only the sqrt_kappa eigensystem;
+# a defective J_B (the disk's charge mode) builds exp(J_B t) on it
+EIG_CONSUMERS = {
+    "thermal_state": (
+        lambda: stable_spec(seed=43, n=2),
+        lambda ext: phasespace.thermal_state(ext, 1.0, 1.0),
+    ),
+    "thermal_correlation": (
+        lambda: stable_spec(seed=43, n=2),
+        lambda ext: openquantum.thermal_correlation(ext, 1.0, 1.0, [0.5], 1e-3),
+    ),
+    "propagator_at": (
+        small_drude_disk, lambda ext: phasespace.propagator_at(ext, 0.5, drive=_DISK_KICK)
+    ),
+    "propagate_mean": (
+        small_drude_disk,
+        lambda ext: phasespace.propagate_mean(ext, _DISK_KICK, np.zeros(28), [0.0, 0.5]),
+    ),
+    "correlation_time": (
+        small_drude_disk, lambda ext: openquantum.correlation_time(ext, _vacuum(7), 0.5)
+    ),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(EIG_CONSUMERS))
+def test_every_sqrt_kappa_eigensystem_consumer_needs_it(consumer):
+    medium, call = EIG_CONSUMERS[consumer]
+    ext, _ = prepare(medium())
+    assert ext.eig is not None
+    # A and J_B attached: only the eigensystem is missing
+    with pytest.raises(ValueError, match="sqrt_kappa eigensystem not built; call spectral.prepare first"):
+        call(replace(ext, eig=None))
+    if consumer.startswith("thermal"):
+        with pytest.raises(ValueError, match="sqrt_kappa eigensystem not built"):
+            call(build_sqrt_kappa(medium()))
 
 
 A_CONSUMERS = {
@@ -274,7 +309,13 @@ def test_kappa_route_decomposes_sqrt_kappa_once_per_operator(monkeypatch):
     phasespace.propagator_at(ext, 0.7, drive=kick)
     openquantum.correlation_time(ext, _vacuum(7), 0.3)
     assert phasespace.decompose_generator(ext).defective
-    assert calls == [(28, 28), (7, 7)]
+    # prepare attached the eigensystem; none is decomposed again
+    assert calls == [(28, 28)]
+    # a replaced operator carries it: only J_B is decomposed again
+    other = replace(ext, gen_JB=ext.gen_JB.copy())
+    assert other.eig is ext.eig
+    phasespace.propagator_at(other, 0.7, drive=kick)
+    assert calls == [(28, 28)] * 2
 
 
 class TestOnShell:
@@ -561,14 +602,15 @@ def test_complex_medium_takes_the_complex_route_bit_for_bit(part):
 
 def _complex_route(ext):
     """``ext`` with A and J_B built in complex arithmetic from the complex V."""
-    V = eigendecompose(ext).right_vectors
+    eig = eigendecompose(ext)
+    V = eig.right_vectors
     A = V @ V.T
     A = (A + A.T) / 2.0
     N = 2 * ext.n
     JB = np.zeros((2 * N, 2 * N), dtype=complex)
     JB[:N, N:] = np.linalg.solve(A, ext.kappa)
     JB[N:, :N] = -A
-    return replace(ext, sim_A=A, gen_JB=JB)
+    return replace(ext, sim_A=A, gen_JB=JB, eig=eig)
 
 
 def _rel(got, want):
@@ -701,15 +743,9 @@ def test_prepare_takes_no_cond_A_svd_that_cond_W_proves():
 # against the explicit 4n inverse
 # ---------------------------------------------------------------------------
 
-def _complex_medium():
-    spec = stable_spec(seed=12, n=4)
-    shift = 0.01j * np.eye(4)
-    return replace(spec, kernel=spec.kernel + 2.0 * shift, damping=spec.damping + shift)
-
-
 RESOLVENT_MEDIA = {
     "synthetic": lambda: builders.build_synthetic(6, 1),
-    "complex": _complex_medium,
+    "complex": complex_spec,
     # n = 7: the conserved-charge mode makes J_B defective and kappa singular
     "drude-disk": lambda: _drude_disk(4.0),
 }
