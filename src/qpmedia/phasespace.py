@@ -62,27 +62,38 @@ class Propagator:
 
 
 def decompose_generator(ext: ExtendedOperator) -> EigenSystem:
-    """The eigensystem of J B, decomposed on the first call for ``ext``."""
-    return ext._generator_eigensystem
+    """The eigensystem exp(J B t) is built on: sqrt_kappa's, attached to ``ext``.
 
-
-def _lambda_at(ext, jb_eig: EigenSystem, t: float, rhs=None):
-    """exp(J B t), by J B eigenmodes when well conditioned, else through kappa.
-
-    With a vector ``rhs`` it returns exp(J B t) @ rhs without forming the
-    matrix (O((4n)^2)); only the Delta_t quadrature passes one.  Lambda_t of
-    a grid point or of ``correlation_time`` is the matrix.  A defective J B
-    eigensystem (a zero mode, as in every Drude medium) sends the call to
-    :func:`_kappa_exp` on the sqrt_kappa eigensystem attached to ``ext``,
-    decomposed once per operator by :func:`spectral.prepare`.
+    J B has the eigenvalues +/- i mu of sqrt_kappa's mu, and every function
+    of it here is built on that 2n eigensystem (:func:`_lambda_at`); no 4n
+    eigensystem is decomposed.
     """
-    if jb_eig.defective:
-        return _kappa_exp(_attached_eig(ext), t, rhs)
-    return jb_eig.function_of(np.exp(jb_eig.values * t), rhs)
+    return _attached_eig(ext)
 
 
-def _kappa_exp(eig: EigenSystem, t: float, rhs=None):
-    """exp(J B t) from the eigensystem (mu, V) of sqrt_kappa.
+def _has_zero_mode(eig: EigenSystem) -> bool:
+    """A zero mode: |mu|min^2 <= |mu|max^2 / SINGULAR_A_COND_THRESHOLD, at any scale of mu."""
+    size = np.abs(eig.values)
+    return bool(size.min() ** 2 <= size.max() ** 2 / SINGULAR_A_COND_THRESHOLD)
+
+
+def _sinc(x):
+    """sin(x) / x, finite for every finite x and 1 at x = 0.
+
+    Where |x| < 0.1 it is the Taylor series to x^8, whose truncation is below
+    3e-18; elsewhere the quotient, so no tiny or subnormal x is divided by.
+    """
+    small = np.abs(x) < 0.1
+    if not small.any():
+        return np.sin(x) / x
+    x2 = x * x
+    out = 1.0 + x2 * (-1.0 / 6.0 + x2 * (1.0 / 120.0 + x2 * (-1.0 / 5040.0 + x2 / 362880.0)))
+    np.divide(np.sin(x), x, out=out, where=~small)
+    return out
+
+
+def _lambda_at(ext, eig: EigenSystem, t: float, rhs=None):
+    """exp(J B t) from ``eig`` = decompose_generator(ext), the eigensystem (mu, V) of sqrt_kappa.
 
     J B = [[0, A^{-1} kappa], [-A, 0]] and kappa A = A kappa^T give
     (J B)^2 = -diag(kappa^T, kappa), so
@@ -90,39 +101,46 @@ def _kappa_exp(eig: EigenSystem, t: float, rhs=None):
     c = cos(t sqrt(kappa)) = V diag(cos mu t) V^{-1} and
     s = sin(t sqrt(kappa)) / sqrt(kappa) = V diag(sin(mu t) / mu) V^{-1}
     (Higham, *Functions of Matrices*, SIAM 2008, ch. 12).  Both are entire
-    in mu^2, so mu = 0 is an ordinary point; sin(mu t) / mu is evaluated as
-    t sinc(mu t / pi).  With A = V V^T the four blocks are V^{-T} diag(cos)
-    V^T, V^{-T} diag(mu sin mu t) V^{-1}, -V diag(sin(mu t) / mu) V^T and
-    V diag(cos) V^{-1}: no A and no solve.
+    in mu^2, so a zero mode is an ordinary point: sin(mu t) / mu is
+    t sinc(mu t) (:func:`_sinc`) and mu sin(mu t) is mu^2 times it, finite
+    for every finite t.  With A = V V^T the four blocks are
+    V^{-T} diag(cos) V^T, V^{-T} diag(mu sin mu t) V^{-1},
+    -V diag(sin(mu t) / mu) V^T and V diag(cos) V^{-1}: no A and no solve.
+
+    With a vector ``rhs`` it returns exp(J B t) @ rhs from four 2n
+    products, without forming the matrix; only the Delta_t quadrature passes
+    one.  Lambda_t of a grid point or of ``correlation_time`` is the matrix.
     """
     V, Vi, mu = eig.right_vectors, eig.inverse_vectors, eig.values
-    cos = np.cos(mu * t)
-    sinc = t * np.sinc(mu * t / np.pi)
-    mu_sin = mu * np.sin(mu * t)
+    x = mu * t
+    cos = np.cos(x)
+    sin_mu = t * _sinc(x)
+    mu_sin = mu * mu * sin_mu
     if rhs is None:
         return np.block(
-            [[(Vi.T * cos) @ V.T, (Vi.T * mu_sin) @ Vi], [-(V * sinc) @ V.T, (V * cos) @ Vi]]
+            [[(Vi.T * cos) @ V.T, (Vi.T * mu_sin) @ Vi], [-(V * sin_mu) @ V.T, (V * cos) @ Vi]]
         )
     a, b = V.T @ rhs[: mu.size], Vi @ rhs[mu.size :]
-    return np.concatenate([Vi.T @ (cos * a + mu_sin * b), V @ (cos * b - sinc * a)])
+    return np.concatenate([Vi.T @ (cos * a + mu_sin * b), V @ (cos * b - sin_mu * a)])
 
 
 def _kick_step(eig: EigenSystem, force, t0: float, t1: float):
     """Integral of exp(J B s) [A^{-1} F; 0] over [t0, t1] for a constant F.
 
-    By :func:`_kappa_exp` with A^{-1} F = V^{-T} g, g = V^{-1} F, the
+    By :func:`_lambda_at` with A^{-1} F = V^{-T} g, g = V^{-1} F, the
     integrand is [V^{-T} diag(cos mu s) g; -V diag(sin(mu s) / mu) g], whose
-    integrals from 0 are t sinc(mu t / pi) and (t^2 / 2) sinc^2(mu t / 2 pi),
-    both entire in mu^2 (Hochbruck & Lubich, Numer. Math. 83, 1999).
+    integrals from 0 are t sinc(mu t) and (1 - cos mu t) / mu^2 =
+    (t sinc(mu t / 2))^2 / 2, both entire in mu^2 (Hochbruck & Lubich,
+    Numer. Math. 83, 1999) and finite for every finite t.
     """
     mu = eig.values
     g = eig.inverse_vectors @ force
 
     def cos_integral(t):
-        return t * np.sinc(mu * t / np.pi)
+        return t * _sinc(mu * t)
 
     def sinc_integral(t):
-        return 0.5 * t * t * np.sinc(mu * t / (2.0 * np.pi)) ** 2
+        return 0.5 * (t * _sinc(mu * (t / 2.0))) ** 2
 
     top = eig.inverse_vectors.T @ ((cos_integral(t1) - cos_integral(t0)) * g)
     bottom = eig.right_vectors @ ((sinc_integral(t1) - sinc_integral(t0)) * g)
@@ -132,22 +150,21 @@ def _kick_step(eig: EigenSystem, force, t0: float, t1: float):
 def _thermal_cot(ext: ExtendedOperator, beta: float, hbar: float):
     """The blocks P, Q of cot(hbar beta J B / 2) = [[0, P], [Q, 0]], through kappa.
 
-    cot is odd and (J B)^2 = -diag(kappa^T, kappa) (:func:`_kappa_exp`), so
+    cot is odd and (J B)^2 = -diag(kappa^T, kappa) (:func:`_lambda_at`), so
     on the sqrt_kappa eigensystem (mu, V), with c = hbar beta / 2 and
     A = V V^T, P = -V^{-T} diag(mu coth(c mu)) V^{-1} and
     Q = V diag(coth(c mu) / mu) V^T: no A, no solve, no J B eigensystem.
-    The one thermal gate raises ThermalSingularity on a zero mode, |mu|^2 <=
-    max |mu|^2 / SINGULAR_A_COND_THRESHOLD at every beta and hbar, and on a
-    pole, |tanh(c mu)| < 1e-12: near one |cosh| = 1 + O(1e-24), so that is
-    the cotangent's |sinh| < 1e-12 max(1, |cosh|), without their overflow.
+    The one thermal gate raises ThermalSingularity on a zero mode
+    (:func:`_has_zero_mode`, at every beta and hbar) and on a pole,
+    |tanh(c mu)| < 1e-12: near one |cosh| = 1 + O(1e-24), so that is the
+    cotangent's |sinh| < 1e-12 max(1, |cosh|), without their overflow.
     """
     _positive_finite("beta", beta)
     _positive_finite("hbar", hbar)
     eig = _attached_eig(ext)
     mu = eig.values
-    size = np.abs(mu)
-    if size.min() ** 2 <= size.max() ** 2 / SINGULAR_A_COND_THRESHOLD:
-        raise ThermalSingularity(f"zero mode |mu| = {size.min():.3e} has no thermal state")
+    if _has_zero_mode(eig):
+        raise ThermalSingularity(f"zero mode |mu| = {np.abs(mu).min():.3e} has no thermal state")
     tanh = np.tanh(hbar * beta * mu / 2.0)
     if np.any(np.abs(tanh) < 1e-12):
         worst = complex(mu[np.argmin(np.abs(tanh))])
@@ -174,25 +191,26 @@ def _drive_vector(ext: ExtendedOperator, drive):
     return np.concatenate([top, np.zeros(top.size, dtype=complex)])
 
 
-def _advance_delta(ext, jb_eig: EigenSystem, drive, delta, t0, t1, quad_step: float):
+def _advance_delta(ext, eig: EigenSystem, drive, delta, t0, t1, quad_step: float):
     """Delta at t1 from Delta at t0: fixed Simpson steps of Delta' = Lambda_s J C_s.
 
     Each step takes Lambda_s J C_s at its two ends and its midpoint, the
     nodes of the RK4 step the reference integrators use.  Each node costs one
-    2n solve for J C_s and one action of exp(J B s) on that vector; no 4n x 4n
-    propagator is formed.  A step t1 < t0 integrates backward.  A kick on a
-    defective J B eigensystem takes the closed form of :func:`_kick_step`
-    instead.
+    2n solve for J C_s and one action of exp(J B s) on that vector, four 2n
+    products on ``eig`` (:func:`_lambda_at`); no 4n x 4n propagator is
+    formed.  A step t1 < t0 integrates backward.  A kick on a medium with a
+    zero mode (:func:`_has_zero_mode`) takes the closed form of
+    :func:`_kick_step` instead.
     """
-    if jb_eig.defective and isinstance(drive, KickDrive):
+    if isinstance(drive, KickDrive) and _has_zero_mode(eig):
         force = _extended_force(ext.damping, *drive_value(drive, t0))
-        return delta + _kick_step(_attached_eig(ext), force, t0, t1)
+        return delta + _kick_step(eig, force, t0, t1)
     steps = max(1, int(round(abs(t1 - t0) / quad_step)))
     h = (t1 - t0) / steps
     s = t0
     for _ in range(steps):
         k1, kmid, k4 = (
-            _lambda_at(ext, jb_eig, x, _drive_vector(ext, drive_value(drive, x)))
+            _lambda_at(ext, eig, x, _drive_vector(ext, drive_value(drive, x)))
             for x in (s, s + h / 2.0, s + h)
         )
         delta = delta + h / 6.0 * (k1 + 4.0 * kmid + k4)
@@ -208,19 +226,19 @@ def propagator_at(
 ) -> Propagator:
     """Propagator (Lambda_t, Delta_t) at a single time.
 
-    Lambda_t comes from the generator eigendecomposition, or from kappa's
-    when that one is defective (:func:`_lambda_at`); it is the one 4n x 4n
-    matrix formed here.  Delta_t integrates Delta' = Lambda_s J C_s with the
-    same fixed RK4 step the reference integrators use, applying exp(J B s)
-    to the drive vector at each node.  ``quad_step`` must be positive and
-    finite.
+    Lambda_t is built on the sqrt_kappa eigensystem (:func:`_lambda_at`);
+    it is the one 4n x 4n matrix formed here.  Delta_t integrates
+    Delta' = Lambda_s J C_s with the same fixed RK4 step the reference
+    integrators use, applying exp(J B s) to the drive vector at each node,
+    or takes a kick's closed form (:func:`_advance_delta`).  ``quad_step``
+    must be positive and finite.
     """
     _positive_finite("quad_step", quad_step)
-    jb_eig = decompose_generator(ext)
-    delta = np.zeros(jb_eig.values.size, dtype=complex)
-    lam = _lambda_at(ext, jb_eig, t)
+    eig = decompose_generator(ext)
+    delta = np.zeros(2 * eig.values.size, dtype=complex)
+    lam = _lambda_at(ext, eig, t)
     if drive is not None and t != 0.0:
-        delta = _advance_delta(ext, jb_eig, drive, delta, 0.0, t, quad_step)
+        delta = _advance_delta(ext, eig, drive, delta, 0.0, t, quad_step)
     return Propagator(lambda_t=lam, delta_t=delta)
 
 
@@ -258,10 +276,10 @@ def propagate_mean(
     ``quad_step`` must be positive and finite.
     """
     _positive_finite("quad_step", quad_step)
-    jb_eig = decompose_generator(ext)
+    eig = decompose_generator(ext)
     t_grid = np.asarray(t_grid, dtype=float)
     q0 = np.asarray(q0, dtype=complex)
-    N2 = jb_eig.values.size
+    N2 = 2 * eig.values.size
     out = np.empty((t_grid.size, N2), dtype=complex)
     delta = np.zeros(N2, dtype=complex)
     prev_t = 0.0
@@ -269,9 +287,9 @@ def propagate_mean(
         raise ValueError("driven mean propagation expects a grid starting at t=0")
     for i, t in enumerate(t_grid):
         if drive is not None and t != prev_t:
-            delta = _advance_delta(ext, jb_eig, drive, delta, prev_t, t, quad_step)
+            delta = _advance_delta(ext, eig, drive, delta, prev_t, t, quad_step)
             prev_t = t
-        out[i] = symplectic_inverse(_lambda_at(ext, jb_eig, t)) @ (q0 - delta)
+        out[i] = symplectic_inverse(_lambda_at(ext, eig, t)) @ (q0 - delta)
     return out
 
 

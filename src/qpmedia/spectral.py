@@ -10,9 +10,13 @@ and Gamma (float64 when real), derives sqrt_kappa and kappa on read, and
 keeps the one eigensystem of sqrt_kappa.  From its eigenvectors V we build
 the symmetric similarity matrix A = V V^T, with kappa = A kappa^T A^{-1},
 the quadratic-Hamiltonian generator J_B, and the on-shell energy
-functional.  Every frequency sweep applies the resolvent (z E + i J_B)^{-1}
-through one helper, :func:`_resolvent_x`: its x rows come from one 2n solve
-of the Schur complement z^2 I - kappa, and no 4n matrix is factored.  Every
+functional.  J_B is never decomposed: its spectrum is the +/- i image of
+sqrt_kappa's, and every function of it (exp(J_B t), the thermal
+cotangent) is built on the sqrt_kappa eigensystem through
+J_B^2 = -diag(kappa^T, kappa) (:mod:`phasespace`).  Every frequency sweep
+applies the resolvent (z E + i J_B)^{-1} through one helper,
+:func:`_resolvent_x`: its x rows come from one 2n solve of the Schur
+complement z^2 I - kappa, and no 4n matrix is factored.  Every
 eigensystem comes from :func:`_eigensystem`, and A has this one
 construction: a medium whose V is not trusted (cond(V) above
 DEFECTIVE_COND_THRESHOLD) raises DefectiveMatrix.
@@ -37,7 +41,6 @@ the trust threshold, A and J_B are shared by both routes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -61,8 +64,8 @@ class ExtendedOperator:
     and ``eig``, the sqrt_kappa eigensystem A is built from, are attached by
     :func:`attach_similarity`, ``gen_JB`` by :func:`attach_JB`; A and J_B
     are real for a real M.  Instances are immutable and updated via
-    ``replace``, which carries all three but not the J_B eigensystem, cached
-    on first use through :func:`phasespace.decompose_generator`.
+    ``replace``, which carries all three; no J_B eigensystem is kept, as
+    every function of J_B is built on ``eig``.
     """
 
     root: NDArray[np.float64] | NDArray[np.complex128]
@@ -90,20 +93,15 @@ class ExtendedOperator:
         A = _similarity_matrix(self)
         return A[:n, :n], A[:n, n:], A[n:, n:]
 
-    @cached_property
-    def _generator_eigensystem(self) -> EigenSystem:
-        return replace(_eigensystem(*_eig(_generator(self))), basis=None)
-
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigenvalues and eigenvectors V of sqrt_kappa or of J_B.
+    """Eigenvalues and eigenvectors V of sqrt_kappa.
 
     ``basis`` W and ``signs`` S factor V = W U with U unitary and
     U U^T = diag(S), so cond(V) = cond(W) and V V^T = W S W^T.  W is real
     when the decomposed matrix is (see :func:`_eigensystem`); otherwise
-    W = V and S = 1.  The cached J_B eigensystem keeps no basis (``None``),
-    as nothing reads it.
+    W = V and S = 1.
 
     ``defective`` is set when cond(V) is not finite or exceeds
     DEFECTIVE_COND_THRESHOLD; V^{-1} (``inverse_vectors``) is then not
@@ -115,20 +113,8 @@ class EigenSystem:
     inverse_vectors: NDArray[np.complex128] | None
     cond: float
     defective: bool
-    basis: NDArray[np.float64] | NDArray[np.complex128] | None
+    basis: NDArray[np.float64] | NDArray[np.complex128]
     signs: NDArray[np.float64]
-
-    def function_of(self, values, rhs=None) -> NDArray[np.complex128]:
-        """f(M) = V diag(f(lambda)) V^{-1}, given ``values`` = f(lambda).
-
-        With a vector ``rhs`` it returns the action f(M) @ rhs as
-        V (f(lambda) * (V^{-1} rhs)), two O(m^2) products instead of the
-        O(m^3) matrix; the Delta_t quadrature takes this route.  Lambda_t
-        itself (a grid point, ``correlation_time``) is the matrix.
-        """
-        if rhs is None:
-            return (self.right_vectors * values) @ self.inverse_vectors
-        return self.right_vectors @ (values * (self.inverse_vectors @ rhs))
 
 
 def _eig(M):
@@ -398,13 +384,6 @@ def _attached_eig(ext: ExtendedOperator) -> EigenSystem:
     if ext.eig is None:
         raise ValueError("sqrt_kappa eigensystem not built; call spectral.prepare first")
     return ext.eig
-
-
-def _generator(ext: ExtendedOperator) -> NDArray[np.complex128]:
-    """J_B of ``ext``: the one check that every J_B consumer passes."""
-    if ext.gen_JB is None:
-        raise ValueError("generator J_B not built; call spectral.prepare first")
-    return ext.gen_JB
 
 
 def _resolvent_x(kappa: NDArray, z: complex, rhs: NDArray) -> NDArray:

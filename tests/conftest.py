@@ -10,6 +10,7 @@ from qpmedia.builders import (
     hexagonal_disk,
 )
 from qpmedia.medium import simple_spec
+from qpmedia.spectral import DEFECTIVE_COND_THRESHOLD
 
 
 def assert_multiset_close(got, expected, tol):
@@ -52,6 +53,18 @@ def small_drude_disk():
         tunneling_enabled=True, tunneling_d0=6.0, tunneling_steepness=10.0,
     )
     return build_drude_charge_model(hexagonal_disk(4.0, 2.434), params, response_axis=0)
+
+
+def generator_function(ext, f):
+    """f(J_B) = V diag(f(lam)) V^{-1} from np.linalg.eig(ext.gen_JB): the J_B eigenmode oracle.
+
+    None where V is not trusted (cond(V) above DEFECTIVE_COND_THRESHOLD), as
+    for the defective J_B of a medium with a zero mode.
+    """
+    lam, V = np.linalg.eig(ext.gen_JB)
+    if not np.linalg.cond(V) <= DEFECTIVE_COND_THRESHOLD:
+        return None
+    return (V * f(lam)) @ np.linalg.inv(V)
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -672,6 +673,20 @@ class TestPropagateFallback:
         oracle = integrate_reference_second_order(spec, KickDrive(np.ones(7)), zeros, zeros, fine)
         want = oracle.u[::100]
         assert np.abs(u - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_subnormal_time_step_is_finite(self, tmp_path, capsys):
+        # sin(mu t) / mu by a complex division once overflowed at t = 1e-300: a NaN row
+        model = tmp_path / "disk.json"
+        model.write_text(spec_to_json(small_drude_disk()) + "\n", encoding="utf-8")
+        out = tmp_path / "t.csv"
+        argv = ["propagate", "--model", str(model), "--t-max", "1e-300", "--t-step", "1e-300"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([*argv, "--kick", "1,0,0,0,0,0,0", "--out", str(out)])
+        assert code == 0 and capsys.readouterr().err == ""
+        table = np.loadtxt(out, delimiter=",", skiprows=2)
+        assert table.shape == (2, 29) and np.isfinite(table).all()
+        assert table[1, 0] == 1e-300 and np.abs(table[:, 1:]).max() <= 1e-290
 
     def test_synthetic_medium_is_silent(self, tmp_path, capsys):
         from qpmedia import builders

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import fock_ladder, scalar_spec, stable_spec
+from conftest import fock_ladder, generator_function, scalar_spec, stable_spec
 from qpmedia import builders
 from qpmedia.errors import FrequencyNotCovered, ThermalSingularity
 from qpmedia.openquantum import (
@@ -22,7 +22,7 @@ from qpmedia.openquantum import (
     thermal_correlation,
     x_block,
 )
-from qpmedia.phasespace import GaussianState, decompose_generator, thermal_state
+from qpmedia.phasespace import GaussianState, thermal_state
 from qpmedia.spectral import prepare, symplectic_form
 
 
@@ -167,8 +167,7 @@ class TestThermalRoutes:
         ext, _ = prepare(spec)
         beta, hbar, eta = 1.3, 0.8, 1e-3
         grid = np.linspace(-1.5, 1.5, 7)
-        jb_eig = decompose_generator(ext)
-        nbe = jb_eig.function_of(1.0 / np.expm1(hbar * beta * 1j * jb_eig.values))
+        nbe = generator_function(ext, lambda lam: 1.0 / np.expm1(hbar * beta * 1j * lam))
         rhs = nbe @ symplectic_form(2 * n)
         E = np.eye(4 * n)
         want = np.array(
@@ -230,12 +229,9 @@ class TestThermalRoutes:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     def test_thermal_singularity_propagates(self):
-        spec = scalar_spec(1.0, 2.0)  # overdamped: real generator eigenvalues
-        ext, _ = prepare(spec)
-        from qpmedia.phasespace import decompose_generator
-
-        lam = max(decompose_generator(ext).values, key=lambda z: abs(z.real)).real
-        beta = 2.0 * np.pi / abs(lam)
+        spec = scalar_spec(1.0, 2.0)  # overdamped: real generator eigenvalues +/- i mu
+        ext, eig = prepare(spec)
+        beta = 2.0 * np.pi / np.abs(eig.values).max()
         with pytest.raises(ThermalSingularity):
             thermal_correlation(ext, beta, 1.0, [0.5], 1e-3)
 

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import complex_spec, scalar_spec, small_drude_disk, stable_spec
+from conftest import complex_spec, generator_function, scalar_spec, small_drude_disk, stable_spec
+from qpmedia import phasespace
 from qpmedia.builders import build_synthetic
 from qpmedia.errors import ResonantFrequency, ThermalSingularity
 from qpmedia.medium import (
@@ -23,6 +24,7 @@ from qpmedia.openquantum import correlation_time, thermal_correlation
 from qpmedia.phasespace import (
     GaussianState,
     _drive_vector,
+    _has_zero_mode,
     _lambda_at,
     consistent_mean,
     decompose_generator,
@@ -33,7 +35,7 @@ from qpmedia.phasespace import (
     symplectic_inverse,
     thermal_state,
 )
-from qpmedia.spectral import EigenSystem, prepare, symplectic_form
+from qpmedia.spectral import prepare, symplectic_form
 
 
 def sym_spec(seed, n):
@@ -163,16 +165,16 @@ class TestPropagatorAction:
     def test_quadrature_forms_one_matrix_per_grid_point(self, monkeypatch):
         spec = build_synthetic(40, 1)
         ext, _ = prepare(spec)
-        decompose_generator(ext)
         forms = []
-        original = EigenSystem.function_of
+        original = phasespace._lambda_at
 
-        def counted(self, values, rhs=None):
+        def counted(ext, eig, t, rhs=None):
+            out = original(ext, eig, t, rhs)
             if rhs is None:
-                forms.append(values.size)
-            return original(self, values, rhs)
+                forms.append(out.shape[0])
+            return out
 
-        monkeypatch.setattr(EigenSystem, "function_of", counted)
+        monkeypatch.setattr(phasespace, "_lambda_at", counted)
         t_grid = [0.0, 0.02, 0.04]
         q0 = np.zeros(160, dtype=complex)
         q0[80] = 1.0
@@ -277,12 +279,10 @@ class TestThermal:
 
     def test_singularity_detected(self):
         # overdamped scalar: purely imaginary mu makes the generator
-        # eigenvalues real, so cot hits a pole at a matching beta
+        # eigenvalues +/- i mu real, so cot hits a pole at a matching beta
         spec = scalar_spec(1.0, 2.0)
-        ext, _ = prepare(spec)
-        jb = decompose_generator(ext)
-        lam = max(jb.values, key=lambda z: abs(z.real)).real
-        beta = 2.0 * np.pi / abs(lam)
+        ext, eig = prepare(spec)
+        beta = 2.0 * np.pi / np.abs(eig.values).max()
         with pytest.raises(ThermalSingularity):
             thermal_state(ext, beta, hbar=1.0)
 
@@ -306,13 +306,17 @@ THERMAL_MEDIA = {
 
 
 def _generator_route_cov(ext, beta, hbar):
-    """-(hbar / 2) cot(hbar beta J_B / 2) J^T on the J_B eigensystem, or None where it is refused."""
-    jb_eig = decompose_generator(ext)
-    args = hbar * beta * jb_eig.values / 2.0
-    sin = np.sin(args)
-    if jb_eig.defective or np.any(np.abs(sin) < 1e-12 * np.maximum(1.0, np.abs(np.cos(args)))):
+    """-(hbar / 2) cot(hbar beta J_B / 2) J^T on the J_B eigenmodes, or None where they refuse it."""
+
+    def cot(lam):
+        args = hbar * beta * lam / 2.0
+        return np.cos(args) / np.sin(args)
+
+    args = hbar * beta * np.linalg.eigvals(ext.gen_JB) / 2.0
+    if np.any(np.abs(np.sin(args)) < 1e-12 * np.maximum(1.0, np.abs(np.cos(args)))):
         return None
-    return -(hbar / 2.0) * jb_eig.function_of(np.cos(args) / sin) @ symplectic_form(2 * ext.n).T
+    cot_JB = generator_function(ext, cot)
+    return None if cot_JB is None else -(hbar / 2.0) * cot_JB @ symplectic_form(2 * ext.n).T
 
 
 class TestThermalThroughKappa:
@@ -361,7 +365,7 @@ class TestThermalThroughKappa:
 
 
 class TestExpmFallback:
-    """A free damped source: J_B is defective, so exp(J_B t) is built through kappa.
+    """A free damped source: its zero mode makes J_B defective, and exp(J_B t) stays exact.
 
     ``scipy.linalg.expm`` of the dense J_B and the RK4 integrators are the
     oracles.
@@ -372,7 +376,6 @@ class TestExpmFallback:
 
     def test_propagator_matches_expm(self):
         prop = propagator_at(self.ext, 0.7)
-        assert decompose_generator(self.ext).defective
         # J_B holds rounding noise (4e-17) where exp(J_B t) through kappa has exact zeros
         want = scipy.linalg.expm(self.ext.gen_JB * 0.7)
         assert_allclose(prop.lambda_t, want, rtol=1e-13, atol=1e-15)
@@ -392,12 +395,12 @@ class TestExpmFallback:
         stride = 250
         q0 = consistent_mean(self.ext, x0, xdot0)
         means = propagate_mean(self.ext, drive, q0, fine[::stride], quad_step=1e-3)
-        assert decompose_generator(self.ext).defective
         assert np.abs(means[-1, 2:]).max() > 0.1
         return np.abs(means[:, 2:] - oracle.x[::stride]).max()
 
     def test_kicked_mean_matches_oracle(self):
-        # a kick's Delta_t is in closed form
+        # the zero mode puts a kick's Delta_t in closed form
+        assert _has_zero_mode(decompose_generator(self.ext))
         assert self._mean_error(KickDrive([0.7])) < 1e-10
 
     def test_monochromatic_mean_matches_oracle(self):
@@ -415,20 +418,20 @@ class TestDefectiveDisk:
     def setup_method(self):
         self.spec = small_drude_disk()
         self.ext, _ = prepare(self.spec)
-        self.jb_eig = decompose_generator(self.ext)
+        self.eig = decompose_generator(self.ext)
 
     @pytest.mark.parametrize("t", [0.7, 5.0, 50.0])
     def test_lambda_matches_expm(self, t):
-        assert self.jb_eig.defective
         want = scipy.linalg.expm(self.ext.gen_JB * t)
-        got = _lambda_at(self.ext, self.jb_eig, t)
+        got = _lambda_at(self.ext, self.eig, t)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         v = np.random.default_rng(7).standard_normal(4 * self.spec.n)
-        got_v = _lambda_at(self.ext, self.jb_eig, t, v)
+        got_v = _lambda_at(self.ext, self.eig, t, v)
         assert np.abs(got_v - want @ v).max() <= 1e-12 * np.abs(want @ v).max()
 
     def test_kicked_mean_matches_second_order_oracle(self):
         n = self.spec.n
+        assert _has_zero_mode(self.eig)
         drive = KickDrive(self.spec.coords[0])
         fine = np.arange(0.0, 5.0 + 1e-12, 1e-3)
         oracle = integrate_reference_second_order(self.spec, drive, np.zeros(n), np.zeros(n), fine)
@@ -437,6 +440,29 @@ class TestDefectiveDisk:
         want = oracle.u[::500]
         assert np.abs(want).max() > 0.1
         assert np.abs(means[:, 2 * n : 3 * n] - want).max() <= 1e-10 * np.abs(want).max()
+
+
+class TestTinyTimes:
+    """exp(J_B t) and Delta_t stay finite and exact down to subnormal t.
+
+    sin(mu t) / mu and its integral are entire; evaluated as quotients, a
+    tiny complex mu t overflowed the division (a NaN Lambda_t at t = 1e-300).
+    """
+
+    MEDIA = {"drude-disk": small_drude_disk, "stable": lambda: stable_spec(seed=5, n=3)}
+
+    @pytest.mark.parametrize("t", [5e-324, 2.2250738585e-313, -1e-310, 1e-300, 1e-200, 1e-8])
+    @pytest.mark.parametrize("medium", sorted(MEDIA))
+    def test_matches_expm(self, medium, t):
+        spec = self.MEDIA[medium]()
+        ext, eig = prepare(spec)
+        want = scipy.linalg.expm(ext.gen_JB * t)
+        prop = propagator_at(ext, t, drive=KickDrive(np.ones(spec.n)))
+        assert np.abs(prop.lambda_t - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.isfinite(prop.delta_t).all()
+        v = np.random.default_rng(9).standard_normal(4 * spec.n)
+        got_v = _lambda_at(ext, eig, t, v)
+        assert np.abs(got_v - want @ v).max() <= 1e-12 * np.abs(want @ v).max()
 
 
 class TestQuadStep:

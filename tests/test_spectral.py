@@ -180,30 +180,12 @@ def _vacuum(n):
     return phasespace.GaussianState(mean=np.zeros(4 * n), cov=0.5 * np.eye(4 * n))
 
 
-JB_CONSUMERS = {
-    "decompose_generator": lambda ext, spec: phasespace.decompose_generator(ext),
-    "propagator_at": lambda ext, spec: phasespace.propagator_at(ext, 0.5),
-    "propagate_mean": lambda ext, spec: phasespace.propagate_mean(
-        ext, None, np.zeros(4 * spec.n), [0.0, 0.5]
-    ),
-    "correlation_time": lambda ext, spec: openquantum.correlation_time(
-        ext, _vacuum(spec.n), 0.5
-    ),
-}
-
-
-@pytest.mark.parametrize("consumer", sorted(JB_CONSUMERS))
-def test_every_generator_consumer_needs_JB(consumer):
-    spec = stable_spec(seed=43, n=2)
-    with pytest.raises(ValueError, match="generator J_B not built; call spectral.prepare first"):
-        JB_CONSUMERS[consumer](build_sqrt_kappa(spec), spec)
-
-
 _DISK_KICK = KickDrive(np.ones(7))
 
-# (medium, call): the thermal functions read only the sqrt_kappa eigensystem;
-# a defective J_B (the disk's charge mode) builds exp(J_B t) on it
+# (medium, call): every function of J_B reads only the sqrt_kappa eigensystem,
+# also where J_B is defective (the disk's charge mode)
 EIG_CONSUMERS = {
+    "decompose_generator": (small_drude_disk, phasespace.decompose_generator),
     "thermal_state": (
         lambda: stable_spec(seed=43, n=2),
         lambda ext: phasespace.thermal_state(ext, 1.0, 1.0),
@@ -233,9 +215,8 @@ def test_every_sqrt_kappa_eigensystem_consumer_needs_it(consumer):
     # A and J_B attached: only the eigensystem is missing
     with pytest.raises(ValueError, match="sqrt_kappa eigensystem not built; call spectral.prepare first"):
         call(replace(ext, eig=None))
-    if consumer.startswith("thermal"):
-        with pytest.raises(ValueError, match="sqrt_kappa eigensystem not built"):
-            call(build_sqrt_kappa(medium()))
+    with pytest.raises(ValueError, match="sqrt_kappa eigensystem not built"):
+        call(build_sqrt_kappa(medium()))
 
 
 A_CONSUMERS = {
@@ -271,6 +252,7 @@ def test_every_similarity_consumer_needs_A(consumer):
 
 
 def test_generator_is_decomposed_once_per_operator(monkeypatch):
+    # prepare decomposed sqrt_kappa; no function of J_B decomposes anything
     spec = stable_spec(seed=44, n=2)
     ext, _ = prepare(spec)
     calls = []
@@ -286,15 +268,14 @@ def test_generator_is_decomposed_once_per_operator(monkeypatch):
     openquantum.correlation_time(ext, _vacuum(spec.n), 0.3)
     openquantum.correlation_time(ext, _vacuum(spec.n), 0.7)
     phasespace.propagator_at(ext, 0.5)
-    assert calls == [(8, 8)]
-    # a replaced operator carries no cached eigensystem
-    phasespace.decompose_generator(replace(ext, gen_JB=ext.gen_JB.copy()))
-    assert calls == [(8, 8)] * 2
+    # a replaced operator carries the eigensystem too
+    phasespace.propagator_at(replace(ext, gen_JB=ext.gen_JB.copy()), 0.5)
+    assert calls == []
 
 
 def test_kappa_route_decomposes_sqrt_kappa_once_per_operator(monkeypatch):
-    # a defective J_B builds exp(J_B t) on the sqrt_kappa eigensystem, which
-    # the scalar-damping disk takes from the 7 x 7 eig of K
+    # exp(J_B t) is built on the sqrt_kappa eigensystem, which the
+    # scalar-damping disk takes from the 7 x 7 eig of K in prepare
     ext, _ = prepare(small_drude_disk())
     calls = []
     eig = np.linalg.eig
@@ -308,14 +289,31 @@ def test_kappa_route_decomposes_sqrt_kappa_once_per_operator(monkeypatch):
     phasespace.propagate_mean(ext, kick, np.zeros(28, dtype=complex), [0.0, 0.5, 1.0])
     phasespace.propagator_at(ext, 0.7, drive=kick)
     openquantum.correlation_time(ext, _vacuum(7), 0.3)
-    assert phasespace.decompose_generator(ext).defective
-    # prepare attached the eigensystem; none is decomposed again
-    assert calls == [(28, 28)]
-    # a replaced operator carries it: only J_B is decomposed again
+    # a replaced operator carries the eigensystem: nothing is decomposed again
     other = replace(ext, gen_JB=ext.gen_JB.copy())
     assert other.eig is ext.eig
     phasespace.propagator_at(other, 0.7, drive=kick)
-    assert calls == [(28, 28)] * 2
+    assert calls == []
+
+
+def test_exp_JB_callers_take_no_4n_decomposition(monkeypatch):
+    # every dense eig, SVD, condition number (an SVD) and inverse that the
+    # exp(J_B t) callers take is of a 2n matrix at most; J_B is 4n x 4n
+    n = 40
+    ext, _ = prepare(builders.build_synthetic(n, 1))
+    shapes = []
+    for name in ("eig", "svd", "cond", "inv"):
+
+        def spy(a, *args, _original=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    kick = KickDrive(np.ones(n))
+    phasespace.propagate_mean(ext, kick, np.zeros(4 * n, dtype=complex), [0.0, 0.01])
+    phasespace.propagator_at(ext, 0.5, drive=kick)
+    openquantum.correlation_time(ext, _vacuum(n), 0.3)
+    assert all(max(shape) <= 2 * n for shape in shapes), shapes
 
 
 class TestOnShell:
@@ -455,7 +453,8 @@ def test_real_basis_matches_complex_route(kind, seed, n):
     tol = max(1e-12, 2 * spec.n * EPS * np.linalg.cond(A)) if kind == "scalar" else 1e-12
     assert np.linalg.norm(X - oracle_X) <= tol * np.linalg.norm(oracle_X)
     # J_B: the real eigensolver, paired from its raw column adjacency
-    _check_against_complex_oracle(*_spy_eigensystem(phasespace.decompose_generator, ext))
+    args = spectral._eig(ext.gen_JB)
+    _check_against_complex_oracle(args, spectral._eigensystem(*args))
 
 
 def _parent_eigendecompose(ext):
@@ -768,7 +767,7 @@ def test_resolvent_x_rows_match_explicit_inverse(medium, z):
     ext, N, inverse = _resolvent_case(medium, z)
     A, kappa, n = ext.sim_A, ext.kappa, ext.n
     if medium == "drude-disk":
-        assert phasespace.decompose_generator(ext).defective
+        assert np.abs(ext.eig.values).min() < 1e-15
     rng = np.random.default_rng(7)
     r = rng.standard_normal((2 * N, 3)) + 1j * rng.standard_normal((2 * N, 3))
     x = spectral._resolvent_x(kappa, z, 1j * A @ r[:N] + z * r[N:])
