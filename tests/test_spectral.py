@@ -180,6 +180,26 @@ def _vacuum(n):
     return phasespace.GaussianState(mean=np.zeros(4 * n), cov=0.5 * np.eye(4 * n))
 
 
+JB_CONSUMERS = {
+    "propagator_at": lambda ext, spec: phasespace.propagator_at(ext, 0.5),
+    "propagate_mean": lambda ext, spec: phasespace.propagate_mean(
+        ext, None, np.zeros(4 * spec.n), [0.0, 0.5]
+    ),
+    "correlation_time": lambda ext, spec: openquantum.correlation_time(
+        ext, _vacuum(spec.n), 0.5
+    ),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(JB_CONSUMERS))
+def test_every_generator_consumer_needs_JB(consumer):
+    # exp(J_B t) of a medium with no zero mode, handed an operator that prepare
+    # has not made ready, is refused with a pointer to prepare
+    spec = stable_spec(seed=43, n=2)
+    with pytest.raises(ValueError, match="sqrt_kappa eigensystem not built; call spectral.prepare first"):
+        JB_CONSUMERS[consumer](build_sqrt_kappa(spec), spec)
+
+
 _DISK_KICK = KickDrive(np.ones(7))
 
 # (medium, call): every function of J_B reads only the sqrt_kappa eigensystem,
