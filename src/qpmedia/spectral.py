@@ -9,13 +9,13 @@ An :class:`ExtendedOperator` stores only M, in the dtype of the medium's K
 and Gamma (float64 when real), derives sqrt_kappa and kappa on read, and
 keeps the one eigensystem of sqrt_kappa.  From its eigenvectors V we build
 the symmetric similarity matrix A = V V^T, with kappa = A kappa^T A^{-1},
-the quadratic-Hamiltonian generator J_B, and the on-shell energy
-functional.  J_B is never decomposed: its spectrum is the +/- i image of
-sqrt_kappa's, and every function of it (exp(J_B t), the thermal
-cotangent) is built on the sqrt_kappa eigensystem through
-J_B^2 = -diag(kappa^T, kappa) (:mod:`phasespace`).  Every frequency sweep
-applies the resolvent (z E + i J_B)^{-1} through one helper,
-:func:`_resolvent_x`: its x rows come from one 2n solve of the Schur
+and the on-shell energy functional.  The quadratic-Hamiltonian generator
+J_B is built only when read, and no ``qpm`` command reads it: its
+spectrum is the +/- i image of sqrt_kappa's, and every function of it
+(exp(J_B t), the thermal cotangent) is built on the sqrt_kappa
+eigensystem through J_B^2 = -diag(kappa^T, kappa) (:mod:`phasespace`).
+Every frequency sweep applies the resolvent (z E + i J_B)^{-1} through one
+helper, :func:`_resolvent_x`: its x rows come from one 2n solve of the Schur
 complement z^2 I - kappa, and no 4n matrix is factored.  Every
 eigensystem comes from :func:`_eigensystem`, and A has this one
 construction: a medium whose V is not trusted (cond(V) above
@@ -24,12 +24,12 @@ DEFECTIVE_COND_THRESHOLD) raises DefectiveMatrix.
 For a real M all of this runs in real arithmetic: the real eigensolver
 gives a spectrum exactly symmetric under mu -> -conj(mu) and exact
 conjugate eigenvector pairs, so V = W U with W real and U block-unitary,
-and cond(V), V^{-1}, A = V V^T = W S W^T (S = +/-1), A^{-1} kappa and J_B
-follow from the real W.  Complex media take the same route with W = V and
-S = 1.  As S is orthogonal, cond(A) <= cond(W)^2 (Higham, *Accuracy and
-Stability of Numerical Algorithms*, 2nd ed., SIAM 2002, section 6.3), so
-the exact cond(W) that the eigensystem already holds proves A trusted
-without an SVD of A wherever cond(W)^2 is below the cond(A) threshold.
+and cond(V), V^{-1}, A = V V^T = W S W^T (S = +/-1) and J_B follow from
+the real W.  Complex media take the same route with W = V and S = 1.  As
+S is orthogonal, cond(A) <= cond(W)^2 (Higham, *Accuracy and Stability of
+Numerical Algorithms*, 2nd ed., SIAM 2002, section 6.3), so the exact
+cond(W) that the eigensystem already holds proves A trusted without an
+SVD of A wherever cond(W)^2 is below the cond(A) threshold.
 
 When Gamma is exactly gamma I (the Drude builder's one relaxation rate) the
 equation of motion separates mode by mode, and the eigenpairs of
@@ -41,6 +41,7 @@ the trust threshold, A and J_B are shared by both routes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -62,16 +63,16 @@ class ExtendedOperator:
     drive and auxiliary channels.  Derived on read: ``n``, ``sqrt_kappa`` =
     i M and ``kappa`` = -M M (:func:`medium.extended_kernel`).  ``sim_A``
     and ``eig``, the sqrt_kappa eigensystem A is built from, are attached by
-    :func:`attach_similarity`, ``gen_JB`` by :func:`attach_JB`; A and J_B
-    are real for a real M.  Instances are immutable and updated via
-    ``replace``, which carries all three; no J_B eigensystem is kept, as
-    every function of J_B is built on ``eig``.
+    :func:`attach_similarity`; A is real for a real M.  Instances are
+    immutable and updated via ``replace``, which carries both.  ``gen_JB``
+    is built from A on first read and then kept; a replaced operator
+    builds its own.  No J_B eigensystem is kept, as every function of J_B
+    is built on ``eig``.
     """
 
     root: NDArray[np.float64] | NDArray[np.complex128]
     damping: NDArray[np.float64] | NDArray[np.complex128]
     sim_A: NDArray[np.float64] | NDArray[np.complex128] | None = None
-    gen_JB: NDArray[np.float64] | NDArray[np.complex128] | None = None
     eig: EigenSystem | None = None
 
     @property
@@ -86,6 +87,11 @@ class ExtendedOperator:
     def kappa(self) -> NDArray:
         n = self.n
         return extended_kernel(self.root[n:, :n], 0.5 * self.root[n:, n:])
+
+    @cached_property
+    def gen_JB(self) -> NDArray:
+        """J_B from :func:`build_JB`, real for a real M; no ``qpm`` command reads it."""
+        return build_JB(self)
 
     def a_blocks(self):
         """The (A1, A2, A3) blocks of the similarity matrix."""
@@ -167,37 +173,39 @@ def build_sqrt_kappa(spec: MediumSpec) -> ExtendedOperator:
 
     The construction is total: K and Gamma may be complex, singular or
     non-diagonalizable.  The square identity kappa = -M M is verified to a
-    relative Frobenius residual of 1e-12.
+    relative Frobenius residual of 1e-12; both norms are taken of arrays
+    divided by max|kappa|, so neither overflows for large K.
     """
     n, K, G = spec.n, spec.kernel, spec.damping
     dtype = np.result_type(K, G)
     M = np.block([[np.zeros((n, n), dtype), -np.eye(n, dtype=dtype)], [K, 2.0 * G]])
     ext = ExtendedOperator(root=M, damping=spec.damping)
     kappa = ext.kappa
-    scale = np.linalg.norm(kappa)
-    resid = np.linalg.norm(M @ M + kappa)
-    if scale > 0 and resid > 1e-12 * scale:
-        raise AssertionError(f"square identity violated: {resid / scale:.3e}")
+    top = np.abs(kappa).max()
+    if top > 0:
+        scale = np.linalg.norm(kappa / top)
+        resid = np.linalg.norm((M @ M + kappa) / top)
+        if resid > 1e-12 * scale:
+            raise AssertionError(f"square identity violated: {resid / scale:.3e}")
     return ext
 
 
 def _normalize_columns(vectors: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Unit-norm columns with a deterministic phase.
+    """Unit-norm columns with a deterministic phase, in place; returns ``vectors``.
 
     The entry of largest modulus (ties broken toward the lowest index, with
     a relative tolerance so near-ties resolve identically across runs) is
     rotated to the positive real axis.  For real K and Gamma this also makes
-    conjugate eigenpairs carry exactly conjugate vectors.
+    conjugate eigenpairs carry exactly conjugate vectors.  Each column's
+    norm is its own np.linalg.norm, whose BLAS path depends on the array's
+    layout, so eigendecompose passes a C-contiguous array.
     """
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        v = out[:, k]
-        v = v / np.linalg.norm(v)
-        mags = np.abs(v)
-        j = int(np.argmax(mags >= (1.0 - 1e-9) * mags.max()))
-        v = v * (mags[j] / v[j])
-        out[:, k] = v
-    return out
+    cols = np.arange(vectors.shape[1])
+    vectors /= [np.linalg.norm(vectors[:, k]) for k in cols]
+    mags = np.abs(vectors)
+    j = np.argmax(mags >= (1.0 - 1e-9) * mags.max(axis=0), axis=0)
+    vectors *= mags[j, cols] / vectors[j, cols]
+    return vectors
 
 
 def _scalar_damping(M) -> float | None:
@@ -291,9 +299,12 @@ def eigendecompose(ext: ExtendedOperator) -> EigenSystem:
     the 2n one.
 
     Eigenvalues are sorted lexicographically by (Re, Im) so repeated runs
-    produce identical mode orderings.  Raises DefectiveMatrix when the
-    eigenvector condition number exceeds DEFECTIVE_COND_THRESHOLD, i.e. when
-    the diagonal treatment stops being trustworthy.
+    produce identical mode orderings.  The sort makes the one C-contiguous
+    copy of the eigenvectors that is normalized in place and kept; the raw
+    array is dropped before V is conditioned and inverted.  Raises
+    DefectiveMatrix when the eigenvector condition number exceeds
+    DEFECTIVE_COND_THRESHOLD, i.e. when the diagonal treatment stops being
+    trustworthy.
     """
     gamma = _scalar_damping(ext.root)
     if gamma is None:
@@ -306,7 +317,8 @@ def eigendecompose(ext: ExtendedOperator) -> EigenSystem:
     if pairs is not None:
         # raw column j sits at np.argsort(order)[j] after the sort
         pairs = np.argsort(order)[pairs]
-    eig = _eigensystem(values[order], _normalize_columns(vectors[:, order]), pairs)
+    vectors = _normalize_columns(np.take(vectors, order, axis=1))
+    eig = _eigensystem(values[order], vectors, pairs)
     if eig.defective:
         raise DefectiveMatrix(
             f"eigenvector condition number cond(V) = {eig.cond:.3e} exceeds "
@@ -369,7 +381,13 @@ def build_JB(ext: ExtendedOperator) -> NDArray:
 
 
 def attach_JB(ext: ExtendedOperator) -> ExtendedOperator:
-    return replace(ext, gen_JB=build_JB(ext))
+    """``ext`` itself, once A is attached: ``ext.gen_JB`` builds J_B on first read.
+
+    A stage that builds nothing, kept as :func:`prepare`'s last step while
+    perfbench lists its time (``spectral.attach_JB_s``).
+    """
+    _similarity_matrix(ext)
+    return ext
 
 
 def _similarity_matrix(ext: ExtendedOperator) -> NDArray[np.complex128]:
@@ -409,7 +427,7 @@ def _resolvent_x(kappa: NDArray, z: complex, rhs: NDArray) -> NDArray:
 
 
 def prepare(spec: MediumSpec) -> tuple[ExtendedOperator, EigenSystem]:
-    """Convenience chain: sqrt_kappa -> eigendecomposition -> A -> J_B."""
+    """Convenience chain: sqrt_kappa -> eigendecomposition -> A (J_B on read)."""
     ext = build_sqrt_kappa(spec)
     eig = eigendecompose(ext)
     ext = attach_similarity(ext, eig)

@@ -538,22 +538,41 @@ class TestStartup:
         ),
     }
 
-    @pytest.mark.parametrize("command", COMMANDS)
-    def test_command_loads_only_its_layers(self, command, tmp_path):
-        self._cluster_inputs(tmp_path)
-        (tmp_path / "m.json").write_text(spec_to_json(stable_spec(seed=777, n=3)) + "\n",
-                                         encoding="utf-8")
+    @classmethod
+    def _command_inputs(cls, cwd):
+        """The files that every command of COMMANDS reads, in ``cwd``."""
+        cls._cluster_inputs(cwd)
+        (cwd / "m.json").write_text(spec_to_json(stable_spec(seed=777, n=3)) + "\n",
+                                    encoding="utf-8")
         waves = {
             "omega_min_ev": 1.0, "omega_max_ev": 2.0, "omega_step_ev": 1.0,
             "plane_waves": [{"k": [0.01, 0.0, 0.0], "amplitude_re": [0.0, 1.0, 0.0]}],
             "k_queries": [[0.02, 0.0, 0.0]],
         }
-        (tmp_path / "w.json").write_text(json.dumps(waves), encoding="utf-8")
+        (cwd / "w.json").write_text(json.dumps(waves), encoding="utf-8")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_loads_only_its_layers(self, command, tmp_path):
+        self._command_inputs(tmp_path)
         argv, layers = self.COMMANDS[command]
         code = f"from qpmedia.cli import main\nassert main({[command, *argv]!r}) == 0"
         loaded = self._modules_after(code, tmp_path, "qpmedia")
         assert loaded == str(sorted(self.CLI + [f"qpmedia.{m}" for m in layers]))
         assert "qpmedia.pseudoboson" not in loaded
+
+    @pytest.mark.parametrize("command", ["spectrum", "filter", "propagate", "field", "bath"])
+    def test_command_builds_no_JB(self, command, tmp_path, monkeypatch):
+        # prepare leaves J_B to its first read, and no command reads it
+        from qpmedia import spectral
+
+        def unused(ext):
+            raise AssertionError(f"qpm {command} built J_B")
+
+        monkeypatch.setattr(spectral, "build_JB", unused)
+        self._command_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        argv, _ = self.COMMANDS[command]
+        assert main([command, *argv]) == 0
 
 
 class TestLazyExports:

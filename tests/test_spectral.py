@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -243,6 +244,8 @@ A_CONSUMERS = {
     "a_blocks": lambda ext, spec: ext.a_blocks(),
     "auxiliary_response": lambda ext, spec: selfconsistent.auxiliary_response(ext, 0.5),
     "build_JB": lambda ext, spec: build_JB(ext),
+    "attach_JB": lambda ext, spec: attach_JB(ext),
+    "gen_JB": lambda ext, spec: ext.gen_JB,
     "on_shell_energy": lambda ext, spec: on_shell_energy(ext, np.ones(2 * spec.n)),
     "drive_vector": lambda ext, spec: phasespace._drive_vector(
         ext, (np.ones(spec.n), np.zeros(spec.n))
@@ -271,6 +274,24 @@ def test_every_similarity_consumer_needs_A(consumer):
         A_CONSUMERS[consumer](build_sqrt_kappa(spec), spec)
 
 
+@pytest.mark.parametrize("medium", [lambda: stable_spec(seed=41, n=3), complex_spec])
+def test_JB_is_built_on_first_read_from_the_attached_A(medium):
+    ext, _ = prepare(medium())
+    assert "gen_JB" not in vars(ext)
+    A, kappa, N = ext.sim_A, ext.kappa, 2 * ext.n
+    want = np.zeros((2 * N, 2 * N), dtype=np.result_type(A, kappa))
+    want[:N, N:] = np.linalg.solve(A, kappa)
+    want[N:, :N] = -A
+    JB = ext.gen_JB
+    assert JB.dtype == want.dtype and np.array_equal(JB, want)
+    assert ext.gen_JB is JB
+    # a replaced operator builds its own J_B from its own A
+    other = replace(ext, sim_A=2.0 * A)
+    assert other.gen_JB is not JB
+    assert np.array_equal(other.gen_JB[:N, N:], np.linalg.solve(2.0 * A, kappa))
+    assert np.array_equal(other.gen_JB[N:, :N], -2.0 * A)
+
+
 def test_generator_is_decomposed_once_per_operator(monkeypatch):
     # prepare decomposed sqrt_kappa; no function of J_B decomposes anything
     spec = stable_spec(seed=44, n=2)
@@ -289,7 +310,7 @@ def test_generator_is_decomposed_once_per_operator(monkeypatch):
     openquantum.correlation_time(ext, _vacuum(spec.n), 0.7)
     phasespace.propagator_at(ext, 0.5)
     # a replaced operator carries the eigensystem too
-    phasespace.propagator_at(replace(ext, gen_JB=ext.gen_JB.copy()), 0.5)
+    phasespace.propagator_at(replace(ext, sim_A=ext.sim_A.copy()), 0.5)
     assert calls == []
 
 
@@ -310,7 +331,7 @@ def test_kappa_route_decomposes_sqrt_kappa_once_per_operator(monkeypatch):
     phasespace.propagator_at(ext, 0.7, drive=kick)
     openquantum.correlation_time(ext, _vacuum(7), 0.3)
     # a replaced operator carries the eigensystem: nothing is decomposed again
-    other = replace(ext, gen_JB=ext.gen_JB.copy())
+    other = replace(ext, sim_A=ext.sim_A.copy())
     assert other.eig is ext.eig
     phasespace.propagator_at(other, 0.7, drive=kick)
     assert calls == []
@@ -477,6 +498,18 @@ def test_real_basis_matches_complex_route(kind, seed, n):
     _check_against_complex_oracle(args, spectral._eigensystem(*args))
 
 
+def _loop_normalize_columns(vectors):
+    """A normalized copy of ``vectors``, one column at a time: the oracle that
+    spectral._normalize_columns's array operations match bit for bit."""
+    out = vectors.copy()
+    for k in range(out.shape[1]):
+        v = out[:, k] / np.linalg.norm(out[:, k])
+        mags = np.abs(v)
+        j = int(np.argmax(mags >= (1.0 - 1e-9) * mags.max()))
+        out[:, k] = v * (mags[j] / v[j])
+    return out
+
+
 def _parent_eigendecompose(ext):
     """sqrt_kappa's eigenvalues and normalized V as sorted before the real basis."""
     M = -1j * ext.sqrt_kappa
@@ -486,7 +519,71 @@ def _parent_eigendecompose(ext):
     values = 1j * lam
     vectors = vectors.astype(complex, copy=False)
     order = np.lexsort((values.imag, values.real))
-    return values[order], spectral._normalize_columns(vectors[:, order])
+    return values[order], _loop_normalize_columns(vectors[:, order])
+
+
+def _loop_eigendecompose(ext):
+    """eigendecompose's EigenSystem with the sort's second copy and the column loop."""
+    gamma, n = spectral._scalar_damping(ext.root), ext.n
+    if gamma is None:
+        lam, vectors, pairs = spectral._eig(ext.root)
+    else:
+        lam, vectors, pairs = spectral._scalar_damping_eig(ext.root[n:, :n], gamma)
+    values = 1j * lam
+    order = np.lexsort((values.imag, values.real))
+    if pairs is not None:
+        pairs = np.argsort(order)[pairs]
+    return spectral._eigensystem(values[order], _loop_normalize_columns(vectors[:, order]), pairs)
+
+
+def _check_vectorized_normalization(spec):
+    ext = build_sqrt_kappa(spec)
+    want = _loop_eigendecompose(ext)
+    if want.defective:
+        with pytest.raises(DefectiveMatrix):
+            eigendecompose(ext)
+        return
+    got = eigendecompose(ext)
+    for name in ("values", "right_vectors", "inverse_vectors", "basis", "signs"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.cond == want.cond and not got.defective
+    assert got.right_vectors.flags.c_contiguous
+
+
+@pytest.mark.parametrize(
+    "medium",
+    [
+        small_drude_disk,
+        lambda: _drude_disk(8.0),
+        lambda: builders.build_synthetic(40, 1),
+        complex_spec,
+        lambda: simple_spec([[2.0]], [[0.1]]),
+    ],
+    ids=["disk", "disk-37", "synthetic", "complex", "n=1"],
+)
+def test_vectorized_normalization_keeps_the_eigensystem_bits(medium):
+    _check_vectorized_normalization(medium())
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**16), n=st.integers(1, 12))
+def test_vectorized_normalization_keeps_random_eigensystem_bits(seed, n):
+    _check_vectorized_normalization(stable_spec(seed=seed, n=n))
+
+
+def test_eigendecompose_holds_one_eigenvector_copy_above_its_result():
+    # the raw eigenvectors are dropped once sorted, and the sorted copy is
+    # normalized in place: above the returned eigensystem, the peak holds
+    # one 2n x 2n complex array (the raw one, while the sort copies it)
+    ext = build_sqrt_kappa(_drude_disk(14.0))
+    eigendecompose(ext)
+    tracemalloc.start()
+    try:
+        eig = eigendecompose(ext)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - current <= 1.1 * eig.right_vectors.nbytes
 
 
 @pytest.mark.parametrize("kind", ["plain", "overdamped", "duplicated"])
@@ -629,7 +726,10 @@ def _complex_route(ext):
     JB = np.zeros((2 * N, 2 * N), dtype=complex)
     JB[:N, N:] = np.linalg.solve(A, ext.kappa)
     JB[N:, :N] = -A
-    return replace(ext, sim_A=A, gen_JB=JB, eig=eig)
+    ext = replace(ext, sim_A=A, eig=eig)
+    # the J_B built on read from the complex A is this one, bit for bit
+    assert np.array_equal(ext.gen_JB, JB)
+    return ext
 
 
 def _rel(got, want):
@@ -688,6 +788,22 @@ def test_square_identity_check_catches_a_wrong_kappa(monkeypatch):
     def perturbed(K, G):
         kappa = extended_kernel(K, G)
         kappa[0, 0] += 1e-6 * np.linalg.norm(kappa)
+        return kappa
+
+    monkeypatch.setattr(spectral, "extended_kernel", perturbed)
+    with pytest.raises(AssertionError, match="square identity"):
+        build_sqrt_kappa(spec)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_square_identity_check_runs_for_a_huge_kernel(monkeypatch):
+    # ||kappa||_F^2 overflows at |K| ~ 1e160: the check scales before its norms
+    spec = simple_spec(1e160 * np.array([[2.0, -1.0], [-1.0, 2.0]]), 0.1 * np.eye(2))
+    build_sqrt_kappa(spec)
+
+    def perturbed(K, G):
+        kappa = extended_kernel(K, G)
+        kappa[0, 0] *= 1.0 + 1e-6
         return kappa
 
     monkeypatch.setattr(spectral, "extended_kernel", perturbed)
