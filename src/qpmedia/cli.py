@@ -2,8 +2,8 @@
 
 Frequencies are exchanged in eV at this boundary and converted to Hartree
 internally; every run prints one summary line with a checksum of the files
-it wrote.  At a fixed BLAS thread count, identical inputs produce
-byte-identical outputs.
+it wrote, each read back in blocks (:func:`_checksum`).  At a fixed BLAS
+thread count, identical inputs produce byte-identical outputs.
 
 Each subcommand is declared once, in the command table ``_COMMANDS`` (help,
 runner, arguments; shared argument groups are defined once): the parser is
@@ -63,8 +63,19 @@ def _grid(lo: float, hi: float, step: float, quantity: str) -> np.ndarray:
     return lo + step * np.arange(count)
 
 
+_CHECKSUM_BLOCK = 1 << 18
+
+
 def _checksum(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    """The first 16 hex digits of the file's sha256, read in blocks of ``_CHECKSUM_BLOCK`` bytes.
+
+    No output file is held in memory whole, however large the table.
+    """
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        for block in iter(lambda: fh.read(_CHECKSUM_BLOCK), b""):
+            digest.update(block)
+    return digest.hexdigest()[:16]
 
 
 def _write_table(path: Path, head: Sequence[str], chunks: Iterable) -> None:
@@ -367,16 +378,17 @@ def _run_bath(config: argparse.Namespace) -> list[Path]:
     openquantum._check_eta(config.eta)
     ext, _ = spectral.prepare(spec)
     corr = openquantum.thermal_correlation(ext, config.beta, config.hbar, grid, config.eta)
-    m = corr.gamma.shape[1]
+    m = corr.xi.shape[1]
     alphas = [f",{a}" for a in range(1, m + 1)]
     betas = [f",{b}," for b in range(1, m + 1)]
     cells = _fmt_row(4)
 
     def chunks():
-        # one alpha row of one frequency block per chunk: m rows
+        # one alpha row of one frequency block per chunk: m rows; gamma and S
+        # are formed one frequency at a time
         for iw, w_ev in enumerate(grid_ev.tolist()):
             omega = "%.12g" % w_ev
-            block = _interleaved(np.stack((corr.gamma[iw], corr.s_ls[iw]), axis=-1))
+            block = _interleaved(np.stack(corr.at(iw), axis=-1))
             for a in range(m):
                 yield _keyed_rows(omega + alphas[a], betas, cells), block[a]
 

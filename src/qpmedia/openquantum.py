@@ -29,18 +29,38 @@ from .spectral import (
 BOHR_GROUP_TOL = 1e-10
 
 
+def _gamma_s(xi):
+    """(gamma, S) = (Xi + Xi^dagger, (Xi - Xi^dagger) / 2i) on the last two axes of ``xi``."""
+    xi_dag = np.conj(np.swapaxes(xi, -1, -2))
+    return xi + xi_dag, (xi - xi_dag) / 2j
+
+
 @dataclass(frozen=True)
 class CorrelationSet:
     """Frequency-resolved bath statistics on the physical (x) block.
 
-    ``gamma`` is Hermitian at every grid point by construction
-    (Xi + Xi^dagger), as is the Lamb-shift matrix ``s_ls``.
+    Stored: ``omega_grid`` and ``xi``, one F x 2n x 2n tensor.  The
+    decoherence matrix ``gamma`` = Xi + Xi^dagger and the Lamb-shift matrix
+    ``s_ls`` = (Xi - Xi^dagger) / 2i are formed from it on every read and
+    are exactly Hermitian at every grid point.  :meth:`at` forms them at
+    one grid point only, which is all that ``qpm bath``, :func:`lamb_shift`
+    and :func:`dissipator` read, so none of them holds a full gamma or S.
     """
 
     omega_grid: NDArray[np.float64]
     xi: NDArray[np.complex128]
-    gamma: NDArray[np.complex128]
-    s_ls: NDArray[np.complex128]
+
+    @property
+    def gamma(self) -> NDArray[np.complex128]:
+        return _gamma_s(self.xi)[0]
+
+    @property
+    def s_ls(self) -> NDArray[np.complex128]:
+        return _gamma_s(self.xi)[1]
+
+    def at(self, i: int) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
+        """(gamma, S) at grid point ``i``, equal bit for bit to (gamma[i], s_ls[i])."""
+        return _gamma_s(self.xi[i])
 
 
 def _initial_moment_matrix(state0: GaussianState) -> NDArray[np.complex128]:
@@ -61,7 +81,7 @@ def correlation_time(ext: ExtendedOperator, state0: GaussianState, t: float):
     the shift term of the evolution vanishes; driven-bath correlations are
     out of scope.
     """
-    return _lambda_at(ext, decompose_generator(ext), -t) @ _initial_moment_matrix(state0)
+    return _lambda_at(decompose_generator(ext), -t) @ _initial_moment_matrix(state0)
 
 
 def x_block(matrix: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -83,7 +103,8 @@ def _x_sweep(ext: ExtendedOperator, omega_grid, eta: float, rhs_x, finish) -> Co
     right-hand side r, so only the 2n x-columns ``rhs_x`` are solved for.
     The x rows of (z E + i J_B)^{-1} r, z = omega + i eta, come from
     :func:`spectral._resolvent_x`, with kappa and i A r_pi formed once for
-    the sweep; ``finish(z, x)`` maps each 2n x 2n block of them to Xi.
+    the sweep; ``finish(z, x)`` maps each 2n x 2n block of them to Xi,
+    written into one preallocated F x 2n x 2n array.
     """
     _check_eta(eta)
     A = _similarity_matrix(ext)
@@ -91,9 +112,10 @@ def _x_sweep(ext: ExtendedOperator, omega_grid, eta: float, rhs_x, finish) -> Co
     N = A.shape[0]
     kappa = ext.kappa
     pi_term, r_x = 1j * (A @ rhs_x[:N]), rhs_x[N:]
-    xi = np.array([finish(z, _resolvent_x(kappa, z, pi_term + z * r_x)) for z in grid + 1j * eta])
-    xi_dag = np.conj(np.transpose(xi, (0, 2, 1)))
-    return CorrelationSet(omega_grid=grid, xi=xi, gamma=xi + xi_dag, s_ls=(xi - xi_dag) / 2j)
+    xi = np.empty((grid.size, N, N), dtype=complex)
+    for i, z in enumerate(grid + 1j * eta):
+        xi[i] = finish(z, _resolvent_x(kappa, z, pi_term + z * r_x))
+    return CorrelationSet(omega_grid=grid, xi=xi)
 
 
 def correlation_frequency(
@@ -117,7 +139,8 @@ def thermal_correlation(
     Xi(omega) = -hbar (z E + i J_B)^{-1} n_BE J on the x-block; the
     x-columns of n_BE J are the first 2n columns of n_BE, the only ones
     formed.  n_BE = -1/2 - (i/2) cot(hbar beta J_B / 2) makes them [-I/2; -(i/2) Q],
-    with Q and the gate of :func:`phasespace._thermal_cot`.
+    with Q and the gate of :func:`phasespace._thermal_cot`.  The set holds
+    Xi alone; gamma and S are formed from it when read (:class:`CorrelationSet`).
     """
     _, Q = _thermal_cot(ext, beta, hbar)
     nbe_x = np.concatenate([-0.5 * np.eye(Q.shape[0]), -0.5j * Q])
@@ -220,17 +243,21 @@ def bohr_decompose(coupling: SystemCoupling) -> BohrDecomposition:
     return BohrDecomposition(frequencies=tuple(ops), ops=ops)
 
 
-def _interp_tensor(grid, tensor, x: float):
-    """Linear interpolation of a stacked matrix table along its grid axis."""
+def _interp_tensor(grid, block, x: float):
+    """Linear interpolation of a matrix table along its grid axis.
+
+    ``block(i)`` is the table's matrix at ``grid[i]``; only the two that
+    bracket ``x`` are read.
+    """
     if x < grid[0] or x > grid[-1]:
         raise FrequencyNotCovered([x])
     i = int(np.searchsorted(grid, x, side="right"))
     i = min(max(i, 1), grid.size - 1)
     lo, hi = i - 1, i
     if grid[hi] == grid[lo]:
-        return tensor[lo]
+        return block(lo)
     w = (x - grid[lo]) / (grid[hi] - grid[lo])
-    return (1.0 - w) * tensor[lo] + w * tensor[hi]
+    return (1.0 - w) * block(lo) + w * block(hi)
 
 
 def coupling_operators(coupling: SystemCoupling, bohr: BohrDecomposition, freq_energy: float):
@@ -245,10 +272,11 @@ def coupling_operators(coupling: SystemCoupling, bohr: BohrDecomposition, freq_e
     return np.concatenate([a_ops, np.tensordot(L, a_ops, axes=1)])
 
 
-def _channels(coupling: SystemCoupling, corr: CorrelationSet, table, bohr):
+def _channels(coupling: SystemCoupling, corr: CorrelationSet, part: int, bohr):
     """(O, K) per Bohr frequency: the stacked channel operators O and
-    K_b = sum_a M_ab O_a^dagger, with M the ``table`` (gamma or S)
-    interpolated there, so that sum_ab M_ab O_a^dagger X O_b = sum_b K_b X O_b.
+    K_b = sum_a M_ab O_a^dagger, with M the table ``corr.at(i)[part]``
+    (0: gamma, 1: S) interpolated there from its two bracketing grid
+    points, so that sum_ab M_ab O_a^dagger X O_b = sum_b K_b X O_b.
 
     ``bohr`` is decomposed if None; FrequencyNotCovered lists every Bohr
     frequency off the grid.
@@ -260,14 +288,14 @@ def _channels(coupling: SystemCoupling, corr: CorrelationSet, table, bohr):
         raise FrequencyNotCovered(missing)
     for w in bohr.frequencies:
         ops = coupling_operators(coupling, bohr, w)
-        m = _interp_tensor(grid, table, w / hbar)
+        m = _interp_tensor(grid, lambda i: corr.at(i)[part], w / hbar)
         yield ops, np.tensordot(m, ops.conj().transpose(0, 2, 1), axes=(0, 0))
 
 
 def lamb_shift(coupling: SystemCoupling, corr: CorrelationSet, bohr=None):
     """Hermitian Lamb-shift operator; commutes with the system Hamiltonian."""
     h_ls = np.zeros((coupling.dim, coupling.dim), dtype=complex)
-    for ops, k in _channels(coupling, corr, corr.s_ls, bohr):
+    for ops, k in _channels(coupling, corr, 1, bohr):
         h_ls += (k @ ops).sum(axis=0)
     return h_ls / coupling.hbar
 
@@ -276,7 +304,7 @@ def dissipator(coupling: SystemCoupling, corr: CorrelationSet, rho, bohr=None):
     """Decoherence superoperator applied to one density matrix."""
     rho = np.asarray(rho, dtype=complex)
     out = np.zeros_like(rho)
-    for ops, k in _channels(coupling, corr, corr.gamma, bohr):
+    for ops, k in _channels(coupling, corr, 0, bohr):
         k_ops = (k @ ops).sum(axis=0)
         out += (ops @ rho @ k).sum(axis=0) - 0.5 * (k_ops @ rho + rho @ k_ops)
     return out / coupling.hbar**2

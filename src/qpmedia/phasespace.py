@@ -92,7 +92,7 @@ def _sinc(x):
     return out
 
 
-def _lambda_at(ext, eig: EigenSystem, t: float, rhs=None):
+def _lambda_at(eig: EigenSystem, t: float, rhs=None):
     """exp(J B t) from ``eig`` = decompose_generator(ext), the eigensystem (mu, V) of sqrt_kappa.
 
     J B = [[0, A^{-1} kappa], [-A, 0]] and kappa A = A kappa^T give
@@ -210,7 +210,7 @@ def _advance_delta(ext, eig: EigenSystem, drive, delta, t0, t1, quad_step: float
     s = t0
     for _ in range(steps):
         k1, kmid, k4 = (
-            _lambda_at(ext, eig, x, _drive_vector(ext, drive_value(drive, x)))
+            _lambda_at(eig, x, _drive_vector(ext, drive_value(drive, x)))
             for x in (s, s + h / 2.0, s + h)
         )
         delta = delta + h / 6.0 * (k1 + 4.0 * kmid + k4)
@@ -236,7 +236,7 @@ def propagator_at(
     _positive_finite("quad_step", quad_step)
     eig = decompose_generator(ext)
     delta = np.zeros(2 * eig.values.size, dtype=complex)
-    lam = _lambda_at(ext, eig, t)
+    lam = _lambda_at(eig, t)
     if drive is not None and t != 0.0:
         delta = _advance_delta(ext, eig, drive, delta, 0.0, t, quad_step)
     return Propagator(lambda_t=lam, delta_t=delta)
@@ -289,7 +289,7 @@ def propagate_mean(
         if drive is not None and t != prev_t:
             delta = _advance_delta(ext, eig, drive, delta, prev_t, t, quad_step)
             prev_t = t
-        out[i] = symplectic_inverse(_lambda_at(ext, eig, t)) @ (q0 - delta)
+        out[i] = symplectic_inverse(_lambda_at(eig, t)) @ (q0 - delta)
     return out
 
 

@@ -174,7 +174,10 @@ def build_sqrt_kappa(spec: MediumSpec) -> ExtendedOperator:
     The construction is total: K and Gamma may be complex, singular or
     non-diagonalizable.  The square identity kappa = -M M is verified to a
     relative Frobenius residual of 1e-12; both norms are taken of arrays
-    divided by max|kappa|, so neither overflows for large K.
+    divided by max|kappa|, so neither overflows for large K.  -M M is taken
+    from M's blocks: its zero and identity blocks contribute exact copies
+    of K and 2 Gamma, so the only dense products are (2 Gamma) K and
+    (2 Gamma)^2, both of M's own slices.
     """
     n, K, G = spec.n, spec.kernel, spec.damping
     dtype = np.result_type(K, G)
@@ -183,8 +186,10 @@ def build_sqrt_kappa(spec: MediumSpec) -> ExtendedOperator:
     kappa = ext.kappa
     top = np.abs(kappa).max()
     if top > 0:
+        k, g2 = M[n:, :n], M[n:, n:]
+        minus_square = np.block([[k, g2], [-(g2 @ k), k - g2 @ g2]])
         scale = np.linalg.norm(kappa / top)
-        resid = np.linalg.norm((M @ M + kappa) / top)
+        resid = np.linalg.norm((kappa - minus_square) / top)
         if resid > 1e-12 * scale:
             raise AssertionError(f"square identity violated: {resid / scale:.3e}")
     return ext

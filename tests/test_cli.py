@@ -1,8 +1,10 @@
+import hashlib
 import importlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import pytest
 
 import qpmedia
 from conftest import small_drude_disk, stable_spec
-from qpmedia.cli import main
+from qpmedia.cli import _CHECKSUM_BLOCK, _checksum, _grid, main
 from qpmedia.constants import HARTREE_TO_EV
 from qpmedia.medium import spec_to_json
 
@@ -291,6 +293,39 @@ class TestBath:
             table[key] = complex(float(cells[3]), float(cells[4]))
         for (w, a, b), val in table.items():
             assert val == pytest.approx(np.conj(table[(w, b, a)]), abs=1e-10)
+
+
+class TestBathMemory:
+    def test_traced_peak_stays_below_two_xi(self, tmp_path):
+        # Xi is the one F x 2n x 2n tensor the bath command holds: gamma and S
+        # are formed one frequency at a time and the checksum streams the file
+        from qpmedia import builders, openquantum, spectral
+
+        spec = builders.build_synthetic(40, 1)
+        model = tmp_path / "model.json"
+        model.write_text(spec_to_json(spec) + "\n", encoding="utf-8")
+        grid = _grid(0.05, 2.0, 0.05, "frequency") / HARTREE_TO_EV
+        ext, _ = spectral.prepare(spec)
+        xi_nbytes = openquantum.thermal_correlation(ext, 1.0, 1.0, grid, 1e-4).xi.nbytes
+        assert xi_nbytes >= 4e6
+        args = [
+            "bath", "--model", str(model), "--beta", "1.0", "--omega-min", "0.05",
+            "--omega-max", "2.0", "--omega-step", "0.05", "--out", str(tmp_path / "bath.csv"),
+        ]
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * xi_nbytes
+
+
+class TestChecksum:
+    def test_streamed_digest_equals_the_whole_file_digest(self, tmp_path):
+        path = tmp_path / "blob.bin"
+        path.write_bytes(np.random.default_rng(5).bytes(2 * _CHECKSUM_BLOCK + 12345))
+        assert _checksum(path) == hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
 class TestField:

@@ -107,6 +107,21 @@ class TestCorrelationFrequency:
                 assert np.abs(g - g.conj().T).max() < 1e-12 * max(1.0, np.abs(g).max())
                 assert np.abs(s - s.conj().T).max() < 1e-12 * max(1.0, np.abs(s).max())
 
+    def test_gamma_and_s_are_formed_from_xi_bit_for_bit(self):
+        ext, _ = prepare(builders.build_synthetic(6, 1))
+        corr = thermal_correlation(ext, 1.3, 0.8, np.linspace(0.1, 2.0, 9), 1e-3)
+        xi = corr.xi
+        xi_dag = np.conj(np.transpose(xi, (0, 2, 1)))
+        gamma, s_ls = corr.gamma, corr.s_ls
+        assert gamma.tobytes() == (xi + xi_dag).tobytes()
+        assert s_ls.tobytes() == ((xi - xi_dag) / 2j).tobytes()
+        for table in (gamma, s_ls):
+            assert np.array_equal(table, np.conj(np.transpose(table, (0, 2, 1))))
+        for i in range(corr.omega_grid.size):
+            g_i, s_i = corr.at(i)
+            assert g_i.tobytes() == gamma[i].tobytes()
+            assert s_i.tobytes() == s_ls[i].tobytes()
+
     def test_eta_cauchy_off_resonance(self):
         spec = stable_spec(seed=413, n=2)
         ext, _ = prepare(spec)
@@ -369,7 +384,44 @@ def random_coupling(d, n, seed, degenerate):
     return cpl, rho / np.trace(rho)
 
 
+def full_tensor_master_terms(cpl, corr, rho):
+    """(Lamb shift, dissipator on rho), with gamma and S interpolated from
+    their full F x 2n x 2n tensors at every Bohr frequency."""
+    grid, gamma, s_ls = corr.omega_grid, corr.gamma, corr.s_ls
+    bohr = bohr_decompose(cpl)
+    h_ls = np.zeros((cpl.dim, cpl.dim), complex)
+    dis = np.zeros_like(rho)
+    for w in bohr.frequencies:
+        ops = coupling_operators(cpl, bohr, w)
+        x = w / cpl.hbar
+        hi = min(max(int(np.searchsorted(grid, x, side="right")), 1), grid.size - 1)
+        f = (x - grid[hi - 1]) / (grid[hi] - grid[hi - 1])
+        ops_dag = ops.conj().transpose(0, 2, 1)
+        k_s = np.tensordot((1.0 - f) * s_ls[hi - 1] + f * s_ls[hi], ops_dag, axes=(0, 0))
+        k_g = np.tensordot((1.0 - f) * gamma[hi - 1] + f * gamma[hi], ops_dag, axes=(0, 0))
+        h_ls += (k_s @ ops).sum(axis=0)
+        k_ops = (k_g @ ops).sum(axis=0)
+        dis += (ops @ rho @ k_g).sum(axis=0) - 0.5 * (k_ops @ rho + rho @ k_ops)
+    return h_ls / cpl.hbar, dis / cpl.hbar**2
+
+
 class TestMasterEquationValues:
+    @pytest.mark.parametrize("gap, on_grid", [(0.5, True), (0.6, False)])
+    def test_block_interpolation_equals_full_tensor_interpolation(self, gap, on_grid):
+        # Bohr frequencies -gap, 0 and gap; 0.5 lies on the grid, 0.6 between points
+        cpl, rho = random_coupling(2, 2, 17, False)
+        cpl = SystemCoupling(
+            h_system=np.diag([0.0, gap]), site_potentials=cpl.site_potentials, medium=cpl.medium
+        )
+        grid = 0.25 * np.arange(-5, 6)
+        corr = thermal_correlation(cpl.medium, 1.0, 1.0, grid, 1e-3)
+        bohr = bohr_decompose(cpl)
+        assert gap in bohr.frequencies
+        assert (gap in grid) == on_grid
+        h_ls, dis = full_tensor_master_terms(cpl, corr, rho)
+        assert lamb_shift(cpl, corr, bohr).tobytes() == h_ls.tobytes()
+        assert dissipator(cpl, corr, rho, bohr).tobytes() == dis.tobytes()
+
     @settings(max_examples=25, deadline=None)
     @given(
         d=st.integers(1, 5),
@@ -388,8 +440,8 @@ class TestMasterEquationValues:
         scale_ls = scale_dis = 0.0
         for w in bohr.frequencies:
             ops = coupling_operators(cpl, bohr, w)
-            g_mat = _interp_tensor(corr.omega_grid, corr.gamma, w)
-            s_mat = _interp_tensor(corr.omega_grid, corr.s_ls, w)
+            g_mat = _interp_tensor(corr.omega_grid, corr.gamma.__getitem__, w)
+            s_mat = _interp_tensor(corr.omega_grid, corr.s_ls.__getitem__, w)
             for a in range(len(ops)):
                 oa_dag = ops[a].conj().T
                 for b in range(len(ops)):
