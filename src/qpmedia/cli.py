@@ -231,7 +231,7 @@ def _run_modes(config: argparse.Namespace) -> list[Path]:
     from . import spectral
 
     # the table reads only the eigensystem: no A, cond(A) or J_B
-    eig = spectral.eigendecompose(spectral.build_sqrt_kappa(_load_model(config)))
+    eig = spectral.build_sqrt_kappa(_load_model(config)).eig
     re_mu, im_mu = eig.values.real * HARTREE_TO_EV, eig.values.imag * HARTREE_TO_EV
     template = "".join(f"{k},%.12g,%.12g\n" for k in range(re_mu.size))
     written = [_write_out(config, "k,re_mu,im_mu", [(template, np.column_stack((re_mu, im_mu)))])]

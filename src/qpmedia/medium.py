@@ -205,10 +205,6 @@ class TabulatedDrive:
 DriveSignal = Union[KickDrive, MonochromaticDrive, TabulatedDrive]
 
 
-def zero_drive(n: int) -> KickDrive:
-    return KickDrive(np.zeros(n, dtype=complex))
-
-
 def drive_value(drive: DriveSignal, t: float):
     """Evaluate (f(t), f'(t)) for a drive."""
     if isinstance(drive, KickDrive):

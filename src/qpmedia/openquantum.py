@@ -19,12 +19,10 @@ from numpy.typing import NDArray
 
 from .errors import FrequencyNotCovered, ThermalSingularity
 from .phasespace import (
-    GaussianState, _lambda_at, _positive_finite, _thermal_cot, decompose_generator
+    GaussianState, _lambda_at, _positive_finite, _thermal_gate, _thermal_Q, decompose_generator
 )
 from .selfconsistent import auxiliary_response
-from .spectral import (
-    SINGULAR_A_COND_THRESHOLD, ExtendedOperator, _resolvent_x, _similarity_matrix, symplectic_form
-)
+from .spectral import SINGULAR_A_COND_THRESHOLD, ExtendedOperator, _resolvent_x, symplectic_form
 
 BOHR_GROUP_TOL = 1e-10
 
@@ -84,12 +82,6 @@ def correlation_time(ext: ExtendedOperator, state0: GaussianState, t: float):
     return _lambda_at(decompose_generator(ext), -t) @ _initial_moment_matrix(state0)
 
 
-def x_block(matrix: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Restrict a 4n x 4n phase-space matrix to the x rows/columns."""
-    N = matrix.shape[0] // 2
-    return matrix[N:, N:]
-
-
 def _check_eta(eta: float) -> None:
     """Reject a regularization eta that is negative or not finite."""
     if not 0 <= eta < np.inf:
@@ -107,7 +99,7 @@ def _x_sweep(ext: ExtendedOperator, omega_grid, eta: float, rhs_x, finish) -> Co
     written into one preallocated F x 2n x 2n array.
     """
     _check_eta(eta)
-    A = _similarity_matrix(ext)
+    A = ext.sim_A
     grid = np.asarray(omega_grid, dtype=float)
     N = A.shape[0]
     kappa = ext.kappa
@@ -139,10 +131,11 @@ def thermal_correlation(
     Xi(omega) = -hbar (z E + i J_B)^{-1} n_BE J on the x-block; the
     x-columns of n_BE J are the first 2n columns of n_BE, the only ones
     formed.  n_BE = -1/2 - (i/2) cot(hbar beta J_B / 2) makes them [-I/2; -(i/2) Q],
-    with Q and the gate of :func:`phasespace._thermal_cot`.  The set holds
+    with the gate of :func:`phasespace._thermal_gate` and Q alone, not the P
+    block that :func:`phasespace.thermal_state` also forms.  The set holds
     Xi alone; gamma and S are formed from it when read (:class:`CorrelationSet`).
     """
-    _, Q = _thermal_cot(ext, beta, hbar)
+    Q = _thermal_Q(*_thermal_gate(ext, beta, hbar))
     nbe_x = np.concatenate([-0.5 * np.eye(Q.shape[0]), -0.5j * Q])
     return _x_sweep(ext, omega_grid, eta, nbe_x, lambda z, x: -hbar * x)
 

@@ -15,14 +15,7 @@ from numpy.typing import NDArray
 
 from .errors import ThermalSingularity
 from .medium import DriveSignal, KickDrive, _extended_force, drive_value, spectral_amplitude
-from .spectral import (
-    SINGULAR_A_COND_THRESHOLD,
-    EigenSystem,
-    ExtendedOperator,
-    _attached_eig,
-    _resolvent_x,
-    _similarity_matrix,
-)
+from .spectral import SINGULAR_A_COND_THRESHOLD, EigenSystem, ExtendedOperator, _resolvent_x
 
 
 def _positive_finite(name: str, value: float) -> None:
@@ -62,13 +55,14 @@ class Propagator:
 
 
 def decompose_generator(ext: ExtendedOperator) -> EigenSystem:
-    """The eigensystem exp(J B t) is built on: sqrt_kappa's, attached to ``ext``.
+    """The eigensystem exp(J B t) is built on: ``ext.eig``, sqrt_kappa's.
 
     J B has the eigenvalues +/- i mu of sqrt_kappa's mu, and every function
     of it here is built on that 2n eigensystem (:func:`_lambda_at`); no 4n
-    eigensystem is decomposed.
+    eigensystem is decomposed.  A stage kept while perfbench counts and
+    times it (``phasespace.decompose_generator_calls``).
     """
-    return _attached_eig(ext)
+    return ext.eig
 
 
 def _has_zero_mode(eig: EigenSystem) -> bool:
@@ -147,21 +141,21 @@ def _kick_step(eig: EigenSystem, force, t0: float, t1: float):
     return np.concatenate([top, -bottom])
 
 
-def _thermal_cot(ext: ExtendedOperator, beta: float, hbar: float):
-    """The blocks P, Q of cot(hbar beta J B / 2) = [[0, P], [Q, 0]], through kappa.
+def _thermal_gate(ext: ExtendedOperator, beta: float, hbar: float):
+    """(eig, tanh(c mu)) for the blocks of cot(hbar beta J B / 2) = [[0, P], [Q, 0]].
 
     cot is odd and (J B)^2 = -diag(kappa^T, kappa) (:func:`_lambda_at`), so
     on the sqrt_kappa eigensystem (mu, V), with c = hbar beta / 2 and
     A = V V^T, P = -V^{-T} diag(mu coth(c mu)) V^{-1} and
-    Q = V diag(coth(c mu) / mu) V^T: no A, no solve, no J B eigensystem.
-    The one thermal gate raises ThermalSingularity on a zero mode
-    (:func:`_has_zero_mode`, at every beta and hbar) and on a pole,
+    Q = V diag(coth(c mu) / mu) V^T (:func:`_thermal_Q`): no A, no solve, no
+    J B eigensystem.  This one thermal gate raises ThermalSingularity on a
+    zero mode (:func:`_has_zero_mode`, at every beta and hbar) and on a pole,
     |tanh(c mu)| < 1e-12: near one |cosh| = 1 + O(1e-24), so that is the
     cotangent's |sinh| < 1e-12 max(1, |cosh|), without their overflow.
     """
     _positive_finite("beta", beta)
     _positive_finite("hbar", hbar)
-    eig = _attached_eig(ext)
+    eig = ext.eig
     mu = eig.values
     if _has_zero_mode(eig):
         raise ThermalSingularity(f"zero mode |mu| = {np.abs(mu).min():.3e} has no thermal state")
@@ -169,8 +163,13 @@ def _thermal_cot(ext: ExtendedOperator, beta: float, hbar: float):
     if np.any(np.abs(tanh) < 1e-12):
         worst = complex(mu[np.argmin(np.abs(tanh))])
         raise ThermalSingularity(f"coth singular: hbar*beta*mu/2 near i pi k for mu = {worst:.3e}")
-    V, Vi = eig.right_vectors, eig.inverse_vectors
-    return -(Vi.T * (mu / tanh)) @ Vi, (V / (tanh * mu)) @ V.T
+    return eig, tanh
+
+
+def _thermal_Q(eig: EigenSystem, tanh) -> NDArray:
+    """Q = V diag(coth(c mu) / mu) V^T from :func:`_thermal_gate`'s (eig, tanh)."""
+    V = eig.right_vectors
+    return (V / (tanh * eig.values)) @ V.T
 
 
 def _solve_A(A, b):
@@ -187,7 +186,7 @@ def _solve_A(A, b):
 
 def _drive_vector(ext: ExtendedOperator, drive):
     """J C_t = [A^{-1} F_t; 0] for the phase-space equations of motion."""
-    top = _solve_A(_similarity_matrix(ext), _extended_force(ext.damping, *drive))
+    top = _solve_A(ext.sim_A, _extended_force(ext.damping, *drive))
     return np.concatenate([top, np.zeros(top.size, dtype=complex)])
 
 
@@ -297,16 +296,19 @@ def consistent_mean(ext: ExtendedOperator, x0, xdot0) -> NDArray[np.complex128]:
     """Phase-space mean [pi; x] matching extended initial data (x0, x'0)."""
     x0 = np.asarray(x0, dtype=complex)
     xdot0 = np.asarray(xdot0, dtype=complex)
-    pi0 = np.linalg.solve(_similarity_matrix(ext), xdot0)
+    pi0 = np.linalg.solve(ext.sim_A, xdot0)
     return np.concatenate([pi0, x0])
 
 
 def thermal_state(ext: ExtendedOperator, beta: float, hbar: float) -> GaussianState:
     """Thermal Gaussian state: zero mean, covariance -(hbar / 2) cot(hbar beta J B / 2) J^T.
 
-    That is diag(-(hbar / 2) P, (hbar / 2) Q), with P, Q and the gate of :func:`_thermal_cot`.
+    That is diag(-(hbar / 2) P, (hbar / 2) Q), with P, Q and the gate of :func:`_thermal_gate`.
     """
-    P, Q = _thermal_cot(ext, beta, hbar)
+    eig, tanh = _thermal_gate(ext, beta, hbar)
+    Vi = eig.inverse_vectors
+    P = -(Vi.T * (eig.values / tanh)) @ Vi
+    Q = _thermal_Q(eig, tanh)
     zero = np.zeros_like(P)
     cov = np.block([[-(hbar / 2.0) * P, zero], [zero, (hbar / 2.0) * Q]])
     return GaussianState(mean=np.zeros(2 * P.shape[0], dtype=complex), cov=cov, hbar=hbar)
@@ -323,7 +325,7 @@ def mean_in_frequency(
     and the pi rows -i omega A^{-1} x: two 2n solves per grid point.  The
     A solve of a real medium is a real one (:func:`_solve_A`).
     """
-    A = _similarity_matrix(ext)
+    A = ext.sim_A
     omega_grid = np.asarray(omega_grid, dtype=float)
     N = A.shape[0]
     kappa = ext.kappa

@@ -150,10 +150,3 @@ def filter_intercept(ledger: ModeLedger, threshold: float):
     """Select modes whose |Re intercept| exceeds the threshold (inf selects none)."""
     check_threshold(threshold)
     return np.flatnonzero(np.abs(ledger.intercept.real) > threshold)
-
-
-def top_fraction_by_intercept(ledger: ModeLedger, fraction: float):
-    """Indices of the strongest-|Re intercept| modes, given a fraction."""
-    count = max(1, int(fraction * ledger.n_modes))
-    order = np.argsort(-np.abs(ledger.intercept.real), kind="stable")
-    return np.sort(order[:count])

@@ -19,7 +19,7 @@ from numpy.typing import NDArray
 from .constants import SPEED_OF_LIGHT_AU
 from .errors import LightConeSingularity, SingularAuxiliary
 from .medium import MediumSpec
-from .spectral import ExtendedOperator, _resolvent_x, _similarity_matrix
+from .spectral import ExtendedOperator, _resolvent_x
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
 
@@ -119,7 +119,7 @@ def scattering_rows(ext: ExtendedOperator, omega: float):
     columns: one 2n solve (:func:`spectral._resolvent_x`) against the first
     n columns of A, real for a real medium.
     """
-    A = _similarity_matrix(ext)
+    A = ext.sim_A
     n = ext.n
     rows = 1j * _resolvent_x(ext.kappa, omega, A[:, :n]).T
     L = auxiliary_response(ext, omega)

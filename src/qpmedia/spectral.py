@@ -5,15 +5,17 @@ The dynamics of the medium is encoded in the closed-form square root
     sqrt_kappa = i M,    M = [[0, -I], [K, 2 Gamma]],    kappa = -M M,
 
 whose spectrum carries every resonance of the damped equation of motion.
-An :class:`ExtendedOperator` stores only M, in the dtype of the medium's K
-and Gamma (float64 when real), derives sqrt_kappa and kappa on read, and
-keeps the one eigensystem of sqrt_kappa.  From its eigenvectors V we build
-the symmetric similarity matrix A = V V^T, with kappa = A kappa^T A^{-1},
-and the on-shell energy functional.  The quadratic-Hamiltonian generator
-J_B is built only when read, and no ``qpm`` command reads it: its
-spectrum is the +/- i image of sqrt_kappa's, and every function of it
-(exp(J_B t), the thermal cotangent) is built on the sqrt_kappa
-eigensystem through J_B^2 = -diag(kappa^T, kappa) (:mod:`phasespace`).
+An :class:`ExtendedOperator` is the one solver object of a medium.  It
+stores only M, in the dtype of the medium's K and Gamma (float64 when
+real), derives sqrt_kappa and kappa on read, and builds the one
+eigensystem of sqrt_kappa on first read.  From its eigenvectors V it
+builds, also on first read, the symmetric similarity matrix A = V V^T,
+with kappa = A kappa^T A^{-1}, which the on-shell energy functional reads.
+The quadratic-Hamiltonian generator J_B is built only when read too, and
+no ``qpm`` command reads it: its spectrum is the +/- i image of
+sqrt_kappa's, and every function of it (exp(J_B t), the thermal
+cotangent) is built on the sqrt_kappa eigensystem through
+J_B^2 = -diag(kappa^T, kappa) (:mod:`phasespace`).
 Every frequency sweep applies the resolvent (z E + i J_B)^{-1} through one
 helper, :func:`_resolvent_x`: its x rows come from one 2n solve of the Schur
 complement z^2 I - kappa, and no 4n matrix is factored.  Every
@@ -40,7 +42,7 @@ the trust threshold, A and J_B are shared by both routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -56,24 +58,22 @@ _SQRT2 = np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class ExtendedOperator:
-    """Extended-space operators of one medium.
+    """The solver object of one medium: its extended-space operators.
 
     Stored: ``root`` M = [[0, -I], [K, 2 Gamma]] (float64 for real K and
     Gamma, complex otherwise) and ``damping``, the medium's Gamma, for the
     drive and auxiliary channels.  Derived on read: ``n``, ``sqrt_kappa`` =
-    i M and ``kappa`` = -M M (:func:`medium.extended_kernel`).  ``sim_A``
-    and ``eig``, the sqrt_kappa eigensystem A is built from, are attached by
-    :func:`attach_similarity`; A is real for a real M.  Instances are
-    immutable and updated via ``replace``, which carries both.  ``gen_JB``
-    is built from A on first read and then kept; a replaced operator
-    builds its own.  No J_B eigensystem is kept, as every function of J_B
-    is built on ``eig``.
+    i M and ``kappa`` = -M M (:func:`medium.extended_kernel`).  Built on
+    first read and then kept: ``eig``, the sqrt_kappa eigensystem
+    (:func:`eigendecompose`); ``sim_A``, A from it (:func:`build_similarity`),
+    real for a real M; and ``gen_JB`` from A.  So an operator from
+    :func:`build_sqrt_kappa` serves every consumer and decomposes at most
+    once.  Instances are immutable; a ``replace``d copy builds its own.  No
+    J_B eigensystem is kept, as every function of J_B is built on ``eig``.
     """
 
     root: NDArray[np.float64] | NDArray[np.complex128]
     damping: NDArray[np.float64] | NDArray[np.complex128]
-    sim_A: NDArray[np.float64] | NDArray[np.complex128] | None = None
-    eig: EigenSystem | None = None
 
     @property
     def n(self) -> int:
@@ -89,14 +89,23 @@ class ExtendedOperator:
         return extended_kernel(self.root[n:, :n], 0.5 * self.root[n:, n:])
 
     @cached_property
+    def eig(self) -> EigenSystem:
+        """The sqrt_kappa eigensystem from :func:`eigendecompose`."""
+        return eigendecompose(self)
+
+    @cached_property
+    def sim_A(self) -> NDArray:
+        """A from :func:`build_similarity` on ``eig``."""
+        return build_similarity(self.eig)
+
+    @cached_property
     def gen_JB(self) -> NDArray:
         """J_B from :func:`build_JB`, real for a real M; no ``qpm`` command reads it."""
         return build_JB(self)
 
     def a_blocks(self):
         """The (A1, A2, A3) blocks of the similarity matrix."""
-        n = self.n
-        A = _similarity_matrix(self)
+        n, A = self.n, self.sim_A
         return A[:n, :n], A[:n, n:], A[n:, n:]
 
 
@@ -365,8 +374,14 @@ def build_similarity(eig: EigenSystem) -> NDArray:
     return A
 
 
-def attach_similarity(ext: ExtendedOperator, eig: EigenSystem) -> ExtendedOperator:
-    return replace(ext, sim_A=build_similarity(eig), eig=eig)
+def attach_similarity(ext: ExtendedOperator) -> ExtendedOperator:
+    """``ext`` itself, with ``ext.sim_A`` read once so that A is built.
+
+    A stage kept as :func:`prepare`'s A step while perfbench lists its time
+    (``spectral.attach_similarity_s``).
+    """
+    ext.sim_A
+    return ext
 
 
 def build_JB(ext: ExtendedOperator) -> NDArray:
@@ -376,7 +391,7 @@ def build_JB(ext: ExtendedOperator) -> NDArray:
     phase-space route adds no new resonances.  For a real medium A and
     kappa are real, and so are the solve and J_B.
     """
-    A = _similarity_matrix(ext)
+    A = ext.sim_A
     kappa = ext.kappa
     N = 2 * ext.n
     JB = np.zeros((2 * N, 2 * N), dtype=np.result_type(A, kappa))
@@ -386,27 +401,14 @@ def build_JB(ext: ExtendedOperator) -> NDArray:
 
 
 def attach_JB(ext: ExtendedOperator) -> ExtendedOperator:
-    """``ext`` itself, once A is attached: ``ext.gen_JB`` builds J_B on first read.
+    """``ext`` itself, with A read: ``ext.gen_JB`` builds J_B on first read.
 
-    A stage that builds nothing, kept as :func:`prepare`'s last step while
-    perfbench lists its time (``spectral.attach_JB_s``).
+    A stage that builds nothing after :func:`attach_similarity`, kept as
+    :func:`prepare`'s last step while perfbench lists its time
+    (``spectral.attach_JB_s``).
     """
-    _similarity_matrix(ext)
+    ext.sim_A
     return ext
-
-
-def _similarity_matrix(ext: ExtendedOperator) -> NDArray[np.complex128]:
-    """A of ``ext``: the one check that every consumer of A passes."""
-    if ext.sim_A is None:
-        raise ValueError("similarity matrix A not built; call spectral.prepare first")
-    return ext.sim_A
-
-
-def _attached_eig(ext: ExtendedOperator) -> EigenSystem:
-    """The sqrt_kappa eigensystem of ``ext``: the one check that its consumers pass."""
-    if ext.eig is None:
-        raise ValueError("sqrt_kappa eigensystem not built; call spectral.prepare first")
-    return ext.eig
 
 
 def _resolvent_x(kappa: NDArray, z: complex, rhs: NDArray) -> NDArray:
@@ -432,11 +434,15 @@ def _resolvent_x(kappa: NDArray, z: complex, rhs: NDArray) -> NDArray:
 
 
 def prepare(spec: MediumSpec) -> tuple[ExtendedOperator, EigenSystem]:
-    """Convenience chain: sqrt_kappa -> eigendecomposition -> A (J_B on read)."""
+    """``(ext, ext.eig)`` for ``spec``, with the eigensystem and A already built.
+
+    Each step reads one cached property, so that perfbench times each stage
+    on its own: ``ext.eig`` here, then A in :func:`attach_similarity`.  J_B
+    stays unbuilt until read.
+    """
     ext = build_sqrt_kappa(spec)
-    eig = eigendecompose(ext)
-    ext = attach_similarity(ext, eig)
-    ext = attach_JB(ext)
+    eig = ext.eig
+    ext = attach_JB(attach_similarity(ext))
     return ext, eig
 
 
@@ -447,7 +453,7 @@ def on_shell_energy(ext: ExtendedOperator, x) -> complex:
     0.5 pi^T A pi + 0.5 x^T A^{-1} kappa x vanishes identically; the return
     value is the numerical residual of that identity.
     """
-    A = _similarity_matrix(ext)
+    A = ext.sim_A
     x = np.asarray(x, dtype=complex)
     pi = 1j * np.linalg.solve(A, ext.sqrt_kappa @ x)
     kinetic = 0.5 * pi @ (A @ pi)
@@ -461,22 +467,3 @@ def symplectic_form(N: int) -> NDArray[np.float64]:
     J[:N, N:] = np.eye(N)
     J[N:, :N] = -np.eye(N)
     return J
-
-
-def characteristic_residual(spec: MediumSpec, omega: complex) -> float:
-    """Scaled singularity measure of omega^2 + 2 i omega Gamma - K.
-
-    Vanishing determinant means a vanishing smallest singular value, so the
-    residual is sigma_min over the natural magnitude of the matrix entries;
-    this stays meaningful for every size, including n = 1 where any
-    determinant normalized by row norms would degenerate to unity.
-    """
-    n = spec.n
-    M = (omega**2) * np.eye(n) + 2j * omega * spec.damping - spec.kernel
-    scale = (
-        abs(omega) ** 2
-        + 2.0 * abs(omega) * np.linalg.norm(spec.damping, 2)
-        + np.linalg.norm(spec.kernel, 2)
-    )
-    sigma_min = np.linalg.svd(M, compute_uv=False)[-1]
-    return float(sigma_min / max(scale, 1e-300))

@@ -9,7 +9,7 @@ from qpmedia.builders import (
     build_synthetic,
     hexagonal_disk,
 )
-from qpmedia.medium import simple_spec
+from qpmedia.medium import MediumSpec, simple_spec
 from qpmedia.spectral import DEFECTIVE_COND_THRESHOLD
 
 
@@ -65,6 +65,37 @@ def generator_function(ext, f):
     if not np.linalg.cond(V) <= DEFECTIVE_COND_THRESHOLD:
         return None
     return (V * f(lam)) @ np.linalg.inv(V)
+
+
+def seeded(ext, **cached):
+    """A fresh ``replace(ext)`` whose cached ``eig`` and ``sim_A`` are the given ones.
+
+    Injects a similarity gauge or an eigensystem that the operator would
+    not build itself; ``gen_JB`` is then built from them on first read.
+    """
+    assert set(cached) <= {"eig", "sim_A"}
+    out = replace(ext)
+    vars(out).update(cached)
+    return out
+
+
+def characteristic_residual(spec: MediumSpec, omega: complex) -> float:
+    """Scaled singularity measure of omega^2 + 2 i omega Gamma - K.
+
+    Vanishing determinant means a vanishing smallest singular value, so the
+    residual is sigma_min over the natural magnitude of the matrix entries;
+    this stays meaningful for every size, including n = 1 where any
+    determinant normalized by row norms would degenerate to unity.
+    """
+    n = spec.n
+    M = (omega**2) * np.eye(n) + 2j * omega * spec.damping - spec.kernel
+    scale = (
+        abs(omega) ** 2
+        + 2.0 * abs(omega) * np.linalg.norm(spec.damping, 2)
+        + np.linalg.norm(spec.kernel, 2)
+    )
+    sigma_min = np.linalg.svd(M, compute_uv=False)[-1]
+    return float(sigma_min / max(scale, 1e-300))
 
 
 @pytest.fixture

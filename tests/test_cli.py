@@ -253,7 +253,7 @@ class TestFilter:
 class TestPropagate:
     def test_matches_reference_integrator(self, tmp_path):
         from conftest import scalar_spec
-        from qpmedia.medium import integrate_reference_second_order, zero_drive
+        from qpmedia.medium import KickDrive, integrate_reference_second_order
 
         model = scalar_model(tmp_path, k=1.0, gamma=0.0)
         out = tmp_path / "traj.csv"
@@ -267,7 +267,7 @@ class TestPropagate:
         assert len(rows) == 51
         spec = scalar_spec(1.0, 0.0)
         t = np.arange(0.0, 5.0 + 1e-12, 1e-3)
-        oracle = integrate_reference_second_order(spec, zero_drive(1), [1.0], [0.0], t)
+        oracle = integrate_reference_second_order(spec, KickDrive(np.zeros(1)), [1.0], [0.0], t)
         for cells in rows[:: 10]:
             ti = float(cells[0])
             idx = int(round(ti / 1e-3))
@@ -608,6 +608,26 @@ class TestStartup:
         monkeypatch.chdir(tmp_path)
         argv, _ = self.COMMANDS[command]
         assert main([command, *argv]) == 0
+
+    @pytest.mark.parametrize("command", ["spectrum", "filter", "modes", "propagate", "field", "bath"])
+    def test_one_decomposition_per_command(self, command, tmp_path, monkeypatch):
+        # each command decomposes sqrt_kappa once, and only modes builds no A
+        from qpmedia import spectral
+
+        calls = {"eigendecompose": 0, "build_similarity": 0}
+        for name in calls:
+            real = getattr(spectral, name)
+
+            def counting(arg, name=name, real=real):
+                calls[name] += 1
+                return real(arg)
+
+            monkeypatch.setattr(spectral, name, counting)
+        self._command_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        argv, _ = self.COMMANDS[command]
+        assert main([command, *argv]) == 0
+        assert calls == {"eigendecompose": 1, "build_similarity": int(command != "modes")}
 
 
 class TestLazyExports:

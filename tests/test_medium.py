@@ -21,7 +21,6 @@ from qpmedia.medium import (
     simple_spec,
     spec_from_json,
     spec_to_json,
-    zero_drive,
 )
 
 
@@ -88,14 +87,14 @@ class TestSecondOrderIntegrator:
     def test_undamped_cosine(self):
         spec = scalar_spec(1.0, 0.0)
         t = np.arange(0.0, 10.0 + 1e-12, 1e-3)
-        traj = integrate_reference_second_order(spec, zero_drive(1), [1.0], [0.0], t)
+        traj = integrate_reference_second_order(spec, KickDrive(np.zeros(1)), [1.0], [0.0], t)
         assert np.abs(traj.u[:, 0] - np.cos(t)).max() < 1e-8
 
     def test_damped_closed_form(self):
         # roots of w^2 + i w - 2 give u = e^{-t/2}(cos + sin/sqrt7)
         spec = scalar_spec(2.0, 0.5)
         t = np.arange(0.0, 10.0 + 1e-12, 1e-3)
-        traj = integrate_reference_second_order(spec, zero_drive(1), [1.0], [0.0], t)
+        traj = integrate_reference_second_order(spec, KickDrive(np.zeros(1)), [1.0], [0.0], t)
         s7 = np.sqrt(7.0)
         exact = np.exp(-t / 2) * (np.cos(s7 * t / 2) + np.sin(s7 * t / 2) / s7)
         assert np.abs(traj.u[:, 0] - exact).max() < 1e-8
@@ -103,19 +102,19 @@ class TestSecondOrderIntegrator:
     def test_free_particle(self):
         spec = scalar_spec(0.0, 0.0)
         t = np.arange(0.0, 5.0 + 1e-12, 1e-3)
-        traj = integrate_reference_second_order(spec, zero_drive(1), [0.0], [1.0], t)
+        traj = integrate_reference_second_order(spec, KickDrive(np.zeros(1)), [0.0], [1.0], t)
         assert np.abs(traj.u[:, 0] - t).max() < 1e-10
 
     def test_unstable_overflow(self):
         spec = scalar_spec(-25.0, 0.0)
         t = np.arange(0.0, 300.0, 0.05)
         with pytest.raises(NonFinite):
-            integrate_reference_second_order(spec, zero_drive(1), [1.0], [0.0], t)
+            integrate_reference_second_order(spec, KickDrive(np.zeros(1)), [1.0], [0.0], t)
 
     def test_sample_access(self):
         spec = scalar_spec(1.0, 0.0)
         t = np.array([0.0, 0.1, 0.2])
-        traj = integrate_reference_second_order(spec, zero_drive(1), [1.0], [0.0], t)
+        traj = integrate_reference_second_order(spec, KickDrive(np.zeros(1)), [1.0], [0.0], t)
         assert len(traj) == 3
 
 
@@ -123,16 +122,16 @@ class TestExtendedIntegrator:
     def test_matches_direct(self):
         spec = scalar_spec(2.0, 0.5)
         t = np.arange(0.0, 10.0 + 1e-12, 1e-3)
-        direct = integrate_reference_second_order(spec, zero_drive(1), [1.0], [0.0], t)
+        direct = integrate_reference_second_order(spec, KickDrive(np.zeros(1)), [1.0], [0.0], t)
         x0, xdot0 = consistent_extended_ic(spec, [1.0], [0.0])
-        extended = integrate_reference_extended(spec, zero_drive(1), x0, xdot0, t)
+        extended = integrate_reference_extended(spec, KickDrive(np.zeros(1)), x0, xdot0, t)
         assert np.abs(extended.x[:, 0] - direct.u[:, 0]).max() < 1e-7
 
     def test_null_solution(self):
         spec = scalar_spec(2.0, 0.5)
         t = np.linspace(0.0, 5.0, 101)
         traj = integrate_reference_extended(
-            spec, zero_drive(1), np.zeros(2), np.zeros(2), t
+            spec, KickDrive(np.zeros(1)), np.zeros(2), np.zeros(2), t
         )
         assert np.abs(traj.x).max() == 0.0
 
@@ -143,7 +142,7 @@ class TestExtendedIntegrator:
         xdot0[1] = 0.0  # violates the constraint since K u0 != 0
         with pytest.raises(InconsistentInitialConditions):
             integrate_reference_extended(
-                spec, zero_drive(1), x0, xdot0, np.linspace(0, 1, 11)
+                spec, KickDrive(np.zeros(1)), x0, xdot0, np.linspace(0, 1, 11)
             )
 
     @pytest.mark.parametrize("seed", [11, 12, 13, 14])

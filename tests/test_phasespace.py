@@ -18,7 +18,6 @@ from qpmedia.medium import (
     integrate_reference_extended,
     integrate_reference_second_order,
     simple_spec,
-    zero_drive,
 )
 from qpmedia.openquantum import correlation_time, thermal_correlation
 from qpmedia.phasespace import (
@@ -222,7 +221,7 @@ class TestEvolveState:
         u0, v0 = rng.standard_normal(2), rng.standard_normal(2)
         x0, xdot0 = consistent_extended_ic(spec, u0, v0)
         fine = np.arange(0.0, 10.0 + 1e-12, 1e-3)
-        oracle = integrate_reference_extended(spec, zero_drive(2), x0, xdot0, fine)
+        oracle = integrate_reference_extended(spec, KickDrive(np.zeros(2)), x0, xdot0, fine)
         stride = 50
         means = propagate_mean(ext, None, consistent_mean(ext, x0, xdot0), fine[::stride])
         assert np.abs(means[:, 4:] - oracle.x[::stride]).max() < 1e-6
@@ -482,7 +481,7 @@ class TestQuadStep:
 class TestMeanInFrequency:
     def test_zero_drive(self, damped_scalar):
         ext, _ = prepare(damped_scalar)
-        out = mean_in_frequency(ext, zero_drive(1), [0.3, 0.9])
+        out = mean_in_frequency(ext, KickDrive(np.zeros(1)), [0.3, 0.9])
         assert np.abs(out).max() == 0.0
 
     def test_block_inversion_oracle(self, undamped_scalar):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-from dataclasses import replace
 from numpy.testing import assert_allclose
 
-from conftest import stable_spec
+from conftest import seeded, stable_spec
 from qpmedia.constants import SPEED_OF_LIGHT_AU
 from qpmedia.errors import LightConeSingularity, SingularAuxiliary
 from qpmedia.medium import MediumSpec, simple_spec
@@ -66,7 +65,7 @@ class TestAuxiliaryResponse:
         K = K @ K.T + 4 * np.eye(3)
         spec = simple_spec(K, np.zeros((3, 3)))
         ext, _ = prepare(spec)
-        ext_idgauge = replace(ext, sim_A=np.eye(6, dtype=complex))
+        ext_idgauge = seeded(ext, sim_A=np.eye(6, dtype=complex))
         for w in (0.0, 0.7, 2.2):
             L = auxiliary_response(ext_idgauge, w)
             assert np.abs(L - (-1j * w) * np.eye(3)).max() < 1e-12
@@ -75,7 +74,7 @@ class TestAuxiliaryResponse:
         K = np.eye(2) * 3.0
         spec = simple_spec(K, np.zeros((2, 2)))
         ext, _ = prepare(spec)
-        ext_idgauge = replace(ext, sim_A=np.eye(4, dtype=complex))
+        ext_idgauge = seeded(ext, sim_A=np.eye(4, dtype=complex))
         assert np.abs(auxiliary_response(ext_idgauge, 0.0)).max() < 1e-14
 
 

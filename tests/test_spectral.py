@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 from unittest import mock
 
 import numpy as np
@@ -8,7 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import assert_multiset_close, complex_spec, small_drude_disk, stable_spec
+from conftest import (
+    assert_multiset_close, characteristic_residual, complex_spec, seeded, small_drude_disk,
+    stable_spec,
+)
 from qpmedia.errors import DefectiveMatrix, ResonantFrequency, SingularSimilarity
 from qpmedia.medium import extended_kernel, simple_spec
 from qpmedia import builders, openquantum, phasespace, response, selfconsistent, spectral
@@ -21,7 +24,6 @@ from qpmedia.spectral import (
     build_JB,
     build_similarity,
     build_sqrt_kappa,
-    characteristic_residual,
     eigendecompose,
     on_shell_energy,
     prepare,
@@ -192,13 +194,48 @@ JB_CONSUMERS = {
 }
 
 
+def _bytes(result):
+    """dtype, shape and bytes of every array and scalar in a consumer's result.
+
+    Dataclasses are taken field by field through ``vars``, so an operator
+    shows its cached eigensystem and A next to its fields.
+    """
+    if result is None:
+        return None
+    if is_dataclass(result):
+        return {k: _bytes(v) for k, v in vars(result).items()}
+    if isinstance(result, tuple):
+        return [_bytes(v) for v in result]
+    a = np.asarray(result)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _check_bare_operator(monkeypatch, medium, call):
+    """``call`` on a bare build_sqrt_kappa operator equals it on a prepared one, byte for byte.
+
+    The bare operator builds its eigensystem on first read: one
+    eigendecompose call.
+    """
+    want = _bytes(call(prepare(medium())[0]))
+    calls = []
+    real = spectral.eigendecompose
+
+    def counting(ext):
+        calls.append(ext)
+        return real(ext)
+
+    monkeypatch.setattr(spectral, "eigendecompose", counting)
+    ext = build_sqrt_kappa(medium())
+    assert _bytes(call(ext)) == want
+    assert calls == [ext]
+
+
 @pytest.mark.parametrize("consumer", sorted(JB_CONSUMERS))
-def test_every_generator_consumer_needs_JB(consumer):
-    # exp(J_B t) of a medium with no zero mode, handed an operator that prepare
-    # has not made ready, is refused with a pointer to prepare
+def test_every_generator_consumer_needs_JB(consumer, monkeypatch):
+    # exp(J_B t) of a medium with no zero mode, handed a bare operator, reads
+    # the eigensystem that the operator builds on first read
     spec = stable_spec(seed=43, n=2)
-    with pytest.raises(ValueError, match="sqrt_kappa eigensystem not built; call spectral.prepare first"):
-        JB_CONSUMERS[consumer](build_sqrt_kappa(spec), spec)
+    _check_bare_operator(monkeypatch, lambda: spec, lambda ext: JB_CONSUMERS[consumer](ext, spec))
 
 
 _DISK_KICK = KickDrive(np.ones(7))
@@ -229,15 +266,8 @@ EIG_CONSUMERS = {
 
 
 @pytest.mark.parametrize("consumer", sorted(EIG_CONSUMERS))
-def test_every_sqrt_kappa_eigensystem_consumer_needs_it(consumer):
-    medium, call = EIG_CONSUMERS[consumer]
-    ext, _ = prepare(medium())
-    assert ext.eig is not None
-    # A and J_B attached: only the eigensystem is missing
-    with pytest.raises(ValueError, match="sqrt_kappa eigensystem not built; call spectral.prepare first"):
-        call(replace(ext, eig=None))
-    with pytest.raises(ValueError, match="sqrt_kappa eigensystem not built"):
-        call(build_sqrt_kappa(medium()))
+def test_every_sqrt_kappa_eigensystem_consumer_needs_it(consumer, monkeypatch):
+    _check_bare_operator(monkeypatch, *EIG_CONSUMERS[consumer])
 
 
 A_CONSUMERS = {
@@ -268,10 +298,10 @@ A_CONSUMERS = {
 
 
 @pytest.mark.parametrize("consumer", sorted(A_CONSUMERS))
-def test_every_similarity_consumer_needs_A(consumer):
+def test_every_similarity_consumer_needs_A(consumer, monkeypatch):
+    # A is built on first read from the eigensystem, itself built on first read
     spec = stable_spec(seed=43, n=2)
-    with pytest.raises(ValueError, match="similarity matrix A not built; call spectral.prepare first"):
-        A_CONSUMERS[consumer](build_sqrt_kappa(spec), spec)
+    _check_bare_operator(monkeypatch, lambda: spec, lambda ext: A_CONSUMERS[consumer](ext, spec))
 
 
 @pytest.mark.parametrize("medium", [lambda: stable_spec(seed=41, n=3), complex_spec])
@@ -285,8 +315,8 @@ def test_JB_is_built_on_first_read_from_the_attached_A(medium):
     JB = ext.gen_JB
     assert JB.dtype == want.dtype and np.array_equal(JB, want)
     assert ext.gen_JB is JB
-    # a replaced operator builds its own J_B from its own A
-    other = replace(ext, sim_A=2.0 * A)
+    # an operator seeded with another A builds its own J_B from that A
+    other = seeded(ext, sim_A=2.0 * A)
     assert other.gen_JB is not JB
     assert np.array_equal(other.gen_JB[:N, N:], np.linalg.solve(2.0 * A, kappa))
     assert np.array_equal(other.gen_JB[N:, :N], -2.0 * A)
@@ -309,8 +339,8 @@ def test_generator_is_decomposed_once_per_operator(monkeypatch):
     openquantum.correlation_time(ext, _vacuum(spec.n), 0.3)
     openquantum.correlation_time(ext, _vacuum(spec.n), 0.7)
     phasespace.propagator_at(ext, 0.5)
-    # a replaced operator carries the eigensystem too
-    phasespace.propagator_at(replace(ext, sim_A=ext.sim_A.copy()), 0.5)
+    # an operator seeded with the eigensystem decomposes nothing either
+    phasespace.propagator_at(seeded(ext, sim_A=ext.sim_A.copy(), eig=ext.eig), 0.5)
     assert calls == []
 
 
@@ -330,8 +360,8 @@ def test_kappa_route_decomposes_sqrt_kappa_once_per_operator(monkeypatch):
     phasespace.propagate_mean(ext, kick, np.zeros(28, dtype=complex), [0.0, 0.5, 1.0])
     phasespace.propagator_at(ext, 0.7, drive=kick)
     openquantum.correlation_time(ext, _vacuum(7), 0.3)
-    # a replaced operator carries the eigensystem: nothing is decomposed again
-    other = replace(ext, sim_A=ext.sim_A.copy())
+    # an operator seeded with the eigensystem: nothing is decomposed again
+    other = seeded(ext, sim_A=ext.sim_A.copy(), eig=ext.eig)
     assert other.eig is ext.eig
     phasespace.propagator_at(other, 0.7, drive=kick)
     assert calls == []
@@ -475,14 +505,15 @@ def test_real_basis_matches_complex_route(kind, seed, n):
     _check_against_complex_oracle(args, eig)
     if eig.defective:
         return
+    ext = seeded(ext, eig=eig)
     V = eig.right_vectors
     oracle_A = V @ V.T
     oracle_A = (oracle_A + oracle_A.T) / 2.0
     if np.linalg.cond(oracle_A) > SINGULAR_A_COND_THRESHOLD:
         with pytest.raises(SingularSimilarity):
-            attach_similarity(ext, eig)
+            attach_similarity(ext)
         return
-    ext = attach_JB(attach_similarity(ext, eig))
+    ext = attach_JB(attach_similarity(ext))
     assert ext.sim_A.dtype == np.float64 and ext.gen_JB.dtype == np.float64
     A = ext.sim_A
     assert np.linalg.norm(A - oracle_A) <= 1e-12 * np.linalg.norm(oracle_A)
@@ -726,7 +757,7 @@ def _complex_route(ext):
     JB = np.zeros((2 * N, 2 * N), dtype=complex)
     JB[:N, N:] = np.linalg.solve(A, ext.kappa)
     JB[N:, :N] = -A
-    ext = replace(ext, sim_A=A, eig=eig)
+    ext = seeded(ext, sim_A=A, eig=eig)
     # the J_B built on read from the complex A is this one, bit for bit
     assert np.array_equal(ext.gen_JB, JB)
     return ext
@@ -815,10 +846,9 @@ def test_near_critical_medium_has_a_singular_similarity():
     # Gamma^2 = K (1 - 1e-13): cond(V) ~ 6e6 is trusted, but A = W S W^T
     # carries cond(V)^2 and exceeds SINGULAR_A_COND_THRESHOLD
     ext = build_sqrt_kappa(simple_spec([[1.0 + 1e-13]], [[1.0]]))
-    eig = eigendecompose(ext)
-    assert not eig.defective
+    assert not ext.eig.defective
     with pytest.raises(SingularSimilarity, match="cond\\(A\\)"):
-        attach_similarity(ext, eig)
+        attach_similarity(ext)
 
 
 def _near_critical_medium(seed, n):
