@@ -19,9 +19,6 @@ _EXPORTS = {
         "MediumSpec",
         "MonochromaticDrive",
         "TabulatedDrive",
-        "build_extended_force",
-        "integrate_reference_extended",
-        "integrate_reference_second_order",
         "simple_spec",
         "spec_from_json",
         "spec_to_json",
@@ -29,11 +26,9 @@ _EXPORTS = {
     "spectral": (
         "EigenSystem",
         "ExtendedOperator",
-        "build_JB",
         "build_similarity",
         "build_sqrt_kappa",
         "eigendecompose",
-        "on_shell_energy",
         "prepare",
     ),
     "response": (
@@ -42,7 +37,6 @@ _EXPORTS = {
         "decompose_modes",
         "filter_eigenvalue",
         "filter_intercept",
-        "polarizability_direct",
         "reconstruct_spectrum",
     ),
     "phasespace": (
@@ -84,6 +78,14 @@ _EXPORTS = {
         "build_synthetic",
         "parse_xyz",
         "perturb_geometry",
+    ),
+    "oracles": (
+        "build_JB",
+        "build_extended_force",
+        "integrate_reference_extended",
+        "integrate_reference_second_order",
+        "on_shell_energy",
+        "polarizability_direct",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -50,8 +50,9 @@ _HEADER_COMMENT = f"# 1 Hartree = {HARTREE_TO_EV!r} eV"
 def _grid(lo: float, hi: float, step: float, quantity: str) -> np.ndarray:
     """The points lo, lo + step, ... up to hi of a ``quantity`` window.
 
-    An inverted window, a non-positive step and non-finite values raise a
-    ValueError that names the quantity, before any compute or file write.
+    An inverted window, a non-positive step, non-finite values and more
+    points than an array can index raise a ValueError that names the
+    quantity, before any compute or file write.
     """
     if not np.isfinite([lo, hi, step]).all():
         raise ValueError(f"{quantity} window bounds and step must be finite")
@@ -59,7 +60,10 @@ def _grid(lo: float, hi: float, step: float, quantity: str) -> np.ndarray:
         raise ValueError(f"{quantity} step must be positive")
     if hi < lo:
         raise ValueError(f"empty {quantity} window: maximum {hi!r} is below minimum {lo!r}")
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
+    span = (hi - lo) / step
+    if not span < np.iinfo(np.intp).max:
+        raise ValueError(f"{quantity} window has too many points: (max - min) / step = {span!r}")
+    count = int(np.floor(span + 1e-9)) + 1
     return lo + step * np.arange(count)
 
 

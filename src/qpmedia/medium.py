@@ -1,12 +1,11 @@
-"""Defining data of a classical polarizable medium and reference integrators.
+"""Defining data of a classical polarizable medium, its drives and its model file.
 
 A medium is a set of n polarization sources at frozen coordinates obeying
 
     u''(t) + 2 Gamma u'(t) + K u(t) + f(t) = 0,
 
-with K, Gamma arbitrary complex matrices.  The fixed-step RK4 integrators in
-this module are the brute-force oracle against which every other dynamics
-route in the package is validated.
+with K, Gamma arbitrary complex matrices.  The RK4 integrators that every
+dynamics route is checked against live in :mod:`oracles`.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import InconsistentInitialConditions, NonFinite, OutOfRange, UnsupportedDrive
+from .errors import OutOfRange, UnsupportedDrive
 
 _GEN_COORD_TOL = 1e-9
 
@@ -243,134 +242,12 @@ def spectral_amplitude(drive: DriveSignal) -> NDArray[np.complex128]:
 
 
 # ---------------------------------------------------------------------------
-# Extended force and trajectories
+# Extended coordinates
 # ---------------------------------------------------------------------------
 
 def _extended_force(damping, f, fdot):
     """F = [f; f' - 2 Gamma f], the drive (f, f') in the extended coordinates."""
     return np.concatenate([f, fdot - 2.0 * (damping @ f)])
-
-
-def build_extended_force(spec: MediumSpec, drive: DriveSignal, t: float):
-    """Extended-space force vector [f(t); f'(t) - 2 Gamma f(t)]."""
-    return _extended_force(spec.damping, *drive_value(drive, t))
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Time series of (u, v) samples."""
-
-    t: NDArray[np.float64]
-    u: NDArray[np.complex128]
-    v: NDArray[np.complex128]
-
-    def __len__(self) -> int:
-        return self.t.size
-
-
-@dataclass(frozen=True)
-class ExtendedTrajectory:
-    """Time series of the extended vector x = [u; v]."""
-
-    t: NDArray[np.float64]
-    x: NDArray[np.complex128]
-
-    def __len__(self) -> int:
-        return self.t.size
-
-
-def _rk4_sweep(matrix, y0, t_grid, force_at):
-    """Classical RK4 for y' = M y + c(t) over a fixed grid.
-
-    ``force_at`` maps a time to the inhomogeneity c(t).  Returns samples at
-    every grid point.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    out = np.empty((t_grid.size, y0.size), dtype=complex)
-    out[0] = y0
-    y = y0.astype(complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(t_grid.size - 1):
-            t = t_grid[i]
-            h = t_grid[i + 1] - t
-            c1 = force_at(t)
-            c2 = force_at(t + h / 2)
-            c4 = force_at(t + h)
-            k1 = matrix @ y + c1
-            k2 = matrix @ (y + h / 2 * k1) + c2
-            k3 = matrix @ (y + h / 2 * k2) + c2
-            k4 = matrix @ (y + h * k3) + c4
-            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            out[i + 1] = y
-    return out
-
-
-def _rk4_affine_sweep(matrix, const_force, y0, t_grid):
-    """RK4 specialization for autonomous linear systems.
-
-    For y' = M y + c with constant c and a uniform step, one RK4 step is an
-    affine map y -> Phi y + psi c; applying it repeatedly is algebraically
-    identical to the generic stepper and much faster.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    steps = np.diff(t_grid)
-    out = np.empty((t_grid.size, y0.size), dtype=complex)
-    out[0] = y0
-    y = y0.astype(complex)
-    eye = np.eye(y0.size, dtype=complex)
-    cache: dict[float, tuple] = {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, h in enumerate(steps):
-            key = float(h)
-            if key not in cache:
-                m2 = matrix @ matrix
-                m3 = m2 @ matrix
-                m4 = m3 @ matrix
-                phi = eye + h * matrix + h**2 / 2 * m2 + h**3 / 6 * m3 + h**4 / 24 * m4
-                psi = h * eye + h**2 / 2 * matrix + h**3 / 6 * m2 + h**4 / 24 * m3
-                cache[key] = (phi, psi @ const_force)
-            phi, drift = cache[key]
-            y = phi @ y + drift
-            out[i + 1] = y
-    return out
-
-
-def _check_finite(arr, what: str):
-    if not np.all(np.isfinite(arr.view(float))):
-        raise NonFinite(f"{what} overflowed; the spectrum is likely unstable")
-
-
-def integrate_reference_second_order(
-    spec: MediumSpec, drive: DriveSignal, u0, v0, t_grid
-) -> Trajectory:
-    """Fixed-step RK4 solution of the second-order medium equation.
-
-    The equation is rewritten as a first-order system in (u, u').  This is
-    the deterministic brute-force oracle for all dynamics modules.
-    """
-    n = spec.n
-    u0 = np.asarray(u0, dtype=complex).reshape(n)
-    v0 = np.asarray(v0, dtype=complex).reshape(n)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be strictly increasing")
-    mat = np.zeros((2 * n, 2 * n), dtype=complex)
-    mat[:n, n:] = np.eye(n)
-    mat[n:, :n] = -spec.kernel
-    mat[n:, n:] = -2.0 * spec.damping
-    y0 = np.concatenate([u0, v0])
-    if isinstance(drive, KickDrive):
-        f, _ = drive_value(drive, t_grid[0])
-        const = np.concatenate([np.zeros(n), -f])
-        ys = _rk4_affine_sweep(mat, const, y0, t_grid)
-    else:
-        def force_at(t):
-            f, _ = drive_value(drive, t)
-            return np.concatenate([np.zeros(n), -f])
-
-        ys = _rk4_sweep(mat, y0, t_grid, force_at)
-    _check_finite(ys, "second-order trajectory")
-    return Trajectory(t=t_grid, u=ys[:, :n], v=ys[:, n:])
 
 
 def consistent_extended_ic(
@@ -390,56 +267,6 @@ def consistent_extended_ic(
         accel = accel - f0
     xdot0 = np.concatenate([v0, accel])
     return x0, xdot0
-
-
-def integrate_reference_extended(
-    spec: MediumSpec,
-    drive: DriveSignal,
-    x0,
-    xdot0,
-    t_grid,
-) -> ExtendedTrajectory:
-    """RK4 integration of the velocity-independent extended equation.
-
-    Raises InconsistentInitialConditions when xdot0 violates the constraint
-    tying it to x0 by more than 1e-8 of its scale; ignoring that constraint
-    silently decouples the extended equation from the second-order one.
-    """
-    n = spec.n
-    x0 = np.asarray(x0, dtype=complex).reshape(2 * n)
-    xdot0 = np.asarray(xdot0, dtype=complex).reshape(2 * n)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be strictly increasing")
-
-    u0, v0 = x0[:n], x0[n:]
-    _, expected = consistent_extended_ic(spec, u0, v0, drive, t0=float(t_grid[0]))
-    scale = max(np.abs(expected).max(), np.abs(x0).max(), 1.0)
-    dev = np.abs(xdot0 - expected).max()
-    if dev > 1e-8 * scale:
-        raise InconsistentInitialConditions(
-            f"xdot0 deviates from the constraint by {dev:.3e} (scale {scale:.3e})"
-        )
-
-    kappa = extended_kernel(spec.kernel, spec.damping)
-    mat = np.zeros((4 * n, 4 * n), dtype=complex)
-    mat[: 2 * n, 2 * n :] = np.eye(2 * n)
-    mat[2 * n :, : 2 * n] = -kappa
-    y0 = np.concatenate([x0, xdot0])
-    if isinstance(drive, KickDrive):
-        const = np.concatenate(
-            [np.zeros(2 * n), -build_extended_force(spec, drive, t_grid[0])]
-        )
-        ys = _rk4_affine_sweep(mat, const, y0, t_grid)
-    else:
-        def force_at(t):
-            return np.concatenate(
-                [np.zeros(2 * n), -build_extended_force(spec, drive, t)]
-            )
-
-        ys = _rk4_sweep(mat, y0, t_grid, force_at)
-    _check_finite(ys, "extended trajectory")
-    return ExtendedTrajectory(t=t_grid, x=ys[:, : 2 * n])
 
 
 def extended_kernel(K, G) -> NDArray:
@@ -557,3 +384,13 @@ def spec_from_json(text: str) -> MediumSpec:
         source_kind=tuple(doc["source_kind"]),
         gen_coord_vector=_json_floats(doc, "gen_coord_vector", (n,)),
     )
+
+
+def __getattr__(name: str):
+    # perfbench/workloads.py imports the RK4 oracle from here; ROADMAP item
+    # 1(a) moves that import to qpmedia.oracles and deletes this shim
+    if name == "integrate_reference_second_order":
+        from .oracles import integrate_reference_second_order
+
+        return integrate_reference_second_order
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

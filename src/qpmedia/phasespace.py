@@ -86,7 +86,7 @@ def _sinc(x):
     return out
 
 
-def _lambda_at(eig: EigenSystem, t: float, rhs=None):
+def _lambda_at(eig: EigenSystem, t: float, top=None):
     """exp(J B t) from ``eig`` = decompose_generator(ext), the eigensystem (mu, V) of sqrt_kappa.
 
     J B = [[0, A^{-1} kappa], [-A, 0]] and kappa A = A kappa^T give
@@ -101,21 +101,22 @@ def _lambda_at(eig: EigenSystem, t: float, rhs=None):
     V^{-T} diag(cos) V^T, V^{-T} diag(mu sin mu t) V^{-1},
     -V diag(sin(mu t) / mu) V^T and V diag(cos) V^{-1}: no A and no solve.
 
-    With a vector ``rhs`` it returns exp(J B t) @ rhs from four 2n
+    With a 2n vector ``top`` it returns exp(J B t) @ [top; 0] from three 2n
     products, without forming the matrix; only the Delta_t quadrature passes
-    one.  Lambda_t of a grid point or of ``correlation_time`` is the matrix.
+    one, a drive vector (:func:`_drive_vector`).  Lambda_t of a grid point or
+    of ``correlation_time`` is the matrix.
     """
     V, Vi, mu = eig.right_vectors, eig.inverse_vectors, eig.values
     x = mu * t
     cos = np.cos(x)
     sin_mu = t * _sinc(x)
     mu_sin = mu * mu * sin_mu
-    if rhs is None:
+    if top is None:
         return np.block(
             [[(Vi.T * cos) @ V.T, (Vi.T * mu_sin) @ Vi], [-(V * sin_mu) @ V.T, (V * cos) @ Vi]]
         )
-    a, b = V.T @ rhs[: mu.size], Vi @ rhs[mu.size :]
-    return np.concatenate([Vi.T @ (cos * a + mu_sin * b), V @ (cos * b - sin_mu * a)])
+    a = V.T @ top
+    return np.concatenate([Vi.T @ (cos * a), V @ (-sin_mu * a)])
 
 
 def _kick_step(eig: EigenSystem, force, t0: float, t1: float):
@@ -185,9 +186,8 @@ def _solve_A(A, b):
 
 
 def _drive_vector(ext: ExtendedOperator, drive):
-    """J C_t = [A^{-1} F_t; 0] for the phase-space equations of motion."""
-    top = _solve_A(ext.sim_A, _extended_force(ext.damping, *drive))
-    return np.concatenate([top, np.zeros(top.size, dtype=complex)])
+    """A^{-1} F_t, the upper half of J C_t = [A^{-1} F_t; 0] (the lower half is zero)."""
+    return _solve_A(ext.sim_A, _extended_force(ext.damping, *drive))
 
 
 def _advance_delta(ext, eig: EigenSystem, drive, delta, t0, t1, quad_step: float):
@@ -195,7 +195,7 @@ def _advance_delta(ext, eig: EigenSystem, drive, delta, t0, t1, quad_step: float
 
     Each step takes Lambda_s J C_s at its two ends and its midpoint, the
     nodes of the RK4 step the reference integrators use.  Each node costs one
-    2n solve for J C_s and one action of exp(J B s) on that vector, four 2n
+    2n solve for J C_s and one action of exp(J B s) on that vector, three 2n
     products on ``eig`` (:func:`_lambda_at`); no 4n x 4n propagator is
     formed.  A step t1 < t0 integrates backward.  A kick on a medium with a
     zero mode (:func:`_has_zero_mode`) takes the closed form of

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import SingularEffectiveSigma, ZeroMode
+from .errors import DefectiveMatrix, SingularEffectiveSigma, ZeroMode
 from .phasespace import _positive_finite
 from .spectral import EigenSystem, _eigensystem, _normalize_columns, symplectic_form
 
@@ -88,8 +88,10 @@ def _paired_real_mode_matrix(eig: EigenSystem) -> EigenSystem | None:
     P1 = np.zeros((2 * n, 2 * n), dtype=complex)
     P1[:n, 0::2] = W[:n, np.where(is_top, first, second)]
     P1[n:, 1::2] = W[n:, np.where(is_top, second, first)]
-    paired = _eigensystem(np.repeat(mu.real[second], 2).astype(complex), _normalize_columns(P1))
-    return None if paired.defective else paired
+    try:
+        return _eigensystem(np.repeat(mu.real[second], 2).astype(complex), _normalize_columns(P1))
+    except DefectiveMatrix:
+        return None
 
 
 def build_pseudoboson(eig: EigenSystem, hbar: float = 1.0) -> PseudoBosonBasis:

@@ -1,9 +1,9 @@
 """Frequency-domain polarizability, eigenpair decomposition and filters.
 
-Two routes to Im alpha(omega) live here: a decomposition-free dense solve
-per frequency (the oracle) and the exact per-eigenvalue split into
+Im alpha(omega) comes from the exact per-eigenvalue split into
 absorptive/dispersive Lorentzian amplitudes, which enables reduced-order
-reconstruction from a filtered subset of modes.
+reconstruction from a filtered subset of modes.  The dense solve per
+frequency it is checked against is :func:`oracles.polarizability_direct`.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import SingularAtFrequency, UnsupportedDrive
-from .medium import DriveSignal, KickDrive, MediumSpec, _extended_force, spectral_amplitude
+from .errors import UnsupportedDrive
+from .medium import KickDrive, MediumSpec, _extended_force
 from .spectral import EigenSystem
 
 
@@ -43,30 +43,6 @@ class SpectrumTable:
     im_alpha: NDArray[np.float64]
     absorptive: NDArray[np.float64] | None = None
     dispersive: NDArray[np.float64] | None = None
-
-
-def polarizability_direct(
-    spec: MediumSpec, drive: DriveSignal, omega_grid
-) -> SpectrumTable:
-    """Im alpha(omega) by a dense LU solve at every grid point.
-
-    This route needs no eigendecomposition and is the reference the
-    reduced-order reconstruction is checked against.
-    """
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    f = spectral_amplitude(drive)
-    r = spec.gen_coord_vector
-    K, G = spec.kernel, spec.damping
-    eye = np.eye(spec.n, dtype=complex)
-    vals = []
-    for w in omega_grid:
-        M = (w**2) * eye + 2j * w * G - K
-        try:
-            u = np.linalg.solve(M, f)
-        except np.linalg.LinAlgError:
-            raise SingularAtFrequency(w) from None
-        vals.append(float((r @ u).imag))
-    return SpectrumTable(omega_grid=omega_grid, im_alpha=np.asarray(vals))
 
 
 def decompose_modes(eig: EigenSystem, spec: MediumSpec, drive: KickDrive) -> ModeLedger:
@@ -150,3 +126,13 @@ def filter_intercept(ledger: ModeLedger, threshold: float):
     """Select modes whose |Re intercept| exceeds the threshold (inf selects none)."""
     check_threshold(threshold)
     return np.flatnonzero(np.abs(ledger.intercept.real) > threshold)
+
+
+def __getattr__(name: str):
+    # perfbench/workloads.py imports the dense-LU oracle from here; ROADMAP
+    # item 1(a) moves that import to qpmedia.oracles and deletes this shim
+    if name == "polarizability_direct":
+        from .oracles import polarizability_direct
+
+        return polarizability_direct
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

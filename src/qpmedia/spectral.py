@@ -10,9 +10,9 @@ stores only M, in the dtype of the medium's K and Gamma (float64 when
 real), derives sqrt_kappa and kappa on read, and builds the one
 eigensystem of sqrt_kappa on first read.  From its eigenvectors V it
 builds, also on first read, the symmetric similarity matrix A = V V^T,
-with kappa = A kappa^T A^{-1}, which the on-shell energy functional reads.
-The quadratic-Hamiltonian generator J_B is built only when read too, and
-no ``qpm`` command reads it: its spectrum is the +/- i image of
+with kappa = A kappa^T A^{-1}.  The quadratic-Hamiltonian generator J_B
+(:func:`oracles.build_JB`) is built only when read too, and no ``qpm``
+command reads it: its spectrum is the +/- i image of
 sqrt_kappa's, and every function of it (exp(J_B t), the thermal
 cotangent) is built on the sqrt_kappa eigensystem through
 J_B^2 = -diag(kappa^T, kappa) (:mod:`phasespace`).
@@ -100,7 +100,9 @@ class ExtendedOperator:
 
     @cached_property
     def gen_JB(self) -> NDArray:
-        """J_B from :func:`build_JB`, real for a real M; no ``qpm`` command reads it."""
+        """J_B from :func:`oracles.build_JB`, real for a real M; no ``qpm`` command reads it."""
+        from .oracles import build_JB
+
         return build_JB(self)
 
     def a_blocks(self):
@@ -118,16 +120,15 @@ class EigenSystem:
     when the decomposed matrix is (see :func:`_eigensystem`); otherwise
     W = V and S = 1.
 
-    ``defective`` is set when cond(V) is not finite or exceeds
-    DEFECTIVE_COND_THRESHOLD; V^{-1} (``inverse_vectors``) is then not
-    computed, as V f(Lambda) V^{-1} can no longer be trusted.
+    Every EigenSystem is trusted: cond(V) is finite and at most
+    DEFECTIVE_COND_THRESHOLD, and ``inverse_vectors`` is V^{-1}
+    (:func:`_eigensystem`).
     """
 
     values: NDArray[np.complex128]
     right_vectors: NDArray[np.complex128]
-    inverse_vectors: NDArray[np.complex128] | None
+    inverse_vectors: NDArray[np.complex128]
     cond: float
-    defective: bool
     basis: NDArray[np.float64] | NDArray[np.complex128]
     signs: NDArray[np.float64]
 
@@ -149,12 +150,14 @@ def _eig(M):
 
 
 def _eigensystem(values, vectors, pairs=None) -> EigenSystem:
-    """The EigenSystem of (values, vectors); V is inverted only when trusted.
+    """The EigenSystem of (values, vectors), with V^{-1}.
 
     ``pairs`` from :func:`_eig` marks a real decomposed matrix.  W then keeps
     the real columns and takes sqrt(2) Re v, sqrt(2) Im v (S = +1, -1) for
     each conjugate pair, so cond(V) and V^{-1} = U^H W^{-1} come from a real
-    SVD and a real inverse.
+    SVD and a real inverse.  Raises DefectiveMatrix, before any inverse, when
+    cond(V) is not finite or exceeds DEFECTIVE_COND_THRESHOLD: V f(Lambda)
+    V^{-1} can then no longer be trusted.
     """
     basis, signs = vectors, np.ones(values.size)
     if pairs is not None:
@@ -164,17 +167,20 @@ def _eigensystem(values, vectors, pairs=None) -> EigenSystem:
         basis[:, second] = _SQRT2 * vectors.imag[:, first]
         signs[second] = -1.0
     cond = float(np.linalg.cond(basis))
-    defective = not (np.isfinite(cond) and cond <= DEFECTIVE_COND_THRESHOLD)
-    inverse = None
-    if not defective:
-        inverse = np.linalg.inv(basis)
-        if pairs is not None:
-            # rows of a pair in U^H W^{-1}: (w_first -/+ i w_second) / sqrt(2)
-            rows = (inverse[first] - 1j * inverse[second]) / _SQRT2
-            inverse = inverse.astype(complex)
-            inverse[first] = rows
-            inverse[second] = rows.conj()
-    return EigenSystem(values, vectors, inverse, cond, defective, basis, signs)
+    if not (np.isfinite(cond) and cond <= DEFECTIVE_COND_THRESHOLD):
+        raise DefectiveMatrix(
+            f"eigenvector condition number cond(V) = {cond:.3e} exceeds "
+            f"{DEFECTIVE_COND_THRESHOLD:.1e}: the medium is too close to a "
+            "non-diagonalizable point for its eigenvectors to be trusted"
+        )
+    inverse = np.linalg.inv(basis)
+    if pairs is not None:
+        # rows of a pair in U^H W^{-1}: (w_first -/+ i w_second) / sqrt(2)
+        rows = (inverse[first] - 1j * inverse[second]) / _SQRT2
+        inverse = inverse.astype(complex)
+        inverse[first] = rows
+        inverse[second] = rows.conj()
+    return EigenSystem(values, vectors, inverse, cond, basis, signs)
 
 
 def build_sqrt_kappa(spec: MediumSpec) -> ExtendedOperator:
@@ -332,14 +338,7 @@ def eigendecompose(ext: ExtendedOperator) -> EigenSystem:
         # raw column j sits at np.argsort(order)[j] after the sort
         pairs = np.argsort(order)[pairs]
     vectors = _normalize_columns(np.take(vectors, order, axis=1))
-    eig = _eigensystem(values[order], vectors, pairs)
-    if eig.defective:
-        raise DefectiveMatrix(
-            f"eigenvector condition number cond(V) = {eig.cond:.3e} exceeds "
-            f"{DEFECTIVE_COND_THRESHOLD:.1e}: the medium is too close to a "
-            "non-diagonalizable point for its eigenvectors to be trusted"
-        )
-    return eig
+    return _eigensystem(values[order], vectors, pairs)
 
 
 def build_similarity(eig: EigenSystem) -> NDArray:
@@ -347,8 +346,8 @@ def build_similarity(eig: EigenSystem) -> NDArray:
 
     A = V V^T = W S W^T is formed from the eigensystem's basis, so it is
     real for a real medium.  It is the difference of two symmetric rank-k
-    products and so exactly symmetric.  Raises DefectiveMatrix for a defective
-    V, and SingularSimilarity when cond(A) exceeds SINGULAR_A_COND_THRESHOLD.
+    products and so exactly symmetric.  Raises SingularSimilarity when
+    cond(A) exceeds SINGULAR_A_COND_THRESHOLD.
 
     S = diag(+/-1) is orthogonal, so ||A||_2 <= ||W||_2^2 and, from
     A^{-1} = W^{-T} S W^{-1}, ||A^{-1}||_2 <= ||W^{-1}||_2^2: cond(A) <=
@@ -359,11 +358,6 @@ def build_similarity(eig: EigenSystem) -> NDArray:
     two can disagree only where the SVD's own rounding, about m eps cond(A)
     relative, straddles the threshold.
     """
-    if eig.defective:
-        raise DefectiveMatrix(
-            f"cond(V) = {eig.cond:.3e} exceeds {DEFECTIVE_COND_THRESHOLD:.1e}: "
-            "A = V V^T needs a trusted eigenvector matrix"
-        )
     # sum_k S_k w_k w_k^T as two symmetric rank-k products
     plus, minus = eig.basis[:, eig.signs > 0], eig.basis[:, eig.signs < 0]
     A = plus @ plus.T - minus @ minus.T
@@ -382,22 +376,6 @@ def attach_similarity(ext: ExtendedOperator) -> ExtendedOperator:
     """
     ext.sim_A
     return ext
-
-
-def build_JB(ext: ExtendedOperator) -> NDArray:
-    """First-order symplectic generator [[0, A^{-1} kappa], [-A, 0]].
-
-    Its spectrum is the +/- i image of the sqrt_kappa spectrum, so the
-    phase-space route adds no new resonances.  For a real medium A and
-    kappa are real, and so are the solve and J_B.
-    """
-    A = ext.sim_A
-    kappa = ext.kappa
-    N = 2 * ext.n
-    JB = np.zeros((2 * N, 2 * N), dtype=np.result_type(A, kappa))
-    JB[:N, N:] = np.linalg.solve(A, kappa)
-    JB[N:, :N] = -A
-    return JB
 
 
 def attach_JB(ext: ExtendedOperator) -> ExtendedOperator:
@@ -444,21 +422,6 @@ def prepare(spec: MediumSpec) -> tuple[ExtendedOperator, EigenSystem]:
     eig = ext.eig
     ext = attach_JB(attach_similarity(ext))
     return ext, eig
-
-
-def on_shell_energy(ext: ExtendedOperator, x) -> complex:
-    """Quadratic energy evaluated with the on-shell momentum relation.
-
-    With pi = i A^{-1} sqrt_kappa x the time-independent Hamiltonian
-    0.5 pi^T A pi + 0.5 x^T A^{-1} kappa x vanishes identically; the return
-    value is the numerical residual of that identity.
-    """
-    A = ext.sim_A
-    x = np.asarray(x, dtype=complex)
-    pi = 1j * np.linalg.solve(A, ext.sqrt_kappa @ x)
-    kinetic = 0.5 * pi @ (A @ pi)
-    potential = 0.5 * x @ np.linalg.solve(A, ext.kappa @ x)
-    return complex(kinetic + potential)
 
 
 def symplectic_form(N: int) -> NDArray[np.float64]:

@@ -23,12 +23,7 @@ from qpmedia.builders import (
     uniform_field_kick,
 )
 from qpmedia.errors import InconsistentInitialConditions
-from qpmedia.medium import (
-    KickDrive,
-    consistent_extended_ic,
-    integrate_reference_extended,
-    integrate_reference_second_order,
-)
+from qpmedia.medium import KickDrive, consistent_extended_ic
 from qpmedia.openquantum import (
     SystemCoupling,
     classical_correlation,
@@ -36,6 +31,12 @@ from qpmedia.openquantum import (
     correlation_time,
     dissipator,
     thermal_correlation,
+)
+from qpmedia.oracles import (
+    integrate_reference_extended,
+    integrate_reference_second_order,
+    on_shell_energy,
+    polarizability_direct,
 )
 from qpmedia.phasespace import (
     GaussianState,
@@ -49,7 +50,6 @@ from qpmedia.response import (
     decompose_modes,
     filter_eigenvalue,
     filter_intercept,
-    polarizability_direct,
     reconstruct_spectrum,
 )
 from qpmedia.selfconsistent import auxiliary_response
@@ -57,7 +57,6 @@ from qpmedia.spectral import (
     build_similarity,
     build_sqrt_kappa,
     eigendecompose,
-    on_shell_energy,
     prepare,
     symplectic_form,
 )

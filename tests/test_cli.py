@@ -253,7 +253,8 @@ class TestFilter:
 class TestPropagate:
     def test_matches_reference_integrator(self, tmp_path):
         from conftest import scalar_spec
-        from qpmedia.medium import KickDrive, integrate_reference_second_order
+        from qpmedia.medium import KickDrive
+        from qpmedia.oracles import integrate_reference_second_order
 
         model = scalar_model(tmp_path, k=1.0, gamma=0.0)
         out = tmp_path / "traj.csv"
@@ -594,16 +595,26 @@ class TestStartup:
         loaded = self._modules_after(code, tmp_path, "qpmedia")
         assert loaded == str(sorted(self.CLI + [f"qpmedia.{m}" for m in layers]))
         assert "qpmedia.pseudoboson" not in loaded
+        assert "qpmedia.oracles" not in loaded
+
+    def test_layers_load_no_oracles(self, tmp_path):
+        code = "import qpmedia.medium, qpmedia.response, qpmedia.spectral"
+        assert "qpmedia.oracles" not in self._modules_after(code, tmp_path, "qpmedia")
+        # the benchmark still imports these two oracles from their former modules
+        from qpmedia import medium, oracles, response
+
+        assert medium.integrate_reference_second_order is oracles.integrate_reference_second_order
+        assert response.polarizability_direct is oracles.polarizability_direct
 
     @pytest.mark.parametrize("command", ["spectrum", "filter", "propagate", "field", "bath"])
     def test_command_builds_no_JB(self, command, tmp_path, monkeypatch):
         # prepare leaves J_B to its first read, and no command reads it
-        from qpmedia import spectral
+        from qpmedia import oracles
 
         def unused(ext):
             raise AssertionError(f"qpm {command} built J_B")
 
-        monkeypatch.setattr(spectral, "build_JB", unused)
+        monkeypatch.setattr(oracles, "build_JB", unused)
         self._command_inputs(tmp_path)
         monkeypatch.chdir(tmp_path)
         argv, _ = self.COMMANDS[command]
@@ -732,7 +743,8 @@ class TestPropagateFallback:
         return code, out
 
     def test_zero_mode_medium_matches_oracle(self, tmp_path, capsys):
-        from qpmedia.medium import KickDrive, integrate_reference_second_order
+        from qpmedia.medium import KickDrive
+        from qpmedia.oracles import integrate_reference_second_order
 
         spec = small_drude_disk()
         model = tmp_path / "disk.json"
@@ -885,6 +897,8 @@ class TestErrors:
             ("1", "2", "-0.1"),
             ("1", "nan", "0.1"),
             ("-inf", "1", "0.1"),
+            ("-1e308", "1e308", "1"),
+            ("0", "1", "1e-300"),
         ],
     )
     @pytest.mark.parametrize("subcommand", ["spectrum", "bath"])
@@ -905,7 +919,8 @@ class TestErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "t_max,t_step", [("-1", "0.1"), ("inf", "0.1"), ("nan", "0.1"), ("1", "0"), ("1", "inf")]
+        "t_max,t_step",
+        [("-1", "0.1"), ("inf", "0.1"), ("nan", "0.1"), ("1", "0"), ("1", "inf"), ("1e300", "1e-10")],
     )
     def test_bad_time_grid_rejected(self, model_file, tmp_path, capsys, t_max, t_step):
         out = tmp_path / "traj.csv"

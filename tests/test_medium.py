@@ -14,13 +14,15 @@ from qpmedia.medium import (
     MediumSpec,
     MonochromaticDrive,
     TabulatedDrive,
-    build_extended_force,
     consistent_extended_ic,
-    integrate_reference_extended,
-    integrate_reference_second_order,
     simple_spec,
     spec_from_json,
     spec_to_json,
+)
+from qpmedia.oracles import (
+    build_extended_force,
+    integrate_reference_extended,
+    integrate_reference_second_order,
 )
 
 

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from qpmedia.cli import main
-from qpmedia.medium import KickDrive, integrate_reference_second_order, spec_from_json
+from qpmedia.medium import KickDrive, spec_from_json
+from qpmedia.oracles import integrate_reference_second_order
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 

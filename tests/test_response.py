@@ -5,11 +5,11 @@ from numpy.testing import assert_allclose
 from conftest import stable_spec
 from qpmedia.errors import SingularAtFrequency, UnsupportedDrive
 from qpmedia.medium import KickDrive, MonochromaticDrive, simple_spec
+from qpmedia.oracles import polarizability_direct
 from qpmedia.response import (
     decompose_modes,
     filter_eigenvalue,
     filter_intercept,
-    polarizability_direct,
     reconstruct_spectrum,
 )
 from qpmedia.spectral import build_sqrt_kappa, eigendecompose

@@ -14,18 +14,17 @@ from conftest import (
 )
 from qpmedia.errors import DefectiveMatrix, ResonantFrequency, SingularSimilarity
 from qpmedia.medium import extended_kernel, simple_spec
-from qpmedia import builders, openquantum, phasespace, response, selfconsistent, spectral
+from qpmedia import builders, openquantum, oracles, phasespace, response, selfconsistent, spectral
 from qpmedia.medium import KickDrive
+from qpmedia.oracles import build_JB, on_shell_energy
 from qpmedia.spectral import (
     DEFECTIVE_COND_THRESHOLD,
     SINGULAR_A_COND_THRESHOLD,
     attach_JB,
     attach_similarity,
-    build_JB,
     build_similarity,
     build_sqrt_kappa,
     eigendecompose,
-    on_shell_energy,
     prepare,
 )
 
@@ -139,10 +138,8 @@ class TestSimilarity:
     def test_defective_eigensystem_rejected(self):
         # two nearly parallel eigenvectors: cond(V) ~ 4e10, past the threshold
         V = np.array([[1.0, 1.0], [0.0, 1e-10]], dtype=complex)
-        eig = spectral._eigensystem(np.array([1.0, 2.0], dtype=complex), V)
-        assert eig.defective and eig.inverse_vectors is None
         with pytest.raises(DefectiveMatrix, match=r"cond\(V\) = .* exceeds 1\.0e\+08"):
-            build_similarity(eig)
+            spectral._eigensystem(np.array([1.0, 2.0], dtype=complex), V)
 
     @pytest.mark.parametrize("seed", [31, 32, 33])
     def test_random_similarity_residual(self, seed):
@@ -451,36 +448,40 @@ def _random_real_medium(kind, seed, n):
 
 
 def _spy_eigensystem(decompose, ext):
-    """Run ``decompose(ext)`` and return the (values, vectors, pairs) and the
-    EigenSystem of its one ``_eigensystem`` call (also when it raises)."""
+    """Run ``decompose(ext)`` and return the (values, vectors, pairs) of its one
+    ``_eigensystem`` call (also when it raises)."""
     seen = {}
     constructor = spectral._eigensystem
 
     def spy(values, vectors, pairs=None):
         seen["args"] = (values, vectors, pairs)
-        seen["eig"] = constructor(values, vectors, pairs)
-        return seen["eig"]
+        return constructor(values, vectors, pairs)
 
     with mock.patch.object(spectral, "_eigensystem", spy):
         try:
             decompose(ext)
         except DefectiveMatrix:
             pass
-    return seen["args"], seen["eig"]
+    return seen["args"]
 
 
-def _check_against_complex_oracle(args, eig):
-    """The real basis reproduces cond(V), V^{-1} and the pairing of V."""
+def _check_against_complex_oracle(args):
+    """The real basis reproduces cond(V), V^{-1} and the pairing of V.
+
+    Returns the EigenSystem of ``args``, or None where cond(V) rejects it.
+    """
     _, V, pairs = args
     m = V.shape[0]
     partner = np.arange(m)
     partner[pairs[0]], partner[pairs[1]] = pairs[1], pairs[0]
     assert np.array_equal(V[:, partner], V.conj())
-    assert np.isrealobj(eig.basis)
     cond = np.linalg.cond(V)
-    assert eig.defective == (not (np.isfinite(cond) and cond <= DEFECTIVE_COND_THRESHOLD))
-    if eig.defective:
-        return
+    if not (np.isfinite(cond) and cond <= DEFECTIVE_COND_THRESHOLD):
+        with pytest.raises(DefectiveMatrix):
+            spectral._eigensystem(*args)
+        return None
+    eig = spectral._eigensystem(*args)
+    assert np.isrealobj(eig.basis)
     # the two routes round differently: cond(V) is held to the larger of 1e-10
     # and the first-order bound m eps cond(V) relative, and V^{-1} to the
     # larger of the oracle's residual and that bound
@@ -488,6 +489,7 @@ def _check_against_complex_oracle(args, eig):
     oracle = np.linalg.norm(np.linalg.inv(V) @ V - np.eye(m))
     got = np.linalg.norm(eig.inverse_vectors @ V - np.eye(m))
     assert got <= max(oracle, m * EPS * cond)
+    return eig
 
 
 @settings(max_examples=40, deadline=None)
@@ -501,9 +503,8 @@ def _check_against_complex_oracle(args, eig):
 def test_real_basis_matches_complex_route(kind, seed, n):
     spec = _random_real_medium(kind, seed, n)
     ext = build_sqrt_kappa(spec)
-    args, eig = _spy_eigensystem(eigendecompose, ext)
-    _check_against_complex_oracle(args, eig)
-    if eig.defective:
+    eig = _check_against_complex_oracle(_spy_eigensystem(eigendecompose, ext))
+    if eig is None:
         return
     ext = seeded(ext, eig=eig)
     V = eig.right_vectors
@@ -525,8 +526,7 @@ def test_real_basis_matches_complex_route(kind, seed, n):
     tol = max(1e-12, 2 * spec.n * EPS * np.linalg.cond(A)) if kind == "scalar" else 1e-12
     assert np.linalg.norm(X - oracle_X) <= tol * np.linalg.norm(oracle_X)
     # J_B: the real eigensolver, paired from its raw column adjacency
-    args = spectral._eig(ext.gen_JB)
-    _check_against_complex_oracle(args, spectral._eigensystem(*args))
+    _check_against_complex_oracle(spectral._eig(ext.gen_JB))
 
 
 def _loop_normalize_columns(vectors):
@@ -569,15 +569,16 @@ def _loop_eigendecompose(ext):
 
 def _check_vectorized_normalization(spec):
     ext = build_sqrt_kappa(spec)
-    want = _loop_eigendecompose(ext)
-    if want.defective:
+    try:
+        want = _loop_eigendecompose(ext)
+    except DefectiveMatrix:
         with pytest.raises(DefectiveMatrix):
             eigendecompose(ext)
         return
     got = eigendecompose(ext)
     for name in ("values", "right_vectors", "inverse_vectors", "basis", "signs"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert got.cond == want.cond and not got.defective
+    assert got.cond == want.cond
     assert got.right_vectors.flags.c_contiguous
 
 
@@ -655,11 +656,10 @@ def _check_scalar_route(spec, dims):
     from the dense 2n route, so it is held to that route numerically."""
     ext = build_sqrt_kappa(spec)
     del dims[:]
-    _, eig = _spy_eigensystem(eigendecompose, ext)
+    eig = eigendecompose(ext)
     assert dims == [spec.n]
     values, V = _parent_eigendecompose(ext)
     dense = spectral._eigensystem(values, V)
-    assert eig.defective == dense.defective
     scale = np.abs(values).max()
     assert_multiset_close(eig.values, values, tol=1e-12 * scale)
     m = values.size
@@ -679,7 +679,7 @@ def _check_scalar_route(spec, dims):
         gap = abs(ours.intercept[a].sum() - theirs.intercept[b].sum())
         assert gap <= 1e-10 * total
     grid = np.linspace(0.05, 1.2, 120) * np.abs(values.real).max()
-    direct = response.polarizability_direct(spec, kick, grid).im_alpha
+    direct = oracles.polarizability_direct(spec, kick, grid).im_alpha
     rebuilt = response.reconstruct_spectrum(ours, range(m), grid).im_alpha
     assert np.abs(rebuilt - direct).max() <= 1e-8 * np.abs(direct).max()
 
@@ -699,7 +699,8 @@ def test_critical_damping_is_defective_on_both_routes(kappa, gamma, monkeypatch)
     with pytest.raises(DefectiveMatrix):
         eigendecompose(ext)
     assert dims == [len(kappa)]
-    assert spectral._eigensystem(*_parent_eigendecompose(ext)).defective
+    with pytest.raises(DefectiveMatrix):
+        spectral._eigensystem(*_parent_eigendecompose(ext))
 
 
 def _off_scalar(case):
@@ -846,7 +847,7 @@ def test_near_critical_medium_has_a_singular_similarity():
     # Gamma^2 = K (1 - 1e-13): cond(V) ~ 6e6 is trusted, but A = W S W^T
     # carries cond(V)^2 and exceeds SINGULAR_A_COND_THRESHOLD
     ext = build_sqrt_kappa(simple_spec([[1.0 + 1e-13]], [[1.0]]))
-    assert not ext.eig.defective
+    assert ext.eig.cond <= DEFECTIVE_COND_THRESHOLD
     with pytest.raises(SingularSimilarity, match="cond\\(A\\)"):
         attach_similarity(ext)
 
