@@ -94,19 +94,18 @@ def _x_sweep(ext: ExtendedOperator, omega_grid, eta: float, rhs_x, finish) -> Co
     A column of the solution depends only on the same column of the
     right-hand side r, so only the 2n x-columns ``rhs_x`` are solved for.
     The x rows of (z E + i J_B)^{-1} r, z = omega + i eta, come from
-    :func:`spectral._resolvent_x`, with kappa and i A r_pi formed once for
-    the sweep; ``finish(z, x)`` maps each 2n x 2n block of them to Xi,
-    written into one preallocated F x 2n x 2n array.
+    :func:`spectral._resolvent_x`, with i A r_pi formed once for the sweep
+    and kappa once per operator; ``finish(z, x)`` maps each 2n x 2n block
+    of them to Xi, written into one preallocated F x 2n x 2n array.
     """
     _check_eta(eta)
     A = ext.sim_A
     grid = np.asarray(omega_grid, dtype=float)
     N = A.shape[0]
-    kappa = ext.kappa
     pi_term, r_x = 1j * (A @ rhs_x[:N]), rhs_x[N:]
     xi = np.empty((grid.size, N, N), dtype=complex)
     for i, z in enumerate(grid + 1j * eta):
-        xi[i] = finish(z, _resolvent_x(kappa, z, pi_term + z * r_x))
+        xi[i] = finish(z, _resolvent_x(ext, z, pi_term + z * r_x))
     return CorrelationSet(omega_grid=grid, xi=xi)
 
 
@@ -176,9 +175,9 @@ def classical_correlation(
 class SystemCoupling:
     """A small quantum system coupled to the medium sites.
 
-    ``site_potentials`` holds one Hermitian operator per source (the
-    electrostatic potential the system generates there); the auxiliary
-    channel operators follow from the medium's auxiliary response.
+    ``site_potentials`` holds one Hermitian dim x dim operator per medium
+    source (the electrostatic potential the system generates there); the
+    auxiliary channel operators follow from the medium's auxiliary response.
     """
 
     h_system: NDArray[np.complex128]
@@ -190,20 +189,18 @@ class SystemCoupling:
         h = np.asarray(self.h_system, dtype=complex)
         if not np.allclose(h, h.conj().T, atol=1e-12 * max(1.0, np.linalg.norm(h))):
             raise ValueError("system Hamiltonian must be Hermitian")
+        ops = tuple(np.asarray(a, dtype=complex) for a in self.site_potentials)
+        if len(ops) != self.medium.n or any(a.shape != h.shape for a in ops):
+            raise ValueError(
+                f"site_potentials must hold one {h.shape} operator per medium source"
+                f" ({self.medium.n}); got shapes {[a.shape for a in ops]}"
+            )
         object.__setattr__(self, "h_system", h)
-        object.__setattr__(
-            self,
-            "site_potentials",
-            tuple(np.asarray(a, dtype=complex) for a in self.site_potentials),
-        )
+        object.__setattr__(self, "site_potentials", ops)
 
     @property
     def dim(self) -> int:
         return self.h_system.shape[0]
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.site_potentials)
 
 
 @dataclass(frozen=True)
@@ -237,13 +234,11 @@ def bohr_decompose(coupling: SystemCoupling) -> BohrDecomposition:
 
 
 def _interp_tensor(grid, block, x: float):
-    """Linear interpolation of a matrix table along its grid axis.
+    """Linear interpolation of a matrix table along its non-decreasing grid axis.
 
     ``block(i)`` is the table's matrix at ``grid[i]``; only the two that
-    bracket ``x`` are read.
+    bracket ``x``, which must lie on the grid (:func:`_channels`), are read.
     """
-    if x < grid[0] or x > grid[-1]:
-        raise FrequencyNotCovered([x])
     i = int(np.searchsorted(grid, x, side="right"))
     i = min(max(i, 1), grid.size - 1)
     lo, hi = i - 1, i
@@ -271,12 +266,16 @@ def _channels(coupling: SystemCoupling, corr: CorrelationSet, part: int, bohr):
     (0: gamma, 1: S) interpolated there from its two bracketing grid
     points, so that sum_ab M_ab O_a^dagger X O_b = sum_b K_b X O_b.
 
-    ``bohr`` is decomposed if None; FrequencyNotCovered lists every Bohr
-    frequency off the grid.
+    ``bohr`` is decomposed if None.  Before any interpolation, a grid that
+    decreases anywhere raises ValueError, and FrequencyNotCovered lists every
+    Bohr frequency off the grid (all of them for an empty grid).
     """
     bohr = bohr_decompose(coupling) if bohr is None else bohr
     grid, hbar = corr.omega_grid, coupling.hbar
-    missing = [w / hbar for w in bohr.frequencies if not grid[0] <= w / hbar <= grid[-1]]
+    if np.any(np.diff(grid) < 0):
+        raise ValueError("corr.omega_grid must not decrease: sort the correlation grid")
+    lo, hi = (grid[0], grid[-1]) if grid.size else (np.inf, -np.inf)
+    missing = [w / hbar for w in bohr.frequencies if not lo <= w / hbar <= hi]
     if missing:
         raise FrequencyNotCovered(missing)
     for w in bohr.frequencies:

@@ -328,11 +328,10 @@ def mean_in_frequency(
     A = ext.sim_A
     omega_grid = np.asarray(omega_grid, dtype=float)
     N = A.shape[0]
-    kappa = ext.kappa
     out = np.empty((omega_grid.size, 2 * N), dtype=complex)
     f = spectral_amplitude(drive)
     for i, w in enumerate(omega_grid):
-        x = _resolvent_x(kappa, w, _extended_force(ext.damping, f, (-1j * w) * f))
+        x = _resolvent_x(ext, w, _extended_force(ext.damping, f, (-1j * w) * f))
         out[i, :N] = (-1j * w) * _solve_A(A, x)
         out[i, N:] = x
     return out

@@ -196,17 +196,17 @@ def coherent_params(basis: PseudoBosonBasis, alpha) -> BiCoherentParams:
     )
 
 
-def evolve_alpha(alpha, basis_or_eig, t: float):
+def evolve_alpha(alpha, basis: PseudoBosonBasis, t: float):
     """Coherent amplitude at time t plus the log of the global prefactor.
 
-    The prefactor is returned in log form because its modulus grows like
-    exp(-t tr Im sqrt(J)) for damped spectra.
+    ``alpha`` is a ladder amplitude of ``basis`` (:func:`coherent_params`),
+    so it evolves with the basis's own sqrt(J), which in the paired real
+    gauge differs from the eigensystem's values.  The prefactor is returned in
+    log form because its modulus grows like exp(-t tr Im sqrt(J)) for
+    damped spectra.
     """
     alpha = np.asarray(alpha, dtype=complex).ravel()
-    if hasattr(basis_or_eig, "sqrtJK"):
-        sqrtJ = basis_or_eig.sqrtJK
-    else:
-        sqrtJ = basis_or_eig.values
+    sqrtJ = basis.sqrtJK
     alpha_t = np.exp(-1j * t * sqrtJ) * alpha
     log_pref = -0.5j * t * np.sum(sqrtJ) - 0.5 * (
         np.sum(np.abs(alpha) ** 2) - np.sum(np.abs(alpha_t) ** 2)

@@ -80,8 +80,9 @@ def auxiliary_response(ext: ExtendedOperator, omega: float) -> NDArray[np.comple
     similarity gauge; the residual of the defining first-order relation is
     gauge independent and is what the tests pin down.
     """
-    A1, A2, A3 = ext.a_blocks()
-    shift = 1j * omega * np.eye(ext.n) + 2.0 * ext.damping
+    n, A = ext.n, ext.sim_A
+    A1, A2, A3 = A[:n, :n], A[:n, n:], A[n:, n:]
+    shift = 1j * omega * np.eye(n) + 2.0 * ext.damping
     lhs = A3 + shift @ A2
     rhs = A2.T + shift @ A1
     try:
@@ -121,7 +122,7 @@ def scattering_rows(ext: ExtendedOperator, omega: float):
     """
     A = ext.sim_A
     n = ext.n
-    rows = 1j * _resolvent_x(ext.kappa, omega, A[:, :n]).T
+    rows = 1j * _resolvent_x(ext, omega, A[:, :n]).T
     L = auxiliary_response(ext, omega)
     return rows[:, :n] + rows[:, n:] @ L
 

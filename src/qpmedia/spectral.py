@@ -7,20 +7,20 @@ The dynamics of the medium is encoded in the closed-form square root
 whose spectrum carries every resonance of the damped equation of motion.
 An :class:`ExtendedOperator` is the one solver object of a medium.  It
 stores only M, in the dtype of the medium's K and Gamma (float64 when
-real), derives sqrt_kappa and kappa on read, and builds the one
-eigensystem of sqrt_kappa on first read.  From its eigenvectors V it
-builds, also on first read, the symmetric similarity matrix A = V V^T,
-with kappa = A kappa^T A^{-1}.  The quadratic-Hamiltonian generator J_B
-(:func:`oracles.build_JB`) is built only when read too, and no ``qpm``
-command reads it: its spectrum is the +/- i image of
-sqrt_kappa's, and every function of it (exp(J_B t), the thermal
-cotangent) is built on the sqrt_kappa eigensystem through
-J_B^2 = -diag(kappa^T, kappa) (:mod:`phasespace`).
-Every frequency sweep applies the resolvent (z E + i J_B)^{-1} through one
-helper, :func:`_resolvent_x`: its x rows come from one 2n solve of the Schur
-complement z^2 I - kappa, and no 4n matrix is factored.  Every
-eigensystem comes from :func:`_eigensystem`, and A has this one
-construction: a medium whose V is not trusted (cond(V) above
+real), and derives sqrt_kappa on read.  On first read it builds kappa,
+checked there against the dense -M M, and the one eigensystem of
+sqrt_kappa.  From its eigenvectors V it builds, also on first read, the
+symmetric similarity matrix A = V V^T, with kappa = A kappa^T A^{-1}.  The
+quadratic-Hamiltonian generator J_B (:func:`oracles.build_JB`) is built
+only when read too, and no ``qpm`` command reads it: its spectrum is the
++/- i image of sqrt_kappa's, and every function of it (exp(J_B t), the
+thermal cotangent) is built on the sqrt_kappa eigensystem through
+J_B^2 = -diag(kappa^T, kappa) (:mod:`phasespace`).  Every frequency sweep
+applies the resolvent (z E + i J_B)^{-1} through one helper,
+:func:`_resolvent_x`: its x rows come from one 2n solve of the Schur
+complement z^2 I - kappa with the operator's one kappa, and no 4n matrix
+is factored.  Every eigensystem comes from :func:`_eigensystem`, and A has
+this one construction: a medium whose V is not trusted (cond(V) above
 DEFECTIVE_COND_THRESHOLD) raises DefectiveMatrix.
 
 For a real M all of this runs in real arithmetic: the real eigensolver
@@ -62,14 +62,15 @@ class ExtendedOperator:
 
     Stored: ``root`` M = [[0, -I], [K, 2 Gamma]] (float64 for real K and
     Gamma, complex otherwise) and ``damping``, the medium's Gamma, for the
-    drive and auxiliary channels.  Derived on read: ``n``, ``sqrt_kappa`` =
-    i M and ``kappa`` = -M M (:func:`medium.extended_kernel`).  Built on
-    first read and then kept: ``eig``, the sqrt_kappa eigensystem
-    (:func:`eigendecompose`); ``sim_A``, A from it (:func:`build_similarity`),
-    real for a real M; and ``gen_JB`` from A.  So an operator from
-    :func:`build_sqrt_kappa` serves every consumer and decomposes at most
-    once.  Instances are immutable; a ``replace``d copy builds its own.  No
-    J_B eigensystem is kept, as every function of J_B is built on ``eig``.
+    drive and auxiliary channels.  Derived on read: ``n`` and ``sqrt_kappa``
+    = i M.  Built on first read and then kept: ``kappa`` = -M M
+    (:func:`medium.extended_kernel`), checked there against the dense -M M;
+    ``eig``, the sqrt_kappa eigensystem (:func:`eigendecompose`); ``sim_A``,
+    A from it (:func:`build_similarity`), real for a real M; and ``gen_JB``
+    from A.  So an operator from :func:`build_sqrt_kappa` serves every
+    consumer, forms kappa once and decomposes at most once.  Instances are
+    immutable; a ``replace``d copy builds its own.  No J_B eigensystem is
+    kept, as every function of J_B is built on ``eig``.
     """
 
     root: NDArray[np.float64] | NDArray[np.complex128]
@@ -83,10 +84,22 @@ class ExtendedOperator:
     def sqrt_kappa(self) -> NDArray[np.complex128]:
         return 1j * self.root
 
-    @property
+    @cached_property
     def kappa(self) -> NDArray:
-        n = self.n
-        return extended_kernel(self.root[n:, :n], 0.5 * self.root[n:, n:])
+        """kappa from :func:`medium.extended_kernel`, checked against the dense -M M.
+
+        The relative Frobenius residual must be at most 1e-12; both norms are
+        taken of arrays divided by max|kappa|, so neither overflows for large K.
+        """
+        n, M = self.n, self.root
+        kappa = extended_kernel(M[n:, :n], 0.5 * M[n:, n:])
+        top = np.abs(kappa).max()
+        if top > 0:
+            scale = np.linalg.norm(kappa / top)
+            resid = np.linalg.norm((kappa + M @ M) / top)
+            if resid > 1e-12 * scale:
+                raise AssertionError(f"square identity violated: {resid / scale:.3e}")
+        return kappa
 
     @cached_property
     def eig(self) -> EigenSystem:
@@ -104,11 +117,6 @@ class ExtendedOperator:
         from .oracles import build_JB
 
         return build_JB(self)
-
-    def a_blocks(self):
-        """The (A1, A2, A3) blocks of the similarity matrix."""
-        n, A = self.n, self.sim_A
-        return A[:n, :n], A[:n, n:], A[n:, n:]
 
 
 @dataclass(frozen=True)
@@ -187,27 +195,13 @@ def build_sqrt_kappa(spec: MediumSpec) -> ExtendedOperator:
     """Assemble M = -i sqrt_kappa, complex when the medium holds K or Gamma so.
 
     The construction is total: K and Gamma may be complex, singular or
-    non-diagonalizable.  The square identity kappa = -M M is verified to a
-    relative Frobenius residual of 1e-12; both norms are taken of arrays
-    divided by max|kappa|, so neither overflows for large K.  -M M is taken
-    from M's blocks: its zero and identity blocks contribute exact copies
-    of K and 2 Gamma, so the only dense products are (2 Gamma) K and
-    (2 Gamma)^2, both of M's own slices.
+    non-diagonalizable.  Only M is formed: kappa and its square-identity
+    check wait for the first read of ``ext.kappa``.
     """
     n, K, G = spec.n, spec.kernel, spec.damping
     dtype = np.result_type(K, G)
     M = np.block([[np.zeros((n, n), dtype), -np.eye(n, dtype=dtype)], [K, 2.0 * G]])
-    ext = ExtendedOperator(root=M, damping=spec.damping)
-    kappa = ext.kappa
-    top = np.abs(kappa).max()
-    if top > 0:
-        k, g2 = M[n:, :n], M[n:, n:]
-        minus_square = np.block([[k, g2], [-(g2 @ k), k - g2 @ g2]])
-        scale = np.linalg.norm(kappa / top)
-        resid = np.linalg.norm((kappa - minus_square) / top)
-        if resid > 1e-12 * scale:
-            raise AssertionError(f"square identity violated: {resid / scale:.3e}")
-    return ext
+    return ExtendedOperator(root=M, damping=spec.damping)
 
 
 def _normalize_columns(vectors: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -389,9 +383,10 @@ def attach_JB(ext: ExtendedOperator) -> ExtendedOperator:
     return ext
 
 
-def _resolvent_x(kappa: NDArray, z: complex, rhs: NDArray) -> NDArray:
+def _resolvent_x(ext: ExtendedOperator, z: complex, rhs: NDArray) -> NDArray:
     """The x rows of (z E + i J_B)^{-1} r from one 2n solve: (z^2 I - kappa)^{-1} rhs.
 
+    kappa is the operator's cached ``ext.kappa``, so a sweep forms it once.
     For J_B = [[0, A^{-1} kappa], [-A, 0]], the Schur complement of the z E
     block (F. Zhang, ed., *The Schur Complement and Its Applications*,
     Springer 2005, ch. 1) is z^2 I - kappa, and with R its inverse the x
@@ -401,10 +396,10 @@ def _resolvent_x(kappa: NDArray, z: complex, rhs: NDArray) -> NDArray:
     ``rhs`` is i A r_pi + z r_x, formed by the caller.  The pi rows, where
     needed, follow from the second block row as i A^{-1} (r_x - z x).  The
     arithmetic is real when z, kappa and ``rhs`` are.  z^2 I - kappa is
-    singular exactly where
-    z E + i J_B is (z = +/- mu), and a singular solve raises
-    ResonantFrequency(Re z).
+    singular exactly where z E + i J_B is (z = +/- mu), and a singular solve
+    raises ResonantFrequency(Re z).
     """
+    kappa = ext.kappa
     try:
         return np.linalg.solve(z * z * np.eye(kappa.shape[0]) - kappa, rhs)
     except np.linalg.LinAlgError:
@@ -415,8 +410,8 @@ def prepare(spec: MediumSpec) -> tuple[ExtendedOperator, EigenSystem]:
     """``(ext, ext.eig)`` for ``spec``, with the eigensystem and A already built.
 
     Each step reads one cached property, so that perfbench times each stage
-    on its own: ``ext.eig`` here, then A in :func:`attach_similarity`.  J_B
-    stays unbuilt until read.
+    on its own: ``ext.eig`` here, then A in :func:`attach_similarity`.
+    kappa and J_B stay unbuilt until read.
     """
     ext = build_sqrt_kappa(spec)
     eig = ext.eig

@@ -255,7 +255,8 @@ def test_criterion_09_auxiliary_field():
         for seed in (10001, 10002, 10003):
             spec = stable_spec(seed=seed, n=4)
             ext, _ = prepare(spec)
-            A1, A2, A3 = ext.a_blocks()
+            A = ext.sim_A
+            A1, A2, A3 = A[:4, :4], A[:4, 4:], A[4:, 4:]
             G = spec.damping
             for w in rng.uniform(0.1, 3.0, size=3):
                 L = auxiliary_response(ext, w)

@@ -640,6 +640,26 @@ class TestStartup:
         assert main([command, *argv]) == 0
         assert calls == {"eigendecompose": 1, "build_similarity": int(command != "modes")}
 
+    @pytest.mark.parametrize("command", ["spectrum", "filter", "modes", "propagate", "field", "bath"])
+    def test_kappa_is_formed_only_by_commands_that_read_it(self, command, tmp_path, monkeypatch):
+        # kappa is built on its first read, once per operator: only the
+        # field and bath sweeps read it
+        from qpmedia import spectral
+
+        calls = []
+        real = spectral.extended_kernel
+
+        def counting(K, G):
+            calls.append(K.shape)
+            return real(K, G)
+
+        monkeypatch.setattr(spectral, "extended_kernel", counting)
+        self._command_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        argv, _ = self.COMMANDS[command]
+        assert main([command, *argv]) == 0
+        assert len(calls) == int(command in ("field", "bath"))
+
 
 class TestLazyExports:
     """``qpmedia`` resolves each public name from its module on first access."""

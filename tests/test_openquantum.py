@@ -473,3 +473,52 @@ class TestMasterEquationValues:
                 assert np.abs(h @ piece - piece @ h + w * piece).max() <= 1e-9 * scale
             total = sum(bohr.ops[w][alpha] for w in bohr.frequencies)
             assert np.abs(total - a_op).max() <= 1e-12 * np.linalg.norm(a_op, 2)
+
+
+class TestMasterEquationInputs:
+    SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+    @classmethod
+    def coupling(cls):
+        # a two-level system on the three sources of a synthetic medium
+        ext, _ = prepare(builders.build_synthetic(3, 5))
+        sites = tuple(0.1 * (k + 1) * cls.SIGMA_X for k in range(3))
+        return SystemCoupling(h_system=np.diag([0.0, 0.7]), site_potentials=sites, medium=ext)
+
+    def test_unordered_grid_is_refused(self):
+        cpl = self.coupling()
+        grid = np.linspace(-1.1, 1.1, 12)
+        grid[1:-1] = np.random.default_rng(0).permutation(grid[1:-1])
+        corr = thermal_correlation(cpl.medium, 1.0, 1.0, grid, 1e-3)
+        rho = np.eye(2, dtype=complex) / 2
+        for call in (lambda: lamb_shift(cpl, corr), lambda: dissipator(cpl, corr, rho)):
+            with pytest.raises(ValueError, match="omega_grid"):
+                call()
+
+    def test_empty_grid_misses_every_bohr_frequency(self):
+        cpl = self.coupling()
+        corr = thermal_correlation(cpl.medium, 1.0, 1.0, np.array([]), 1e-3)
+        with pytest.raises(FrequencyNotCovered) as info:
+            lamb_shift(cpl, corr)
+        assert info.value.missing == bohr_decompose(cpl).frequencies
+
+    def test_duplicated_node_interpolates_as_the_plain_grid(self):
+        cpl = self.coupling()
+        grid = np.linspace(-1.1, 1.1, 12)
+        # the Bohr frequency 0 lies between grid[5] and grid[6], and 0.7 on grid[9]
+        twice = np.sort(np.append(grid, grid[[6, 9]]))
+        rho = np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex)
+        plain, dup = (thermal_correlation(cpl.medium, 1.0, 1.0, g, 1e-3) for g in (grid, twice))
+        assert np.array_equal(lamb_shift(cpl, dup), lamb_shift(cpl, plain))
+        assert np.array_equal(dissipator(cpl, dup, rho), dissipator(cpl, plain, rho))
+
+    def test_one_operator_too_few_is_refused(self):
+        cpl = self.coupling()
+        with pytest.raises(ValueError, match="one \\(2, 2\\) operator per medium source \\(3\\)"):
+            SystemCoupling(cpl.h_system, cpl.site_potentials[:2], cpl.medium)
+
+    def test_wrongly_sized_operator_is_refused(self):
+        cpl = self.coupling()
+        sites = (*cpl.site_potentials[:2], np.eye(3))
+        with pytest.raises(ValueError, match="got shapes \\[\\(2, 2\\), \\(2, 2\\), \\(3, 3\\)\\]"):
+            SystemCoupling(cpl.h_system, sites, cpl.medium)

@@ -8,6 +8,7 @@ from conftest import (
     fock_quadratic_hamiltonian,
     pairing_integral_numeric,
     scalar_spec,
+    seeded,
     stable_spec,
 )
 from qpmedia.builders import build_synthetic
@@ -281,16 +282,16 @@ class TestFockTruncation:
 class TestEvolveAlpha:
     def test_identity_at_zero(self):
         spec = stable_spec(seed=205, n=2)
-        eig = eig_for(spec)
+        basis = build_pseudoboson(eig_for(spec))
         alpha = np.array([0.2, -0.4 + 0.1j, 0.0, 1.0])
-        alpha_t, logp = evolve_alpha(alpha, eig, 0.0)
+        alpha_t, logp = evolve_alpha(alpha, basis, 0.0)
         assert_allclose(alpha_t, alpha, rtol=0, atol=0)
         assert logp == 0.0
 
     def test_real_spectrum_is_unitary(self, undamped_scalar):
-        eig = eig_for(undamped_scalar)
+        basis = build_pseudoboson(eig_for(undamped_scalar))
         alpha = np.array([0.3, 0.7j])
-        alpha_t, logp = evolve_alpha(alpha, eig, 2.3)
+        alpha_t, logp = evolve_alpha(alpha, basis, 2.3)
         assert abs(np.linalg.norm(alpha_t) - np.linalg.norm(alpha)) < 1e-12
         assert abs(np.exp(logp).__abs__() - 1.0) < 1e-12
 
@@ -303,7 +304,7 @@ class TestEvolveAlpha:
         alpha = np.array([1.0, 1.0], dtype=complex)
         norms = []
         for t in (0.0, 0.5, 1.0, 2.0):
-            alpha_t, _ = evolve_alpha(alpha, eig, t)
+            alpha_t, _ = evolve_alpha(alpha, build_pseudoboson(eig), t)
             norms.append(np.linalg.norm(alpha_t))
         assert np.all(np.diff(norms) < 0)
 
@@ -314,8 +315,28 @@ class TestEvolveAlpha:
         eig = eig_for(spec)
         alpha = np.array([0.4, -0.3j])
         t = 1.7
-        alpha_t, logp = evolve_alpha(alpha, eig, t)
+        alpha_t, logp = evolve_alpha(alpha, build_pseudoboson(eig), t)
         expected = -0.5j * t * eig.values.sum() - 0.5 * (
             np.abs(alpha) ** 2 - np.abs(alpha_t) ** 2
         ).sum()
         assert abs(logp - expected) < 1e-12
+
+    def test_paired_gauge_evolves_with_the_basis_frequencies(self):
+        # the paired gauge lists sqrt(J) as 1.427, 1.427, 2.754, 2.754 where
+        # eig.values is -2.754, -1.427, 1.427, 2.754; its ladder rows are left
+        # eigenvectors of the J_B of the gauge's own A = P1 P1^T
+        from scipy.linalg import expm
+
+        ext = build_sqrt_kappa(build_synthetic(2, 3, "marginal"))
+        basis = build_pseudoboson(ext.eig)
+        assert basis.paired_real_gauge
+        P1 = basis.mode_matrix
+        JB = seeded(ext, sim_A=(P1 @ P1.T).real).gen_JB
+        q0 = np.random.default_rng(0).standard_normal(8)
+        ladder = np.roll(basis.b_coeff, 4, axis=1)  # columns [pi | x], as q0
+        t = 1.3
+        want = ladder @ expm(-JB * t) @ q0
+        alpha_t, _ = evolve_alpha(ladder @ q0, basis, t)
+        assert np.abs(alpha_t - want).max() < 1e-12 * np.abs(want).max()
+        # the eigensystem's values would evolve alpha by far more than rounding
+        assert np.abs(np.exp(-1j * t * ext.eig.values) * (ladder @ q0) - want).max() > 0.1

@@ -268,7 +268,6 @@ def test_every_sqrt_kappa_eigensystem_consumer_needs_it(consumer, monkeypatch):
 
 
 A_CONSUMERS = {
-    "a_blocks": lambda ext, spec: ext.a_blocks(),
     "auxiliary_response": lambda ext, spec: selfconsistent.auxiliary_response(ext, 0.5),
     "build_JB": lambda ext, spec: build_JB(ext),
     "attach_JB": lambda ext, spec: attach_JB(ext),
@@ -813,9 +812,35 @@ def test_complex_medium_keeps_a_complex_root():
     assert np.array_equal(ext.sqrt_kappa, 1j * ext.root)
 
 
+def test_kappa_is_built_once_per_operator(monkeypatch):
+    calls = []
+    real = spectral.extended_kernel
+
+    def counting(K, G):
+        calls.append(K.shape)
+        return real(K, G)
+
+    monkeypatch.setattr(spectral, "extended_kernel", counting)
+    spec = builders.build_synthetic(6, 2)
+    ext = build_sqrt_kappa(spec)
+    assert calls == []
+    kappa = ext.kappa
+    # every kappa reader takes the operator's cached one
+    selfconsistent.scattering_rows(ext, 0.5)
+    selfconsistent.scattering_rows(ext, 0.7)
+    phasespace.mean_in_frequency(ext, KickDrive(np.ones(6)), [0.4, 0.6])
+    openquantum.correlation_frequency(ext, _vacuum(6), [0.5, 0.6], 1e-3)
+    openquantum.classical_correlation(ext, 1.0, [0.5], 1e-3)
+    build_JB(ext)
+    on_shell_energy(ext, np.ones(12))
+    assert ext.kappa is kappa and calls == [(6, 6)]
+    # a replaced copy builds its own
+    assert np.array_equal(replace(ext).kappa, kappa) and len(calls) == 2
+
+
 def test_square_identity_check_catches_a_wrong_kappa(monkeypatch):
     spec = builders.build_synthetic(6, 2)
-    build_sqrt_kappa(spec)
+    build_sqrt_kappa(spec).kappa
 
     def perturbed(K, G):
         kappa = extended_kernel(K, G)
@@ -823,15 +848,16 @@ def test_square_identity_check_catches_a_wrong_kappa(monkeypatch):
         return kappa
 
     monkeypatch.setattr(spectral, "extended_kernel", perturbed)
+    ext = build_sqrt_kappa(spec)
     with pytest.raises(AssertionError, match="square identity"):
-        build_sqrt_kappa(spec)
+        ext.kappa
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_square_identity_check_runs_for_a_huge_kernel(monkeypatch):
     # ||kappa||_F^2 overflows at |K| ~ 1e160: the check scales before its norms
     spec = simple_spec(1e160 * np.array([[2.0, -1.0], [-1.0, 2.0]]), 0.1 * np.eye(2))
-    build_sqrt_kappa(spec)
+    build_sqrt_kappa(spec).kappa
 
     def perturbed(K, G):
         kappa = extended_kernel(K, G)
@@ -839,8 +865,9 @@ def test_square_identity_check_runs_for_a_huge_kernel(monkeypatch):
         return kappa
 
     monkeypatch.setattr(spectral, "extended_kernel", perturbed)
+    ext = build_sqrt_kappa(spec)
     with pytest.raises(AssertionError, match="square identity"):
-        build_sqrt_kappa(spec)
+        ext.kappa
 
 
 def test_near_critical_medium_has_a_singular_similarity():
@@ -932,18 +959,18 @@ def _resolvent_case(medium, z):
 @pytest.mark.parametrize("medium", sorted(RESOLVENT_MEDIA))
 def test_resolvent_x_rows_match_explicit_inverse(medium, z):
     ext, N, inverse = _resolvent_case(medium, z)
-    A, kappa, n = ext.sim_A, ext.kappa, ext.n
+    A, n = ext.sim_A, ext.n
     if medium == "drude-disk":
         assert np.abs(ext.eig.values).min() < 1e-15
     rng = np.random.default_rng(7)
     r = rng.standard_normal((2 * N, 3)) + 1j * rng.standard_normal((2 * N, 3))
-    x = spectral._resolvent_x(kappa, z, 1j * A @ r[:N] + z * r[N:])
+    x = spectral._resolvent_x(ext, z, 1j * A @ r[:N] + z * r[N:])
     assert _max_rel(x, (inverse @ r)[N:]) < 1e-12
     # pi rows for r_x = 0 (mean_in_frequency): -i z A^{-1} x
-    x = spectral._resolvent_x(kappa, z, 1j * A @ r[:N])
+    x = spectral._resolvent_x(ext, z, 1j * A @ r[:N])
     assert _max_rel(-1j * z * np.linalg.solve(A, x), inverse[:N, :N] @ r[:N]) < 1e-12
     # the u rows of the pi columns (scattering_rows) are transposed u columns
-    rows = 1j * spectral._resolvent_x(kappa, z, A[:, :n]).T
+    rows = 1j * spectral._resolvent_x(ext, z, A[:, :n]).T
     assert _max_rel(rows, inverse[N : N + n, :N]) < 1e-12
 
 
@@ -954,7 +981,7 @@ def test_classical_prefactor_from_x_rows(medium, z):
     ext, N, inverse = _resolvent_case(medium, z)
     beta = 1.3
     want = -np.linalg.inv(beta * 1j * ext.gen_JB)[N:] @ inverse[:, :N]
-    y_x = spectral._resolvent_x(ext.kappa, z, 1j * ext.sim_A)
+    y_x = spectral._resolvent_x(ext, z, 1j * ext.sim_A)
     assert _max_rel((z / beta) * np.linalg.solve(ext.kappa, y_x), want) < 1e-12
     got = openquantum.classical_correlation(ext, beta, [z.real], z.imag).xi[0]
     assert _max_rel(got, want) < 1e-12
@@ -964,4 +991,4 @@ def test_resolvent_x_raises_at_a_resonance():
     # kappa = 4 I for K = 4, Gamma = 0: z = 2 is a root of z^2 - kappa
     ext, _ = prepare(simple_spec([[4.0]], [[0.0]]))
     with pytest.raises(ResonantFrequency, match="omega=2.0"):
-        spectral._resolvent_x(ext.kappa, 2.0, np.ones(2))
+        spectral._resolvent_x(ext, 2.0, np.ones(2))
