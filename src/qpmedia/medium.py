@@ -23,6 +23,17 @@ from .errors import OutOfRange, UnsupportedDrive
 _GEN_COORD_TOL = 1e-9
 
 
+def _require_finite(name: str, values) -> None:
+    """Raise a ValueError that names ``name`` unless every entry of ``values`` is finite.
+
+    Each frequency, frequency grid, mean, covariance and plane wave is
+    checked where it enters, before any product with it, so that nan or inf
+    gives this error and not a nan table or an overflow warning.
+    """
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class MediumSpec:
     """The defining tuple of a polarizable medium.

@@ -17,12 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import FrequencyNotCovered, ThermalSingularity
+from .errors import FrequencyNotCovered
+from .medium import _require_finite
 from .phasespace import (
-    GaussianState, _lambda_at, _positive_finite, _thermal_gate, _thermal_Q, decompose_generator
+    GaussianState, _lambda_at, _positive_finite, _thermal_gate, _thermal_Q, _zero_mode_gate,
+    decompose_generator,
 )
 from .selfconsistent import auxiliary_response
-from .spectral import SINGULAR_A_COND_THRESHOLD, ExtendedOperator, _resolvent_x, symplectic_form
+from .spectral import ExtendedOperator, _resolvent_x, symplectic_form
 
 BOHR_GROUP_TOL = 1e-10
 
@@ -88,24 +90,25 @@ def _check_eta(eta: float) -> None:
         raise ValueError("eta must be non-negative and finite")
 
 
-def _x_sweep(ext: ExtendedOperator, omega_grid, eta: float, rhs_x, finish) -> CorrelationSet:
-    """Xi(omega) on the x-block, one 2n solve per grid frequency.
+def _x_sweep(ext: ExtendedOperator, omega_grid, eta: float, rhs_x, scale) -> CorrelationSet:
+    """Xi(omega) = ``scale`` (z E + i J_B)^{-1} r on the x-block, one 2n solve per frequency.
 
     A column of the solution depends only on the same column of the
     right-hand side r, so only the 2n x-columns ``rhs_x`` are solved for.
     The x rows of (z E + i J_B)^{-1} r, z = omega + i eta, come from
     :func:`spectral._resolvent_x`, with i A r_pi formed once for the sweep
-    and kappa once per operator; ``finish(z, x)`` maps each 2n x 2n block
-    of them to Xi, written into one preallocated F x 2n x 2n array.
+    and kappa once per operator.  Every route is a scalar multiple of them
+    (i, -hbar and i / beta), written into one preallocated F x 2n x 2n array.
     """
     _check_eta(eta)
     A = ext.sim_A
     grid = np.asarray(omega_grid, dtype=float)
+    _require_finite("omega_grid", grid)
     N = A.shape[0]
     pi_term, r_x = 1j * (A @ rhs_x[:N]), rhs_x[N:]
     xi = np.empty((grid.size, N, N), dtype=complex)
     for i, z in enumerate(grid + 1j * eta):
-        xi[i] = finish(z, _resolvent_x(ext, z, pi_term + z * r_x))
+        xi[i] = scale * _resolvent_x(ext, z, pi_term + z * r_x)
     return CorrelationSet(omega_grid=grid, xi=xi)
 
 
@@ -119,7 +122,7 @@ def correlation_frequency(
     """
     N = 2 * ext.n
     xi0 = _initial_moment_matrix(state0)
-    return _x_sweep(ext, omega_grid, eta, xi0[:, N:], lambda z, x: 1j * x)
+    return _x_sweep(ext, omega_grid, eta, xi0[:, N:], 1j)
 
 
 def thermal_correlation(
@@ -136,35 +139,25 @@ def thermal_correlation(
     """
     Q = _thermal_Q(*_thermal_gate(ext, beta, hbar))
     nbe_x = np.concatenate([-0.5 * np.eye(Q.shape[0]), -0.5j * Q])
-    return _x_sweep(ext, omega_grid, eta, nbe_x, lambda z, x: -hbar * x)
+    return _x_sweep(ext, omega_grid, eta, nbe_x, -hbar)
 
 
 def classical_correlation(
     ext: ExtendedOperator, beta: float, omega_grid, eta: float
 ) -> CorrelationSet:
-    """hbar -> 0 limit of the thermal correlations (scales as 1/beta).
+    """hbar -> 0 limit of :func:`thermal_correlation` (scales as 1/beta).
 
-    Xi(omega) = -(i beta J_B)^{-1} (z E + i J_B)^{-1} J on the x-block.  The
-    x rows of J_B^{-1} are [kappa^{-1} A, 0], and the pi rows of the
-    resolvent on J's x-columns are z R^T = z A^{-1} R A (A kappa^T = kappa A),
-    so Xi = (z / beta) kappa^{-1} y_x, with y_x = i R A the x rows of that
-    resolvent: one 2n inverse per sweep and no 4n matrix.  A kappa whose
-    cond exceeds SINGULAR_A_COND_THRESHOLD (the free charge mode of a Drude
-    medium) has no trusted inverse and raises ThermalSingularity.
+    As hbar -> 0, -hbar n_BE J tends to (i / beta) J_B^{-1} J, whose
+    x-columns are [0; q], q = V diag(mu^{-2}) V^T = kappa^{-1} A, the limit
+    of (hbar beta / 2) Q: the thermal sweep on the same eigensystem, with no
+    factorization or inverse of kappa, and refused by the same zero-mode
+    rule (:func:`phasespace._zero_mode_gate`).
     """
     _positive_finite("beta", beta)
-    N = 2 * ext.n
-    kappa = ext.kappa
-    cond = np.linalg.cond(kappa)
-    if not cond <= SINGULAR_A_COND_THRESHOLD:
-        raise ThermalSingularity(
-            f"cond(kappa) = {cond:.3e} exceeds {SINGULAR_A_COND_THRESHOLD:.1e}: "
-            "free modes of a singular kernel have no classical thermal state"
-        )
-    kappa_inv = np.linalg.inv(kappa)
-    return _x_sweep(
-        ext, omega_grid, eta, symplectic_form(N)[:, N:], lambda z, x: (z / beta) * (kappa_inv @ x)
-    )
+    eig = _zero_mode_gate(ext)
+    V = eig.right_vectors
+    q = (V / eig.values**2) @ V.T
+    return _x_sweep(ext, omega_grid, eta, np.concatenate([np.zeros_like(q), q]), 1j / beta)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import ThermalSingularity
-from .medium import DriveSignal, KickDrive, _extended_force, drive_value, spectral_amplitude
+from .medium import (
+    DriveSignal, KickDrive, _extended_force, _require_finite, drive_value, spectral_amplitude
+)
 from .spectral import SINGULAR_A_COND_THRESHOLD, EigenSystem, ExtendedOperator, _resolvent_x
 
 
@@ -38,6 +40,8 @@ class GaussianState:
         if cov.shape != (mean.size, mean.size):
             raise ValueError("covariance shape does not match the mean")
         _positive_finite("hbar", self.hbar)
+        _require_finite("mean", mean)
+        _require_finite("covariance", cov)
         asym = np.linalg.norm(cov - cov.T)
         scale = max(np.linalg.norm(cov), 1.0)
         if asym > 1e-10 * scale:
@@ -142,6 +146,15 @@ def _kick_step(eig: EigenSystem, force, t0: float, t1: float):
     return np.concatenate([top, -bottom])
 
 
+def _zero_mode_gate(ext: ExtendedOperator) -> EigenSystem:
+    """``ext.eig``, or ThermalSingularity on a zero mode: the thermal and classical routes' rule."""
+    eig = ext.eig
+    if _has_zero_mode(eig):
+        size = np.abs(eig.values).min()
+        raise ThermalSingularity(f"zero mode |mu| = {size:.3e} has no thermal state")
+    return eig
+
+
 def _thermal_gate(ext: ExtendedOperator, beta: float, hbar: float):
     """(eig, tanh(c mu)) for the blocks of cot(hbar beta J B / 2) = [[0, P], [Q, 0]].
 
@@ -150,16 +163,14 @@ def _thermal_gate(ext: ExtendedOperator, beta: float, hbar: float):
     A = V V^T, P = -V^{-T} diag(mu coth(c mu)) V^{-1} and
     Q = V diag(coth(c mu) / mu) V^T (:func:`_thermal_Q`): no A, no solve, no
     J B eigensystem.  This one thermal gate raises ThermalSingularity on a
-    zero mode (:func:`_has_zero_mode`, at every beta and hbar) and on a pole,
-    |tanh(c mu)| < 1e-12: near one |cosh| = 1 + O(1e-24), so that is the
-    cotangent's |sinh| < 1e-12 max(1, |cosh|), without their overflow.
+    zero mode (:func:`_zero_mode_gate`) and on a pole, |tanh(c mu)| < 1e-12:
+    near one |cosh| = 1 + O(1e-24), so that is the cotangent's
+    |sinh| < 1e-12 max(1, |cosh|), without their overflow.
     """
     _positive_finite("beta", beta)
     _positive_finite("hbar", hbar)
-    eig = ext.eig
+    eig = _zero_mode_gate(ext)
     mu = eig.values
-    if _has_zero_mode(eig):
-        raise ThermalSingularity(f"zero mode |mu| = {np.abs(mu).min():.3e} has no thermal state")
     tanh = np.tanh(hbar * beta * mu / 2.0)
     if np.any(np.abs(tanh) < 1e-12):
         worst = complex(mu[np.argmin(np.abs(tanh))])
@@ -327,6 +338,7 @@ def mean_in_frequency(
     """
     A = ext.sim_A
     omega_grid = np.asarray(omega_grid, dtype=float)
+    _require_finite("omega_grid", omega_grid)
     N = A.shape[0]
     out = np.empty((omega_grid.size, 2 * N), dtype=complex)
     f = spectral_amplitude(drive)

@@ -52,8 +52,10 @@ class PseudoBosonBasis:
 class BiCoherentParams:
     """Gaussian parameters of the bi-orthogonal coherent pair.
 
-    ``eff_sigma``/``eff_mu`` are the effective covariance and mean of the
-    pairing density; they are ``None`` when the defining matrix is singular
+    ``eff_sigma``/``eff_mu`` are the inverse Hessian and the stationary
+    point of log(psi_alpha / conj(psi_alpha)), whose Hessian is
+    Sigma^{-1} - conj(Sigma^{-1}); they are not the covariance and mean of
+    the density psi* phi.  Both are ``None`` when that Hessian is singular
     (the ordinary-boson limit, where the pair collapses to one state).
     """
 

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import UnsupportedDrive
-from .medium import KickDrive, MediumSpec, _extended_force
+from .medium import KickDrive, MediumSpec, _extended_force, _require_finite
 from .spectral import EigenSystem
 
 
@@ -75,6 +75,7 @@ def reconstruct_spectrum(
     selecting every mode reproduces the direct sweep exactly.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
+    _require_finite("omega_grid", omega_grid)
     selected = np.asarray(sorted(selected), dtype=int)
     m = omega_grid.size
     if selected.size == 0:

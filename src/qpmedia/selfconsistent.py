@@ -18,7 +18,7 @@ from numpy.typing import NDArray
 
 from .constants import SPEED_OF_LIGHT_AU
 from .errors import LightConeSingularity, SingularAuxiliary
-from .medium import MediumSpec
+from .medium import MediumSpec, _require_finite
 from .spectral import ExtendedOperator, _resolvent_x
 
 TWO_PI_CUBED = (2.0 * np.pi) ** 3
@@ -42,8 +42,7 @@ class PlaneWave:
             amp = amp[None]
         if amp.ndim != 2 or amp.shape[1] != 3:
             raise ValueError("amplitude must be a 3-vector or an (m, 3) table")
-        if not np.all(np.isfinite(amp)):
-            raise ValueError("plane-wave amplitude must be finite")
+        _require_finite("plane-wave amplitude", amp)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "amplitude", amp)
 
@@ -64,11 +63,11 @@ class FieldPlaneWaveSet:
 
     def __post_init__(self):
         grid = np.asarray(self.omega_grid, dtype=float)
+        _require_finite("omega_grid", grid)
         object.__setattr__(self, "omega_grid", grid)
         object.__setattr__(self, "waves", tuple(self.waves))
         for wave in self.waves:
-            if not np.all(np.isfinite(wave.k)):
-                raise ValueError("plane-wave k vector must be finite")
+            _require_finite("plane-wave k vector", wave.k)
             wave.amplitude_on(grid)
 
 
@@ -80,6 +79,7 @@ def auxiliary_response(ext: ExtendedOperator, omega: float) -> NDArray[np.comple
     similarity gauge; the residual of the defining first-order relation is
     gauge independent and is what the tests pin down.
     """
+    _require_finite("omega", omega)
     n, A = ext.n, ext.sim_A
     A1, A2, A3 = A[:n, :n], A[:n, n:], A[n:, n:]
     shift = 1j * omega * np.eye(n) + 2.0 * ext.damping
@@ -120,6 +120,7 @@ def scattering_rows(ext: ExtendedOperator, omega: float):
     columns: one 2n solve (:func:`spectral._resolvent_x`) against the first
     n columns of A, real for a real medium.
     """
+    _require_finite("omega", omega)
     A = ext.sim_A
     n = ext.n
     rows = 1j * _resolvent_x(ext, omega, A[:, :n]).T

@@ -461,3 +461,59 @@ class TestModelLoader:
         assert loaded.damping.dtype == np.complex128
         assert np.signbit(loaded.damping.real).ravel().tolist() == [True, False, False, True]
         assert np.signbit(loaded.damping.imag).ravel().tolist() == [False, True, False, True]
+
+
+
+def _non_finite_entry_points():
+    """{entry: (call(value), named quantity)} wherever a frequency, grid, mean or cov enters."""
+    from qpmedia import openquantum as oq
+    from qpmedia import selfconsistent as sc
+    from qpmedia.phasespace import GaussianState, mean_in_frequency
+    from qpmedia.response import decompose_modes, reconstruct_spectrum
+    from qpmedia.spectral import build_sqrt_kappa
+
+    spec = builders.build_synthetic(4, 1)
+    ext = build_sqrt_kappa(spec)
+    kick = KickDrive(np.ones(4))
+    vacuum = GaussianState(mean=np.zeros(16), cov=0.5 * np.eye(16))
+    wave = sc.PlaneWave(k=[0.01, 0.0, 0.0], amplitude=[0.0, 1.0, 0.0])
+    grid = "omega_grid"
+    return {
+        "thermal_correlation": (lambda v: oq.thermal_correlation(ext, 1.0, 1.0, [v], 1e-4), grid),
+        "correlation_frequency": (lambda v: oq.correlation_frequency(ext, vacuum, [v], 1e-4), grid),
+        "classical_correlation": (lambda v: oq.classical_correlation(ext, 1.0, [v], 1e-4), grid),
+        "mean_in_frequency": (lambda v: mean_in_frequency(ext, kick, [v]), grid),
+        "scattering_rows": (lambda v: sc.scattering_rows(ext, v), "omega"),
+        "auxiliary_response": (lambda v: sc.auxiliary_response(ext, v), "omega"),
+        "reconstruct_spectrum": (
+            lambda v: reconstruct_spectrum(decompose_modes(ext.eig, spec, kick), range(8), [v]),
+            grid,
+        ),
+        "emitted_field_first_order": (
+            lambda v: sc.emitted_field_first_order(
+                ext, spec, sc.FieldPlaneWaveSet(omega_grid=[v], waves=(wave,)), [[0.02, 0.0, 0.0]]
+            ),
+            grid,
+        ),
+        "GaussianState.mean": (lambda v: GaussianState(mean=[v, 0.0], cov=np.eye(2)), "mean"),
+        "GaussianState.cov": (
+            lambda v: GaussianState(mean=np.zeros(2), cov=np.full((2, 2), v)), "covariance"
+        ),
+    }
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "thermal_correlation", "correlation_frequency", "classical_correlation",
+        "mean_in_frequency", "scattering_rows", "auxiliary_response", "reconstruct_spectrum",
+        "emitted_field_first_order", "GaussianState.mean", "GaussianState.cov",
+    ],
+)
+def test_non_finite_input_is_named_before_any_product(entry, value):
+    # nan gave a silent nan table and inf an overflow warning; now one
+    # ValueError names the quantity (the suite turns RuntimeWarnings into errors)
+    call, name = _non_finite_entry_points()[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        call(value)

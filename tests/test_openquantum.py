@@ -4,9 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import fock_ladder, generator_function, scalar_spec, stable_spec
+from conftest import (
+    fock_ladder, generator_function, scalar_spec, small_drude_disk, stable_spec
+)
 from qpmedia import builders
 from qpmedia.errors import FrequencyNotCovered, ThermalSingularity
+from qpmedia.medium import simple_spec
 from qpmedia.openquantum import (
     SystemCoupling,
     _interp_tensor,
@@ -214,34 +217,69 @@ class TestThermalRoutes:
         assert_allclose(b.xi, a.xi / 2.0, rtol=1e-12)
 
     def test_classical_singular_kappa_raises(self):
-        # the n=7 Drude disk: its conserved-charge mode makes kappa singular
-        # (cond about 9e16), which the quantum route reports through J_B
-        params = builders.DrudeParams(
-            drude_factor=0.008, relaxation=0.004, gaussian_width=2.4,
-            tunneling_enabled=True, tunneling_d0=6.0, tunneling_steepness=10.0,
-        )
-        spec = builders.build_drude_charge_model(builders.hexagonal_disk(4.0, 2.434), params)
-        ext, _ = prepare(spec)
-        assert spec.n == 7
-        with pytest.raises(ThermalSingularity, match="cond\\(kappa\\)"):
+        # the n=7 Drude disk: its conserved-charge mode is a zero mode of
+        # sqrt_kappa, which both routes refuse by the one thermal rule
+        ext, _ = prepare(small_drude_disk())
+        with pytest.raises(ThermalSingularity, match="zero mode .* has no thermal state"):
             classical_correlation(ext, 1.0, [0.05], 1e-3)
-        with pytest.raises(ThermalSingularity):
+        with pytest.raises(ThermalSingularity, match="zero mode .* has no thermal state"):
             thermal_correlation(ext, 1.0, 1.0, [0.05], 1e-3)
+
+    @pytest.mark.parametrize("medium", ["disk", "below", "above"])
+    def test_classical_and_thermal_refuse_the_same_media(self, medium):
+        # min|mu|^2 / max|mu|^2 just below and just above 1e-12, from an
+        # undamped K = diag(sqrt(r), 1 / sqrt(r)) (cond(V) about 1e3)
+        if medium == "disk":
+            spec, refused = small_drude_disk(), True
+        else:
+            r = 1e-12 * (1.0 - 1e-3 if medium == "below" else 1.0 + 1e-3)
+            spec = simple_spec(np.diag([r**0.5, r**-0.5]), np.zeros((2, 2)))
+            refused = medium == "below"
+        ext, eig = prepare(spec)
+        if medium != "disk":
+            size = np.abs(eig.values)
+            assert (size.min() ** 2 / size.max() ** 2 < 1e-12) == refused
+        outcomes = []
+        for route in (
+            lambda: classical_correlation(ext, 1.0, [0.5], 1e-3),
+            lambda: thermal_correlation(ext, 1.0, 1.0, [0.5], 1e-3),
+        ):
+            try:
+                route()
+                outcomes.append(None)
+            except ThermalSingularity as err:
+                outcomes.append(str(err))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] is not None) == refused
 
     @pytest.mark.parametrize("n", [40, 64])
     def test_classical_well_conditioned_keeps_its_bits(self, n):
-        # cond(kappa) is about 4 here: the check before the inverse leaves
-        # every bit of (z / beta) kappa^{-1} y_x as it was
-        ext, _ = prepare(builders.build_synthetic(n, 1))
+        # the thermal sweep on the hbar -> 0 columns [0; V diag(mu^-2) V^T],
+        # bit for bit, and within 1e-13 of the kappa-inverse construction
+        # (z / beta) kappa^{-1} y_x that it replaced
+        ext, eig = prepare(builders.build_synthetic(n, 1))
         beta, eta, grid = 1.3, 1e-3, np.array([0.2, 0.9, 1.7])
-        kappa_inv = np.linalg.inv(ext.kappa)
-        want = _x_sweep(
-            ext, grid, eta, symplectic_form(2 * n)[:, 2 * n:],
-            lambda z, x: (z / beta) * (kappa_inv @ x),
-        )
+        V = eig.right_vectors
+        q = (V / eig.values**2) @ V.T
+        want = _x_sweep(ext, grid, eta, np.concatenate([np.zeros_like(q), q]), 1j / beta)
         got = classical_correlation(ext, beta, grid, eta)
         for name in ("xi", "gamma", "s_ls"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        kappa_inv = np.linalg.inv(ext.kappa)
+        y_x = _x_sweep(ext, grid, eta, symplectic_form(2 * n)[:, 2 * n:], 1.0).xi
+        old = np.array([(z / beta) * (kappa_inv @ y) for z, y in zip(grid + 1j * eta, y_x)])
+        assert np.linalg.norm(got.xi - old) <= 1e-13 * np.linalg.norm(old)
+
+    def test_classical_route_takes_no_dense_inverse(self, monkeypatch):
+        ext, _ = prepare(builders.build_synthetic(8, 1))  # eig and A, as every route reads them
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("classical_correlation called a dense cond or inverse")
+
+        monkeypatch.setattr(np.linalg, "cond", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        got = classical_correlation(ext, 1.3, [0.2, 0.9], 1e-3)
+        assert np.all(np.isfinite(got.xi))
 
     def test_thermal_singularity_propagates(self):
         spec = scalar_spec(1.0, 2.0)  # overdamped: real generator eigenvalues +/- i mu

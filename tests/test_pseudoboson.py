@@ -12,7 +12,7 @@ from conftest import (
     stable_spec,
 )
 from qpmedia.builders import build_synthetic
-from qpmedia.errors import ZeroMode
+from qpmedia.errors import SingularEffectiveSigma, ZeroMode
 from qpmedia.medium import simple_spec
 from qpmedia.pseudoboson import (
     biorthogonal_density,
@@ -169,6 +169,40 @@ class TestCoherentParams:
         assert_allclose(params.sigma_inv, -np.eye(2), atol=1e-12)
         assert_allclose(params.norm_product, 1.0 / np.pi, rtol=1e-12)
         assert params.eff_sigma is None  # ordinary-boson limit
+
+    def test_singular_pairing_matrix_is_refused(self):
+        # a kernel eigenvalue of 1e-12 (above the ZeroMode gate once damped)
+        # leaves the pairing integral matrix singular
+        Q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))
+        K = Q @ np.diag([1e-12, 1.0, 2.0, 3.0]) @ Q.T
+        G = 0.05 * np.eye(4) + 0.01 * np.diag(np.random.default_rng(1).uniform(size=4))
+        basis = build_pseudoboson(eig_for(simple_spec(K, G)))
+        with pytest.raises(SingularEffectiveSigma, match="pairing integral matrix is singular"):
+            coherent_params(basis, np.zeros(basis.n_modes))
+
+    def test_divergent_pairing_integral_is_refused(self):
+        base = build_synthetic(2, 0)
+        spec = simple_spec(base.kernel + 0.3j * np.eye(2), base.damping)
+        basis = build_pseudoboson(eig_for(spec))
+        with pytest.raises(SingularEffectiveSigma, match="diverges for this basis"):
+            coherent_params(basis, np.zeros(basis.n_modes))
+
+    def test_eff_fields_are_the_quadratic_fit_of_log_psi_over_its_conjugate(self):
+        # log(psi / conj psi) at real x is quadratic with Hessian
+        # Sigma^{-1} - conj(Sigma^{-1}); six values fix it, and its inverse
+        # Hessian and stationary point are eff_sigma and eff_mu
+        basis = build_pseudoboson(eig_for(simple_spec([[2.0]], [[0.3]])))
+        params = coherent_params(basis, np.array([0.3 + 0.1j, -0.2 + 0.05j]))
+        points = np.array([[0, 0], [0.1, 0], [0, 0.1], [-0.1, 0], [0, -0.1], [0.1, 0.1]])
+        design = np.array([[1, x, y, x * x / 2, x * y, y * y / 2] for x, y in points])
+        psi = np.array([psi_unnormalized(params, x) for x in points])
+        assert np.abs(np.angle(psi)).max() < 1.0  # no branch cut between the points
+        c = np.linalg.solve(design, np.log(psi / psi.conj()))
+        hessian = np.array([[c[3], c[4]], [c[4], c[5]]])
+        fit_sigma = np.linalg.inv(hessian)
+        fit_mu = -fit_sigma @ c[1:3]
+        assert np.abs(fit_sigma - params.eff_sigma).max() <= 1e-13 * np.abs(params.eff_sigma).max()
+        assert np.abs(fit_mu - params.eff_mu).max() <= 1e-13 * np.abs(params.eff_mu).max()
 
     def test_alpha_scaling_linear(self):
         spec = scalar_spec(2.0, 0.3)
