@@ -67,14 +67,6 @@ class ThermalSingularity(QpmError):
     """The thermal state does not exist: a zero mode, or a pole of coth(hbar beta mu / 2)."""
 
 
-class FrequencyNotCovered(QpmError):
-    """Bohr frequencies fall outside the tabulated correlation grid."""
-
-    def __init__(self, missing):
-        self.missing = tuple(missing)
-        super().__init__(f"correlation grid does not cover frequencies {self.missing!r}")
-
-
 class LightConeSingularity(QpmError):
     """A field query point sits exactly on the light cone."""
 

@@ -4,7 +4,8 @@ The medium acts as a non-Hermitian Gaussian environment.  Half-domain
 transforms of the two-time function <q(t) q(0)> resolve into a frequency-
 dependent decoherence matrix gamma and a Lamb-shift matrix S; combined with
 the Bohr decomposition of a small system's coupling operators they assemble
-the Markovian master equation.
+the Markovian master equation, which reads the thermal gamma and S at the
+system's own Bohr frequencies (one 2n solve each), with no frequency grid.
 
 Parameter domains: eta >= 0, beta > 0 and hbar > 0, all finite.  Anything
 else raises a ValueError that names the parameter before any solve.
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import FrequencyNotCovered
 from .medium import _require_finite
 from .phasespace import (
     GaussianState, _lambda_at, _positive_finite, _thermal_gate, _thermal_Q, _zero_mode_gate,
@@ -43,8 +43,9 @@ class CorrelationSet:
     decoherence matrix ``gamma`` = Xi + Xi^dagger and the Lamb-shift matrix
     ``s_ls`` = (Xi - Xi^dagger) / 2i are formed from it on every read and
     are exactly Hermitian at every grid point.  :meth:`at` forms them at
-    one grid point only, which is all that ``qpm bath``, :func:`lamb_shift`
-    and :func:`dissipator` read, so none of them holds a full gamma or S.
+    one grid point only, which is all that ``qpm bath`` and the master
+    equation (on a grid of its Bohr frequencies, :func:`_channels`) read, so
+    neither holds a full gamma or S.
     """
 
     omega_grid: NDArray[np.float64]
@@ -97,15 +98,17 @@ def _x_sweep(ext: ExtendedOperator, omega_grid, eta: float, rhs_x, scale) -> Cor
     right-hand side r, so only the 2n x-columns ``rhs_x`` are solved for.
     The x rows of (z E + i J_B)^{-1} r, z = omega + i eta, come from
     :func:`spectral._resolvent_x`, with i A r_pi formed once for the sweep
-    and kappa once per operator.  Every route is a scalar multiple of them
-    (i, -hbar and i / beta), written into one preallocated F x 2n x 2n array.
+    (and not at all when r_pi is zero, as on the classical route, which then
+    reads no A) and kappa once per operator.  Every route is a scalar
+    multiple of them (i, -hbar and i / beta), written into one preallocated
+    F x 2n x 2n array.
     """
     _check_eta(eta)
-    A = ext.sim_A
     grid = np.asarray(omega_grid, dtype=float)
     _require_finite("omega_grid", grid)
-    N = A.shape[0]
-    pi_term, r_x = 1j * (A @ rhs_x[:N]), rhs_x[N:]
+    N = 2 * ext.n
+    r_pi, r_x = rhs_x[:N], rhs_x[N:]
+    pi_term = 1j * (ext.sim_A @ r_pi) if r_pi.any() else 0
     xi = np.empty((grid.size, N, N), dtype=complex)
     for i, z in enumerate(grid + 1j * eta):
         xi[i] = scale * _resolvent_x(ext, z, pi_term + z * r_x)
@@ -164,6 +167,11 @@ def classical_correlation(
 # System coupling and master equation
 # ---------------------------------------------------------------------------
 
+def _is_hermitian(h) -> bool:
+    """h = h^dagger to 1e-12 of max(1, ||h||_F), the rule for every SystemCoupling operator."""
+    return np.allclose(h, h.conj().T, atol=1e-12 * max(1.0, np.linalg.norm(h)))
+
+
 @dataclass(frozen=True)
 class SystemCoupling:
     """A small quantum system coupled to the medium sites.
@@ -179,8 +187,9 @@ class SystemCoupling:
     hbar: float = 1.0
 
     def __post_init__(self):
+        _positive_finite("hbar", self.hbar)
         h = np.asarray(self.h_system, dtype=complex)
-        if not np.allclose(h, h.conj().T, atol=1e-12 * max(1.0, np.linalg.norm(h))):
+        if not _is_hermitian(h):
             raise ValueError("system Hamiltonian must be Hermitian")
         ops = tuple(np.asarray(a, dtype=complex) for a in self.site_potentials)
         if len(ops) != self.medium.n or any(a.shape != h.shape for a in ops):
@@ -188,6 +197,9 @@ class SystemCoupling:
                 f"site_potentials must hold one {h.shape} operator per medium source"
                 f" ({self.medium.n}); got shapes {[a.shape for a in ops]}"
             )
+        bad = [k for k, a in enumerate(ops) if not _is_hermitian(a)]
+        if bad:
+            raise ValueError(f"site_potentials must be Hermitian; not at sources {bad}")
         object.__setattr__(self, "h_system", h)
         object.__setattr__(self, "site_potentials", ops)
 
@@ -226,21 +238,6 @@ def bohr_decompose(coupling: SystemCoupling) -> BohrDecomposition:
     return BohrDecomposition(frequencies=tuple(ops), ops=ops)
 
 
-def _interp_tensor(grid, block, x: float):
-    """Linear interpolation of a matrix table along its non-decreasing grid axis.
-
-    ``block(i)`` is the table's matrix at ``grid[i]``; only the two that
-    bracket ``x``, which must lie on the grid (:func:`_channels`), are read.
-    """
-    i = int(np.searchsorted(grid, x, side="right"))
-    i = min(max(i, 1), grid.size - 1)
-    lo, hi = i - 1, i
-    if grid[hi] == grid[lo]:
-        return block(lo)
-    w = (x - grid[lo]) / (grid[hi] - grid[lo])
-    return (1.0 - w) * block(lo) + w * block(hi)
-
-
 def coupling_operators(coupling: SystemCoupling, bohr: BohrDecomposition, freq_energy: float):
     """Direct and auxiliary channel operators at one Bohr energy, stacked.
 
@@ -253,52 +250,55 @@ def coupling_operators(coupling: SystemCoupling, bohr: BohrDecomposition, freq_e
     return np.concatenate([a_ops, np.tensordot(L, a_ops, axes=1)])
 
 
-def _channels(coupling: SystemCoupling, corr: CorrelationSet, part: int, bohr):
-    """(O, K) per Bohr frequency: the stacked channel operators O and
-    K_b = sum_a M_ab O_a^dagger, with M the table ``corr.at(i)[part]``
-    (0: gamma, 1: S) interpolated there from its two bracketing grid
-    points, so that sum_ab M_ab O_a^dagger X O_b = sum_b K_b X O_b.
-
-    ``bohr`` is decomposed if None.  Before any interpolation, a grid that
-    decreases anywhere raises ValueError, and FrequencyNotCovered lists every
-    Bohr frequency off the grid (all of them for an empty grid).
+def _channels(coupling: SystemCoupling, beta: float, eta: float):
+    """(O, K_gamma, K_S) per Bohr frequency omega_k: the stacked channel
+    operators O and K_b = sum_a M_ab O_a^dagger for M = gamma and M = S, so
+    that sum_ab M_ab O_a^dagger X O_b = sum_b K_b X O_b.  gamma and S are read
+    by the index k from one :func:`thermal_correlation` sweep over omega_k / hbar,
+    with the hbar and the medium of ``coupling``.
     """
-    bohr = bohr_decompose(coupling) if bohr is None else bohr
-    grid, hbar = corr.omega_grid, coupling.hbar
-    if np.any(np.diff(grid) < 0):
-        raise ValueError("corr.omega_grid must not decrease: sort the correlation grid")
-    lo, hi = (grid[0], grid[-1]) if grid.size else (np.inf, -np.inf)
-    missing = [w / hbar for w in bohr.frequencies if not lo <= w / hbar <= hi]
-    if missing:
-        raise FrequencyNotCovered(missing)
-    for w in bohr.frequencies:
+    bohr = bohr_decompose(coupling)
+    hbar = coupling.hbar
+    corr = thermal_correlation(coupling.medium, beta, hbar, np.array(bohr.frequencies) / hbar, eta)
+    for k, w in enumerate(bohr.frequencies):
         ops = coupling_operators(coupling, bohr, w)
-        m = _interp_tensor(grid, lambda i: corr.at(i)[part], w / hbar)
-        yield ops, np.tensordot(m, ops.conj().transpose(0, 2, 1), axes=(0, 0))
+        ops_dag = ops.conj().transpose(0, 2, 1)
+        yield ops, *(np.tensordot(m, ops_dag, axes=(0, 0)) for m in corr.at(k))
 
 
-def lamb_shift(coupling: SystemCoupling, corr: CorrelationSet, bohr=None):
-    """Hermitian Lamb-shift operator; commutes with the system Hamiltonian."""
+def _lamb_shift(coupling: SystemCoupling, channels):
     h_ls = np.zeros((coupling.dim, coupling.dim), dtype=complex)
-    for ops, k in _channels(coupling, corr, 1, bohr):
-        h_ls += (k @ ops).sum(axis=0)
+    for ops, _, k_s in channels:
+        h_ls += (k_s @ ops).sum(axis=0)
     return h_ls / coupling.hbar
 
 
-def dissipator(coupling: SystemCoupling, corr: CorrelationSet, rho, bohr=None):
-    """Decoherence superoperator applied to one density matrix."""
-    rho = np.asarray(rho, dtype=complex)
+def _dissipator(coupling: SystemCoupling, channels, rho):
     out = np.zeros_like(rho)
-    for ops, k in _channels(coupling, corr, 0, bohr):
-        k_ops = (k @ ops).sum(axis=0)
-        out += (ops @ rho @ k).sum(axis=0) - 0.5 * (k_ops @ rho + rho @ k_ops)
+    for ops, k_g, _ in channels:
+        k_ops = (k_g @ ops).sum(axis=0)
+        out += (ops @ rho @ k_g).sum(axis=0) - 0.5 * (k_ops @ rho + rho @ k_ops)
     return out / coupling.hbar**2
 
 
-def assemble_master_equation(coupling: SystemCoupling, corr: CorrelationSet, rho):
-    """Right-hand side of the interaction-picture master equation."""
-    bohr = bohr_decompose(coupling)
+def lamb_shift(coupling: SystemCoupling, beta: float, eta: float):
+    """Hermitian Lamb-shift operator; commutes with the system Hamiltonian."""
+    return _lamb_shift(coupling, _channels(coupling, beta, eta))
+
+
+def dissipator(coupling: SystemCoupling, beta: float, eta: float, rho):
+    """Decoherence superoperator applied to one density matrix."""
+    return _dissipator(coupling, _channels(coupling, beta, eta), np.asarray(rho, dtype=complex))
+
+
+def assemble_master_equation(coupling: SystemCoupling, beta: float, eta: float, rho):
+    """Right-hand side of the interaction-picture master equation.
+
+    The Lamb shift and the dissipator share one thermal sweep at the Bohr
+    frequencies (:func:`_channels`), in the gauge of ``qpm bath``.
+    """
+    channels = list(_channels(coupling, beta, eta))
     rho = np.asarray(rho, dtype=complex)
-    h_ls = lamb_shift(coupling, corr, bohr)
+    h_ls = _lamb_shift(coupling, channels)
     comm = h_ls @ rho - rho @ h_ls
-    return -1j / coupling.hbar * comm + dissipator(coupling, corr, rho, bohr)
+    return -1j / coupling.hbar * comm + _dissipator(coupling, channels, rho)

@@ -15,6 +15,7 @@ of the extended square root, whose branch fixes sqrt(J) = diag(mu_k).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -56,7 +57,9 @@ class BiCoherentParams:
     point of log(psi_alpha / conj(psi_alpha)), whose Hessian is
     Sigma^{-1} - conj(Sigma^{-1}); they are not the covariance and mean of
     the density psi* phi.  Both are ``None`` when that Hessian is singular
-    (the ordinary-boson limit, where the pair collapses to one state).
+    (the ordinary-boson limit, where the pair collapses to one state), that
+    is when cond(Sigma^{-1} - conj(Sigma^{-1})) >= 1e12.  Both are formed
+    from ``sigma_inv`` and ``mu_vec`` on first read.
     """
 
     alpha: NDArray[np.complex128]
@@ -64,9 +67,19 @@ class BiCoherentParams:
     mu_vec: NDArray[np.complex128]
     mu_phi: NDArray[np.complex128]
     norm_product: complex
-    eff_sigma: NDArray[np.complex128] | None
-    eff_mu: NDArray[np.complex128] | None
     hbar: float
+
+    @cached_property
+    def eff_sigma(self) -> NDArray[np.complex128] | None:
+        pair_matrix = self.sigma_inv - self.sigma_inv.conj()
+        return np.linalg.inv(pair_matrix) if np.linalg.cond(pair_matrix) < 1e12 else None
+
+    @cached_property
+    def eff_mu(self) -> NDArray[np.complex128] | None:
+        if self.eff_sigma is None:
+            return None
+        s, m = self.sigma_inv, self.mu_vec
+        return self.eff_sigma @ (-s.conj() @ m.conj() + s @ m)
 
 
 def _paired_real_mode_matrix(eig: EigenSystem) -> EigenSystem | None:
@@ -178,22 +191,12 @@ def coherent_params(basis: PseudoBosonBasis, alpha) -> BiCoherentParams:
     half_log_det = 0.5 * np.sum(np.log(evals / (2.0 * np.pi)))
     norm_product = np.exp(half_log_det - e0)
 
-    pair_matrix = sigma_inv - sigma_inv.conj()
-    eff_sigma = None
-    eff_mu = None
-    if np.linalg.cond(pair_matrix) < 1e12:
-        eff_sigma = np.linalg.inv(pair_matrix)
-        eff_mu = eff_sigma @ (
-            -sigma_inv.conj() @ mu_psi.conj() + sigma_inv @ mu_psi
-        )
     return BiCoherentParams(
         alpha=alpha,
         sigma_inv=sigma_inv,
         mu_vec=mu_psi,
         mu_phi=mu_phi,
         norm_product=complex(norm_product),
-        eff_sigma=eff_sigma,
-        eff_mu=eff_mu,
         hbar=hbar,
     )
 

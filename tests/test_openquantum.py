@@ -7,12 +7,11 @@ from numpy.testing import assert_allclose
 from conftest import (
     fock_ladder, generator_function, scalar_spec, small_drude_disk, stable_spec
 )
-from qpmedia import builders
-from qpmedia.errors import FrequencyNotCovered, ThermalSingularity
+from qpmedia import builders, openquantum
+from qpmedia.errors import ThermalSingularity
 from qpmedia.medium import simple_spec
 from qpmedia.openquantum import (
     SystemCoupling,
-    _interp_tensor,
     _x_sweep,
     assemble_master_equation,
     bohr_decompose,
@@ -25,7 +24,7 @@ from qpmedia.openquantum import (
     thermal_correlation,
 )
 from qpmedia.phasespace import GaussianState, thermal_state
-from qpmedia.spectral import prepare, symplectic_form
+from qpmedia.spectral import _resolvent_x, build_sqrt_kappa, prepare, symplectic_form
 
 
 def vacuum_state(n, hbar=1.0):
@@ -281,6 +280,19 @@ class TestThermalRoutes:
         got = classical_correlation(ext, 1.3, [0.2, 0.9], 1e-3)
         assert np.all(np.isfinite(got.xi))
 
+    def test_classical_route_forms_no_pi_product(self):
+        # the pi block of [0; q] is zero, so the sweep reads no A; Xi equals,
+        # bit for bit, the sweep that forms i A 0 and adds it
+        ext = build_sqrt_kappa(builders.build_synthetic(12, 1))
+        beta, eta, grid = 1.3, 1e-3, np.array([0.2, 0.9, 1.7])
+        got = classical_correlation(ext, beta, grid, eta)
+        assert "sim_A" not in vars(ext)
+        V = ext.eig.right_vectors
+        q = (V / ext.eig.values**2) @ V.T
+        pi_term = 1j * (ext.sim_A @ np.zeros_like(q))
+        want = [(1j / beta) * _resolvent_x(ext, z, pi_term + z * q) for z in grid + 1j * eta]
+        assert got.xi.tobytes() == np.array(want).tobytes()
+
     def test_thermal_singularity_propagates(self):
         spec = scalar_spec(1.0, 2.0)  # overdamped: real generator eigenvalues +/- i mu
         ext, eig = prepare(spec)
@@ -348,10 +360,7 @@ class TestMasterEquation:
         h_sys = np.diag([0.0, w0]).astype(complex)
         sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         sz = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-        cpl = SystemCoupling(h_system=h_sys, site_potentials=(sx, 0.5 * sz), medium=ext)
-        grid = np.linspace(-1.5, 1.5, 61)
-        corr = thermal_correlation(ext, beta=1.0, hbar=1.0, omega_grid=grid, eta=1e-3)
-        return cpl, corr
+        return SystemCoupling(h_system=h_sys, site_potentials=(sx, 0.5 * sz), medium=ext)
 
     def random_density(self, rng, d=2):
         m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -359,19 +368,19 @@ class TestMasterEquation:
         return rho / np.trace(rho)
 
     def test_trace_free_dissipator(self):
-        cpl, corr = self.setup_problem()
+        cpl = self.setup_problem()
         rng = np.random.default_rng(10)
         for _ in range(20):
             rho = self.random_density(rng)
-            d = dissipator(cpl, corr, rho)
+            d = dissipator(cpl, 1.0, 1e-3, rho)
             assert abs(np.trace(d)) < 1e-12 * max(1.0, np.abs(d).max())
 
     def test_hermiticity_preserved(self):
-        cpl, corr = self.setup_problem()
+        cpl = self.setup_problem()
         rng = np.random.default_rng(11)
         for _ in range(20):
             rho = self.random_density(rng)
-            d = dissipator(cpl, corr, rho)
+            d = dissipator(cpl, 1.0, 1e-3, rho)
             assert np.abs(d - d.conj().T).max() < 1e-12 * max(1.0, np.abs(d).max())
 
     def test_zero_coupling(self):
@@ -382,23 +391,30 @@ class TestMasterEquation:
             site_potentials=(np.zeros((2, 2), complex), np.zeros((2, 2), complex)),
             medium=ext,
         )
-        corr = thermal_correlation(ext, 1.0, 1.0, np.linspace(-1.5, 1.5, 31), 1e-3)
         rho = np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex)
-        out = assemble_master_equation(cpl, corr, rho)
+        out = assemble_master_equation(cpl, 1.0, 1e-3, rho)
         assert np.abs(out).max() < 1e-15
 
     def test_lamb_shift_commutes_with_system(self):
-        cpl, corr = self.setup_problem()
-        h_ls = lamb_shift(cpl, corr)
+        cpl = self.setup_problem()
+        h_ls = lamb_shift(cpl, 1.0, 1e-3)
         comm = cpl.h_system @ h_ls - h_ls @ cpl.h_system
         assert np.abs(comm).max() < 1e-10 * max(1.0, np.abs(h_ls).max())
         assert np.abs(h_ls - h_ls.conj().T).max() < 1e-12 * max(1.0, np.abs(h_ls).max())
 
-    def test_missing_frequency_reported(self):
-        cpl, corr = self.setup_problem()
-        narrow = thermal_correlation(cpl.medium, 1.0, 1.0, np.linspace(0.0, 0.5, 11), 1e-3)
-        with pytest.raises(FrequencyNotCovered):
-            assemble_master_equation(cpl, narrow, np.eye(2, dtype=complex) / 2)
+    def test_one_thermal_sweep_per_call(self, monkeypatch):
+        # the Lamb shift and the dissipator share one sweep over the Bohr frequencies
+        cpl = self.setup_problem()
+        grids, x_sweep = [], openquantum._x_sweep
+
+        def spy(ext, omega_grid, *args):
+            grids.append(np.array(omega_grid))
+            return x_sweep(ext, omega_grid, *args)
+
+        monkeypatch.setattr(openquantum, "_x_sweep", spy)
+        assemble_master_equation(cpl, 1.0, 1e-3, np.eye(2, dtype=complex) / 2)
+        assert len(grids) == 1
+        assert_allclose(grids[0], [-0.9, 0.0, 0.9], rtol=0, atol=1e-15)
 
 
 def random_coupling(d, n, seed, degenerate):
@@ -424,7 +440,8 @@ def random_coupling(d, n, seed, degenerate):
 
 def full_tensor_master_terms(cpl, corr, rho):
     """(Lamb shift, dissipator on rho), with gamma and S interpolated from
-    their full F x 2n x 2n tensors at every Bohr frequency."""
+    their full F x 2n x 2n tensors at every Bohr frequency: the grid oracle
+    of the master equation, which reads them at the Bohr frequencies."""
     grid, gamma, s_ls = corr.omega_grid, corr.gamma, corr.s_ls
     bohr = bohr_decompose(cpl)
     h_ls = np.zeros((cpl.dim, cpl.dim), complex)
@@ -443,22 +460,56 @@ def full_tensor_master_terms(cpl, corr, rho):
     return h_ls / cpl.hbar, dis / cpl.hbar**2
 
 
+def two_level_coupling(gap, hbar=1.0):
+    """random_coupling's sites on the system diag(0, gap): Bohr frequencies -gap, 0 and gap."""
+    cpl, rho = random_coupling(2, 2, 17, False)
+    cpl = SystemCoupling(
+        h_system=np.diag([0.0, gap]), site_potentials=cpl.site_potentials, medium=cpl.medium,
+        hbar=hbar,
+    )
+    return cpl, rho
+
+
 class TestMasterEquationValues:
-    @pytest.mark.parametrize("gap, on_grid", [(0.5, True), (0.6, False)])
-    def test_block_interpolation_equals_full_tensor_interpolation(self, gap, on_grid):
-        # Bohr frequencies -gap, 0 and gap; 0.5 lies on the grid, 0.6 between points
-        cpl, rho = random_coupling(2, 2, 17, False)
-        cpl = SystemCoupling(
-            h_system=np.diag([0.0, gap]), site_potentials=cpl.site_potentials, medium=cpl.medium
-        )
+    def test_block_interpolation_equals_full_tensor_interpolation(self):
+        # every Bohr frequency a node of the oracle's grid: the interpolation
+        # is exact there, and the two routes agree bit for bit
+        cpl, rho = two_level_coupling(0.5)
         grid = 0.25 * np.arange(-5, 6)
-        corr = thermal_correlation(cpl.medium, 1.0, 1.0, grid, 1e-3)
-        bohr = bohr_decompose(cpl)
-        assert gap in bohr.frequencies
-        assert (gap in grid) == on_grid
+        assert set(bohr_decompose(cpl).frequencies) <= set(grid)
+        h_ls, dis = full_tensor_master_terms(cpl, thermal_correlation(cpl.medium, 1.0, 1.0, grid, 1e-3), rho)
+        assert lamb_shift(cpl, 1.0, 1e-3).tobytes() == h_ls.tobytes()
+        assert dissipator(cpl, 1.0, 1e-3, rho).tobytes() == dis.tobytes()
+
+    def test_grid_oracle_converges_to_the_bohr_frequency_answer(self):
+        # off the grid, linear interpolation misses by O(h^2): the oracle's
+        # error falls about 100x when its step h falls 10x.  Each Bohr
+        # frequency w has its own two nodes, w - 0.3 h and w + 0.7 h
+        cpl, rho = two_level_coupling(0.6)
+        exact = (lamb_shift(cpl, 1.0, 1e-3), dissipator(cpl, 1.0, 1e-3, rho))
+        freqs = np.array(bohr_decompose(cpl).frequencies)
+        errors = []
+        for h in (1e-2, 1e-3):
+            grid = np.sort(np.concatenate([freqs - 0.3 * h, freqs + 0.7 * h]))
+            terms = full_tensor_master_terms(cpl, thermal_correlation(cpl.medium, 1.0, 1.0, grid, 1e-3), rho)
+            errors.append(max(
+                np.abs(got - want).max() / np.abs(want).max() for got, want in zip(terms, exact)
+            ))
+        assert 50 <= errors[0] / errors[1] <= 200
+        assert errors[1] <= 1e-6
+
+    def test_hbar_comes_from_the_coupling(self):
+        # hbar = 0.7 scales the sweep and its frequencies w / hbar; on the grid
+        # of the Bohr frequencies themselves the oracle is the index lookup
+        cpl, rho = two_level_coupling(0.6, hbar=0.7)
+        freqs = np.array(bohr_decompose(cpl).frequencies)
+        corr = thermal_correlation(cpl.medium, 1.3, 0.7, freqs / 0.7, 1e-3)
         h_ls, dis = full_tensor_master_terms(cpl, corr, rho)
-        assert lamb_shift(cpl, corr, bohr).tobytes() == h_ls.tobytes()
-        assert dissipator(cpl, corr, rho, bohr).tobytes() == dis.tobytes()
+        assert lamb_shift(cpl, 1.3, 1e-3).tobytes() == h_ls.tobytes()
+        assert dissipator(cpl, 1.3, 1e-3, rho).tobytes() == dis.tobytes()
+        comm = h_ls @ rho - rho @ h_ls
+        master = assemble_master_equation(cpl, 1.3, 1e-3, rho)
+        assert master.tobytes() == (-1j / 0.7 * comm + dis).tobytes()
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -469,17 +520,15 @@ class TestMasterEquationValues:
     )
     def test_channel_contraction_matches_double_sum(self, d, n, seed, degenerate):
         cpl, rho = random_coupling(d, n, seed, degenerate)
-        span = np.ptp(np.linalg.eigvalsh(cpl.h_system)) + 0.5
-        corr = thermal_correlation(cpl.medium, 1.0, 1.0, np.linspace(-span, span, 21), 1e-3)
         bohr = bohr_decompose(cpl)
+        corr = thermal_correlation(cpl.medium, 1.0, 1.0, np.array(bohr.frequencies), 1e-3)
         # the explicit sum over channel pairs (a, b) at every Bohr frequency
         h_ls = np.zeros((d, d), complex)
         dis = np.zeros((d, d), complex)
         scale_ls = scale_dis = 0.0
-        for w in bohr.frequencies:
+        for k, w in enumerate(bohr.frequencies):
             ops = coupling_operators(cpl, bohr, w)
-            g_mat = _interp_tensor(corr.omega_grid, corr.gamma.__getitem__, w)
-            s_mat = _interp_tensor(corr.omega_grid, corr.s_ls.__getitem__, w)
+            g_mat, s_mat = corr.gamma[k], corr.s_ls[k]
             for a in range(len(ops)):
                 oa_dag = ops[a].conj().T
                 for b in range(len(ops)):
@@ -490,8 +539,8 @@ class TestMasterEquationValues:
                     norms = np.linalg.norm(ops[a], 2) * np.linalg.norm(ob, 2)
                     scale_ls += abs(s_mat[a, b]) * norms
                     scale_dis += abs(g_mat[a, b]) * norms
-        assert np.abs(lamb_shift(cpl, corr, bohr) - h_ls).max() <= 1e-12 * scale_ls
-        assert np.abs(dissipator(cpl, corr, rho, bohr) - dis).max() <= 1e-12 * scale_dis
+        assert np.abs(lamb_shift(cpl, 1.0, 1e-3) - h_ls).max() <= 1e-12 * scale_ls
+        assert np.abs(dissipator(cpl, 1.0, 1e-3, rho) - dis).max() <= 1e-12 * scale_dis
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -523,33 +572,6 @@ class TestMasterEquationInputs:
         sites = tuple(0.1 * (k + 1) * cls.SIGMA_X for k in range(3))
         return SystemCoupling(h_system=np.diag([0.0, 0.7]), site_potentials=sites, medium=ext)
 
-    def test_unordered_grid_is_refused(self):
-        cpl = self.coupling()
-        grid = np.linspace(-1.1, 1.1, 12)
-        grid[1:-1] = np.random.default_rng(0).permutation(grid[1:-1])
-        corr = thermal_correlation(cpl.medium, 1.0, 1.0, grid, 1e-3)
-        rho = np.eye(2, dtype=complex) / 2
-        for call in (lambda: lamb_shift(cpl, corr), lambda: dissipator(cpl, corr, rho)):
-            with pytest.raises(ValueError, match="omega_grid"):
-                call()
-
-    def test_empty_grid_misses_every_bohr_frequency(self):
-        cpl = self.coupling()
-        corr = thermal_correlation(cpl.medium, 1.0, 1.0, np.array([]), 1e-3)
-        with pytest.raises(FrequencyNotCovered) as info:
-            lamb_shift(cpl, corr)
-        assert info.value.missing == bohr_decompose(cpl).frequencies
-
-    def test_duplicated_node_interpolates_as_the_plain_grid(self):
-        cpl = self.coupling()
-        grid = np.linspace(-1.1, 1.1, 12)
-        # the Bohr frequency 0 lies between grid[5] and grid[6], and 0.7 on grid[9]
-        twice = np.sort(np.append(grid, grid[[6, 9]]))
-        rho = np.array([[0.6, 0.2], [0.2, 0.4]], dtype=complex)
-        plain, dup = (thermal_correlation(cpl.medium, 1.0, 1.0, g, 1e-3) for g in (grid, twice))
-        assert np.array_equal(lamb_shift(cpl, dup), lamb_shift(cpl, plain))
-        assert np.array_equal(dissipator(cpl, dup, rho), dissipator(cpl, plain, rho))
-
     def test_one_operator_too_few_is_refused(self):
         cpl = self.coupling()
         with pytest.raises(ValueError, match="one \\(2, 2\\) operator per medium source \\(3\\)"):
@@ -559,4 +581,16 @@ class TestMasterEquationInputs:
         cpl = self.coupling()
         sites = (*cpl.site_potentials[:2], np.eye(3))
         with pytest.raises(ValueError, match="got shapes \\[\\(2, 2\\), \\(2, 2\\), \\(3, 3\\)\\]"):
+            SystemCoupling(cpl.h_system, sites, cpl.medium)
+
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, np.inf, np.nan])
+    def test_ill_posed_hbar_is_refused(self, hbar):
+        cpl = self.coupling()
+        with pytest.raises(ValueError, match="hbar must be positive and finite"):
+            SystemCoupling(cpl.h_system, cpl.site_potentials, cpl.medium, hbar=hbar)
+
+    def test_non_hermitian_site_operator_is_refused(self):
+        cpl = self.coupling()
+        sites = (*cpl.site_potentials[:2], np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="site_potentials must be Hermitian; not at sources \\[2\\]"):
             SystemCoupling(cpl.h_system, sites, cpl.medium)
