@@ -10,21 +10,22 @@ runner, arguments; shared argument groups are defined once): the parser is
 built from it and :func:`run` dispatches through it.  Each runner imports
 the layers it runs, so a command loads no layer module it does not use.
 
-Every table goes through one writer, :func:`_write_table`, in chunks, and
-every ``--out`` table through :func:`_write_out`, which adds its head (the
-units line and the column names).  Each chunk is one ``template % values``,
-where the template holds the row formats of all of the chunk's rows and the
-cells that repeat (row indices, the bath's alpha,beta pair, the field's k
-queries, a block's frequency) already rendered in, and every other float is
-rendered as ``%.12g``.  A chunk is at most one frequency block of the field,
-one alpha row of a bath block, one matrix row of ``--vectors`` and
-``--cov-out``, or the whole of the small ``spectrum``, ``modes``, ``filter``
-and ``propagate`` tables, so no large table is held in memory as text.
+Every table goes through one writer, :func:`_write_table`, and every
+``--out`` table through :func:`_write_out`, which adds its head (the units
+line and the column names).  A table is given as blocks of rows, each a
+list of columns: byte matrices of text rendered once (row indices, the
+bath's alpha,beta pairs and frequencies, the filter's flag) and float
+arrays.  Every float of every table, the SVG's points included, is
+rendered as ``'%.12g' % x`` by one numpy kernel, :func:`_cells`, in chunks
+of at most ``_CHUNK_CELLS`` cells whatever the table's structure, so no
+large table is held in memory as text; Python's ``%`` renders only the
+cells the kernel hands to its exact fallback.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -82,44 +83,240 @@ def _checksum(path: Path) -> str:
     return digest.hexdigest()[:16]
 
 
-def _write_table(path: Path, head: Sequence[str], chunks: Iterable) -> None:
-    """Write the ``head`` lines, then ``template % values`` for every chunk.
+# ---------------------------------------------------------------------------
+# Table text: every float as '%.12g', by one numpy kernel
+# ---------------------------------------------------------------------------
 
-    A chunk is a ``(template, values)`` pair: the template holds the row
-    formats of all of its rows, cells that repeat already rendered in, and
-    ``values`` is a float array of the remaining cells in row order.  Each
-    chunk is rendered by one ``%`` and written before the next one is taken.
+# Bytes per rendered cell.  The sign and the integer digits end at byte 14,
+# the point is byte 15 and the fraction digits start at byte 16; the
+# exponent and the separator follow the last digit.  Every other byte is NUL.
+_SLOT = 40
+# Float cells per kernel call, whatever the table's structure: the numpy
+# calls per chunk cost the same at any size, the temporaries grow with it.
+_CHUNK_CELLS = 4096
+_P0 = 300  # pow10[_P0 + k] = 10**k
+_E0 = 300  # exp_word[_E0 + e] = the exponent text of 10**e
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, ...]:
+    """The kernel's lookup tables, built on its first call.
+
+    - ``pow10``: 10**k correctly rounded, k = -300..305;
+    - ``words``: three tables of 10,000 little-endian 4-byte words, the four
+      ASCII digits of g = 0..9999: all of them, then with leading zeros as
+      NUL, then with trailing zeros as NUL (g + 10000 * variant);
+    - ``units``: g = 0..999 as three digits and a point, then the same with
+      leading zeros as NUL but the units digit kept;
+    - ``last[j, g]``: the count of fraction digits up to the last nonzero one
+      when g is the last nonzero group j of four, 0 for g = 0;
+    - ``exp_word``, ``exp_shift``: for e = -300..300, the exponent text
+      (``e+XX``, ``e-XXX``; empty where ``%.12g`` writes fixed notation) as a
+      little-endian word, and its length in bits.
     """
-    with path.open("w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in head)
-        for template, values in chunks:
-            fh.write(template % tuple(values.ravel().tolist()))
+    # int to float and int / int are correctly rounded
+    tens = [10**k for k in range(306)]
+    pow10 = np.array([1 / t for t in tens[_P0:0:-1]] + [float(t) for t in tens])
+    # int16 and uint8 throughout: the temporaries stay a few 10 kB
+    g = np.arange(10000, dtype=np.int16)
+    digits = np.empty((10000, 4), np.uint8)
+    count = np.zeros(10000, np.int16)  # digits of g, 0 for g = 0
+    zeros = np.zeros(10000, np.int16)  # trailing zeros of g, 4 for g = 0
+    for i, place in enumerate((1000, 100, 10, 1)):
+        digits[:, i] = g // place % 10 + 48
+        count += g >= place
+        zeros += g % (10 * place) == 0
+    col = np.arange(4, dtype=np.int16)
+    lead = np.where(col >= 4 - count[:, None], digits, 0)
+    trail = np.where(col < 4 - zeros[:, None], digits, 0)
+    words = np.concatenate((digits, lead, trail)).view("<u4").ravel()
+    units = np.full((2000, 4), ord("."), np.uint8)
+    units[:1000, :3] = digits[:1000, 1:]
+    shown = col[1:] >= 4 - np.maximum(count[:1000], 1)[:, None]  # the units digit always
+    units[1000:, :3] = np.where(shown, digits[:1000, 1:], 0)
+    last = np.where(g > 0, 4 * col[:, None] + 4 - zeros, 0).astype(np.uint8)
+    text = [b"" if -4 <= e < 12 else b"e%+03d" % e for e in range(-_E0, _E0 + 1)]
+    exp_word = np.array(text, dtype="S8").view("<u8")
+    exp_shift = np.array([8 * len(t) for t in text], np.uint64)
+    tables = pow10, words, units.view("<u4").ravel(), last, exp_word, exp_shift
+    for table in tables:  # shared by every call
+        table.flags.writeable = False
+    return tables
 
 
-def _write_out(config: argparse.Namespace, columns: str, chunks: Iterable) -> Path:
-    """Write the ``--out`` table: the units line, the ``columns`` line, then the chunks."""
+def _cells(values: np.ndarray, seps: bytes) -> np.ndarray:
+    """Every cell of ``values`` as ``'%.12g' % x``, then its column's separator.
+
+    ``values`` is a (rows, columns) float array and ``seps`` holds one
+    separator byte per column.  Returns the (rows, columns * ``_SLOT``) byte
+    matrix of the cells' slots, NUL wherever a slot holds no text.
+
+    The fast path needs no Python call per cell.  With e = floor(log10|x|),
+    y = |x| 10**(11 - e) lies in [1e11, 1e12), and r = rint(y) holds the
+    twelve significant digits; e is fixed once where log10 rounded up across
+    a power of ten and stepped where r rounds up to 1e12.  y carries at most
+    about 2e-4 of a unit of error (one correctly rounded power of ten, one
+    product), so r is the correctly rounded value unless y lies within 1e-3
+    of a half-integer.  Those cells, and every nonzero cell outside
+    [1e-290, 1e290], non-finite ones included, take their text from Python's
+    ``'%.12g' % x``, the kernel's exact fallback.
+    """
+    pow10, words, units, last, exp_word, exp_shift = _tables()
+    rows = len(values)
+    x = np.ascontiguousarray(values, dtype=float).reshape(-1)
+    n = x.size
+    a = np.abs(x)
+    zero = x == 0
+    slow = ~((a >= 1e-290) & (a <= 1e290))  # nan too
+    a[slow] = 1.0
+    slow &= ~zero  # zeros are rendered as 1, then their digit is set
+    e = np.floor(np.log10(a)).astype(np.intp)
+    y = pow10.take(_P0 + 11 - e)
+    y *= a
+    low = np.flatnonzero(y < 1e11)
+    if low.size:
+        e[low] -= 1
+        y[low] = a[low] * pow10.take(_P0 + 11 - e[low])
+    r = np.rint(y)
+    high = np.flatnonzero(r >= 1e12)
+    if high.size:
+        e[high] += 1
+        z = a[high] * pow10.take(_P0 + 11 - e[high])
+        r[high] = np.rint(z)
+    # a y near a half-integer, before the step or after it, is a near tie
+    y -= np.floor(y)
+    y -= 0.5
+    slow |= np.abs(y, out=y) <= 1e-3
+    if high.size:
+        slow[high] |= np.abs(z - np.floor(z) - 0.5) <= 1e-3
+    del a, y
+    # the digits split at the point: v, the integer part, and f, the fraction
+    # as 16 digits; %.12g writes fixed notation (ip = e) for -4 <= e < 12 and
+    # one integer digit (ip = 0) otherwise.  Every step is exact in float64.
+    ip = np.where((e < -4) | (e >= 12), 0, e)
+    scale = pow10.take(_P0 + 11 - ip)
+    v = np.floor(r / scale)
+    r -= v * scale
+    r *= pow10.take(_P0 + 5 + ip)
+    f = r.astype(np.int64)
+    v = v.astype(np.int64)
+    del r, scale
+    out = np.zeros((n, _SLOT), np.uint8)
+    w = out.view("<u4")
+    # integer digits in words 0-3, right-aligned, leading zeros NUL
+    h = v // 1000
+    w[:, 3] = units.take(v - 1000 * h + 1000 * (h == 0))
+    v = h // 10000
+    w[:, 2] = words.take(h - 10000 * v + 10000 * (v == 0))
+    h = v // 10000
+    w[:, 1] = words.take(v - 10000 * h + 10000 * (h == 0))
+    w[:, 0] = words.take(h + 10000)
+    # fraction digits in words 4-7, trailing zeros NUL; digits counts them
+    digits = np.zeros(n, np.uint8)
+    trailing = np.ones(n, bool)
+    for j in (3, 2, 1, 0):
+        g = f // 10000
+        b = f - 10000 * g
+        w[:, 4 + j] = words.take(b + 20000 * trailing)
+        np.maximum(digits, last[j].take(b), out=digits)
+        trailing &= b == 0
+        f = g
+    flat = out.reshape(-1)
+    neg = np.flatnonzero(np.signbit(x))
+    flat[neg * _SLOT + 13 - np.maximum(ip[neg], 0)] = ord("-")
+    flat[np.flatnonzero(zero) * _SLOT + 14] = ord("0")
+    # one 8-byte word right after the last digit (over the point when there
+    # is no fraction): the exponent text, then the separator, then NULs,
+    # written through an unaligned uint64 view with a one-byte stride
+    e += _E0
+    sep = np.frombuffer(seps, np.uint8)
+    tail = exp_word.take(e).reshape(rows, len(seps))
+    tail |= sep.astype(np.uint64) << exp_shift.take(e).reshape(rows, len(seps))
+    at = np.where(digits > 0, 16 + digits, 15) + np.arange(0, n * _SLOT, _SLOT)
+    np.ndarray((flat.size - 7,), "<u8", flat, strides=(1,))[at] = tail.reshape(-1)
+    slow = np.flatnonzero(slow)
+    if slow.size:
+        out[slow] = _exact(x[slow], sep[slow % len(seps)])
+    return out.reshape(rows, len(seps) * _SLOT)
+
+
+def _exact(values: np.ndarray, seps: np.ndarray) -> np.ndarray:
+    """The kernel's exact fallback: the slots of ``'%.12g' % x`` and its separator, by Python."""
+    text = [b"%.12g%c" % cell for cell in zip(values.tolist(), seps.tolist())]
+    return np.array(text, dtype=f"S{_SLOT}").view(np.uint8).reshape(-1, _SLOT)
+
+
+def _text_column(texts: Sequence[str]) -> np.ndarray:
+    """A byte matrix of one text cell per row, NUL-padded to the longest."""
+    matrix = np.array(texts, dtype=bytes)
+    return matrix.view(np.uint8).reshape(len(texts), matrix.itemsize)
+
+
+def _rows(part) -> int:
+    return len(part[0]) if isinstance(part, tuple) else len(part)
+
+
+def _text(block: Sequence) -> bytes:
+    """The text of one block of rows: its columns side by side, NULs dropped.
+
+    A column is a byte matrix of text, with one row per row of the block or
+    one row for all of them, or a ``(values, seps)`` pair: a float array
+    whose cells are each followed by their column's separator byte, or a
+    complex one whose every entry is the two cells re, im.  All float cells
+    of the block go through one :func:`_cells` call.
+    """
+    rows = max(map(_rows, block))
+    floats = [part for part in block if isinstance(part, tuple)]
+    values = [
+        np.ascontiguousarray(v, dtype=complex if np.iscomplexobj(v) else float).view(np.float64)
+        for v, _ in floats
+    ]
+    cells = _cells(np.concatenate(values, axis=1), b"".join(seps for _, seps in floats))
+    columns, at = [], 0
+    for part in block:
+        if isinstance(part, tuple):
+            columns.append(cells[:, at : at + len(part[1]) * _SLOT])
+            at += len(part[1]) * _SLOT
+        else:
+            columns.append(np.broadcast_to(part, (rows, part.shape[1])))
+    matrix = np.concatenate(columns, axis=1)
+    del cells, columns  # freed before the mask is formed
+    return matrix[matrix != 0].tobytes()
+
+
+def _write_table(path: Path, head: Sequence[str], blocks: Iterable[Sequence]) -> None:
+    """Write the ``head`` lines, then the text of every block of rows.
+
+    A block is a list of columns, as :func:`_text` takes them.  It is
+    rendered and written in chunks of rows holding at most ``_CHUNK_CELLS``
+    float cells (one row at least), each written before the next is formed.
+    """
+    with path.open("wb") as fh:
+        fh.write("".join(line + "\n" for line in head).encode())
+        for block in blocks:
+            rows = max(map(_rows, block))
+            cells = sum(len(part[1]) for part in block if isinstance(part, tuple))
+            step = max(_CHUNK_CELLS // cells, 1)
+            for start in range(0, rows, step):
+                stop = start + step
+                fh.write(_text([
+                    (part[0][start:stop], part[1]) if isinstance(part, tuple)
+                    else part if len(part) == 1 else part[start:stop]
+                    for part in block
+                ]))
+            del block  # freed before the next block is formed
+
+
+def _write_out(config: argparse.Namespace, columns: str, blocks: Iterable[Sequence]) -> Path:
+    """Write the ``--out`` table: the units line, the ``columns`` line, then the blocks."""
     out = Path(config.out)
-    _write_table(out, (_HEADER_COMMENT, columns), chunks)
+    _write_table(out, (_HEADER_COMMENT, columns), blocks)
     return out
 
 
-def _fmt_row(count: int, cell: str = "%.12g", sep: str = ",") -> str:
-    """A row format of ``count`` equal cells."""
-    return sep.join([cell] * count) + "\n"
-
-
-def _keyed_rows(lead: str, keys: Sequence[str], cells: str) -> str:
-    """The template of one row ``lead + key + cells`` per key, built by one join.
-
-    ``lead`` and the (at least one) keys are rendered cells; ``cells`` is
-    the row format of the rest of the row.
-    """
-    return lead + (cells + lead).join(keys) + cells
-
-
-def _interleaved(z: np.ndarray) -> np.ndarray:
-    """The float array re, im, re, im, ... along the last axis of a complex array."""
-    return np.ascontiguousarray(z, dtype=complex).view(np.float64)
+def _line_seps(cells: int, sep: bytes = b",") -> bytes:
+    """The separators of a row of ``cells`` float cells: ``sep`` between them, a newline last."""
+    return (sep * cells)[: cells - 1] + b"\n"
 
 
 def _load_model(config: argparse.Namespace) -> MediumSpec:
@@ -168,14 +365,15 @@ def _write_svg(path: Path, table: SpectrumTable) -> None:
     xmin, xmax = float(x.min()), float(x.max())
     if xmax == xmin:
         xmax = xmin + 1.0
-    sx = (pad + (x - xmin) / (xmax - xmin) * (width - 2 * pad)).tolist()
+    sx = pad + (x - xmin) / (xmax - xmin) * (width - 2 * pad)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     for name, ys, color in series:
-        sy = (height - pad - (ys - ymin) / (ymax - ymin) * (height - 2 * pad)).tolist()
-        pts = " ".join(map("%.12g,%.12g".__mod__, zip(sx, sy)))
+        sy = height - pad - (ys - ymin) / (ymax - ymin) * (height - 2 * pad)
+        # "x,y x,y ... x,y": the last separator is dropped
+        pts = _text([(np.column_stack((sx, sy)), b", ")])[:-1].decode()
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1" points="{pts}"/>'
         )
@@ -223,7 +421,7 @@ def _run_spectrum(config: argparse.Namespace) -> list[Path]:
     )
     values = np.column_stack((grid_ev, table.im_alpha, table.absorptive, table.dispersive))
     columns = "omega_eV,im_alpha,absorptive,dispersive"
-    written = [_write_out(config, columns, [(_fmt_row(4) * grid_ev.size, values)])]
+    written = [_write_out(config, columns, [[(values, b",,,\n")]])]
     if config.svg:
         svg = Path(config.svg)
         _write_svg(svg, table)
@@ -236,17 +434,14 @@ def _run_modes(config: argparse.Namespace) -> list[Path]:
 
     # the table reads only the eigensystem: no A, cond(A) or J_B
     eig = spectral.build_sqrt_kappa(_load_model(config)).eig
-    re_mu, im_mu = eig.values.real * HARTREE_TO_EV, eig.values.imag * HARTREE_TO_EV
-    template = "".join(f"{k},%.12g,%.12g\n" for k in range(re_mu.size))
-    written = [_write_out(config, "k,re_mu,im_mu", [(template, np.column_stack((re_mu, im_mu)))])]
+    mu = np.column_stack((eig.values.real * HARTREE_TO_EV, eig.values.imag * HARTREE_TO_EV))
+    index = _text_column([f"{k}," for k in range(len(mu))])
+    written = [_write_out(config, "k,re_mu,im_mu", [[index, (mu, b",\n")]])]
     if config.vectors:
         # one line per eigenvector: "re im re im ..."
         vec_path = Path(config.vectors)
-        vectors = eig.right_vectors
-        fmt = _fmt_row(vectors.shape[0], "%.12g %.12g", " ")
-        _write_table(
-            vec_path, (), ((fmt, _interleaved(vectors[:, j])) for j in range(vectors.shape[1]))
-        )
+        vectors = eig.right_vectors.T.astype(complex, copy=False)
+        _write_table(vec_path, (), [[(vectors, _line_seps(2 * vectors.shape[1], b" "))]])
         written.append(vec_path)
     return written
 
@@ -270,13 +465,13 @@ def _run_filter(config: argparse.Namespace) -> list[Path]:
     else:
         selected = set(response.filter_eigenvalue(ledger, *window).tolist())
     mu = ledger.mu
-    template = "".join(
-        f"{k},%.12g,%.12g,%.12g,{int(k in selected)}\n" for k in range(ledger.n_modes)
-    )
+    index = _text_column([f"{k}," for k in range(ledger.n_modes)])
     values = np.column_stack(
         (mu.real * HARTREE_TO_EV, mu.imag * HARTREE_TO_EV, ledger.intercept.real)
     )
-    return [_write_out(config, "k,re_mu_eV,im_mu_eV,re_I,selected", [(template, values)])]
+    flags = _text_column([f"{int(k in selected)}\n" for k in range(ledger.n_modes)])
+    block = [index, (values, b",,,"), flags]
+    return [_write_out(config, "k,re_mu_eV,im_mu_eV,re_I,selected", [block])]
 
 
 def _run_propagate(config: argparse.Namespace) -> list[Path]:
@@ -301,20 +496,20 @@ def _run_propagate(config: argparse.Namespace) -> list[Path]:
     header = ["t"] + [
         f"{p}_mean_{x}_{i}" for x in "uv" for i in range(1, n + 1) for p in ("re", "im")
     ]
-    rows = np.column_stack((t_grid, _interleaved(means[:, 2 * n :])))
-    written = [_write_out(config, ",".join(header), [(_fmt_row(len(header)) * t_grid.size, rows)])]
+    means = means[:, 2 * n :].astype(complex, copy=False)
+    block = [(t_grid[:, None], b","), (means, _line_seps(4 * n))]
+    written = [_write_out(config, ",".join(header), [block])]
     if config.cov_out:
         cov_dir = Path(config.cov_out)
         cov_dir.mkdir(parents=True, exist_ok=True)
-        cov_fmt = _fmt_row(4 * n, "%.12g;%.12g")
+        cov_seps = _line_seps(8 * n, b";,")
         for idx, t in enumerate(t_grid):
             # the covariance never reads Delta_t, so the drive is left out
             prop = phasespace.propagator_at(ext, float(t))
-            cov = phasespace.evolve_state(state0, prop).cov
+            cov = phasespace.evolve_state(state0, prop).cov.astype(complex, copy=False)
+            t_line = [_text_column(["# t = "]), (t_grid[idx : idx + 1, None], b"\n")]
             _write_table(
-                cov_dir / f"cov_{idx:06d}.csv",
-                (_HEADER_COMMENT, "# t = %.12g" % t),
-                ((cov_fmt, _interleaved(row)) for row in cov),
+                cov_dir / f"cov_{idx:06d}.csv", (_HEADER_COMMENT,), [t_line, [(cov, cov_seps)]]
             )
         written.append(cov_dir / f"cov_{len(t_grid) - 1:06d}.csv")
     return written
@@ -350,13 +545,11 @@ def _run_field(config: argparse.Namespace) -> list[Path]:
     field_set = FieldPlaneWaveSet(omega_grid=grid, waves=tuple(waves))
     ext, _ = spectral.prepare(spec)
     scattered = emitted_field_first_order(ext, spec, field_set, k_queries)
-    k_cells = [",%.12g,%.12g,%.12g," % tuple(k) for k in k_queries.tolist()]
+    # one row per (frequency, k query)
+    keys = np.column_stack((np.repeat(grid_ev, len(k_queries)), np.tile(k_queries, (grid_ev.size, 1))))
+    block = [(keys, b",,,,"), (scattered.reshape(-1, 3), b",,,,,\n")]
     columns = "omega_eV,kx,ky,kz,re_Ex,im_Ex,re_Ey,im_Ey,re_Ez,im_Ez"
-    chunks = (
-        (_keyed_rows("%.12g" % w_ev, k_cells, _fmt_row(6)), _interleaved(scattered[iw]))
-        for iw, w_ev in enumerate(grid_ev.tolist())
-    )
-    out = _write_out(config, columns, chunks)
+    out = _write_out(config, columns, [block])
     # the delta-supported part of the field: the incident waves on the grid
     amps = [w.amplitude_on(grid) for w in field_set.waves]
     delta_terms = [
@@ -383,20 +576,19 @@ def _run_bath(config: argparse.Namespace) -> list[Path]:
     ext, _ = spectral.prepare(spec)
     corr = openquantum.thermal_correlation(ext, config.beta, config.hbar, grid, config.eta)
     m = corr.xi.shape[1]
-    alphas = [f",{a}" for a in range(1, m + 1)]
-    betas = [f",{b}," for b in range(1, m + 1)]
-    cells = _fmt_row(4)
+    omegas = _cells(grid_ev[:, None], b",")
+    index = _text_column([f"{k}," for k in range(1, m + 1)])
+    pairs = np.concatenate((np.repeat(index, m, axis=0), np.tile(index, (m, 1))), axis=1)
 
-    def chunks():
-        # one alpha row of one frequency block per chunk: m rows; gamma and S
-        # are formed one frequency at a time
-        for iw, w_ev in enumerate(grid_ev.tolist()):
-            omega = "%.12g" % w_ev
-            block = _interleaved(np.stack(corr.at(iw), axis=-1))
-            for a in range(m):
-                yield _keyed_rows(omega + alphas[a], betas, cells), block[a]
+    def block(iw: int) -> list:
+        # one frequency block of m * m rows: gamma and S are formed one
+        # frequency at a time, and freed with the block
+        gamma, s_ls = corr.at(iw)
+        gamma, s_ls = gamma.reshape(-1, 1), s_ls.reshape(-1, 1)
+        return [omegas[iw : iw + 1], pairs, (gamma, b",,"), (s_ls, b",\n")]
 
-    return [_write_out(config, "omega_eV,alpha,beta,re_gamma,im_gamma,re_S,im_S", chunks())]
+    columns = "omega_eV,alpha,beta,re_gamma,im_gamma,re_S,im_S"
+    return [_write_out(config, columns, map(block, range(grid_ev.size)))]
 
 
 # Argument groups shared by several subcommands: (flag, add_argument keywords).

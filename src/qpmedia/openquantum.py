@@ -189,6 +189,10 @@ class SystemCoupling:
     def __post_init__(self):
         _positive_finite("hbar", self.hbar)
         h = np.asarray(self.h_system, dtype=complex)
+        if h.ndim != 2 or h.shape[0] != h.shape[1]:
+            raise ValueError(
+                f"system Hamiltonian h_system must be a square matrix; got shape {h.shape}"
+            )
         if not _is_hermitian(h):
             raise ValueError("system Hamiltonian must be Hermitian")
         ops = tuple(np.asarray(a, dtype=complex) for a in self.site_potentials)

@@ -9,7 +9,11 @@ makes and requires the CLI's file to equal the oracle's rendering.
 
 import json
 import math
+import os
 import struct
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -283,17 +287,121 @@ def table_path(tmp_path_factory):
 @example(rows=[], lead=1.0)
 def test_row_formatter_matches_per_cell_format(table_path, rows, lead):
     # Like the bath's: each half is a block whose leading cell ``lead`` is
-    # rendered once into its templates; a and k are rendered into the row
-    # keys as constant cells, b is the value cell.  Chunks of at most three
-    # rows put chunk boundaries inside each block.
+    # rendered once into a one-row column that all of its rows share; a and
+    # b are float columns and k a text column between them.  Chunks of at
+    # most three rows (two float cells a row) put chunk boundaries inside
+    # each block.
     half = len(rows) // 2
-    chunks = []
+    blocks = []
     for block in (rows[:half], rows[half:]):
-        for start in range(0, len(block), 3):
-            part = block[start : start + 3]
-            keys = [",%.12g,%d," % (a, k) for a, k, _ in part]
-            values = np.array([b for _, _, b in part], dtype=float)
-            chunks.append((cli._keyed_rows("%.12g" % lead, keys, "%.12g\n"), values))
-    cli._write_table(table_path, (HEADER, "w,a,k,b"), chunks)
+        if block:
+            a, k, b = zip(*block)
+            blocks.append([
+                cli._cells(np.array([[lead]]), b","),
+                (np.array(a)[:, None], b","),
+                cli._text_column([f"{v}," for v in k]),
+                (np.array(b)[:, None], b"\n"),
+            ])
+    with mock.patch.object(cli, "_CHUNK_CELLS", 6):
+        cli._write_table(table_path, (HEADER, "w,a,k,b"), blocks)
     want = render_csv("w,a,k,b", [(fmt(lead), fmt(a), str(k), fmt(b)) for a, k, b in rows])
     assert table_path.read_bytes() == want
+
+
+def kernel_lines(values):
+    """The kernel's text of every value, one line each."""
+    column = np.array(values, dtype=float)[:, None]
+    return cli._text([(column, b"\n")]).decode().split("\n")[:-1]
+
+
+def ulps_from(x, steps):
+    """The float ``steps`` units in the last place above the positive float x."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return struct.unpack("<d", struct.pack("<q", bits + steps))[0]
+
+
+# powers of ten, within three ulps either side
+near_powers_of_ten = st.builds(
+    lambda k, steps, sign: sign * ulps_from(float(f"1e{k}"), steps),
+    st.integers(-323, 308), st.integers(-3, 3), st.sampled_from([1.0, -1.0]),
+).filter(math.isfinite)
+# the doubles nearest to a tie of the twelfth significant digit, d.ddddddddddd5eK
+near_ties = st.builds(
+    lambda digits, k, sign: sign * float(f"{digits[0]}.{digits[1:]}5e{k}"),
+    st.integers(10**11, 10**12 - 1).map(str), st.integers(-300, 300), st.sampled_from([1.0, -1.0]),
+)
+LIMITS = [5e-324, 2.2250738585072009e-308, 1e-300, 1e-290, 1e290, 1e300]
+
+
+@settings(max_examples=500, deadline=None)
+@given(values=st.lists(st.one_of(cells, near_powers_of_ten, near_ties), min_size=1, max_size=64))
+@example(values=[0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan])
+# the fast path's range, the smallest normal and subnormal, each neighbour
+@example(values=[
+    s * float(v) for x in LIMITS for v in (x, np.nextafter(x, 0), np.nextafter(x, math.inf))
+    for s in (1, -1)
+])
+@example(values=[
+    ulps_from(float(f"1e{k}"), d) for k in (-300, -5, -4, -1, 0, 1, 11, 12, 22, 23, 300)
+    for d in (-3, -2, -1, 1, 2, 3)
+])
+# ties of the twelfth digit: exact ones, and near ones that rint(y) alone
+# rounds the wrong way
+@example(values=[123456789012.5, -123456789012.5, 0.5, 5e-5, 5e11, 5e12, 0.5e-300, 2.5, 1e15 + 0.5])
+@example(values=[5.606394622305e-30, 8.449323344385e-30, 4.241230248625e-29, 2.307576734685e-28])
+# the switch from fixed to scientific notation, both ways
+@example(values=[9.99999999999949e-5, 9.9999999999995e-5, 999999999999.5, 999999999999.4, 1e12])
+# trailing zeros, of the integer digits and of the fraction
+@example(values=[1200.0, 1e11, 100.0, 0.001, 1e-4, 1e-5, 120000000000.0, 1.5, 1.25e-7, -10.0])
+def test_kernel_matches_format(values):
+    assert kernel_lines(values) == [format(v, ".12g") for v in values]
+
+
+def test_kernel_matches_format_near_every_power_of_ten():
+    values = [
+        s * ulps_from(float(f"1e{k}"), d)
+        for k in range(-323, 309) for d in range(-3, 4) for s in (1.0, -1.0)
+    ]
+    values = [v for v in values if math.isfinite(v)]
+    assert kernel_lines(values) == [format(v, ".12g") for v in values]
+
+
+@pytest.mark.parametrize("shift", [1e-9, -1e-9])
+def test_exponent_is_fixed_whichever_way_log10_rounds(shift):
+    # a log10 that rounds across a power of ten gives e one too large (fixed
+    # once) or one too small (stepped): near every power of ten, both give
+    # the same text as the exact exponent
+    values = [
+        float(f"1e{k}") * (1 + d) for k in range(-280, 281, 7)
+        for d in (-1e-10, -1e-11, -2e-12, -1e-13, 0.0, 1e-13, 2e-12, 1e-11, 1e-10)
+    ]
+    log10 = np.log10
+    with mock.patch.object(np, "log10", lambda a: log10(a) + shift):
+        assert kernel_lines(values) == [format(v, ".12g") for v in values]
+
+
+def test_complex_cells_are_re_then_im():
+    z = np.array([[complex(1.5, -2.0), complex(-0.0, 1e-20)]])
+    assert cli._text([(z, b",,,\n")]) == b"1.5,-2,-0,1e-20\n"
+
+
+def writer_peak(rows):
+    """The tracemalloc peak of writing a table of ``rows`` rows: a key and four floats a row."""
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal((rows, 4)) * 10.0 ** rng.uniform(-8, 8, (rows, 4))
+    keys = np.tile(cli._text_column([f"{k}," for k in range(1000)]), (rows // 1000, 1))
+    tracemalloc.start()
+    try:
+        cli._write_table(Path(os.devnull), ("head",), [[keys, (values, b",,,\n")]])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writer_memory_is_bounded_by_the_chunk():
+    # the writer's peak is set by its chunk of _CHUNK_CELLS float cells, not
+    # by the table: 256k and 1.02M float cells (the bath's is 1.38M) peak alike
+    cli._tables()  # built once per process, outside the measurement
+    small, large = writer_peak(64_000), writer_peak(256_000)
+    assert large < 2 * 2**20
+    assert large < 1.1 * small

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -582,6 +584,14 @@ class TestMasterEquationInputs:
         sites = (*cpl.site_potentials[:2], np.eye(3))
         with pytest.raises(ValueError, match="got shapes \\[\\(2, 2\\), \\(2, 2\\), \\(3, 3\\)\\]"):
             SystemCoupling(cpl.h_system, sites, cpl.medium)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 2, 2)])
+    def test_non_square_hamiltonian_is_refused(self, shape):
+        # checked before the Hermiticity test, whose transpose would not broadcast
+        ext, _ = prepare(builders.build_synthetic(1, 5))
+        match = re.escape(f"h_system must be a square matrix; got shape {shape}")
+        with pytest.raises(ValueError, match=match):
+            SystemCoupling(np.zeros(shape), (np.zeros(shape),), ext)
 
     @pytest.mark.parametrize("hbar", [0.0, -1.0, np.inf, np.nan])
     def test_ill_posed_hbar_is_refused(self, hbar):
