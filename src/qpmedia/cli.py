@@ -2,24 +2,25 @@
 
 Frequencies are exchanged in eV at this boundary and converted to Hartree
 internally; every run prints one summary line with a checksum of the files
-it wrote, each read back in blocks (:func:`_checksum`).  At a fixed BLAS
-thread count, identical inputs produce byte-identical outputs.
+it wrote, the sha256 of the bytes :func:`_write_table` wrote.  At a fixed
+BLAS thread count, identical inputs produce byte-identical outputs.
 
 Each subcommand is declared once, in the command table ``_COMMANDS`` (help,
 runner, arguments; shared argument groups are defined once): the parser is
 built from it and :func:`run` dispatches through it.  Each runner imports
 the layers it runs, so a command loads no layer module it does not use.
 
-Every table goes through one writer, :func:`_write_table`, and every
-``--out`` table through :func:`_write_out`, which adds its head (the units
-line and the column names).  A table is given as blocks of rows, each a
-list of columns: byte matrices of text rendered once (row indices, the
-bath's alpha,beta pairs and frequencies, the filter's flag) and float
-arrays.  Every float of every table, the SVG's points included, is
-rendered as ``'%.12g' % x`` by one numpy kernel, :func:`_cells`, in chunks
-of at most ``_CHUNK_CELLS`` cells whatever the table's structure, so no
-large table is held in memory as text; Python's ``%`` renders only the
-cells the kernel hands to its exact fallback.
+Every file goes through one writer, :func:`_write_table`: the model JSON,
+the SVG plot and the field's ``.deltas.json`` sidecar are tables of head
+lines only, and every ``--out`` table goes through :func:`_write_out`, which
+adds its head (the units line and the column names).  A table's body is
+given as blocks of rows, each a list of columns: byte matrices of text
+rendered once (row indices, the bath's alpha,beta pairs and frequencies,
+the filter's flag) and float arrays.  Every float of every table, the
+SVG's points included, is rendered as ``'%.12g' % x`` by one numpy kernel,
+:func:`_cells`, in chunks of at most ``_CHUNK_CELLS`` cells whatever the
+table's structure, so no large table is held in memory as text; Python's
+``%`` renders only the cells the kernel hands to its exact fallback.
 """
 
 from __future__ import annotations
@@ -66,21 +67,6 @@ def _grid(lo: float, hi: float, step: float, quantity: str) -> np.ndarray:
         raise ValueError(f"{quantity} window has too many points: (max - min) / step = {span!r}")
     count = int(np.floor(span + 1e-9)) + 1
     return lo + step * np.arange(count)
-
-
-_CHECKSUM_BLOCK = 1 << 18
-
-
-def _checksum(path: Path) -> str:
-    """The first 16 hex digits of the file's sha256, read in blocks of ``_CHECKSUM_BLOCK`` bytes.
-
-    No output file is held in memory whole, however large the table.
-    """
-    digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        for block in iter(lambda: fh.read(_CHECKSUM_BLOCK), b""):
-            digest.update(block)
-    return digest.hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -284,34 +270,39 @@ def _text(block: Sequence) -> bytes:
     return matrix[matrix != 0].tobytes()
 
 
-def _write_table(path: Path, head: Sequence[str], blocks: Iterable[Sequence]) -> None:
+def _write_table(path: Path, head: Sequence[str], blocks: Iterable[Sequence] = ()) -> tuple[Path, str]:
     """Write the ``head`` lines, then the text of every block of rows.
 
-    A block is a list of columns, as :func:`_text` takes them.  It is
-    rendered and written in chunks of rows holding at most ``_CHUNK_CELLS``
-    float cells (one row at least), each written before the next is formed.
+    The one code that opens an output file.  A block is a list of columns,
+    as :func:`_text` takes them.  It is rendered and written in chunks of
+    rows holding at most ``_CHUNK_CELLS`` float cells (one row at least),
+    each written before the next is formed.  Returns the path and the first
+    16 hex digits of the sha256 of the bytes written, updated chunk by chunk.
     """
+    digest = hashlib.sha256()
     with path.open("wb") as fh:
-        fh.write("".join(line + "\n" for line in head).encode())
+        def write(data: bytes) -> None:
+            digest.update(data)
+            fh.write(data)
+        write("".join(line + "\n" for line in head).encode())
         for block in blocks:
             rows = max(map(_rows, block))
             cells = sum(len(part[1]) for part in block if isinstance(part, tuple))
             step = max(_CHUNK_CELLS // cells, 1)
             for start in range(0, rows, step):
                 stop = start + step
-                fh.write(_text([
+                write(_text([
                     (part[0][start:stop], part[1]) if isinstance(part, tuple)
                     else part if len(part) == 1 else part[start:stop]
                     for part in block
                 ]))
             del block  # freed before the next block is formed
+    return path, digest.hexdigest()[:16]
 
 
-def _write_out(config: argparse.Namespace, columns: str, blocks: Iterable[Sequence]) -> Path:
+def _write_out(config: argparse.Namespace, columns: str, blocks: Iterable) -> tuple[Path, str]:
     """Write the ``--out`` table: the units line, the ``columns`` line, then the blocks."""
-    out = Path(config.out)
-    _write_table(out, (_HEADER_COMMENT, columns), blocks)
-    return out
+    return _write_table(Path(config.out), (_HEADER_COMMENT, columns), blocks)
 
 
 def _line_seps(cells: int, sep: bytes = b",") -> bytes:
@@ -350,7 +341,7 @@ def _kick_for(spec: MediumSpec, config: argparse.Namespace) -> KickDrive:
     return KickDrive(_vector(config.kick, spec.n, "kick amplitude"))
 
 
-def _write_svg(path: Path, table: SpectrumTable) -> None:
+def _write_svg(path: Path, table: SpectrumTable) -> tuple[Path, str]:
     """Minimal deterministic line plot of the spectrum columns."""
     width, height, pad = 720, 360, 40
     x = table.omega_grid * HARTREE_TO_EV
@@ -379,14 +370,14 @@ def _write_svg(path: Path, table: SpectrumTable) -> None:
         )
         parts.append(f'<text x="{pad}" y="{pad}" font-size="10">{name} and companions</text>')
     parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n", encoding="utf-8")
+    return _write_table(path, parts)
 
 
 # ---------------------------------------------------------------------------
 # Subcommand implementations
 # ---------------------------------------------------------------------------
 
-def _run_build(config: argparse.Namespace) -> list[Path]:
+def _run_build(config: argparse.Namespace) -> list[tuple[Path, str]]:
     from . import builders
 
     if not (config.xyz and config.params and config.out):
@@ -396,9 +387,7 @@ def _run_build(config: argparse.Namespace) -> list[Path]:
     spec = builders.build_drude_charge_model(
         geom, params, response_axis="xyz".index(config.response_axis)
     )
-    out = Path(config.out)
-    out.write_text(spec_to_json(spec) + "\n", encoding="utf-8")
-    return [out]
+    return [_write_table(Path(config.out), (spec_to_json(spec),))]
 
 
 def _kick_ledger(spec: MediumSpec, config: argparse.Namespace) -> ModeLedger:
@@ -410,7 +399,7 @@ def _kick_ledger(spec: MediumSpec, config: argparse.Namespace) -> ModeLedger:
     return response.decompose_modes(eig, spec, drive)
 
 
-def _run_spectrum(config: argparse.Namespace) -> list[Path]:
+def _run_spectrum(config: argparse.Namespace) -> list[tuple[Path, str]]:
     from . import response
 
     spec = _load_model(config)
@@ -423,13 +412,11 @@ def _run_spectrum(config: argparse.Namespace) -> list[Path]:
     columns = "omega_eV,im_alpha,absorptive,dispersive"
     written = [_write_out(config, columns, [[(values, b",,,\n")]])]
     if config.svg:
-        svg = Path(config.svg)
-        _write_svg(svg, table)
-        written.append(svg)
+        written.append(_write_svg(Path(config.svg), table))
     return written
 
 
-def _run_modes(config: argparse.Namespace) -> list[Path]:
+def _run_modes(config: argparse.Namespace) -> list[tuple[Path, str]]:
     from . import spectral
 
     # the table reads only the eigensystem: no A, cond(A) or J_B
@@ -439,14 +426,13 @@ def _run_modes(config: argparse.Namespace) -> list[Path]:
     written = [_write_out(config, "k,re_mu,im_mu", [[index, (mu, b",\n")]])]
     if config.vectors:
         # one line per eigenvector: "re im re im ..."
-        vec_path = Path(config.vectors)
         vectors = eig.right_vectors.T.astype(complex, copy=False)
-        _write_table(vec_path, (), [[(vectors, _line_seps(2 * vectors.shape[1], b" "))]])
-        written.append(vec_path)
+        seps = _line_seps(2 * vectors.shape[1], b" ")
+        written.append(_write_table(Path(config.vectors), (), [[(vectors, seps)]]))
     return written
 
 
-def _run_filter(config: argparse.Namespace) -> list[Path]:
+def _run_filter(config: argparse.Namespace) -> list[tuple[Path, str]]:
     from . import response
 
     # the selection is checked before the decomposition it would be applied to
@@ -474,7 +460,7 @@ def _run_filter(config: argparse.Namespace) -> list[Path]:
     return [_write_out(config, "k,re_mu_eV,im_mu_eV,re_I,selected", [block])]
 
 
-def _run_propagate(config: argparse.Namespace) -> list[Path]:
+def _run_propagate(config: argparse.Namespace) -> list[tuple[Path, str]]:
     from . import phasespace, spectral
 
     spec = _load_model(config)
@@ -498,24 +484,23 @@ def _run_propagate(config: argparse.Namespace) -> list[Path]:
     ]
     means = means[:, 2 * n :].astype(complex, copy=False)
     block = [(t_grid[:, None], b","), (means, _line_seps(4 * n))]
-    written = [_write_out(config, ",".join(header), [block])]
-    if config.cov_out:
+    if config.cov_out:  # made, or refused, before the first byte is written
         cov_dir = Path(config.cov_out)
         cov_dir.mkdir(parents=True, exist_ok=True)
+    written = [_write_out(config, ",".join(header), [block])]
+    if config.cov_out:
         cov_seps = _line_seps(8 * n, b";,")
         for idx, t in enumerate(t_grid):
             # the covariance never reads Delta_t, so the drive is left out
             prop = phasespace.propagator_at(ext, float(t))
             cov = phasespace.evolve_state(state0, prop).cov.astype(complex, copy=False)
-            t_line = [_text_column(["# t = "]), (t_grid[idx : idx + 1, None], b"\n")]
-            _write_table(
-                cov_dir / f"cov_{idx:06d}.csv", (_HEADER_COMMENT,), [t_line, [(cov, cov_seps)]]
-            )
-        written.append(cov_dir / f"cov_{len(t_grid) - 1:06d}.csv")
+            head = (_HEADER_COMMENT, "# t = %.12g" % t)
+            last = _write_table(cov_dir / f"cov_{idx:06d}.csv", head, [[(cov, cov_seps)]])
+        written.append(last)
     return written
 
 
-def _run_field(config: argparse.Namespace) -> list[Path]:
+def _run_field(config: argparse.Namespace) -> list[tuple[Path, str]]:
     from . import spectral
     from .selfconsistent import FieldPlaneWaveSet, PlaneWave, emitted_field_first_order
 
@@ -549,7 +534,7 @@ def _run_field(config: argparse.Namespace) -> list[Path]:
     keys = np.column_stack((np.repeat(grid_ev, len(k_queries)), np.tile(k_queries, (grid_ev.size, 1))))
     block = [(keys, b",,,,"), (scattered.reshape(-1, 3), b",,,,,\n")]
     columns = "omega_eV,kx,ky,kz,re_Ex,im_Ex,re_Ey,im_Ey,re_Ez,im_Ez"
-    out = _write_out(config, columns, [block])
+    out, digest = _write_out(config, columns, [block])
     # the delta-supported part of the field: the incident waves on the grid
     amps = [w.amplitude_on(grid) for w in field_set.waves]
     delta_terms = [
@@ -559,11 +544,10 @@ def _run_field(config: argparse.Namespace) -> list[Path]:
     gauge = "deterministic eigenvector basis of the extended square root"
     deltas = {"similarity_gauge": gauge, "delta_terms": delta_terms}
     sidecar = out.with_suffix(out.suffix + ".deltas.json")
-    sidecar.write_text(json.dumps(deltas, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return [out, sidecar]
+    return [(out, digest), _write_table(sidecar, (json.dumps(deltas, indent=2, sort_keys=True),))]
 
 
-def _run_bath(config: argparse.Namespace) -> list[Path]:
+def _run_bath(config: argparse.Namespace) -> list[tuple[Path, str]]:
     from . import openquantum, phasespace, spectral
 
     spec = _load_model(config)
@@ -656,17 +640,30 @@ _COMMANDS = {
 }
 
 
+def _refuse_shared_outputs(config: argparse.Namespace) -> None:
+    """Refuse, before any write, output options that name one file: a later write would replace it."""
+    seen = {}
+    for flag in ("--out", "--svg", "--vectors"):
+        name = getattr(config, flag[2:], None)
+        if name:
+            path = Path(name).resolve()
+            if path in seen:
+                raise ValueError(f"{seen[path]} and {flag} name the same file {name!r}")
+            seen[path] = flag
+
+
 def run(config: argparse.Namespace) -> int:
     """Dispatch one subcommand; returns the process exit status."""
     try:
         _, runner, _ = _COMMANDS[config.subcommand]
+        _refuse_shared_outputs(config)
         written = runner(config)
     except (QpmError, ValueError, OSError, KeyError, TypeError, MemoryError) as exc:
         # numpy's failed allocation is a private MemoryError subclass
         name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         print(f"error: {name}: {exc}", file=sys.stderr)
         return 1
-    summary = " ".join(f"{p.name} sha256={_checksum(p)}" for p in written)
+    summary = " ".join(f"{path.name} sha256={digest}" for path, digest in written)
     print(f"{config.subcommand}: wrote {summary}")
     return 0
 

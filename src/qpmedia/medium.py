@@ -26,9 +26,10 @@ _GEN_COORD_TOL = 1e-9
 def _require_finite(name: str, values) -> None:
     """Raise a ValueError that names ``name`` unless every entry of ``values`` is finite.
 
-    Each frequency, frequency grid, mean, covariance and plane wave is
-    checked where it enters, before any product with it, so that nan or inf
-    gives this error and not a nan table or an overflow warning.
+    Each frequency, frequency grid, time, drive, mean, covariance, ladder
+    amplitude, plane wave and wavevector is checked where it enters, before
+    any product with it, so that nan or inf gives this error and not a nan
+    table or an overflow warning.
     """
     if not np.isfinite(values).all():
         raise ValueError(f"{name} must be finite")
@@ -169,9 +170,9 @@ class KickDrive:
     amplitude: NDArray[np.complex128]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "amplitude", np.atleast_1d(np.asarray(self.amplitude, dtype=complex))
-        )
+        amplitude = np.atleast_1d(np.asarray(self.amplitude, dtype=complex))
+        _require_finite("kick amplitude", amplitude)
+        object.__setattr__(self, "amplitude", amplitude)
 
 
 @dataclass(frozen=True)
@@ -182,9 +183,10 @@ class MonochromaticDrive:
     omega0: float
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "amplitude", np.atleast_1d(np.asarray(self.amplitude, dtype=complex))
-        )
+        amplitude = np.atleast_1d(np.asarray(self.amplitude, dtype=complex))
+        _require_finite("drive amplitude", amplitude)
+        _require_finite("drive frequency omega0", self.omega0)
+        object.__setattr__(self, "amplitude", amplitude)
 
 
 @dataclass(frozen=True)
@@ -203,6 +205,9 @@ class TabulatedDrive:
         t = np.asarray(self.times, dtype=float)
         v = np.atleast_2d(np.asarray(self.values, dtype=complex))
         d = np.atleast_2d(np.asarray(self.derivatives, dtype=complex))
+        _require_finite("tabulated times", t)
+        _require_finite("tabulated values", v)
+        _require_finite("tabulated derivatives", d)
         if t.ndim != 1 or np.any(np.diff(t) <= 0):
             raise ValueError("tabulated time grid must be strictly increasing")
         if v.shape[0] != t.size or d.shape != v.shape:

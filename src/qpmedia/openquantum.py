@@ -82,6 +82,7 @@ def correlation_time(ext: ExtendedOperator, state0: GaussianState, t: float):
     the shift term of the evolution vanishes; driven-bath correlations are
     out of scope.
     """
+    _require_finite("time", t)
     return _lambda_at(decompose_generator(ext), -t) @ _initial_moment_matrix(state0)
 
 

@@ -20,8 +20,12 @@ from .medium import (
 from .spectral import SINGULAR_A_COND_THRESHOLD, EigenSystem, ExtendedOperator, _resolvent_x
 
 
+# the Simpson step of the Delta_t quadrature (:func:`_advance_delta`)
+_QUAD_STEP = 1e-3
+
+
 def _positive_finite(name: str, value: float) -> None:
-    """Reject a scale (hbar, beta, a quadrature step) that is not positive and finite."""
+    """Reject a scale (hbar, beta) that is not positive and finite."""
     if not 0 < value < np.inf:
         raise ValueError(f"{name} must be positive and finite")
 
@@ -201,21 +205,21 @@ def _drive_vector(ext: ExtendedOperator, drive):
     return _solve_A(ext.sim_A, _extended_force(ext.damping, *drive))
 
 
-def _advance_delta(ext, eig: EigenSystem, drive, delta, t0, t1, quad_step: float):
+def _advance_delta(ext, eig: EigenSystem, drive, delta, t0, t1):
     """Delta at t1 from Delta at t0: fixed Simpson steps of Delta' = Lambda_s J C_s.
 
-    Each step takes Lambda_s J C_s at its two ends and its midpoint, the
-    nodes of the RK4 step the reference integrators use.  Each node costs one
-    2n solve for J C_s and one action of exp(J B s) on that vector, three 2n
-    products on ``eig`` (:func:`_lambda_at`); no 4n x 4n propagator is
-    formed.  A step t1 < t0 integrates backward.  A kick on a medium with a
+    The steps are ``_QUAD_STEP`` long, rounded to fit the interval.  Each
+    takes Lambda_s J C_s at its two ends and its midpoint, the nodes of the
+    RK4 step the reference integrators use.  Each node costs one 2n solve
+    for J C_s and one action of exp(J B s) on that vector, three 2n products
+    on ``eig`` (:func:`_lambda_at`); no 4n x 4n propagator is formed.  A step t1 < t0 integrates backward.  A kick on a medium with a
     zero mode (:func:`_has_zero_mode`) takes the closed form of
     :func:`_kick_step` instead.
     """
     if isinstance(drive, KickDrive) and _has_zero_mode(eig):
         force = _extended_force(ext.damping, *drive_value(drive, t0))
         return delta + _kick_step(eig, force, t0, t1)
-    steps = max(1, int(round(abs(t1 - t0) / quad_step)))
+    steps = max(1, int(round(abs(t1 - t0) / _QUAD_STEP)))
     h = (t1 - t0) / steps
     s = t0
     for _ in range(steps):
@@ -229,26 +233,23 @@ def _advance_delta(ext, eig: EigenSystem, drive, delta, t0, t1, quad_step: float
 
 
 def propagator_at(
-    ext: ExtendedOperator,
-    t: float,
-    drive: DriveSignal | None = None,
-    quad_step: float = 1e-3,
+    ext: ExtendedOperator, t: float, drive: DriveSignal | None = None
 ) -> Propagator:
     """Propagator (Lambda_t, Delta_t) at a single time.
 
     Lambda_t is built on the sqrt_kappa eigensystem (:func:`_lambda_at`);
     it is the one 4n x 4n matrix formed here.  Delta_t integrates
-    Delta' = Lambda_s J C_s with the same fixed RK4 step the reference
-    integrators use, applying exp(J B s) to the drive vector at each node,
-    or takes a kick's closed form (:func:`_advance_delta`).  ``quad_step``
-    must be positive and finite.
+    Delta' = Lambda_s J C_s with the fixed RK4 step of the reference
+    integrators, ``_QUAD_STEP``, applying exp(J B s) to the drive vector at
+    each node, or takes a kick's closed form (:func:`_advance_delta`).  A
+    non-finite t raises a ValueError that names it.
     """
-    _positive_finite("quad_step", quad_step)
+    _require_finite("time", t)
     eig = decompose_generator(ext)
     delta = np.zeros(2 * eig.values.size, dtype=complex)
     lam = _lambda_at(eig, t)
     if drive is not None and t != 0.0:
-        delta = _advance_delta(ext, eig, drive, delta, 0.0, t, quad_step)
+        delta = _advance_delta(ext, eig, drive, delta, 0.0, t)
     return Propagator(lambda_t=lam, delta_t=delta)
 
 
@@ -273,22 +274,19 @@ def evolve_state(state: GaussianState, prop: Propagator) -> GaussianState:
 
 
 def propagate_mean(
-    ext: ExtendedOperator,
-    drive: DriveSignal | None,
-    q0,
-    t_grid,
-    quad_step: float = 1e-3,
+    ext: ExtendedOperator, drive: DriveSignal | None, q0, t_grid
 ) -> NDArray[np.complex128]:
     """Mean trajectory over a time grid with a single Delta sweep.
 
     Delta is carried from one sample to the next, forward or backward, so
-    the grid need not be increasing; a driven grid must start at t=0.
-    ``quad_step`` must be positive and finite.
+    the grid need not be increasing; a driven grid must start at t=0.  A
+    non-finite initial mean or time raises a ValueError that names it.
     """
-    _positive_finite("quad_step", quad_step)
-    eig = decompose_generator(ext)
     t_grid = np.asarray(t_grid, dtype=float)
     q0 = np.asarray(q0, dtype=complex)
+    _require_finite("initial mean q0", q0)
+    _require_finite("time grid", t_grid)
+    eig = decompose_generator(ext)
     N2 = 2 * eig.values.size
     out = np.empty((t_grid.size, N2), dtype=complex)
     delta = np.zeros(N2, dtype=complex)
@@ -297,7 +295,7 @@ def propagate_mean(
         raise ValueError("driven mean propagation expects a grid starting at t=0")
     for i, t in enumerate(t_grid):
         if drive is not None and t != prev_t:
-            delta = _advance_delta(ext, eig, drive, delta, prev_t, t, quad_step)
+            delta = _advance_delta(ext, eig, drive, delta, prev_t, t)
             prev_t = t
         out[i] = symplectic_inverse(_lambda_at(eig, t)) @ (q0 - delta)
     return out

@@ -21,6 +21,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DefectiveMatrix, SingularEffectiveSigma, ZeroMode
+from .medium import _require_finite
 from .phasespace import _positive_finite
 from .spectral import EigenSystem, _eigensystem, _normalize_columns, symplectic_form
 
@@ -164,6 +165,7 @@ def coherent_params(basis: PseudoBosonBasis, alpha) -> BiCoherentParams:
     """
     hbar = basis.hbar
     alpha = np.asarray(alpha, dtype=complex).ravel()
+    _require_finite("ladder amplitude alpha", alpha)
     m = basis.n_modes
     if alpha.size != m:
         raise ValueError(f"alpha must have length {m}")
@@ -211,6 +213,8 @@ def evolve_alpha(alpha, basis: PseudoBosonBasis, t: float):
     damped spectra.
     """
     alpha = np.asarray(alpha, dtype=complex).ravel()
+    _require_finite("ladder amplitude alpha", alpha)
+    _require_finite("time", t)
     sqrtJ = basis.sqrtJK
     alpha_t = np.exp(-1j * t * sqrtJ) * alpha
     log_pref = -0.5j * t * np.sum(sqrtJ) - 0.5 * (

@@ -143,6 +143,7 @@ def scattering_T(
     one factor of the dipole-density ``weights`` (the source coordinates by
     default) and is linear in them.
     """
+    _require_finite("wavevector k", k)
     if rows is None:
         rows = scattering_rows(ext, omega)
     if weights is None:
@@ -178,6 +179,8 @@ def _green_tensors(k_points, omega: float) -> NDArray[np.float64]:
 
 def green_tensor(k, omega: float):
     """Transverse-wave Green factor 4 pi (delta omega^2 - c^2 k k^T) / (omega^2 - c^2 |k|^2)."""
+    _require_finite("wavevector k", k)
+    _require_finite("omega", omega)
     return _green_tensors(np.asarray(k, dtype=float).reshape(1, 3), omega)[0]
 
 
@@ -222,6 +225,7 @@ def emitted_field_first_order(
     """
     omega_grid = ext_field.omega_grid
     k_queries = np.atleast_2d(np.asarray(k_queries, dtype=float))
+    _require_finite("k queries", k_queries)
     scattered = np.zeros((omega_grid.size, k_queries.shape[0], 3), dtype=complex)
     for iw, (_, _, first) in enumerate(_first_order_passes(ext, spec, ext_field, k_queries)):
         scattered[iw] = first
@@ -249,6 +253,8 @@ def emitted_field_iterate(
     omega_grid = ext_field.omega_grid
     k_nodes = np.atleast_2d(np.asarray(k_nodes, dtype=float))
     k_weights = np.asarray(k_weights, dtype=float)
+    _require_finite("k nodes", k_nodes)
+    _require_finite("k weights", k_weights)
     if k_weights.shape != (k_nodes.shape[0],):
         raise ValueError("one weight per quadrature node is required")
     n_k = k_nodes.shape[0]

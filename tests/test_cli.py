@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +14,7 @@ import pytest
 
 import qpmedia
 from conftest import small_drude_disk, stable_spec
-from qpmedia.cli import _CHECKSUM_BLOCK, _checksum, _grid, main
+from qpmedia.cli import _CHUNK_CELLS, _grid, main
 from qpmedia.constants import HARTREE_TO_EV
 from qpmedia.medium import spec_to_json
 
@@ -299,7 +300,7 @@ class TestBath:
 class TestBathMemory:
     def test_traced_peak_stays_below_two_xi(self, tmp_path):
         # Xi is the one F x 2n x 2n tensor the bath command holds: gamma and S
-        # are formed one frequency at a time and the checksum streams the file
+        # are formed one frequency at a time and the file is hashed as it is written
         from qpmedia import builders, openquantum, spectral
 
         spec = builders.build_synthetic(40, 1)
@@ -320,13 +321,6 @@ class TestBathMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2 * xi_nbytes
-
-
-class TestChecksum:
-    def test_streamed_digest_equals_the_whole_file_digest(self, tmp_path):
-        path = tmp_path / "blob.bin"
-        path.write_bytes(np.random.default_rng(5).bytes(2 * _CHECKSUM_BLOCK + 12345))
-        assert _checksum(path) == hashlib.sha256(path.read_bytes()).hexdigest()[:16]
 
 
 class TestField:
@@ -495,6 +489,21 @@ class TestCovDump:
         assert body[1].startswith("# t = 0")
         assert len(body) == 2 + 4  # 4x4 covariance
 
+    def test_cov_out_that_is_a_file_is_refused_before_any_write(self, tmp_path, capsys):
+        # the directory is made, or refused, before the --out table is written
+        model = scalar_model(tmp_path, k=1.0, gamma=0.0)
+        out = tmp_path / "traj.csv"
+        cov_file = tmp_path / "covfile"
+        cov_file.write_text("", encoding="utf-8")
+        assert main(
+            [
+                "propagate", "--model", str(model), "--t-max", "1", "--t-step", "0.25",
+                "--u0", "1.0", "--cov-out", str(cov_file), "--out", str(out),
+            ]
+        ) == 1
+        assert capsys.readouterr().err.startswith("error: FileExistsError: ")
+        assert not out.exists()
+
 
 class TestStartup:
     """No qpm command imports scipy, and each loads only the layers it runs."""
@@ -659,6 +668,94 @@ class TestStartup:
         argv, _ = self.COMMANDS[command]
         assert main([command, *argv]) == 0
         assert len(calls) == int(command in ("field", "bath"))
+
+
+class TestSummary:
+    """Each ``name sha256=d`` token of a summary line is the digest of that file on disk."""
+
+    WINDOW = ["--omega-min", "1", "--omega-max", "2", "--omega-step", "0.5"]
+    # command: (argv, the files its summary names)
+    COMMANDS = {
+        "build": (["--xyz", "g.xyz", "--params", "p.json", "--out", "b.json"], ["b.json"]),
+        "spectrum": (
+            ["--model", "m.json", "--out", "s.csv", "--svg", "s.svg", *WINDOW],
+            ["s.csv", "s.svg"],
+        ),
+        "modes": (
+            ["--model", "m.json", "--out", "o.csv", "--vectors", "v.txt"], ["o.csv", "v.txt"]
+        ),
+        "filter-if": (
+            ["--model", "m.json", "--out", "o.csv", "--mode", "if", "--threshold", "0.1"],
+            ["o.csv"],
+        ),
+        "filter-ef": (
+            ["--model", "m.json", "--out", "o.csv", "--mode", "ef", "--omega-lo", "0",
+             "--omega-hi", "10"],
+            ["o.csv"],
+        ),
+        "propagate": (
+            # four covariance samples: the summary names the last
+            ["--model", "m.json", "--out", "t.csv", "--t-max", "0.3", "--t-step", "0.1",
+             "--kick", "1,0,0", "--cov-out", "covs"],
+            ["t.csv", "cov_000003.csv"],
+        ),
+        "field": (
+            ["--model", "m.json", "--out", "f.csv", "--waves", "w.json"],
+            ["f.csv", "f.csv.deltas.json"],
+        ),
+        "bath": (
+            # n = 20: 21 blocks of 1,600 rows of four float cells, two chunks each
+            ["--model", "big.json", "--out", "bath.csv", "--beta", "1", "--omega-min", "0.1",
+             "--omega-max", "2.1", "--omega-step", "0.1"],
+            ["bath.csv"],
+        ),
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_digest_is_the_file_digest(self, command, tmp_path, monkeypatch, capsys):
+        from qpmedia import builders
+
+        TestStartup._command_inputs(tmp_path)
+        big = spec_to_json(builders.build_synthetic(20, 1)) + "\n"
+        (tmp_path / "big.json").write_text(big, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        argv, names = self.COMMANDS[command]
+        subcommand = command.split("-")[0]
+        assert main([subcommand, *argv]) == 0
+        summary = capsys.readouterr().out
+        assert summary.startswith(f"{subcommand}: wrote ") and summary.count("\n") == 1
+        tokens = re.findall(r"(\S+) sha256=([0-9a-f]{16})\b", summary)
+        assert [name for name, _ in tokens] == names
+        for name, digest in tokens:
+            (path,) = tmp_path.rglob(name)
+            assert digest == hashlib.sha256(path.read_bytes()).hexdigest()[:16], name
+        if command == "propagate":
+            assert len(list((tmp_path / "covs").glob("cov_*.csv"))) == 4
+        if command == "bath":
+            rows = len((tmp_path / "bath.csv").read_bytes().splitlines()) - 2
+            assert rows == 21 * 40 * 40 and 4 * rows > 32 * _CHUNK_CELLS
+
+    @pytest.mark.parametrize(
+        "argv,flags",
+        [
+            (["spectrum", "--model", "m.json", *WINDOW, "--out", "a.csv", "--svg", "a.csv"],
+             "--out and --svg"),
+            (["spectrum", "--model", "m.json", *WINDOW, "--out", "a.csv", "--svg", "./a.csv"],
+             "--out and --svg"),
+            (["modes", "--model", "m.json", "--out", "a.csv", "--vectors", "a.csv"],
+             "--out and --vectors"),
+        ],
+        ids=["spectrum-svg", "spectrum-svg-spelled-apart", "modes-vectors"],
+    )
+    def test_outputs_naming_one_file_are_refused(self, argv, flags, tmp_path, monkeypatch, capsys):
+        # a digest describes the bytes written, so no output may overwrite another
+        TestStartup._command_inputs(tmp_path)
+        inputs = sorted(os.listdir(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ValueError: {flags} name the same file "), err
+        assert sorted(os.listdir(tmp_path)) == inputs
 
 
 class TestLazyExports:

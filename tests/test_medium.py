@@ -465,10 +465,15 @@ class TestModelLoader:
 
 
 def _non_finite_entry_points():
-    """{entry: (call(value), named quantity)} wherever a frequency, grid, mean or cov enters."""
+    """{entry: (call(value), named quantity)} wherever an outside value enters.
+
+    Those are frequencies, grids, times, drives, initial means, covariances,
+    ladder amplitudes and wavevectors.
+    """
     from qpmedia import openquantum as oq
+    from qpmedia import pseudoboson as pb
     from qpmedia import selfconsistent as sc
-    from qpmedia.phasespace import GaussianState, mean_in_frequency
+    from qpmedia.phasespace import GaussianState, mean_in_frequency, propagate_mean, propagator_at
     from qpmedia.response import decompose_modes, reconstruct_spectrum
     from qpmedia.spectral import build_sqrt_kappa
 
@@ -477,6 +482,11 @@ def _non_finite_entry_points():
     kick = KickDrive(np.ones(4))
     vacuum = GaussianState(mean=np.zeros(16), cov=0.5 * np.eye(16))
     wave = sc.PlaneWave(k=[0.01, 0.0, 0.0], amplitude=[0.0, 1.0, 0.0])
+    waves = sc.FieldPlaneWaveSet(omega_grid=[0.5], waves=(wave,))
+    basis = pb.build_pseudoboson(ext.eig)
+    alpha = np.zeros(basis.n_modes)
+    q0 = np.zeros(16)
+    table = np.zeros((3, 4))
     grid = "omega_grid"
     return {
         "thermal_correlation": (lambda v: oq.thermal_correlation(ext, 1.0, 1.0, [v], 1e-4), grid),
@@ -499,6 +509,53 @@ def _non_finite_entry_points():
         "GaussianState.cov": (
             lambda v: GaussianState(mean=np.zeros(2), cov=np.full((2, 2), v)), "covariance"
         ),
+        "propagate_mean.q0": (
+            lambda v: propagate_mean(ext, kick, np.r_[v, q0[1:]], [0.0, 1.0]), "initial mean q0"
+        ),
+        "propagate_mean.t_grid": (lambda v: propagate_mean(ext, kick, q0, [0.0, v]), "time grid"),
+        "propagate_mean.drive": (
+            lambda v: propagate_mean(ext, KickDrive([v, 1.0, 1.0, 1.0]), q0, [0.0, 1.0]),
+            "kick amplitude",
+        ),
+        "MonochromaticDrive.amplitude": (
+            lambda v: MonochromaticDrive([v, 1.0, 1.0, 1.0], 1.0), "drive amplitude"
+        ),
+        "MonochromaticDrive.omega0": (
+            lambda v: MonochromaticDrive(np.ones(4), v), "drive frequency omega0"
+        ),
+        "TabulatedDrive.times": (
+            lambda v: TabulatedDrive([0.0, v, 1.0], table, table), "tabulated times"
+        ),
+        "TabulatedDrive.values": (
+            lambda v: TabulatedDrive([0.0, 0.5, 1.0], np.full((3, 4), v), table),
+            "tabulated values",
+        ),
+        "TabulatedDrive.derivatives": (
+            lambda v: TabulatedDrive([0.0, 0.5, 1.0], table, np.full((3, 4), v)),
+            "tabulated derivatives",
+        ),
+        "propagator_at": (lambda v: propagator_at(ext, v, kick), "time"),
+        "correlation_time": (lambda v: oq.correlation_time(ext, vacuum, v), "time"),
+        "evolve_alpha.t": (lambda v: pb.evolve_alpha(alpha, basis, v), "time"),
+        "evolve_alpha.alpha": (
+            lambda v: pb.evolve_alpha(np.r_[v, alpha[1:]], basis, 1.0), "ladder amplitude alpha"
+        ),
+        "coherent_params": (
+            lambda v: pb.coherent_params(basis, np.r_[v, alpha[1:]]), "ladder amplitude alpha"
+        ),
+        "emitted_field_first_order.k": (
+            lambda v: sc.emitted_field_first_order(ext, spec, waves, [[v, 0.0, 0.0]]), "k queries"
+        ),
+        "emitted_field_iterate.k": (
+            lambda v: sc.emitted_field_iterate(ext, spec, waves, [[v, 0.0, 0.0]], [1.0]), "k nodes"
+        ),
+        "emitted_field_iterate.weight": (
+            lambda v: sc.emitted_field_iterate(ext, spec, waves, [[0.02, 0.0, 0.0]], [v]),
+            "k weights",
+        ),
+        "scattering_T": (lambda v: sc.scattering_T(ext, spec, [v, 0.0, 0.0], 0.5), "wavevector k"),
+        "green_tensor.k": (lambda v: sc.green_tensor([v, 0.0, 0.0], 0.5), "wavevector k"),
+        "green_tensor.omega": (lambda v: sc.green_tensor([0.02, 0.0, 0.0], v), "omega"),
     }
 
 
@@ -509,11 +566,18 @@ def _non_finite_entry_points():
         "thermal_correlation", "correlation_frequency", "classical_correlation",
         "mean_in_frequency", "scattering_rows", "auxiliary_response", "reconstruct_spectrum",
         "emitted_field_first_order", "GaussianState.mean", "GaussianState.cov",
+        "propagate_mean.q0", "propagate_mean.t_grid", "propagate_mean.drive",
+        "MonochromaticDrive.amplitude", "MonochromaticDrive.omega0", "TabulatedDrive.times",
+        "TabulatedDrive.values", "TabulatedDrive.derivatives", "propagator_at",
+        "correlation_time", "evolve_alpha.t", "evolve_alpha.alpha", "coherent_params",
+        "emitted_field_first_order.k", "emitted_field_iterate.k", "emitted_field_iterate.weight",
+        "scattering_T", "green_tensor.k", "green_tensor.omega",
     ],
 )
 def test_non_finite_input_is_named_before_any_product(entry, value):
-    # nan gave a silent nan table and inf an overflow warning; now one
-    # ValueError names the quantity (the suite turns RuntimeWarnings into errors)
+    # nan gave a silent nan table or result and inf an overflow warning; now
+    # one ValueError names the quantity (the suite turns RuntimeWarnings into
+    # errors); a drive is checked when it is made
     call, name = _non_finite_entry_points()[entry]
     with pytest.raises(ValueError, match=f"^{name} must be finite$"):
         call(value)

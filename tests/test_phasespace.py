@@ -106,11 +106,10 @@ class TestPropagator:
         amp = rng.standard_normal(n)
         drive = KickDrive(amp) if omega0 is None else MonochromaticDrive(amp, omega0)
         q0 = rng.standard_normal(4 * n).astype(complex)
-        quad_step = 0.01
-        t_grid = stride * quad_step * np.arange(4)
-        means = propagate_mean(ext, drive, q0, t_grid, quad_step=quad_step)
+        t_grid = stride * 0.01 * np.arange(4)
+        means = propagate_mean(ext, drive, q0, t_grid)
         for t, row in zip(t_grid, means):
-            prop = propagator_at(ext, t, drive=drive, quad_step=quad_step)
+            prop = propagator_at(ext, t, drive=drive)
             assert t == 0.0 or np.abs(prop.delta_t).max() > 0.0
             got = symplectic_inverse(prop.lambda_t) @ (q0 - prop.delta_t)
             assert_allclose(got, row, rtol=1e-11, atol=1e-12 * np.abs(row).max())
@@ -210,7 +209,7 @@ class TestEvolveState:
         stride = 50
         t_grid = fine[::stride]
         q0 = consistent_mean(ext, x0, xdot0)
-        means = propagate_mean(ext, drive, q0, t_grid, quad_step=1e-3)
+        means = propagate_mean(ext, drive, q0, t_grid)
         assert np.abs(means[:, 6:] - oracle.x[::stride]).max() < 1e-6
 
     def test_drive_free_mean_matches_oracle(self):
@@ -392,7 +391,7 @@ class TestExpmFallback:
         oracle = integrate_reference_extended(spec, drive, x0, xdot0, fine)
         stride = 250
         q0 = consistent_mean(self.ext, x0, xdot0)
-        means = propagate_mean(self.ext, drive, q0, fine[::stride], quad_step=1e-3)
+        means = propagate_mean(self.ext, drive, q0, fine[::stride])
         assert np.abs(means[-1, 2:]).max() > 0.1
         return np.abs(means[:, 2:] - oracle.x[::stride]).max()
 
@@ -462,20 +461,6 @@ class TestTinyTimes:
         v = np.random.default_rng(9).standard_normal(2 * spec.n)
         got_v, want_v = _lambda_at(eig, t, v), want[:, : v.size] @ v
         assert np.abs(got_v - want_v).max() <= 1e-12 * np.abs(want_v).max()
-
-
-class TestQuadStep:
-    """A quadrature step that is not positive and finite is named, not used."""
-
-    @pytest.mark.parametrize("quad_step", [-1e-3, 0.0, np.nan, np.inf])
-    def test_rejected(self, quad_step):
-        ext, _ = prepare(simple_spec([[2.0]], [[0.1]]))
-        drive = KickDrive([1.0])
-        q0 = np.zeros(4, dtype=complex)
-        with pytest.raises(ValueError, match="quad_step must be positive and finite"):
-            propagate_mean(ext, drive, q0, [0.0, 2.0], quad_step=quad_step)
-        with pytest.raises(ValueError, match="quad_step must be positive and finite"):
-            propagator_at(ext, 2.0, drive=drive, quad_step=quad_step)
 
 
 class TestMeanInFrequency:
