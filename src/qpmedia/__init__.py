@@ -77,7 +77,6 @@ _EXPORTS = {
         "build_drude_charge_model",
         "build_synthetic",
         "parse_xyz",
-        "perturb_geometry",
     ),
     "oracles": (
         "build_JB",

@@ -3,7 +3,9 @@
 The conducting-model builder maps a geometry plus Drude parameters into the
 normal-form kernel/damping pair.  Published force-field parameterizations are
 deliberately not baked in; every physical constant arrives through
-:class:`DrudeParams` or an explicit kernel file.
+:class:`DrudeParams` or an explicit kernel file.  Nothing here opens a file:
+:func:`parse_xyz` and :meth:`DrudeParams.from_json` parse text that the
+caller has read (``qpm build`` reads ``--xyz`` and ``--params``).
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from numpy.typing import NDArray
@@ -101,20 +102,8 @@ class DrudeParams:
         )
 
 
-def _is_file(text: str) -> bool:
-    """Whether ``text`` names an existing file; a name too long to be one does not."""
-    try:
-        return Path(text).is_file()
-    except OSError:
-        return False
-
-
-def parse_xyz(source: str | Path) -> GeometryFile:
+def parse_xyz(text: str) -> GeometryFile:
     """Parse standard XYZ text (count line, comment line, element rows)."""
-    if isinstance(source, Path) or ("\n" not in str(source) and _is_file(str(source))):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = str(source)
     lines = text.splitlines()
     if not lines:
         raise MalformedXYZ(1, "empty file")
@@ -226,9 +215,9 @@ def build_drude_charge_model(
 
 
 def uniform_field_kick(
-    geom: GeometryFile, params: DrudeParams, direction=(0.0, 0.0, 1.0), amplitude=1.0
+    geom: GeometryFile, params: DrudeParams, direction=(0.0, 0.0, 1.0)
 ) -> NDArray[np.float64]:
-    """Kick amplitude equivalent to a uniform field along ``direction``.
+    """Kick amplitude equivalent to a unit uniform field along ``direction``.
 
     The site potential of a uniform field is projected through the
     conduction matrix exactly as the kernel is, which removes any spurious
@@ -237,7 +226,7 @@ def uniform_field_kick(
     coords_bohr = geom.positions * BOHR_PER_ANGSTROM
     direction = np.asarray(direction, dtype=float)
     direction = direction / np.linalg.norm(direction)
-    potential = -amplitude * (direction @ coords_bohr)
+    potential = -(direction @ coords_bohr)
     return -drude_conduction_matrix(geom, params) @ potential
 
 
@@ -288,44 +277,8 @@ def build_synthetic(n: int, seed: int, stability: str = "stable") -> MediumSpec:
     )
 
 
-def perturb_geometry(
-    geom: GeometryFile,
-    max_displacement: float,
-    seed: int,
-    plane_normal=None,
-) -> GeometryFile:
-    """Displace every atom by a random vector of norm <= max_displacement.
-
-    Displacements are uniform in the ball (or in the in-plane disk when a
-    plane normal is given) and reproducible from the seed.
-    """
-    if max_displacement < 0:
-        raise ValueError("max_displacement must be non-negative")
-    rng = np.random.default_rng(seed)
-    m = geom.natoms
-    if max_displacement == 0:
-        return GeometryFile(geom.symbols, geom.positions.copy())
-    if plane_normal is None:
-        vec = rng.standard_normal((3, m))
-        vec /= np.linalg.norm(vec, axis=0)
-        radii = max_displacement * rng.uniform(0.0, 1.0, size=m) ** (1.0 / 3.0)
-    else:
-        normal = np.asarray(plane_normal, dtype=float)
-        normal = normal / np.linalg.norm(normal)
-        seed_vec = np.array([1.0, 0.0, 0.0])
-        if abs(normal @ seed_vec) > 0.9:
-            seed_vec = np.array([0.0, 1.0, 0.0])
-        e1 = np.cross(normal, seed_vec)
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(normal, e1)
-        angles = rng.uniform(0.0, 2.0 * np.pi, size=m)
-        vec = np.outer(e1, np.cos(angles)) + np.outer(e2, np.sin(angles))
-        radii = max_displacement * np.sqrt(rng.uniform(0.0, 1.0, size=m))
-    return GeometryFile(geom.symbols, geom.positions + vec * radii)
-
-
-def hexagonal_disk(radius: float, spacing: float, element: str = "C") -> GeometryFile:
-    """Hexagonal-lattice disk in the z = 0 plane (angstrom units)."""
+def hexagonal_disk(radius: float, spacing: float) -> GeometryFile:
+    """Hexagonal-lattice disk of carbon atoms in the z = 0 plane (angstrom units)."""
     pts = []
     m = int(radius / spacing) + 2
     for i in range(-m, m + 1):
@@ -336,4 +289,4 @@ def hexagonal_disk(radius: float, spacing: float, element: str = "C") -> Geometr
                 pts.append((x, y, 0.0))
     pts.sort()
     positions = np.array(pts).T
-    return GeometryFile(symbols=(element,) * positions.shape[1], positions=positions)
+    return GeometryFile(symbols=("C",) * positions.shape[1], positions=positions)

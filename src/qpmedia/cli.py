@@ -1,9 +1,15 @@
 """Batch command-line front end.
 
 Frequencies are exchanged in eV at this boundary and converted to Hartree
-internally; every run prints one summary line with a checksum of the files
-it wrote, the sha256 of the bytes :func:`_write_table` wrote.  At a fixed
-BLAS thread count, identical inputs produce byte-identical outputs.
+internally; every run prints one summary line that names every file it
+wrote, each with the sha256 of the bytes :func:`_write_table` wrote to it.
+At a fixed BLAS thread count, identical inputs produce byte-identical
+outputs.
+
+This is the one module that touches the file system: it reads every input
+file and hands the layers what it read.  A command two of whose files are
+one file is refused before any work (:func:`_refuse_shared_files`), so no
+write replaces a file the command reads or has written.
 
 Each subcommand is declared once, in the command table ``_COMMANDS`` (help,
 runner, arguments; shared argument groups are defined once): the parser is
@@ -29,6 +35,7 @@ import argparse
 import functools
 import hashlib
 import json
+import re
 import sys
 from collections.abc import Iterable, Sequence
 from pathlib import Path
@@ -316,13 +323,18 @@ def _load_model(config: argparse.Namespace) -> MediumSpec:
     return spec_from_json(Path(config.model).read_text(encoding="utf-8"))
 
 
+def _numbers(text: str) -> list[float] | None:
+    """The numbers of the comma list ``text``, or None: then ``text`` names a JSON file."""
+    try:
+        return [float(p) for p in text.split(",")]
+    except ValueError:
+        return None
+
+
 def _vector(text: str, n: int, what: str) -> np.ndarray:
     """The length-``n`` vector of a comma list, or else of the JSON file ``text``."""
-    try:
-        values = [float(p) for p in text.split(",")]
-    except ValueError:
-        if not Path(text).is_file():
-            raise
+    values = _numbers(text)
+    if values is None:
         values = json.loads(Path(text).read_text(encoding="utf-8"))
     try:
         vec = np.asarray(values, dtype=complex)
@@ -345,10 +357,11 @@ def _write_svg(path: Path, table: SpectrumTable) -> tuple[Path, str]:
     """Minimal deterministic line plot of the spectrum columns."""
     width, height, pad = 720, 360, 40
     x = table.omega_grid * HARTREE_TO_EV
-    series = [("im_alpha", table.im_alpha, "#1f77b4")]
-    if table.absorptive is not None:
-        series.append(("absorptive", table.absorptive, "#ff7f0e"))
-        series.append(("dispersive", table.dispersive, "#2ca02c"))
+    series = [
+        ("im_alpha", table.im_alpha, "#1f77b4"),
+        ("absorptive", table.absorptive, "#ff7f0e"),
+        ("dispersive", table.dispersive, "#2ca02c"),
+    ]
     ymin = min(float(s.min()) for _, s, _ in series)
     ymax = max(float(s.max()) for _, s, _ in series)
     if ymax == ymin:
@@ -382,7 +395,7 @@ def _run_build(config: argparse.Namespace) -> list[tuple[Path, str]]:
 
     if not (config.xyz and config.params and config.out):
         raise ValueError("build requires --xyz, --params and --out")
-    geom = builders.parse_xyz(Path(config.xyz))
+    geom = builders.parse_xyz(Path(config.xyz).read_text(encoding="utf-8"))
     params = builders.DrudeParams.from_json(Path(config.params).read_text(encoding="utf-8"))
     spec = builders.build_drude_charge_model(
         geom, params, response_axis="xyz".index(config.response_axis)
@@ -495,8 +508,7 @@ def _run_propagate(config: argparse.Namespace) -> list[tuple[Path, str]]:
             prop = phasespace.propagator_at(ext, float(t))
             cov = phasespace.evolve_state(state0, prop).cov.astype(complex, copy=False)
             head = (_HEADER_COMMENT, "# t = %.12g" % t)
-            last = _write_table(cov_dir / f"cov_{idx:06d}.csv", head, [[(cov, cov_seps)]])
-        written.append(last)
+            written.append(_write_table(cov_dir / f"cov_{idx:06d}.csv", head, [[(cov, cov_seps)]]))
     return written
 
 
@@ -543,7 +555,7 @@ def _run_field(config: argparse.Namespace) -> list[tuple[Path, str]]:
     ]
     gauge = "deterministic eigenvector basis of the extended square root"
     deltas = {"similarity_gauge": gauge, "delta_terms": delta_terms}
-    sidecar = out.with_suffix(out.suffix + ".deltas.json")
+    sidecar = Path(config.out + ".deltas.json")
     return [(out, digest), _write_table(sidecar, (json.dumps(deltas, indent=2, sort_keys=True),))]
 
 
@@ -640,23 +652,43 @@ _COMMANDS = {
 }
 
 
-def _refuse_shared_outputs(config: argparse.Namespace) -> None:
-    """Refuse, before any write, output options that name one file: a later write would replace it."""
+# the options that name a file; --kick, --u0 and --v0 do unless they are a comma list
+_FILE_OPTIONS = (
+    "model", "xyz", "params", "waves", "kick", "u0", "v0", "out", "svg", "vectors", "cov_out"
+)
+
+
+def _refuse_shared_files(config: argparse.Namespace) -> None:
+    """Refuse, before any work, a command two of whose files are one file.
+
+    Its files are those its options name, the field's sidecar and the
+    ``cov_NNNNNN.csv`` files in ``--cov-out``: a write to one would replace
+    an input or another output.  The ValueError names both options.
+    """
+    named = []
+    for dest in _FILE_OPTIONS:
+        name = getattr(config, dest, None)
+        if name and not (dest in ("kick", "u0", "v0") and _numbers(name)):
+            named.append(("--" + dest.replace("_", "-"), name))
+    if config.subcommand == "field":
+        named.append(("--out's .deltas.json", config.out + ".deltas.json"))
+    cov_dir = Path(config.cov_out).resolve() if getattr(config, "cov_out", None) else None
     seen = {}
-    for flag in ("--out", "--svg", "--vectors"):
-        name = getattr(config, flag[2:], None)
-        if name:
-            path = Path(name).resolve()
-            if path in seen:
-                raise ValueError(f"{seen[path]} and {flag} name the same file {name!r}")
-            seen[path] = flag
+    for flag, name in named:
+        path = Path(name).resolve()
+        other = seen.get(path)
+        if path.parent == cov_dir and re.fullmatch(r"cov_\d{6,}\.csv", path.name):
+            other = "--cov-out"
+        if other:
+            raise ValueError(f"{other} and {flag} name the same file {name!r}")
+        seen[path] = flag
 
 
 def run(config: argparse.Namespace) -> int:
     """Dispatch one subcommand; returns the process exit status."""
     try:
         _, runner, _ = _COMMANDS[config.subcommand]
-        _refuse_shared_outputs(config)
+        _refuse_shared_files(config)
         written = runner(config)
     except (QpmError, ValueError, OSError, KeyError, TypeError, MemoryError) as exc:
         # numpy's failed allocation is a private MemoryError subclass

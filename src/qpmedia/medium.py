@@ -132,11 +132,11 @@ class MediumSpec:
                 raise ValueError(f"unknown source kind {kind!r}")
 
 
-def simple_spec(kernel, damping, coords=None, gen_axis: int = 2) -> MediumSpec:
+def simple_spec(kernel, damping, coords=None) -> MediumSpec:
     """Build a MediumSpec from K and Gamma alone, with default geometry.
 
     Sources are placed on the z axis with unit spacing and unit-variance
-    covariances; the generalized coordinate is the ``gen_axis`` component.
+    covariances; the generalized coordinate is the z component.
     K and Gamma are stored as :class:`MediumSpec` decides, float64 when real.
     """
     kernel = np.atleast_2d(kernel)
@@ -151,7 +151,7 @@ def simple_spec(kernel, damping, coords=None, gen_axis: int = 2) -> MediumSpec:
         kernel=kernel,
         damping=np.atleast_2d(damping),
         source_kind=("charge",) * n,
-        gen_coord_vector=coords[gen_axis].copy(),
+        gen_coord_vector=coords[2].copy(),
     )
 
 

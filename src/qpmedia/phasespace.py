@@ -15,7 +15,8 @@ from numpy.typing import NDArray
 
 from .errors import ThermalSingularity
 from .medium import (
-    DriveSignal, KickDrive, _extended_force, _require_finite, drive_value, spectral_amplitude
+    DriveSignal, KickDrive, TabulatedDrive, _extended_force, _require_finite, drive_value,
+    spectral_amplitude,
 )
 from .spectral import SINGULAR_A_COND_THRESHOLD, EigenSystem, ExtendedOperator, _resolvent_x
 
@@ -279,20 +280,32 @@ def propagate_mean(
     """Mean trajectory over a time grid with a single Delta sweep.
 
     Delta is carried from one sample to the next, forward or backward, so
-    the grid need not be increasing; a driven grid must start at t=0.  A
-    non-finite initial mean or time raises a ValueError that names it.
+    the grid need not be increasing; a driven grid must start at t=0, and an
+    empty one gives an empty trajectory.  A time grid that is not 1-D, an
+    initial mean that is not 4n long, a drive that is not n long, and a
+    non-finite initial mean or time raise a ValueError that names them.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     q0 = np.asarray(q0, dtype=complex)
+    if t_grid.ndim != 1:
+        raise ValueError(f"time grid must be one-dimensional, not shape {t_grid.shape}")
+    N2 = 4 * ext.n
+    if q0.shape != (N2,):
+        raise ValueError(f"initial mean q0 must have length {N2}, not shape {q0.shape}")
+    if drive is not None:
+        f = drive.values[0] if isinstance(drive, TabulatedDrive) else drive.amplitude
+        if f.shape != (ext.n,):
+            raise ValueError(f"drive must have length {ext.n}, not shape {f.shape}")
     _require_finite("initial mean q0", q0)
     _require_finite("time grid", t_grid)
-    eig = decompose_generator(ext)
-    N2 = 2 * eig.values.size
     out = np.empty((t_grid.size, N2), dtype=complex)
-    delta = np.zeros(N2, dtype=complex)
-    prev_t = 0.0
+    if t_grid.size == 0:
+        return out
     if t_grid[0] != 0.0 and drive is not None:
         raise ValueError("driven mean propagation expects a grid starting at t=0")
+    eig = decompose_generator(ext)
+    delta = np.zeros(N2, dtype=complex)
+    prev_t = 0.0
     for i, t in enumerate(t_grid):
         if drive is not None and t != prev_t:
             delta = _advance_delta(ext, eig, drive, delta, prev_t, t)

@@ -133,22 +133,17 @@ def scattering_T(
     spec: MediumSpec,
     k,
     omega: float,
-    rows: NDArray[np.complex128] | None = None,
     weights: NDArray[np.float64] | None = None,
 ) -> NDArray[np.complex128]:
     """Scattering kernel T(k, omega), an n x 3 complex matrix.
 
-    ``rows`` may carry a precomputed :func:`scattering_rows` result so the
-    frequency factorization is reused across k queries.  The kernel carries
-    one factor of the dipole-density ``weights`` (the source coordinates by
-    default) and is linear in them.
+    The kernel carries one factor of the dipole-density ``weights`` (the
+    source coordinates by default) and is linear in them.
     """
     _require_finite("wavevector k", k)
-    if rows is None:
-        rows = scattering_rows(ext, omega)
     if weights is None:
         weights = _charge_weights(spec)
-    return _t_kernel(rows, _gtilde(spec, k), weights)
+    return _t_kernel(scattering_rows(ext, omega), _gtilde(spec, k), weights)
 
 
 def _t_kernel(rows, gtilde, weights) -> NDArray[np.complex128]:

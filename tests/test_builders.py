@@ -12,7 +12,6 @@ from qpmedia.builders import (
     drude_conduction_matrix,
     hexagonal_disk,
     parse_xyz,
-    perturb_geometry,
     uniform_field_kick,
 )
 from qpmedia.constants import BOHR_PER_ANGSTROM
@@ -45,9 +44,16 @@ class TestParseXYZ:
             parse_xyz("many\nc\nC 0 0 0\n")
 
     def test_line_longer_than_a_file_name(self):
-        # no file can have this name, so it is parsed as XYZ text
         with pytest.raises(MalformedXYZ) as err:
             parse_xyz("H 0 0 0 " * 40)
+        assert err.value.line_number == 1
+
+    def test_file_name_is_parsed_as_text(self, tmp_path):
+        # parse_xyz reads no file: the caller does
+        path = tmp_path / "g.xyz"
+        path.write_text("1\n\nAg 0 0 0\n", encoding="utf-8")
+        with pytest.raises(MalformedXYZ) as err:
+            parse_xyz(str(path))
         assert err.value.line_number == 1
 
 
@@ -251,29 +257,3 @@ class TestDrudeParamsIO:
     def test_invalid_width_rejected(self):
         with pytest.raises(ValueError, match="gaussian_width"):
             DrudeParams(drude_factor=0.1, relaxation=0.0, gaussian_width=0.0)
-
-
-class TestPerturb:
-    def test_zero_displacement(self):
-        geom = hexagonal_disk(5.0, 2.4)
-        out = perturb_geometry(geom, 0.0, seed=1)
-        assert np.array_equal(out.positions, geom.positions)
-
-    def test_in_plane(self):
-        geom = hexagonal_disk(5.0, 2.4)
-        normal = np.array([0.0, 0.0, 1.0])
-        out = perturb_geometry(geom, 0.5, seed=2, plane_normal=normal)
-        disp = out.positions - geom.positions
-        assert np.abs(normal @ disp).max() < 1e-14
-        assert np.linalg.norm(disp, axis=0).max() <= 0.5 + 1e-12
-
-    def test_reproducible(self):
-        geom = hexagonal_disk(5.0, 2.4)
-        a = perturb_geometry(geom, 0.5, seed=3)
-        b = perturb_geometry(geom, 0.5, seed=3)
-        assert np.array_equal(a.positions, b.positions)
-
-    def test_norm_bound(self):
-        geom = hexagonal_disk(5.0, 2.4)
-        out = perturb_geometry(geom, 0.25, seed=4)
-        assert np.linalg.norm(out.positions - geom.positions, axis=0).max() <= 0.25

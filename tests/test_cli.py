@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import json
@@ -694,10 +695,10 @@ class TestSummary:
             ["o.csv"],
         ),
         "propagate": (
-            # four covariance samples: the summary names the last
+            # four covariance samples: the summary names every one
             ["--model", "m.json", "--out", "t.csv", "--t-max", "0.3", "--t-step", "0.1",
              "--kick", "1,0,0", "--cov-out", "covs"],
-            ["t.csv", "cov_000003.csv"],
+            ["t.csv", "cov_000000.csv", "cov_000001.csv", "cov_000002.csv", "cov_000003.csv"],
         ),
         "field": (
             ["--model", "m.json", "--out", "f.csv", "--waves", "w.json"],
@@ -735,6 +736,8 @@ class TestSummary:
             rows = len((tmp_path / "bath.csv").read_bytes().splitlines()) - 2
             assert rows == 21 * 40 * 40 and 4 * rows > 32 * _CHUNK_CELLS
 
+    T_GRID = ["--t-max", "0.2", "--t-step", "0.1"]
+
     @pytest.mark.parametrize(
         "argv,flags",
         [
@@ -744,25 +747,53 @@ class TestSummary:
              "--out and --svg"),
             (["modes", "--model", "m.json", "--out", "a.csv", "--vectors", "a.csv"],
              "--out and --vectors"),
+            (["modes", "--model", "m.json", "--out", "m.json"], "--model and --out"),
+            (["spectrum", "--model", "m.json", *WINDOW, "--kick", "k.json", "--out", "k.json"],
+             "--kick and --out"),
+            (["field", "--model", "m.json", "--waves", "f.csv.deltas.json", "--out", "f.csv"],
+             "--waves and --out's .deltas.json"),
+            (["propagate", "--model", "m.json", *T_GRID, "--out", "covs/cov_000002.csv",
+              "--cov-out", "covs"], "--cov-out and --out"),
+            (["propagate", "--model", "m.json", *T_GRID, "--out", "same", "--cov-out", "same"],
+             "--out and --cov-out"),
         ],
-        ids=["spectrum-svg", "spectrum-svg-spelled-apart", "modes-vectors"],
+        ids=[
+            "spectrum-svg", "spectrum-svg-spelled-apart", "modes-vectors", "modes-model",
+            "spectrum-kick", "field-waves-sidecar", "propagate-cov-file", "propagate-cov-dir",
+        ],
     )
     def test_outputs_naming_one_file_are_refused(self, argv, flags, tmp_path, monkeypatch, capsys):
-        # a digest describes the bytes written, so no output may overwrite another
+        # a digest describes the bytes written, so no write may replace a file
+        # the command reads or has written, and a refused command writes nothing
         TestStartup._command_inputs(tmp_path)
-        inputs = sorted(os.listdir(tmp_path))
+        (tmp_path / "k.json").write_text("[1.0, 0.5, 0.25]", encoding="utf-8")
+        (tmp_path / "f.csv.deltas.json").write_bytes((tmp_path / "w.json").read_bytes())
+        before = self._contents(tmp_path)
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: ValueError: {flags} name the same file "), err
-        assert sorted(os.listdir(tmp_path)) == inputs
+        assert self._contents(tmp_path) == before
+
+    @staticmethod
+    def _contents(directory):
+        """Each entry of ``directory`` with its bytes, None for a directory."""
+        return {p.name: p.read_bytes() if p.is_file() else None for p in directory.iterdir()}
+
+    def test_comma_lists_name_no_file(self, tmp_path, monkeypatch, capsys):
+        # a --kick that is a comma list reads no file, so it may equal an output name
+        TestStartup._command_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        argv = ["--model", "m.json", *self.WINDOW, "--kick", "1,0,0", "--out", "1,0,0"]
+        assert main(["spectrum", *argv]) == 0
+        assert capsys.readouterr().out.startswith("spectrum: wrote 1,0,0 sha256=")
 
 
 class TestLazyExports:
     """``qpmedia`` resolves each public name from its module on first access."""
 
     def test_every_public_name_is_its_module_object(self):
-        assert len(qpmedia.__all__) == len(set(qpmedia.__all__)) == 56
+        assert len(qpmedia.__all__) == len(set(qpmedia.__all__)) == 55
         for name in qpmedia.__all__:
             module = importlib.import_module(f"qpmedia.{qpmedia._MODULE_OF[name]}")
             assert getattr(qpmedia, name) is getattr(module, name)
@@ -776,6 +807,40 @@ class TestLazyExports:
             qpmedia.no_such_name
         with pytest.raises(ImportError):
             from qpmedia import no_such_name  # noqa: F401
+
+
+class TestFileAccess:
+    """``cli`` is the one module that touches the file system."""
+
+    MODULES = "pathlib", "os", "shutil", "io"
+    # calls that open a file, as a builtin or as a method (Path, numpy, json)
+    CALLS = {
+        "open", "read_text", "write_text", "read_bytes", "write_bytes", "load", "save", "savez",
+        "loadtxt", "savetxt", "genfromtxt", "fromfile", "tofile",
+    }
+
+    @classmethod
+    def _file_access(cls, path):
+        """The imports and calls of module ``path`` that could touch the file system."""
+        found = []
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found += [a.name for a in node.names if a.name.split(".")[0] in cls.MODULES]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                if node.module.split(".")[0] in cls.MODULES:
+                    found.append(node.module)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in cls.CALLS:
+                    found.append(f"{name}()")
+        return found
+
+    def test_only_cli_touches_files(self):
+        package = Path(qpmedia.__file__).parent
+        found = {path.name: self._file_access(path) for path in package.glob("*.py")}
+        assert found.pop("cli.py")  # the check sees cli's own file access
+        assert {name: calls for name, calls in found.items() if calls} == {}
 
 
 class TestVectorArguments:

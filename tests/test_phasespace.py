@@ -129,6 +129,32 @@ class TestPropagator:
             want = symplectic_inverse(prop.lambda_t) @ (q0 - prop.delta_t)
             assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("drive", [None, KickDrive(np.ones(3))])
+    def test_empty_grid_gives_empty_trajectory(self, drive):
+        ext, _ = prepare(build_synthetic(3, 1))
+        means = propagate_mean(ext, drive, np.ones(12), [])
+        assert means.shape == (0, 12) and means.dtype == complex
+
+    @pytest.mark.parametrize(
+        "q0,drive,t_grid,message",
+        [
+            (np.ones(11), None, [0.0, 0.1], "initial mean q0 must have length 12"),
+            (np.ones((12, 1)), None, [0.0, 0.1], "initial mean q0 must have length 12"),
+            (np.ones(12), KickDrive(np.ones(4)), [0.0, 0.1], "drive must have length 3"),
+            (np.ones(12), MonochromaticDrive(np.ones(2), 1.0), [0.0, 0.1],
+             "drive must have length 3"),
+            (np.ones(12), TabulatedDrive([0.0, 1.0], np.ones((2, 4)), np.zeros((2, 4))),
+             [0.0, 0.1], "drive must have length 3"),
+            (np.ones(12), None, 0.5, "time grid must be one-dimensional"),
+            (np.ones(12), None, [[0.0, 0.1]], "time grid must be one-dimensional"),
+        ],
+        ids=["q0-short", "q0-column", "kick", "monochromatic", "tabulated", "t-scalar", "t-2d"],
+    )
+    def test_bad_input_is_named(self, q0, drive, t_grid, message):
+        ext, _ = prepare(build_synthetic(3, 1))
+        with pytest.raises(ValueError, match=message):
+            propagate_mean(ext, drive, q0, t_grid)
+
 
 class TestPropagatorAction:
     """exp(J_B t) applied to a drive vector without forming the matrix."""

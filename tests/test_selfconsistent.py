@@ -16,7 +16,6 @@ from qpmedia.selfconsistent import (
     gaussian_ft,
     green_tensor,
     scattering_T,
-    scattering_rows,
 )
 from qpmedia.spectral import prepare
 
@@ -182,14 +181,6 @@ class TestScatteringKernel:
         T = scattering_T(ext, spec, k=[1.0, 0.0, 0.0], omega=0.9)
         T0 = scattering_T(ext, spec, k=[0.0, 0.0, 0.0], omega=0.9)
         assert np.abs(T).max() < 1e-9 * np.abs(T0).max()
-
-    def test_rows_reused_across_k(self):
-        spec = charge_spec(np.array([[0.1], [0.0], [0.7]]), np.eye(1) * 2.0, np.eye(1) * 0.2)
-        ext, _ = prepare(spec)
-        rows = scattering_rows(ext, 0.9)
-        a = scattering_T(ext, spec, [0.3, 0.0, 0.0], 0.9, rows=rows)
-        b = scattering_T(ext, spec, [0.3, 0.0, 0.0], 0.9)
-        assert_allclose(a, b, rtol=0, atol=0)
 
     def test_linear_in_weight_factor(self):
         # one weight factor inside T itself
