@@ -8,7 +8,8 @@ same ``write_inputs`` and ``COMMANDS`` with ``runpy.run_path``.
 The set: build, spectrum --svg, modes --vectors and filter in both modes on the
 README's Drude disk (n=253), propagate --kick on the disk, bath on the disk,
 which its zero mode refuses (exit status 1, ThermalSingularity), then
-propagate --kick --cov-out, field and bath on build_synthetic(40, 1).
+propagate --kick --cov-out, propagate from nonzero --u0 and --v0 with --kick,
+field and bath on build_synthetic(40, 1).
 """
 
 import json
@@ -32,6 +33,8 @@ COMMANDS = [
     f"bath --model disk.json {_BATH} --out disk_bath.csv",
     "propagate --model synthetic.json --t-max 1 --t-step 0.25 --kick kick.json --cov-out covs"
     " --out trajectory.csv",
+    "propagate --model synthetic.json --t-max 1 --t-step 0.25 --u0 u0.json --v0 v0.json"
+    " --kick kick.json --out trajectory_ic.csv",
     "field --model synthetic.json --waves waves.json --out field.csv",
     f"bath --model synthetic.json {_BATH} --out bath.csv",
 ]
@@ -52,6 +55,8 @@ def write_inputs() -> None:
     synthetic = spec_to_json(builders.build_synthetic(40, 1)) + "\n"
     Path("synthetic.json").write_text(synthetic, encoding="utf-8")
     Path("kick.json").write_text(json.dumps([1.0 + 0.1 * i for i in range(40)]), encoding="utf-8")
+    Path("u0.json").write_text(json.dumps([0.5 - 0.025 * i for i in range(40)]), encoding="utf-8")
+    Path("v0.json").write_text(json.dumps([0.2 * (-1) ** i for i in range(40)]), encoding="utf-8")
     waves = {
         "omega_min_ev": 1.0, "omega_max_ev": 3.0, "omega_step_ev": 0.5,
         "plane_waves": [{"k": [0.01, 0.0, 0.0], "amplitude_re": [0.0, 1.0, 0.0]}],

@@ -46,7 +46,7 @@ import numpy as np
 from .constants import HARTREE_TO_EV
 from .errors import QpmError
 from .medium import (
-    KickDrive, MediumSpec, _json_floats, _json_object, consistent_extended_ic, spec_from_json,
+    KickDrive, MediumSpec, _json_floats, _json_object, _positive_finite, spec_from_json,
     spec_to_json,
 )
 
@@ -483,10 +483,9 @@ def _run_propagate(config: argparse.Namespace) -> list[tuple[Path, str]]:
     v0 = np.zeros(n, dtype=complex) if config.v0 is None else _vector(config.v0, n, "v0")
     drive = _kick_for(spec, config) if config.kick is not None else None
     if config.cov_out:  # a bad --hbar fails before the solve
-        phasespace._positive_finite("hbar", config.hbar)
+        _positive_finite("hbar", config.hbar)
     ext, _ = spectral.prepare(spec)
-    x0, xdot0 = consistent_extended_ic(spec, u0, v0, drive)
-    q0 = phasespace.consistent_mean(ext, x0, xdot0)
+    q0 = phasespace.consistent_mean(ext, u0, v0, drive)
     if config.cov_out:  # built first, so that a bad --hbar writes no file
         state0 = phasespace.GaussianState(
             mean=q0, cov=(config.hbar / 2.0) * np.eye(4 * n), hbar=config.hbar
@@ -541,7 +540,7 @@ def _run_field(config: argparse.Namespace) -> list[tuple[Path, str]]:
         raise ValueError("k_queries must be finite")
     field_set = FieldPlaneWaveSet(omega_grid=grid, waves=tuple(waves))
     ext, _ = spectral.prepare(spec)
-    scattered = emitted_field_first_order(ext, spec, field_set, k_queries)
+    scattered = emitted_field_first_order(ext, field_set, k_queries)
     # one row per (frequency, k query)
     keys = np.column_stack((np.repeat(grid_ev, len(k_queries)), np.tile(k_queries, (grid_ev.size, 1))))
     block = [(keys, b",,,,"), (scattered.reshape(-1, 3), b",,,,,\n")]
@@ -560,14 +559,14 @@ def _run_field(config: argparse.Namespace) -> list[tuple[Path, str]]:
 
 
 def _run_bath(config: argparse.Namespace) -> list[tuple[Path, str]]:
-    from . import openquantum, phasespace, spectral
+    from . import openquantum, spectral
 
     spec = _load_model(config)
     grid_ev = _grid(config.omega_min, config.omega_max, config.omega_step, "frequency")
     grid = grid_ev / HARTREE_TO_EV
     # checked before the solve, in the order thermal_correlation checks them
-    phasespace._positive_finite("beta", config.beta)
-    phasespace._positive_finite("hbar", config.hbar)
+    _positive_finite("beta", config.beta)
+    _positive_finite("hbar", config.hbar)
     openquantum._check_eta(config.eta)
     ext, _ = spectral.prepare(spec)
     corr = openquantum.thermal_correlation(ext, config.beta, config.hbar, grid, config.eta)

@@ -35,6 +35,12 @@ def _require_finite(name: str, values) -> None:
         raise ValueError(f"{name} must be finite")
 
 
+def _positive_finite(name: str, value: float) -> None:
+    """Raise a ValueError that names the scale (hbar, beta) unless it is positive and finite."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class MediumSpec:
     """The defining tuple of a polarizable medium.

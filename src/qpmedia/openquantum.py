@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .medium import _require_finite
+from .medium import _positive_finite, _require_finite
 from .phasespace import (
-    GaussianState, _lambda_at, _positive_finite, _thermal_gate, _thermal_Q, _zero_mode_gate,
-    decompose_generator,
+    GaussianState, _lambda_at, _thermal_gate, _thermal_Q, _zero_mode_gate, decompose_generator,
 )
 from .selfconsistent import auxiliary_response
 from .spectral import ExtendedOperator, _resolvent_x, symplectic_form

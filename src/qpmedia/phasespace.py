@@ -15,20 +15,14 @@ from numpy.typing import NDArray
 
 from .errors import ThermalSingularity
 from .medium import (
-    DriveSignal, KickDrive, TabulatedDrive, _extended_force, _require_finite, drive_value,
-    spectral_amplitude,
+    DriveSignal, KickDrive, TabulatedDrive, _extended_force, _positive_finite, _require_finite,
+    consistent_extended_ic, drive_value, spectral_amplitude,
 )
 from .spectral import SINGULAR_A_COND_THRESHOLD, EigenSystem, ExtendedOperator, _resolvent_x
 
 
 # the Simpson step of the Delta_t quadrature (:func:`_advance_delta`)
 _QUAD_STEP = 1e-3
-
-
-def _positive_finite(name: str, value: float) -> None:
-    """Reject a scale (hbar, beta) that is not positive and finite."""
-    if not 0 < value < np.inf:
-        raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -203,22 +197,33 @@ def _solve_A(A, b):
 
 def _drive_vector(ext: ExtendedOperator, drive):
     """A^{-1} F_t, the upper half of J C_t = [A^{-1} F_t; 0] (the lower half is zero)."""
-    return _solve_A(ext.sim_A, _extended_force(ext.damping, *drive))
+    return _solve_A(ext.sim_A, _extended_force(ext.spec.damping, *drive))
 
 
-def _advance_delta(ext, eig: EigenSystem, drive, delta, t0, t1):
+def _require_lengths(ext: ExtendedOperator, drive: DriveSignal | None, **vectors) -> None:
+    """Raise a ValueError naming the first of ``vectors``, or else the drive, not n long."""
+    if drive is not None:
+        vectors["drive"] = drive.values[0] if isinstance(drive, TabulatedDrive) else drive.amplitude
+    for name, vec in vectors.items():
+        if np.shape(vec) != (ext.n,):
+            raise ValueError(f"{name} must have length {ext.n}, not shape {np.shape(vec)}")
+
+
+def _advance_delta(ext: ExtendedOperator, drive, delta, t0, t1):
     """Delta at t1 from Delta at t0: fixed Simpson steps of Delta' = Lambda_s J C_s.
 
     The steps are ``_QUAD_STEP`` long, rounded to fit the interval.  Each
     takes Lambda_s J C_s at its two ends and its midpoint, the nodes of the
     RK4 step the reference integrators use.  Each node costs one 2n solve
     for J C_s and one action of exp(J B s) on that vector, three 2n products
-    on ``eig`` (:func:`_lambda_at`); no 4n x 4n propagator is formed.  A step t1 < t0 integrates backward.  A kick on a medium with a
-    zero mode (:func:`_has_zero_mode`) takes the closed form of
+    on ``ext.eig`` (:func:`_lambda_at`); no 4n x 4n propagator is formed.
+    A step t1 < t0 integrates backward.  A kick on a medium with a zero
+    mode (:func:`_has_zero_mode`) takes the closed form of
     :func:`_kick_step` instead.
     """
+    eig = ext.eig
     if isinstance(drive, KickDrive) and _has_zero_mode(eig):
-        force = _extended_force(ext.damping, *drive_value(drive, t0))
+        force = _extended_force(ext.spec.damping, *drive_value(drive, t0))
         return delta + _kick_step(eig, force, t0, t1)
     steps = max(1, int(round(abs(t1 - t0) / _QUAD_STEP)))
     h = (t1 - t0) / steps
@@ -250,7 +255,7 @@ def propagator_at(
     delta = np.zeros(2 * eig.values.size, dtype=complex)
     lam = _lambda_at(eig, t)
     if drive is not None and t != 0.0:
-        delta = _advance_delta(ext, eig, drive, delta, 0.0, t)
+        delta = _advance_delta(ext, drive, delta, 0.0, t)
     return Propagator(lambda_t=lam, delta_t=delta)
 
 
@@ -292,10 +297,7 @@ def propagate_mean(
     N2 = 4 * ext.n
     if q0.shape != (N2,):
         raise ValueError(f"initial mean q0 must have length {N2}, not shape {q0.shape}")
-    if drive is not None:
-        f = drive.values[0] if isinstance(drive, TabulatedDrive) else drive.amplitude
-        if f.shape != (ext.n,):
-            raise ValueError(f"drive must have length {ext.n}, not shape {f.shape}")
+    _require_lengths(ext, drive)
     _require_finite("initial mean q0", q0)
     _require_finite("time grid", t_grid)
     out = np.empty((t_grid.size, N2), dtype=complex)
@@ -308,16 +310,23 @@ def propagate_mean(
     prev_t = 0.0
     for i, t in enumerate(t_grid):
         if drive is not None and t != prev_t:
-            delta = _advance_delta(ext, eig, drive, delta, prev_t, t)
+            delta = _advance_delta(ext, drive, delta, prev_t, t)
             prev_t = t
         out[i] = symplectic_inverse(_lambda_at(eig, t)) @ (q0 - delta)
     return out
 
 
-def consistent_mean(ext: ExtendedOperator, x0, xdot0) -> NDArray[np.complex128]:
-    """Phase-space mean [pi; x] matching extended initial data (x0, x'0)."""
-    x0 = np.asarray(x0, dtype=complex)
-    xdot0 = np.asarray(xdot0, dtype=complex)
+def consistent_mean(ext: ExtendedOperator, u0, v0, drive=None) -> NDArray[np.complex128]:
+    """Phase-space mean [pi; x] of u(0) = u0, u'(0) = v0: pi0 = A^{-1} x'0.
+
+    (x0, x'0) are :func:`medium.consistent_extended_ic`'s on ``ext.spec``.  A
+    u0, v0 or drive not n long, and a non-finite u0 or v0, raise a ValueError
+    naming it, before any solve.
+    """
+    _require_lengths(ext, drive, u0=u0, v0=v0)
+    _require_finite("u0", u0)
+    _require_finite("v0", v0)
+    x0, xdot0 = consistent_extended_ic(ext.spec, u0, v0, drive)
     pi0 = np.linalg.solve(ext.sim_A, xdot0)
     return np.concatenate([pi0, x0])
 
@@ -354,7 +363,7 @@ def mean_in_frequency(
     out = np.empty((omega_grid.size, 2 * N), dtype=complex)
     f = spectral_amplitude(drive)
     for i, w in enumerate(omega_grid):
-        x = _resolvent_x(ext, w, _extended_force(ext.damping, f, (-1j * w) * f))
+        x = _resolvent_x(ext, w, _extended_force(ext.spec.damping, f, (-1j * w) * f))
         out[i, :N] = (-1j * w) * _solve_A(A, x)
         out[i, N:] = x
     return out

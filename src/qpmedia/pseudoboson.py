@@ -21,8 +21,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import DefectiveMatrix, SingularEffectiveSigma, ZeroMode
-from .medium import _require_finite
-from .phasespace import _positive_finite
+from .medium import _positive_finite, _require_finite
 from .spectral import EigenSystem, _eigensystem, _normalize_columns, symplectic_form
 
 _REAL_SPECTRUM_RTOL = 1e-10

@@ -72,11 +72,17 @@ def reconstruct_spectrum(
     """Im alpha from a subset of modes.
 
     Sums absorptive and dispersive contributions over ``selected`` only;
-    selecting every mode reproduces the direct sweep exactly.
+    selecting every mode reproduces the direct sweep exactly.  Any other
+    ``selected`` than distinct integers in [0, n_modes) raises a ValueError.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
     _require_finite("omega_grid", omega_grid)
-    selected = np.asarray(sorted(selected), dtype=int)
+    selected = np.asarray(sorted(selected))
+    if selected.size and not (
+        selected.ndim == 1 and np.issubdtype(selected.dtype, np.integer)
+        and 0 <= selected[0] and selected[-1] < ledger.n_modes and np.all(np.diff(selected) > 0)
+    ):
+        raise ValueError(f"selected must be distinct integers in [0, {ledger.n_modes})")
     m = omega_grid.size
     if selected.size == 0:
         zero = np.zeros(m)

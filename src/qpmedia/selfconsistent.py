@@ -6,7 +6,7 @@ frequency-domain mean of the sources with the transverse Green tensor yields
 the scattered field to first order in the medium response.
 
 Sources are treated as charges here: the dipole-density weights are the
-spatial coordinates of the sources.
+spatial coordinates of the sources, read from the operator's ``ext.spec``.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def auxiliary_response(ext: ExtendedOperator, omega: float) -> NDArray[np.comple
     _require_finite("omega", omega)
     n, A = ext.n, ext.sim_A
     A1, A2, A3 = A[:n, :n], A[:n, n:], A[n:, n:]
-    shift = 1j * omega * np.eye(n) + 2.0 * ext.damping
+    shift = 1j * omega * np.eye(n) + 2.0 * ext.spec.damping
     lhs = A3 + shift @ A2
     rhs = A2.T + shift @ A1
     try:
@@ -128,22 +128,15 @@ def scattering_rows(ext: ExtendedOperator, omega: float):
     return rows[:, :n] + rows[:, n:] @ L
 
 
-def scattering_T(
-    ext: ExtendedOperator,
-    spec: MediumSpec,
-    k,
-    omega: float,
-    weights: NDArray[np.float64] | None = None,
-) -> NDArray[np.complex128]:
+def scattering_T(ext: ExtendedOperator, k, omega: float) -> NDArray[np.complex128]:
     """Scattering kernel T(k, omega), an n x 3 complex matrix.
 
-    The kernel carries one factor of the dipole-density ``weights`` (the
-    source coordinates by default) and is linear in them.
+    The kernel carries one factor of the dipole-density weights, the source
+    coordinates of ``ext.spec``.
     """
     _require_finite("wavevector k", k)
-    if weights is None:
-        weights = _charge_weights(spec)
-    return _t_kernel(scattering_rows(ext, omega), _gtilde(spec, k), weights)
+    weights = _charge_weights(ext.spec)
+    return _t_kernel(scattering_rows(ext, omega), _gtilde(ext.spec, k), weights)
 
 
 def _t_kernel(rows, gtilde, weights) -> NDArray[np.complex128]:
@@ -179,9 +172,7 @@ def green_tensor(k, omega: float):
     return _green_tensors(np.asarray(k, dtype=float).reshape(1, 3), omega)[0]
 
 
-def _first_order_passes(
-    ext: ExtendedOperator, spec: MediumSpec, ext_field: FieldPlaneWaveSet, k_points
-):
+def _first_order_passes(ext: ExtendedOperator, ext_field: FieldPlaneWaveSet, k_points):
     """The first-order field at ``k_points``, one frequency of the set's grid at a time.
 
     Yields per frequency the scattering rows, the projectors G(k) R G~(k) of
@@ -192,6 +183,7 @@ def _first_order_passes(
     one source vector per frequency before the sweep, and each frequency
     projects one action of U.
     """
+    spec = ext.spec
     weights = _charge_weights(spec)
     grid = ext_field.omega_grid
     weighted = np.stack([weights * _gtilde(spec, k)[None, :] for k in k_points])
@@ -206,12 +198,7 @@ def _first_order_passes(
         yield rows, proj, first
 
 
-def emitted_field_first_order(
-    ext: ExtendedOperator,
-    spec: MediumSpec,
-    ext_field: FieldPlaneWaveSet,
-    k_queries,
-):
+def emitted_field_first_order(ext: ExtendedOperator, ext_field: FieldPlaneWaveSet, k_queries):
     """First-order scattered field at the query wavevectors.
 
     Returns the smooth part of the field, shape (n_omega, n_queries, 3), in
@@ -222,18 +209,13 @@ def emitted_field_first_order(
     k_queries = np.atleast_2d(np.asarray(k_queries, dtype=float))
     _require_finite("k queries", k_queries)
     scattered = np.zeros((omega_grid.size, k_queries.shape[0], 3), dtype=complex)
-    for iw, (_, _, first) in enumerate(_first_order_passes(ext, spec, ext_field, k_queries)):
+    for iw, (_, _, first) in enumerate(_first_order_passes(ext, ext_field, k_queries)):
         scattered[iw] = first
     return scattered
 
 
 def emitted_field_iterate(
-    ext: ExtendedOperator,
-    spec: MediumSpec,
-    ext_field: FieldPlaneWaveSet,
-    k_nodes,
-    k_weights,
-    orders: int = 1,
+    ext: ExtendedOperator, ext_field: FieldPlaneWaveSet, k_nodes, k_weights, orders: int = 1
 ):
     """Optional fixed-point refinement of the scattered field (off by default).
 
@@ -254,15 +236,15 @@ def emitted_field_iterate(
         raise ValueError("one weight per quadrature node is required")
     n_k = k_nodes.shape[0]
     field = np.zeros((omega_grid.size, n_k, 3), dtype=complex)
-    weights = _charge_weights(spec)
-    g_back = [_gtilde(spec, -kq) for kq in k_nodes] if orders > 1 else []
+    weights = _charge_weights(ext.spec)
+    g_back = [_gtilde(ext.spec, -kq) for kq in k_nodes] if orders > 1 else []
 
-    for iw, (rows, proj, first) in enumerate(_first_order_passes(ext, spec, ext_field, k_nodes)):
+    for iw, (rows, proj, first) in enumerate(_first_order_passes(ext, ext_field, k_nodes)):
         cur = first
         if orders > 1:
             t_node = [_t_kernel(rows, g, weights) for g in g_back]
             for _ in range(orders - 1):
-                fold = np.zeros(spec.n, dtype=complex)
+                fold = np.zeros(ext.n, dtype=complex)
                 for j in range(n_k):
                     fold += k_weights[j] * (t_node[j] @ cur[j])
                 cur = first + proj @ fold

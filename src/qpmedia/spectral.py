@@ -5,9 +5,9 @@ The dynamics of the medium is encoded in the closed-form square root
     sqrt_kappa = i M,    M = [[0, -I], [K, 2 Gamma]],    kappa = -M M,
 
 whose spectrum carries every resonance of the damped equation of motion.
-An :class:`ExtendedOperator` is the one solver object of a medium.  It
-stores only M, in the dtype of the medium's K and Gamma (float64 when
-real), and derives sqrt_kappa on read.  On first read it builds kappa,
+An :class:`ExtendedOperator` is the one solver object of a medium, built
+from its MediumSpec alone.  It forms M, in the dtype of the medium's K and
+Gamma (float64 when real), and derives sqrt_kappa on read.  On first read it builds kappa,
 checked there against the dense -M M, and the one eigensystem of
 sqrt_kappa.  From its eigenvectors V it builds, also on first read, the
 symmetric similarity matrix A = V V^T, with kappa = A kappa^T A^{-1}.  The
@@ -42,7 +42,7 @@ the trust threshold, A and J_B are shared by both routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -58,27 +58,30 @@ _SQRT2 = np.sqrt(2.0)
 
 @dataclass(frozen=True)
 class ExtendedOperator:
-    """The solver object of one medium: its extended-space operators.
+    """The solver object of one medium, built from ``spec`` alone.
 
-    Stored: ``root`` M = [[0, -I], [K, 2 Gamma]] (float64 for real K and
-    Gamma, complex otherwise) and ``damping``, the medium's Gamma, for the
-    drive and auxiliary channels.  Derived on read: ``n`` and ``sqrt_kappa``
-    = i M.  Built on first read and then kept: ``kappa`` = -M M
-    (:func:`medium.extended_kernel`), checked there against the dense -M M;
-    ``eig``, the sqrt_kappa eigensystem (:func:`eigendecompose`); ``sim_A``,
-    A from it (:func:`build_similarity`), real for a real M; and ``gen_JB``
-    from A.  So an operator from :func:`build_sqrt_kappa` serves every
-    consumer, forms kappa once and decomposes at most once.  Instances are
-    immutable; a ``replace``d copy builds its own.  No J_B eigensystem is
-    kept, as every function of J_B is built on ``eig``.
+    Every layer reads K, Gamma and the geometry from ``ext.spec``.  Formed
+    on construction, for any K and Gamma: ``root`` M = [[0, -I], [K, 2 Gamma]],
+    float64 for a real medium.  Derived on read: ``n`` and ``sqrt_kappa`` = i M.
+    Built on first read and then kept: ``kappa`` (:func:`medium.extended_kernel`),
+    checked there against the dense -M M; ``eig`` (:func:`eigendecompose`);
+    ``sim_A`` (:func:`build_similarity`); and ``gen_JB``.  Instances are
+    immutable; a ``replace``d copy, ``replace(ext, spec=other)`` too, builds
+    its own.  No J_B eigensystem is kept: every function of J_B is built on ``eig``.
     """
 
-    root: NDArray[np.float64] | NDArray[np.complex128]
-    damping: NDArray[np.float64] | NDArray[np.complex128]
+    spec: MediumSpec
+    root: NDArray[np.float64] | NDArray[np.complex128] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n, K, G = self.n, self.spec.kernel, self.spec.damping
+        dtype = np.result_type(K, G)
+        M = np.block([[np.zeros((n, n), dtype), -np.eye(n, dtype=dtype)], [K, 2.0 * G]])
+        object.__setattr__(self, "root", M)
 
     @property
     def n(self) -> int:
-        return self.root.shape[0] // 2
+        return self.spec.n
 
     @property
     def sqrt_kappa(self) -> NDArray[np.complex128]:
@@ -91,8 +94,8 @@ class ExtendedOperator:
         The relative Frobenius residual must be at most 1e-12; both norms are
         taken of arrays divided by max|kappa|, so neither overflows for large K.
         """
-        n, M = self.n, self.root
-        kappa = extended_kernel(M[n:, :n], 0.5 * M[n:, n:])
+        M = self.root
+        kappa = extended_kernel(self.spec.kernel, self.spec.damping)
         top = np.abs(kappa).max()
         if top > 0:
             scale = np.linalg.norm(kappa / top)
@@ -192,16 +195,11 @@ def _eigensystem(values, vectors, pairs=None) -> EigenSystem:
 
 
 def build_sqrt_kappa(spec: MediumSpec) -> ExtendedOperator:
-    """Assemble M = -i sqrt_kappa, complex when the medium holds K or Gamma so.
+    """``ExtendedOperator(spec)``, which forms M and nothing else.
 
-    The construction is total: K and Gamma may be complex, singular or
-    non-diagonalizable.  Only M is formed: kappa and its square-identity
-    check wait for the first read of ``ext.kappa``.
+    A stage kept while perfbench lists its time (``spectral.build_sqrt_kappa_s``).
     """
-    n, K, G = spec.n, spec.kernel, spec.damping
-    dtype = np.result_type(K, G)
-    M = np.block([[np.zeros((n, n), dtype), -np.eye(n, dtype=dtype)], [K, 2.0 * G]])
-    return ExtendedOperator(root=M, damping=spec.damping)
+    return ExtendedOperator(spec)
 
 
 def _normalize_columns(vectors: NDArray[np.complex128]) -> NDArray[np.complex128]:

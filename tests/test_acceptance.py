@@ -203,7 +203,7 @@ def test_criterion_07_symplectic_and_ehrenfest():
         fine = np.arange(0.0, 10.0 + 1e-12, 1e-3)
         oracle = integrate_reference_extended(spec, drive, x0, xdot0, fine)
         sample = fine[::100]
-        means = propagate_mean(ext, drive, consistent_mean(ext, x0, xdot0), sample)
+        means = propagate_mean(ext, drive, consistent_mean(ext, u0, v0, drive), sample)
         assert np.abs(means[:, 6:] - oracle.x[::100]).max() < 1e-6
         # on-shell energy residual
         for _ in range(20):

@@ -562,6 +562,12 @@ class TestStartup:
     def test_cli_import_loads_no_layer(self, tmp_path):
         assert self._modules_after("import qpmedia.cli", tmp_path, "qpmedia") == str(self.CLI)
 
+    def test_pseudoboson_import_loads_no_phasespace(self, tmp_path):
+        # the scalar checks live in medium, so the ladder layer needs no phase space
+        want = ["qpmedia", "qpmedia.errors", "qpmedia.medium", "qpmedia.pseudoboson",
+                "qpmedia.spectral"]
+        assert self._modules_after("import qpmedia.pseudoboson", tmp_path, "qpmedia") == str(want)
+
     WINDOW = ["--omega-min", "1", "--omega-max", "2", "--omega-step", "0.5"]
     COMMANDS = {
         "build": (["--xyz", "g.xyz", "--params", "p.json", "--out", "b.json"], ["builders"]),

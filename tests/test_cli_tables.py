@@ -24,7 +24,7 @@ from conftest import stable_spec
 from qpmedia import cli, openquantum, phasespace, response, spectral
 from qpmedia.cli import main
 from qpmedia.constants import HARTREE_TO_EV
-from qpmedia.medium import KickDrive, consistent_extended_ic, spec_to_json
+from qpmedia.medium import KickDrive, spec_to_json
 
 HEADER = f"# 1 Hartree = {HARTREE_TO_EV!r} eV"
 
@@ -166,10 +166,7 @@ def test_propagate_and_covariance_dumps(spec, model, tmp_path):
     n = spec.n
     ext, _ = spectral.prepare(spec)
     drive = KickDrive(np.asarray(kick, dtype=complex))
-    x0, xdot0 = consistent_extended_ic(
-        spec, np.asarray(u0, dtype=complex), np.asarray(v0, dtype=complex), drive
-    )
-    q0 = phasespace.consistent_mean(ext, x0, xdot0)
+    q0 = phasespace.consistent_mean(ext, u0, v0, drive)
     t_grid = 0.1 * np.arange(4)
     means = phasespace.propagate_mean(ext, drive, q0, t_grid)
     header = ["t"]
@@ -223,7 +220,7 @@ def test_field(spec, model, tmp_path):
     k_queries = np.asarray(doc["k_queries"], dtype=float)
     ext, _ = spectral.prepare(spec)
     scattered = emitted_field_first_order(
-        ext, spec, FieldPlaneWaveSet(omega_grid=grid_ev / HARTREE_TO_EV, waves=waves), k_queries
+        ext, FieldPlaneWaveSet(omega_grid=grid_ev / HARTREE_TO_EV, waves=waves), k_queries
     )
     rows = []
     for iw, w_ev in enumerate(grid_ev):

@@ -473,7 +473,9 @@ def _non_finite_entry_points():
     from qpmedia import openquantum as oq
     from qpmedia import pseudoboson as pb
     from qpmedia import selfconsistent as sc
-    from qpmedia.phasespace import GaussianState, mean_in_frequency, propagate_mean, propagator_at
+    from qpmedia.phasespace import (
+        GaussianState, consistent_mean, mean_in_frequency, propagate_mean, propagator_at,
+    )
     from qpmedia.response import decompose_modes, reconstruct_spectrum
     from qpmedia.spectral import build_sqrt_kappa
 
@@ -501,7 +503,7 @@ def _non_finite_entry_points():
         ),
         "emitted_field_first_order": (
             lambda v: sc.emitted_field_first_order(
-                ext, spec, sc.FieldPlaneWaveSet(omega_grid=[v], waves=(wave,)), [[0.02, 0.0, 0.0]]
+                ext, sc.FieldPlaneWaveSet(omega_grid=[v], waves=(wave,)), [[0.02, 0.0, 0.0]]
             ),
             grid,
         ),
@@ -513,6 +515,8 @@ def _non_finite_entry_points():
             lambda v: propagate_mean(ext, kick, np.r_[v, q0[1:]], [0.0, 1.0]), "initial mean q0"
         ),
         "propagate_mean.t_grid": (lambda v: propagate_mean(ext, kick, q0, [0.0, v]), "time grid"),
+        "consistent_mean.u0": (lambda v: consistent_mean(ext, [v, 0.0, 0.0, 0.0], q0[:4]), "u0"),
+        "consistent_mean.v0": (lambda v: consistent_mean(ext, q0[:4], [0.0, v, 0.0, 0.0]), "v0"),
         "propagate_mean.drive": (
             lambda v: propagate_mean(ext, KickDrive([v, 1.0, 1.0, 1.0]), q0, [0.0, 1.0]),
             "kick amplitude",
@@ -544,16 +548,16 @@ def _non_finite_entry_points():
             lambda v: pb.coherent_params(basis, np.r_[v, alpha[1:]]), "ladder amplitude alpha"
         ),
         "emitted_field_first_order.k": (
-            lambda v: sc.emitted_field_first_order(ext, spec, waves, [[v, 0.0, 0.0]]), "k queries"
+            lambda v: sc.emitted_field_first_order(ext, waves, [[v, 0.0, 0.0]]), "k queries"
         ),
         "emitted_field_iterate.k": (
-            lambda v: sc.emitted_field_iterate(ext, spec, waves, [[v, 0.0, 0.0]], [1.0]), "k nodes"
+            lambda v: sc.emitted_field_iterate(ext, waves, [[v, 0.0, 0.0]], [1.0]), "k nodes"
         ),
         "emitted_field_iterate.weight": (
-            lambda v: sc.emitted_field_iterate(ext, spec, waves, [[0.02, 0.0, 0.0]], [v]),
+            lambda v: sc.emitted_field_iterate(ext, waves, [[0.02, 0.0, 0.0]], [v]),
             "k weights",
         ),
-        "scattering_T": (lambda v: sc.scattering_T(ext, spec, [v, 0.0, 0.0], 0.5), "wavevector k"),
+        "scattering_T": (lambda v: sc.scattering_T(ext, [v, 0.0, 0.0], 0.5), "wavevector k"),
         "green_tensor.k": (lambda v: sc.green_tensor([v, 0.0, 0.0], 0.5), "wavevector k"),
         "green_tensor.omega": (lambda v: sc.green_tensor([0.02, 0.0, 0.0], v), "omega"),
     }
@@ -567,6 +571,7 @@ def _non_finite_entry_points():
         "mean_in_frequency", "scattering_rows", "auxiliary_response", "reconstruct_spectrum",
         "emitted_field_first_order", "GaussianState.mean", "GaussianState.cov",
         "propagate_mean.q0", "propagate_mean.t_grid", "propagate_mean.drive",
+        "consistent_mean.u0", "consistent_mean.v0",
         "MonochromaticDrive.amplitude", "MonochromaticDrive.omega0", "TabulatedDrive.times",
         "TabulatedDrive.values", "TabulatedDrive.derivatives", "propagator_at",
         "correlation_time", "evolve_alpha.t", "evolve_alpha.alpha", "coherent_params",

@@ -33,7 +33,7 @@ from qpmedia.phasespace import (
     symplectic_inverse,
     thermal_state,
 )
-from qpmedia.spectral import prepare, symplectic_form
+from qpmedia.spectral import build_sqrt_kappa, prepare, symplectic_form
 
 
 def sym_spec(seed, n):
@@ -155,6 +155,26 @@ class TestPropagator:
         with pytest.raises(ValueError, match=message):
             propagate_mean(ext, drive, q0, t_grid)
 
+    @pytest.mark.parametrize(
+        "u0,v0,drive,message",
+        [
+            (np.ones(4), np.zeros(3), None, "u0 must have length 3"),
+            (np.ones((3, 1)), np.zeros(3), None, "u0 must have length 3"),
+            (np.ones(3), np.zeros(6), None, "v0 must have length 3"),
+            (np.ones(3), np.zeros(3), KickDrive(np.ones(4)), "drive must have length 3"),
+            (np.ones(3), np.zeros(3), MonochromaticDrive(np.ones(2), 1.0),
+             "drive must have length 3"),
+        ],
+        ids=["u0-long", "u0-column", "v0-long", "kick", "monochromatic"],
+    )
+    def test_consistent_mean_names_bad_input(self, u0, v0, drive, message):
+        # numpy's matmul error, or a 4n + 2 mean for a 5-long x0 on n = 3, came before
+        ext = build_sqrt_kappa(build_synthetic(3, 1))
+        with pytest.raises(ValueError, match=message):
+            consistent_mean(ext, u0, v0, drive)
+        # refused before any solve: neither the eigensystem nor A was built
+        assert "eig" not in vars(ext) and "sim_A" not in vars(ext)
+
 
 class TestPropagatorAction:
     """exp(J_B t) applied to a drive vector without forming the matrix."""
@@ -234,7 +254,7 @@ class TestEvolveState:
         oracle = integrate_reference_extended(spec, drive, x0, xdot0, fine)
         stride = 50
         t_grid = fine[::stride]
-        q0 = consistent_mean(ext, x0, xdot0)
+        q0 = consistent_mean(ext, u0, v0, drive)
         means = propagate_mean(ext, drive, q0, t_grid)
         assert np.abs(means[:, 6:] - oracle.x[::stride]).max() < 1e-6
 
@@ -247,7 +267,7 @@ class TestEvolveState:
         fine = np.arange(0.0, 10.0 + 1e-12, 1e-3)
         oracle = integrate_reference_extended(spec, KickDrive(np.zeros(2)), x0, xdot0, fine)
         stride = 50
-        means = propagate_mean(ext, None, consistent_mean(ext, x0, xdot0), fine[::stride])
+        means = propagate_mean(ext, None, consistent_mean(ext, u0, v0), fine[::stride])
         assert np.abs(means[:, 4:] - oracle.x[::stride]).max() < 1e-6
 
     def test_covariance_against_monte_carlo(self):
@@ -416,7 +436,7 @@ class TestExpmFallback:
         fine = np.arange(0.0, 4.0 + 1e-12, 1e-3)
         oracle = integrate_reference_extended(spec, drive, x0, xdot0, fine)
         stride = 250
-        q0 = consistent_mean(self.ext, x0, xdot0)
+        q0 = consistent_mean(self.ext, [0.3], [-0.2], drive)
         means = propagate_mean(self.ext, drive, q0, fine[::stride])
         assert np.abs(means[-1, 2:]).max() > 0.1
         return np.abs(means[:, 2:] - oracle.x[::stride]).max()
@@ -459,8 +479,8 @@ class TestDefectiveDisk:
         drive = KickDrive(self.spec.coords[0])
         fine = np.arange(0.0, 5.0 + 1e-12, 1e-3)
         oracle = integrate_reference_second_order(self.spec, drive, np.zeros(n), np.zeros(n), fine)
-        x0, xdot0 = consistent_extended_ic(self.spec, np.zeros(n), np.zeros(n), drive)
-        means = propagate_mean(self.ext, drive, consistent_mean(self.ext, x0, xdot0), fine[::500])
+        q0 = consistent_mean(self.ext, np.zeros(n), np.zeros(n), drive)
+        means = propagate_mean(self.ext, drive, q0, fine[::500])
         want = oracle.u[::500]
         assert np.abs(want).max() > 0.1
         assert np.abs(means[:, 2 * n : 3 * n] - want).max() <= 1e-10 * np.abs(want).max()

@@ -135,6 +135,18 @@ class TestReconstruct:
         exact = np.imag(1.0 / (grid**2 + 1j * grid - 2.0))
         assert np.abs(rec.im_alpha - exact).max() < 1e-10
 
+    @pytest.mark.parametrize(
+        "selected",
+        [[-1], [7, 7], [0.5], np.isin(np.arange(8), [2, 5]), [8]],
+        ids=["negative", "repeated", "float", "boolean-mask", "too-large"],
+    )
+    def test_selection_it_cannot_honour_is_refused(self, selected):
+        # these gave mode 7, twice mode 7, mode 0, 6 x mode 0 + 2 x mode 1
+        # and a bare IndexError
+        ledger = ledger_for(stable_spec(seed=53, n=4))
+        with pytest.raises(ValueError, match=r"^selected must be distinct integers in \[0, 8\)$"):
+            reconstruct_spectrum(ledger, selected, [0.5])
+
     def test_split_sums_to_total(self):
         spec = stable_spec(seed=53, n=4)
         ledger = ledger_for(spec)

@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import is_dataclass, replace
+from dataclasses import fields, is_dataclass, replace
 from unittest import mock
 
 import numpy as np
@@ -20,6 +20,7 @@ from qpmedia.oracles import build_JB, on_shell_energy
 from qpmedia.spectral import (
     DEFECTIVE_COND_THRESHOLD,
     SINGULAR_A_COND_THRESHOLD,
+    ExtendedOperator,
     attach_JB,
     attach_similarity,
     build_similarity,
@@ -277,7 +278,7 @@ A_CONSUMERS = {
         ext, (np.ones(spec.n), np.zeros(spec.n))
     ),
     "consistent_mean": lambda ext, spec: phasespace.consistent_mean(
-        ext, np.ones(2 * spec.n), np.zeros(2 * spec.n)
+        ext, np.ones(spec.n), np.zeros(spec.n)
     ),
     # the frequency sweeps read A and kappa through spectral._resolvent_x, not J_B
     "classical_correlation": lambda ext, spec: openquantum.classical_correlation(
@@ -810,6 +811,18 @@ def test_complex_medium_keeps_a_complex_root():
     assert np.array_equal(ext.root[4:, :4], spec.kernel)
     assert np.array_equal(ext.kappa, extended_kernel(spec.kernel, spec.damping))
     assert np.array_equal(ext.sqrt_kappa, 1j * ext.root)
+
+
+def test_operator_is_built_from_its_spec_alone():
+    # one init field, so no call can pair the operator with another medium's M
+    spec, other = builders.build_synthetic(4, 1), builders.build_synthetic(4, 2)
+    assert [f.name for f in fields(ExtendedOperator) if f.init] == ["spec"]
+    ext = build_sqrt_kappa(spec)
+    assert ext.spec is spec and not hasattr(ext, "damping")
+    moved = replace(ext, spec=other)
+    assert moved.spec is other
+    assert moved.root.tobytes() == build_sqrt_kappa(other).root.tobytes()
+    assert moved.root.tobytes() != ext.root.tobytes()
 
 
 def test_kappa_is_built_once_per_operator(monkeypatch):
