@@ -50,20 +50,28 @@ def decompose_modes(eig: EigenSystem, spec: MediumSpec, drive: KickDrive) -> Mod
 
     For a kick the frequency dependence of C_kk is linear, so one O(n^2)
     pass yields intercepts and angles valid at every frequency, replacing
-    an O(n^3) similarity product per grid point.
+    an O(n^3) similarity product per grid point.  The pass reads V^{-1} F
+    and V^T r through the eigensystem's applies, so no dense V is formed
+    on the scalar-damping route, and a real kick stays real until then.
     """
     if not isinstance(drive, KickDrive):
         raise UnsupportedDrive("mode decomposition requires a kick drive")
     n = spec.n
-    f = drive.amplitude.astype(complex)
+    f = drive.amplitude
     if f.shape != (n,):
         raise ValueError("kick amplitude must have length n")
-    r = np.concatenate([spec.gen_coord_vector.astype(complex), np.zeros(n)])
+    if not np.any(f.imag):
+        f = f.real
+    zero = np.zeros(n)
     # the kick's force at omega splits as F(f, -i omega f) = F(f, 0) - i omega F(0, f)
-    left0 = eig.inverse_vectors @ _extended_force(spec.damping, f, 0.0)
-    left1 = eig.inverse_vectors @ _extended_force(spec.damping, np.zeros(n, dtype=complex), f)
-    right = eig.right_vectors.T @ r
+    left0 = eig.apply_Vinv(_extended_force(spec.damping, f, 0.0))
+    left1 = eig.apply_Vinv(_extended_force(spec.damping, zero, f))
+    right = eig.apply_Vt(np.concatenate([spec.gen_coord_vector, zero]))
     return ModeLedger(mu=eig.values, intercept=left0 * right, angle=left1 * right)
+
+
+# frequencies per block of reconstruct_spectrum: its temporaries hold this many rows
+_ROW_BLOCK = 64
 
 
 def reconstruct_spectrum(
@@ -74,6 +82,8 @@ def reconstruct_spectrum(
     Sums absorptive and dispersive contributions over ``selected`` only;
     selecting every mode reproduces the direct sweep exactly.  Any other
     ``selected`` than distinct integers in [0, n_modes) raises a ValueError.
+    The grid is walked in blocks of _ROW_BLOCK frequencies; each row's sums
+    are the same bytes whatever the block.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
     _require_finite("omega_grid", omega_grid)
@@ -84,21 +94,20 @@ def reconstruct_spectrum(
     ):
         raise ValueError(f"selected must be distinct integers in [0, {ledger.n_modes})")
     m = omega_grid.size
-    if selected.size == 0:
-        zero = np.zeros(m)
-        return SpectrumTable(omega_grid, zero, zero.copy(), zero.copy())
-
-    lam = ledger.mu[selected] ** 2
-    intercept = ledger.intercept[selected]
-    angle = ledger.angle[selected]
-
-    w2 = omega_grid[:, None] ** 2
-    denom = (w2 - lam.real[None, :]) ** 2 + lam.imag[None, :] ** 2
-    a_fac = lam.imag[None, :] / denom
-    d_fac = (w2 - lam.real[None, :]) / denom
-    c_diag = intercept[None, :] - 1j * omega_grid[:, None] * angle[None, :]
-    absorptive = np.sum(a_fac * c_diag.real, axis=1)
-    dispersive = np.sum(d_fac * c_diag.imag, axis=1)
+    absorptive, dispersive = np.zeros(m), np.zeros(m)
+    if selected.size:
+        lam = ledger.mu[selected] ** 2
+        intercept = ledger.intercept[selected]
+        angle = ledger.angle[selected]
+        for lo in range(0, m, _ROW_BLOCK):
+            omega = omega_grid[lo : lo + _ROW_BLOCK, None]
+            w2 = omega**2
+            denom = (w2 - lam.real[None, :]) ** 2 + lam.imag[None, :] ** 2
+            a_fac = lam.imag[None, :] / denom
+            d_fac = (w2 - lam.real[None, :]) / denom
+            c_diag = intercept[None, :] - 1j * omega * angle[None, :]
+            absorptive[lo : lo + _ROW_BLOCK] = np.sum(a_fac * c_diag.real, axis=1)
+            dispersive[lo : lo + _ROW_BLOCK] = np.sum(d_fac * c_diag.imag, axis=1)
     return SpectrumTable(
         omega_grid=omega_grid,
         im_alpha=absorptive + dispersive,

@@ -656,6 +656,29 @@ class TestStartup:
         assert main([command, *argv]) == 0
         assert calls == {"eigendecompose": 1, "build_similarity": int(command != "modes")}
 
+    @pytest.mark.parametrize("command", ["spectrum", "filter", "modes"])
+    def test_spectral_commands_form_no_2n_matrix_of_a_drude_disk(self, command, tmp_path, monkeypatch):
+        # on the scalar-damping route these commands read the eigensystem
+        # through its factors: no M, V, V^{-1} or W is formed
+        from qpmedia import spectral
+
+        seen = []
+        real = spectral.eigendecompose
+
+        def recording(ext):
+            seen.append((ext, real(ext)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(spectral, "eigendecompose", recording)
+        self._command_inputs(tmp_path)
+        (tmp_path / "m.json").write_text(spec_to_json(small_drude_disk()) + "\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        argv, _ = self.COMMANDS[command]
+        assert main([command, *argv]) == 0
+        [(ext, eig)] = seen
+        assert eig.cond is None and "root" not in vars(ext)
+        assert not {"right_vectors", "inverse_vectors", "basis"} & vars(eig).keys()
+
     @pytest.mark.parametrize("command", ["spectrum", "filter", "modes", "propagate", "field", "bath"])
     def test_kappa_is_formed_only_by_commands_that_read_it(self, command, tmp_path, monkeypatch):
         # kappa is built on its first read, once per operator: only the

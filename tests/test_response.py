@@ -147,6 +147,21 @@ class TestReconstruct:
         with pytest.raises(ValueError, match=r"^selected must be distinct integers in \[0, 8\)$"):
             reconstruct_spectrum(ledger, selected, [0.5])
 
+    def test_row_blocks_give_the_same_bytes(self, monkeypatch):
+        # the grid is walked in row blocks; each row's sums do not depend on them
+        from qpmedia import response
+
+        ledger = ledger_for(stable_spec(seed=54, n=6))
+        grid = np.linspace(0.1, 4.0, 301)
+        selected = np.arange(1, 12)
+        monkeypatch.setattr(response, "_ROW_BLOCK", grid.size)
+        one = reconstruct_spectrum(ledger, selected, grid)
+        for rows in (1, 7, 64):
+            monkeypatch.setattr(response, "_ROW_BLOCK", rows)
+            many = reconstruct_spectrum(ledger, selected, grid)
+            for name in ("im_alpha", "absorptive", "dispersive"):
+                assert getattr(many, name).tobytes() == getattr(one, name).tobytes(), (rows, name)
+
     def test_split_sums_to_total(self):
         spec = stable_spec(seed=53, n=4)
         ledger = ledger_for(spec)
